@@ -491,7 +491,6 @@ def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float) 
 def _add_common(sub):
     sub.add_argument("--config", type=Path, default=None, help="run configuration file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for parallel maps")
     sub.add_argument("--out", type=Path, required=True, help="output directory")
 
 

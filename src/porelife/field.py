@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import voigt
 from .material_point import (
@@ -136,9 +136,10 @@ def _sample_radii_mm(stats: PoreFieldStats, count: int, rng) -> np.ndarray:
     """Truncated log-normal radii, in mm, truncated below the acceptance radius."""
     mu = math.log(stats.radius_median_um / 1000.0)
     s = stats.radius_log_sd
-    floor = ndtr((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
+    normal = NormalDist()
+    floor = normal.cdf((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
     u = floor + rng.random(count) * (1.0 - floor)
-    return np.exp(mu + s * ndtri(u))
+    return np.exp(mu + s * np.array([normal.inv_cdf(x) for x in u]))
 
 
 def synth_field_report(
@@ -393,6 +394,10 @@ class CriterionTable:
         n, levels = self.element_ids.size, self.load_levels.size
         if self.volumes.shape != (n,) or self.delta_eps.shape != (n, levels):
             raise ValueError("inconsistent criterion table shapes")
+        if not np.all(np.isfinite(self.volumes) & (self.volumes > 0.0)):
+            raise ValueError("element volumes must be positive and finite")
+        if not (np.all(np.isfinite(self.delta_eps)) and np.all(np.isfinite(self.load_levels))):
+            raise ValueError("strain ranges and load levels must be finite")
         if np.any(self.delta_eps < 0.0):
             raise ValueError("strain ranges must be nonnegative")
         if np.any(np.diff(self.delta_eps, axis=1) < -1e-15):

@@ -1,12 +1,13 @@
 """Censored log-likelihood of fatigue observations.
 
-Three regimes share one set of Weibull building blocks: homogeneous
-specimens (uniform elastic stress in the gauge), heterogeneous specimens
-with a known per-element criterion table, and specimens whose pore
-distribution is unknown, where the likelihood marginalizes over a set of
-synthetic realizations by Monte Carlo averaging of the per-realization
-densities.  Run-outs contribute their survival probability at the test cap.
-A small floor inside every logarithm keeps the objective finite.
+Three regimes share one kernel: homogeneous specimens (uniform elastic
+stress in the gauge), heterogeneous specimens with a known per-element
+criterion table, and specimens whose pore distribution is unknown, where the
+likelihood marginalizes over a set of synthetic realizations by Monte Carlo
+averaging of the per-realization densities.  Every structure enters as a
+histogram of volume over distinct strain amplitudes.  Run-outs contribute
+their survival probability at the test cap.  A small floor inside every
+logarithm keeps the objective finite.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import CriterionTable
-from .strain_life import StrainLifeParams, element_scale_array
-from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, structure_scale
+from .strain_life import StrainLifeParams, cycles_to_failure
+from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime
 
 OBSERVATIONS_HEADER = "sigma_a_MPa,n_cycles,censored"
 
@@ -39,10 +40,10 @@ class FatigueObservation:
     censored: bool = False
 
     def __post_init__(self):
-        if self.sigma_a <= 0.0:
-            raise ValueError(f"sigma_a must be positive, got {self.sigma_a}")
-        if self.n_cycles <= 0.0:
-            raise ValueError(f"n_cycles must be positive, got {self.n_cycles}")
+        if not (math.isfinite(self.sigma_a) and self.sigma_a > 0.0):
+            raise ValueError(f"sigma_a must be positive and finite, got {self.sigma_a}")
+        if not (math.isfinite(self.n_cycles) and self.n_cycles > 0.0):
+            raise ValueError(f"n_cycles must be positive and finite, got {self.n_cycles}")
 
 
 def load_observations(path) -> list[FatigueObservation]:
@@ -97,8 +98,8 @@ class Homogeneous:
     youngs_modulus: float = DEFAULT_YOUNGS_MODULUS
 
     def __post_init__(self):
-        if self.volume <= 0.0 or self.youngs_modulus <= 0.0:
-            raise ValueError("volume and modulus must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.volume, self.youngs_modulus)):
+            raise ValueError("volume and modulus must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +124,46 @@ class UnknownPores:
 SpecimenModel = Homogeneous | Heterogeneous | UnknownPores
 
 
-def _table_structure(params: StrainLifeParams, table: CriterionTable, sigma_a: float) -> StructureLifetime:
-    delta = table.interpolate(sigma_a)
-    scales = element_scale_array(params, delta, table.volumes)
-    return StructureLifetime(scale=structure_scale(scales, params.m), shape=params.m)
+def _histogram(structure: Homogeneous | CriterionTable, sigma_a: float):
+    """Distinct strain amplitudes of a structure at a load, and the volume at each."""
+    if isinstance(structure, Homogeneous):
+        return np.array([sigma_a / structure.youngs_modulus]), np.array([structure.volume])
+    distinct, inverse = np.unique(0.5 * structure.interpolate(sigma_a), return_inverse=True)
+    return distinct, np.bincount(inverse, weights=structure.volumes, minlength=distinct.size)
 
 
-def _homogeneous_structure(params: StrainLifeParams, model: Homogeneous, sigma_a: float) -> StructureLifetime:
-    delta = 2.0 * sigma_a / model.youngs_modulus
-    scale = element_scale_array(params, np.array([delta]), np.array([model.volume]))[0]
-    return StructureLifetime(scale=float(scale), shape=params.m)
+class _Segments:
+    """Volume histograms of structures at given loads (segments).
+
+    Elements at one strain amplitude share one Weibull scale, so a segment's
+    weakest-link rate needs only the volume V_j at each distinct amplitude
+    u_j: Lambda = sum_j N(u_j)^-m V_j ln 2 / V0, and the structure scale is
+    Lambda^(-1/m), infinite when Lambda = 0.
+    """
+
+    def __init__(self, histograms):
+        sizes = [amps.size for amps, _ in histograms]
+        self.amplitudes, self.bin_amplitude = np.unique(
+            np.concatenate([amps for amps, _ in histograms]), return_inverse=True
+        )
+        self.bin_log_volume = np.log(np.concatenate([vols for _, vols in histograms]))
+        self.start = np.cumsum([0] + sizes[:-1])
+        self.bin_segment = np.repeat(np.arange(len(sizes)), sizes)
+
+    def log_rates(self, params: StrainLifeParams) -> np.ndarray:
+        """log Lambda per segment: one inversion, then a max-shifted log-sum-exp."""
+        log_life = np.log(cycles_to_failure(params, self.amplitudes))
+        terms = self.bin_log_volume - params.m * log_life[self.bin_amplitude]
+        peak = np.maximum.reduceat(terms, self.start)
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+        sums = np.add.reduceat(np.exp(terms - peak[self.bin_segment]), self.start)
+        return peak + np.log(sums) + math.log(math.log(2.0) / params.V0)
+
+
+def _structure(params: StrainLifeParams, structure, sigma_a: float) -> StructureLifetime:
+    with np.errstate(divide="ignore"):
+        log_rate = _Segments([_histogram(structure, sigma_a)]).log_rates(params)[0]
+    return StructureLifetime(scale=math.exp(-log_rate / params.m), shape=params.m)
 
 
 def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float):
@@ -144,11 +175,11 @@ def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float
     if sigma_a <= 0.0:
         raise ValueError("sigma_a must be positive")
     if isinstance(model, Homogeneous):
-        return _homogeneous_structure(params, model, sigma_a)
+        return _structure(params, model, sigma_a)
     if isinstance(model, Heterogeneous):
-        return _table_structure(params, model.table, sigma_a)
+        return _structure(params, model.table, sigma_a)
     if isinstance(model, UnknownPores):
-        return [_table_structure(params, t, sigma_a) for t in model.tables]
+        return [_structure(params, t, sigma_a) for t in model.tables]
     raise TypeError(f"unknown specimen model {type(model).__name__}")
 
 
@@ -156,62 +187,106 @@ def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float
 # Log-likelihood terms
 # ---------------------------------------------------------------------------
 
-def weibull_density_value(scale: float, shape: float, n: float) -> float:
-    """Weibull density, overflow-safe, exactly 0 for infinite scale."""
-    if math.isinf(scale):
-        return 0.0
-    log_r = math.log(n) - math.log(scale)
-    exponent = shape * log_r
-    t = math.exp(exponent) if exponent < 700.0 else math.inf
-    if math.isinf(t):
-        return 0.0
-    return shape / scale * math.exp((shape - 1.0) * log_r) * math.exp(-t)
+def _density(log_rate, shape, log_n):
+    """Weibull density at n of a structure with rate Lambda = scale^-shape.
+
+    Overflow-safe: exactly 0 once (n/scale)^shape reaches 700, and the log
+    density is clamped at -700 (far below the floor) before exponentiation.
+    """
+    log_t = shape * log_n + log_rate  # log (n/scale)^shape
+    t = np.exp(np.minimum(log_t, 700.0))
+    log_pdf = log_t - t - log_n + math.log(shape)
+    return np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
 
 
-def weibull_survival_value(scale: float, shape: float, n: float) -> float:
-    """Weibull survival probability, exactly 1 for infinite scale."""
-    if math.isinf(scale):
-        return 1.0
-    exponent = shape * (math.log(n) - math.log(scale))
-    t = math.exp(exponent) if exponent < 700.0 else math.inf
-    return math.exp(-t) if not math.isinf(t) else 0.0
+def _survival(log_rate, shape, log_n):
+    """Weibull survival at n; exactly 1 at infinite scale (Lambda = 0)."""
+    return np.exp(-np.exp(np.minimum(shape * log_n + log_rate, 700.0)))
 
 
 def failure_term(scale: float, shape: float, n_cycles: float) -> float:
     """log(density + floor) of one failure observation."""
-    return math.log(weibull_density_value(scale, shape, n_cycles) + LOG_FLOOR)
+    return math.log(_density(-shape * math.log(scale), shape, math.log(n_cycles)) + LOG_FLOOR)
 
 
 def runout_term(scale: float, shape: float, runout_cycles: float) -> float:
     """log(survival + floor) of one run-out observation."""
-    return math.log(weibull_survival_value(scale, shape, runout_cycles) + LOG_FLOOR)
+    return math.log(_survival(-shape * math.log(scale), shape, math.log(runout_cycles)) + LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------
-# Prepared objectives (criterion data extracted once, reused per candidate)
+# The censored-likelihood kernel behind every objective
 # ---------------------------------------------------------------------------
 
-def _log_density_array(scales, shape, cycles):
-    """log(pdf + floor), vectorized and overflow-safe; scales may be inf."""
-    out = np.full(cycles.shape, math.log(LOG_FLOOR))
-    finite = np.isfinite(scales)
-    if np.any(finite):
-        log_r = np.log(cycles[finite]) - np.log(scales[finite])
-        t = np.exp(np.minimum(shape * log_r, 700.0))
-        log_pdf = math.log(shape) - np.log(scales[finite]) + (shape - 1.0) * log_r - t
-        pdf = np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
-        out[finite] = np.log(pdf + LOG_FLOOR)
-    return out
+class _Rows:
+    """Distinct (segment group, cycles) rows with multiplicities, as (row, segment) pairs.
+
+    A row's term is log(mean over its group + LOG_FLOOR) times its count.
+    """
+
+    def __init__(self, row_group, count, cycles, groups):
+        self.size = np.array([len(groups[g]) for g in row_group])
+        self.segment = np.array([k for g in row_group for k in groups[g]], dtype=np.intp)
+        self.log_n = np.repeat(np.log(cycles), self.size)
+        self.count = count.astype(float)
+        self.first = np.cumsum(self.size) - self.size if np.any(self.size > 1) else None
+
+    def total(self, values) -> float:
+        if self.first is not None:
+            values = np.add.reduceat(values, self.first) / self.size
+        return float(np.sum(self.count * np.log(values + LOG_FLOOR)))
 
 
-def _log_survival_array(scales, shape, runout_cycles):
-    """log(survival + floor), vectorized; survival is exactly 1 at inf scale."""
-    out = np.full(scales.shape, math.log(1.0 + LOG_FLOOR))
-    finite = np.isfinite(scales)
-    if np.any(finite):
-        t = np.exp(np.minimum(shape * (math.log(runout_cycles) - np.log(scales[finite])), 700.0))
-        out[finite] = np.log(np.exp(-t) + LOG_FLOOR)
-    return out
+class _Kernel:
+    """Censored log-likelihood of observations over assigned structures.
+
+    An observation's group is the segments (structure, amplitude) of its
+    assigned structures (all when ``assignments`` is None) at its amplitude.
+    Failures sharing group and cycles share a row; run-outs share one row per
+    group.  Only the segment log rates depend on the parameters.
+    """
+
+    def __init__(self, observations, structures, assignments, runout_cycles):
+        obs = list(observations)
+        if not obs:
+            raise ValueError("no observations")
+        sigma = np.array([o.sigma_a for o in obs], dtype=float)
+        cycles = np.array([o.n_cycles for o in obs], dtype=float)
+        censored = np.array([o.censored for o in obs], dtype=bool)
+        amps, amp_index = np.unique(sigma, return_inverse=True)
+        if assignments is None:
+            distinct = [tuple(range(len(structures)))]
+            assigned = np.zeros(len(obs), dtype=np.intp)
+        else:
+            ids: dict[tuple, int] = {}
+            assigned = np.array([ids.setdefault(a, len(ids)) for a in assignments], dtype=np.intp)
+            distinct = list(ids)
+        keys, obs_group = np.unique(assigned * amps.size + amp_index, return_inverse=True)
+        segment_ids: dict[tuple, int] = {}
+        groups = [
+            [segment_ids.setdefault((k, key % amps.size), len(segment_ids)) for k in distinct[key // amps.size]]
+            for key in keys
+        ]
+        self.segments = _Segments([_histogram(structures[k], amps[i]) for k, i in segment_ids])
+        self.failures = self.runouts = None
+        if not np.all(censored):
+            rows, count = np.unique(
+                np.column_stack([obs_group[~censored], cycles[~censored]]), axis=0, return_counts=True
+            )
+            self.failures = _Rows(rows[:, 0].astype(np.intp), count, rows[:, 1], groups)
+        if np.any(censored):
+            count = np.bincount(obs_group[censored], minlength=len(groups))
+            group = np.nonzero(count)[0]
+            self.runouts = _Rows(group, count[group], np.full(group.size, runout_cycles), groups)
+
+    def __call__(self, params: StrainLifeParams) -> float:
+        total = 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_rate = self.segments.log_rates(params)
+            for rows, term in ((self.failures, _density), (self.runouts, _survival)):
+                if rows is not None:
+                    total += rows.total(term(log_rate[rows.segment], params.m, rows.log_n))
+        return total
 
 
 def homogeneous_objective(
@@ -222,47 +297,9 @@ def homogeneous_objective(
 ) -> Callable[[StrainLifeParams], float]:
     """Fast evaluator of the homogeneous-specimen log-likelihood.
 
-    Observations are grouped by amplitude once; each candidate evaluation is
-    fully vectorized, so tens of thousands of points stay affordable.
+    Each distinct amplitude is a one-element segment (sigma_a / E, volume).
     """
-    if not observations:
-        raise ValueError("no observations")
-    obs = list(observations)
-    amps = sorted({o.sigma_a for o in obs})
-    deltas = np.array([2.0 * a / youngs_modulus for a in amps])
-    volumes = np.full(len(amps), volume)
-    index = {a: i for i, a in enumerate(amps)}
-    fail_idx = np.array([index[o.sigma_a] for o in obs if not o.censored], dtype=np.intp)
-    fail_cycles = np.array([o.n_cycles for o in obs if not o.censored])
-    runout_counts = np.zeros(len(amps))
-    for o in obs:
-        if o.censored:
-            runout_counts[index[o.sigma_a]] += 1.0
-
-    def evaluate(params: StrainLifeParams) -> float:
-        scales = element_scale_array(params, deltas, volumes)
-        total = float(np.sum(_log_density_array(scales[fail_idx], params.m, fail_cycles)))
-        total += float(np.sum(runout_counts * _log_survival_array(scales, params.m, runout_cycles)))
-        return total
-
-    return evaluate
-
-
-def _prepare_tables(tables: Sequence[CriterionTable], amplitudes) -> list[dict]:
-    """Interpolated (delta_eps, volumes) per table per amplitude, made once."""
-    prepared = []
-    for table in tables:
-        per_amp = {}
-        for a in amplitudes:
-            per_amp[a] = (table.interpolate(a), table.volumes)
-        prepared.append(per_amp)
-    return prepared
-
-
-def _structure_scale_at(params: StrainLifeParams, prepared_entry) -> float:
-    delta, volumes = prepared_entry
-    scales = element_scale_array(params, delta, volumes)
-    return structure_scale(scales, params.m)
+    return _Kernel(observations, [Homogeneous(volume, youngs_modulus)], None, runout_cycles)
 
 
 def heterogeneous_objective(
@@ -272,34 +309,18 @@ def heterogeneous_objective(
 ) -> Callable[[StrainLifeParams], float]:
     """Fast evaluator for known-field specimens (one table per observation).
 
-    A single table may be shared across all observations.
+    A single table may be shared across all observations; segments are
+    (table, amplitude) pairs, so a shared table is histogrammed once per level.
     """
     obs = list(observations)
-    if not obs:
-        raise ValueError("no observations")
-    if isinstance(tables, CriterionTable):
-        tables = [tables]
-    tables = list(tables)
+    tables = [tables] if isinstance(tables, CriterionTable) else list(tables)
     if len(tables) == 1:
-        tables = tables * len(obs)
+        return _Kernel(obs, tables, None, runout_cycles)
     if len(tables) != len(obs):
         raise ValueError(f"{len(obs)} observations but {len(tables)} tables")
-    prepared = [
-        {"entry": table.interpolate(o.sigma_a), "volumes": table.volumes}
-        for o, table in zip(obs, tables)
-    ]
-
-    def evaluate(params: StrainLifeParams) -> float:
-        total = 0.0
-        for o, prep in zip(obs, prepared):
-            scale = _structure_scale_at(params, (prep["entry"], prep["volumes"]))
-            if o.censored:
-                total += runout_term(scale, params.m, runout_cycles)
-            else:
-                total += failure_term(scale, params.m, o.n_cycles)
-        return total
-
-    return evaluate
+    structures = list({id(t): t for t in tables}.values())
+    position = {id(t): k for k, t in enumerate(structures)}
+    return _Kernel(obs, structures, [(position[id(t)],) for t in tables], runout_cycles)
 
 
 def unknown_pores_objective(
@@ -317,47 +338,16 @@ def unknown_pores_objective(
     deterministic across optimizer iterations.
     """
     obs = list(observations)
-    if not obs:
-        raise ValueError("no observations")
     tables = list(tables)
     if not tables:
         raise ValueError("no synthetic tables")
-    if assignments is None:
-        assignments = [range(len(tables))] * len(obs)
-    elif len(assignments) != len(obs):
-        raise ValueError("one table assignment per observation required")
-    assignments = [tuple(a) for a in assignments]
-    for a in assignments:
-        if len(a) < 1:
+    if assignments is not None:
+        assignments = [tuple(int(k) for k in a) for a in assignments]
+        if len(assignments) != len(obs):
+            raise ValueError("one table assignment per observation required")
+        if any(len(a) < 1 for a in assignments):
             raise ValueError("every observation needs at least one table")
-
-    amps = sorted({o.sigma_a for o in obs})
-    prepared = _prepare_tables(tables, amps)
-
-    def evaluate(params: StrainLifeParams) -> float:
-        cache: dict[tuple[int, float], float] = {}
-
-        def scale_for(k: int, a: float) -> float:
-            key = (k, a)
-            val = cache.get(key)
-            if val is None:
-                val = _structure_scale_at(params, prepared[k][a])
-                cache[key] = val
-            return val
-
-        total = 0.0
-        for o, assigned in zip(obs, assignments):
-            acc = 0.0
-            for k in assigned:
-                scale = scale_for(k, o.sigma_a)
-                if o.censored:
-                    acc += weibull_survival_value(scale, params.m, runout_cycles)
-                else:
-                    acc += weibull_density_value(scale, params.m, o.n_cycles)
-            total += math.log(acc / len(assigned) + LOG_FLOOR)
-        return total
-
-    return evaluate
+    return _Kernel(obs, tables, assignments, runout_cycles)
 
 
 # ---------------------------------------------------------------------------

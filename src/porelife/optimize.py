@@ -22,6 +22,8 @@ PARAM_ORDER = ("m", "A", "B", "alpha", "beta", "C")
 #: Indices transformed as log(x + shift) because zero is a legal value.
 _SHIFTED = (2, 4, 5)  # B, beta, C
 _LOG_SHIFT = 1e-12
+#: Clamp of internal coordinates: math.exp neither overflows nor reaches 0.
+_MAX_LOG = 700.0
 
 DEFAULT_BUDGET = 400
 DEFAULT_STARTS = 5
@@ -60,9 +62,15 @@ def nelder_mead(
     (absolute 0.05 at zero coordinates).  Stops on the iteration budget or
     when the simplex function spread falls below ``f_spread_tol`` while the
     vertex spread is also small (equal values at symmetric vertices must not
-    stop a fresh simplex).  The trace holds one ``(iteration, best_x,
-    best_f)`` entry per iteration.
+    stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
+    holds one ``(iteration, best_x, best_f)`` entry per iteration.
     """
+    objective = f
+
+    def f(x):
+        value = objective(x)
+        return -math.inf if math.isnan(value) else value
+
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     if dim < 1:
@@ -163,10 +171,8 @@ def _to_internal(vec: np.ndarray, free_idx) -> np.ndarray:
 def _from_internal(y: np.ndarray, free_idx, pinned: np.ndarray) -> np.ndarray:
     vec = pinned.copy()
     for j, i in enumerate(free_idx):
-        if i in _SHIFTED:
-            vec[i] = max(math.exp(y[j]) - _LOG_SHIFT, 0.0)
-        else:
-            vec[i] = math.exp(y[j])
+        value = math.exp(min(max(y[j], -_MAX_LOG), _MAX_LOG))
+        vec[i] = max(value - _LOG_SHIFT, 0.0) if i in _SHIFTED else value
     return vec
 
 

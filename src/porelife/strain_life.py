@@ -38,6 +38,8 @@ class StrainLifeParams:
     V0: float = DEFAULT_REFERENCE_VOLUME
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m, self.A, self.alpha, self.B, self.beta, self.C, self.V0))):
+            raise ValueError(f"every parameter must be finite, got {self}")
         if not (self.m > 0 and self.A > 0 and self.alpha > 0 and self.V0 > 0):
             raise ValueError(f"m, A, alpha, V0 must be positive, got {self}")
         if self.B < 0 or self.beta < 0 or self.C < 0:
@@ -122,35 +124,29 @@ def _curve_and_slope(params, log_n):
 def cycles_to_failure(params: StrainLifeParams, eps_amp):
     """Invert the strain-life curve; infinite at or below the fatigue limit.
 
-    Bracketing bisection in ln N (initial bracket [1, 1e16], expanded as
-    needed) down to 1e-12 in ln N, then one Newton polish.  Monotonicity of
-    the curve guarantees convergence.  Accepts scalars or arrays.
+    The one-line curve (B = 0) has the closed form N = ((eps - C)/A)^(-1/alpha).
+    The two-line curve uses bisection in ln N over [-700, 700] down to 1e-12,
+    then one Newton polish; monotonicity of the curve guarantees convergence.
+    Accepts scalars or arrays.
     """
     eps = np.atleast_1d(np.asarray(eps_amp, dtype=float))
-    if np.any(eps < 0.0):
+    if not np.all(eps >= 0.0):
         raise ValueError("strain amplitude must be nonnegative")
     out = np.full(eps.shape, np.inf)
     finite = eps > params.C
-    if np.any(finite):
+    if params.B == 0.0:
+        with np.errstate(over="ignore"):
+            out[finite] = ((eps[finite] - params.C) / params.A) ** (-1.0 / params.alpha)
+    elif np.any(finite):
         target = eps[finite]
-        lo = np.zeros(target.shape)  # ln 1
-        hi = np.full(target.shape, 16.0 * math.log(10.0))
-        # expand the bracket where the target lies outside it
-        for _ in range(40):
-            need_lo = _curve_and_slope(params, lo)[0] < target
-            if not np.any(need_lo):
-                break
-            lo[need_lo] -= 18.0 * math.log(10.0)
-        for _ in range(40):
-            need_hi = _curve_and_slope(params, hi)[0] > target
-            if not np.any(need_hi):
-                break
-            hi[need_hi] += 18.0 * math.log(10.0)
-        while np.max(hi - lo) > 1e-12:
-            mid = 0.5 * (lo + hi)
-            above = _curve_and_slope(params, mid)[0] > target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+        lo = np.full(target.shape, -700.0)
+        hi = np.full(target.shape, 700.0)
+        with np.errstate(over="ignore"):
+            while np.max(hi - lo) > 1e-12:
+                mid = 0.5 * (lo + hi)
+                above = _curve_and_slope(params, mid)[0] > target
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
         mid = 0.5 * (lo + hi)
         val, slope = _curve_and_slope(params, mid)  # slope < 0 everywhere
         out[finite] = np.exp(mid - (val - target) / slope)

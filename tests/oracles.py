@@ -250,3 +250,65 @@ def trapezoid_pdf_mass(dist, upper: float, n_points: int = 200_001) -> float:
 
     grid = np.linspace(0.0, upper, n_points)
     return float(np.trapezoid(weibull_pdf(dist, grid), grid))
+
+
+def _oracle_cycles(params, eps_amp: float) -> float:
+    """Strain-life inverse by Brent's method in ln N; infinite at or below C."""
+    from scipy.optimize import brentq
+
+    from porelife.strain_life import strain_amplitude
+
+    if eps_amp <= params.C:
+        return math.inf
+    log_n = brentq(
+        lambda x: strain_amplitude(params, math.exp(x)) - eps_amp,
+        -50.0, 300.0, xtol=1e-15, rtol=1e-15, maxiter=500,
+    )
+    return math.exp(log_n)
+
+
+def survival_product_terms(params, amplitudes, volumes, n_cycles: float):
+    """(density, survival) at ``n_cycles`` of a structure of Weibull elements.
+
+    Each element gets its own scale N(eps_a) (V0 / (V ln 2))^(1/m) and its own
+    ``scipy.stats.weibull_min``; the structure survives if every element
+    does, so S = prod S_e and the density is S * sum_e pdf_e / S_e.  Elements
+    at or below the fatigue limit never fail and are left out.
+    """
+    from scipy.stats import weibull_min
+
+    m = params.m
+    scales = np.array([
+        _oracle_cycles(params, float(a)) * (params.V0 / (float(v) * math.log(2.0))) ** (1.0 / m)
+        for a, v in zip(amplitudes, volumes)
+    ])
+    scales = scales[np.isfinite(scales)]
+    if scales.size == 0:
+        return 0.0, 1.0
+    survival = float(np.prod(weibull_min.sf(n_cycles, m, scale=scales)))
+    log_hazard = weibull_min.logpdf(n_cycles, m, scale=scales) - weibull_min.logsf(n_cycles, m, scale=scales)
+    return survival * float(np.sum(np.exp(log_hazard))), survival
+
+
+def survival_product_loglik(params, observations, structures, runout_cycles: float, floor: float = 1e-10) -> float:
+    """Censored log-likelihood from per-element survival products.
+
+    ``structures[i]`` lists the (strain amplitudes, volumes) of every
+    realization observation ``i`` is scored against; its term is the log of
+    the mean density (failure) or survival at the cap (run-out) over them,
+    plus the floor.
+    """
+    total = 0.0
+    for obs, realizations in zip(observations, structures, strict=True):
+        values = []
+        for amplitudes, volumes in realizations:
+            n = runout_cycles if obs.censored else obs.n_cycles
+            density, survival = survival_product_terms(params, amplitudes, volumes, n)
+            values.append(survival if obs.censored else density)
+        total += math.log(sum(values) / len(values) + floor)
+    return total
+
+
+def table_amplitudes(table, sigma_a: float):
+    """Per-element strain amplitudes of a criterion table, by np.interp per row."""
+    return np.array([0.5 * np.interp(sigma_a, table.load_levels, row) for row in table.delta_eps]), table.volumes

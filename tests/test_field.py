@@ -312,6 +312,22 @@ class TestCriterionTable:
         with pytest.raises(CriterionError):
             criterion_table(field, material, [50.0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("volumes", np.nan), ("volumes", np.inf), ("volumes", 0.0),
+        ("delta_eps", np.nan), ("delta_eps", np.inf), ("load_levels", np.nan),
+    ])
+    def test_table_non_finite_rejected(self, field, value):
+        arrays = dict(
+            element_ids=np.array([0, 1]),
+            volumes=np.array([1.0, 2.0]),
+            load_levels=np.array([40.0, 80.0]),
+            delta_eps=np.array([[1e-3, 2e-3], [1.5e-3, 3e-3]]),
+        )
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValueError):
+            CriterionTable(**arrays)
+
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):
             CriterionTable(

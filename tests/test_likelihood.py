@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
-from porelife.field import CriterionTable
+from porelife.field import CriterionTable, PoreFieldStats
 from porelife.likelihood import (
     LOG_FLOOR,
     FatigueObservation,
@@ -23,6 +24,7 @@ from porelife.likelihood import (
 )
 from porelife.strain_life import StrainLifeParams, element_lifetime
 from porelife.weakest_link import structure_scale
+from oracles import survival_product_loglik, table_amplitudes
 
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
 
@@ -67,6 +69,24 @@ class TestObservationFiles:
             FatigueObservation(0.0, 1000.0)
         with pytest.raises(ValueError):
             FatigueObservation(80.0, 0.0)
+
+    @pytest.mark.parametrize("sigma_a, n_cycles", [
+        (math.nan, 1e5), (math.inf, 1e5), (80.0, math.nan), (80.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, sigma_a, n_cycles):
+        with pytest.raises(ValueError, match="finite"):
+            FatigueObservation(sigma_a, n_cycles)
+
+    def test_non_finite_line_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("sigma_a_MPa,n_cycles,censored\n80,1e5,0\nnan,1e5,0\n")
+        with pytest.raises(ValueError, match=r"obs\.csv:3:"):
+            load_observations(path)
+
+    @pytest.mark.parametrize("volume, modulus", [(math.nan, 75500.0), (math.inf, 75500.0), (593.0, math.nan)])
+    def test_homogeneous_non_finite_rejected(self, volume, modulus):
+        with pytest.raises(ValueError, match="finite"):
+            Homogeneous(volume=volume, youngs_modulus=modulus)
 
 
 class TestStructureFor:
@@ -265,3 +285,109 @@ class TestUnknownPores:
         assert_allclose(only_first, loglik_unknown_pores(PARAMS, obs, [tables[0]]), rtol=1e-14)
         with pytest.raises(ValueError):
             loglik_unknown_pores(PARAMS, obs, tables, assignments=[[0], [1]])
+
+
+def grid_table(seed, n=24, levels=(40.0, 60.0, 80.0, 100.0), youngs=75500.0):
+    """Elements on a shared concentration grid; the lowest one stays below C
+    at the low levels, so some elements have infinite life there."""
+    rng = np.random.default_rng(seed)
+    kt = rng.choice([0.5, 1.0, 1.3, 1.7, 2.2], size=n)
+    levels = np.asarray(levels, dtype=float)
+    return CriterionTable(
+        element_ids=np.arange(n),
+        volumes=rng.uniform(0.05, 3.0, size=n),
+        load_levels=levels,
+        delta_eps=kt[:, None] * (2.0 * levels / youngs)[None, :],
+    )
+
+
+def oracle_observations():
+    """Failures and run-outs on and between the grid levels, with repeats."""
+    rows = [
+        (40.0, 2e6, True), (40.0, 8e5, False), (50.0, 3e5, False), (50.0, 2e6, True),
+        (60.0, 1.2e5, False), (60.0, 1.2e5, False), (70.0, 2e6, True), (80.0, 4e4, False),
+        (95.0, 9e3, False), (95.0, 2e6, True), (95.0, 2e6, True), (100.0, 6e3, False),
+    ]
+    return [FatigueObservation(a, n, c) for a, n, c in rows]
+
+
+class TestKernelAgainstSurvivalProduct:
+    """Every regime against the per-element survival product in oracles.py."""
+
+    PARAMS = (
+        PARAMS,
+        StrainLifeParams(m=0.8, A=0.01, alpha=0.2, C=3e-4, V0=593.0),
+        StrainLifeParams(m=4.5, A=0.03, alpha=0.35, C=9e-4, V0=100.0),
+    )
+    TABLES = (grid_table(1), grid_table(2), grid_table(3))
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_homogeneous(self, params):
+        obs = oracle_observations() + [FatigueObservation(20.0, 3e5, False), FatigueObservation(20.0, 2e6, True)]
+        structures = [[(np.array([o.sigma_a / 75500.0]), np.array([27.1]))] for o in obs]
+        expected = survival_product_loglik(params, obs, structures, 2e6)
+        assert_allclose(loglik_homogeneous(params, obs, 27.1), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_heterogeneous_shared_table(self, params):
+        obs = oracle_observations()
+        table = self.TABLES[0]
+        structures = [[table_amplitudes(table, o.sigma_a)] for o in obs]
+        expected = survival_product_loglik(params, obs, structures, 2e6)
+        assert_allclose(loglik_heterogeneous(params, obs, [table]), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_heterogeneous_table_per_observation(self, params):
+        obs = oracle_observations()
+        tables = [self.TABLES[i % 3] for i in range(len(obs))]
+        structures = [[table_amplitudes(t, o.sigma_a)] for o, t in zip(obs, tables)]
+        expected = survival_product_loglik(params, obs, structures, 2e6)
+        assert_allclose(loglik_heterogeneous(params, obs, tables), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_unknown_pores_all_tables(self, params):
+        obs = oracle_observations()
+        structures = [[table_amplitudes(t, o.sigma_a) for t in self.TABLES] for o in obs]
+        expected = survival_product_loglik(params, obs, structures, 2e6)
+        assert_allclose(loglik_unknown_pores(params, obs, self.TABLES), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_unknown_pores_assignments(self, params):
+        obs = oracle_observations()
+        assignments = [[i % 3] if i % 4 == 0 else [i % 3, (i + 1) % 3] for i in range(len(obs))]
+        structures = [
+            [table_amplitudes(self.TABLES[k], o.sigma_a) for k in assigned]
+            for o, assigned in zip(obs, assignments)
+        ]
+        expected = survival_product_loglik(params, obs, structures, 2e6)
+        value = loglik_unknown_pores(params, obs, self.TABLES, assignments=assignments)
+        assert_allclose(value, expected, rtol=1e-12)
+
+    def test_joint_mode_fit(self, tmp_path):
+        from porelife.cli import main
+        from porelife.field import save_criterion_table
+
+        conf = tmp_path / "run.conf"
+        conf.write_text("[protocol]\nload_levels = 40, 60, 80, 100\nn_starts = 1\nbudget = 30\n")
+        table_paths = []
+        for i, table in enumerate(self.TABLES):
+            table_paths.append(str(tmp_path / f"t{i}.criterion.csv"))
+            save_criterion_table(table_paths[-1], table)
+        porous, bare = oracle_observations(), oracle_observations()[2:]
+        save_observations(tmp_path / "porous.csv", porous)
+        save_observations(tmp_path / "bare.csv", bare)
+        rc = main([
+            "calibrate", "--config", str(conf), "--out", str(tmp_path / "fit"), "--mode", "joint",
+            "--observations", str(tmp_path / "porous.csv"), "--tables", *table_paths,
+            "--homogeneous-observations", str(tmp_path / "bare.csv"),
+        ])
+        assert rc == 0
+        fitted = json.loads((tmp_path / "fit" / "fitted.json").read_text())
+        params = StrainLifeParams(**fitted["params"])
+        gauge = PoreFieldStats().gauge_volume
+        expected = survival_product_loglik(
+            params, bare, [[(np.array([o.sigma_a / 75500.0]), np.array([gauge]))] for o in bare], 2e6
+        ) + survival_product_loglik(
+            params, porous, [[table_amplitudes(t, o.sigma_a) for t in self.TABLES] for o in porous], 2e6
+        )
+        assert_allclose(fitted["log_likelihood"], expected, rtol=1e-12)

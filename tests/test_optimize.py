@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from porelife.likelihood import (
 )
 from porelife.optimize import (
     CalibrationDegeneracyError,
+    _from_internal,
     CalibrationProblem,
     calibrate,
     ensure_failures,
@@ -63,6 +66,32 @@ class TestNelderMead:
         result = nelder_mead(lambda x: -np.sum(x**2), np.array([5.0, 1.0, -3.0]), budget=17)
         assert result.iterations <= 17
         assert len(result.trace) <= 17
+
+
+    def test_nan_region_never_reported_best(self):
+        def f(x):
+            return math.nan if x[0] > 0.02 else -((x[0] - 1.0) ** 2)
+
+        result = nelder_mead(f, np.array([0.0]), budget=200)
+        assert not math.isnan(result.fun)
+        assert result.x[0] <= 0.02
+        assert all(not math.isnan(v) for _, _, v in result.trace)
+
+
+class TestInternalTransform:
+    def test_extreme_coordinates_clamped(self):
+        pinned = np.array([2.0, 0.01, 0.0, 0.2, 0.0, 3e-4])
+        for y in (800.0, -800.0, 1e6):
+            vec = _from_internal(np.array([y, y]), [0, 5], pinned)
+            assert np.all(np.isfinite(vec))
+            assert vec[0] > 0.0 and vec[5] >= 0.0
+
+    def test_unbounded_objective_does_not_overflow(self):
+        problem = CalibrationProblem(
+            objective=lambda p: p.m, x0=TRUE, free_mask=(True, False, False, False, False, False), budget=200
+        )
+        result = calibrate(problem, n_starts=1)
+        assert math.isfinite(result.params.m) and math.isfinite(result.log_likelihood)
 
 
 class TestCalibrate:

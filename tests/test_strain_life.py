@@ -94,6 +94,22 @@ class TestInverse:
             n = cycles_to_failure(params, eps)
             assert_allclose(strain_amplitude(params, n), eps, rtol=1e-8)
 
+    def test_closed_form_one_line_matches_bisection(self, rng):
+        for _ in range(30):
+            params = StrainLifeParams(
+                m=2.0, A=rng.uniform(1e-3, 1.0), alpha=rng.uniform(0.05, 0.8), C=rng.uniform(0.0, 1e-3)
+            )
+            top = strain_amplitude(params, 1.0)
+            eps = params.C + (top - params.C) * rng.uniform(0.05, 1.0, size=5)
+            closed = cycles_to_failure(params, eps)
+            reference = [bisect_inverse(params, float(e)) for e in eps]
+            assert_allclose(closed, reference, rtol=1e-12)
+        assert cycles_to_failure(ONE_LINE, np.array([0.0, 0.1]))[0] == math.inf
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError):
+            cycles_to_failure(ONE_LINE, np.array([0.1, math.nan]))
+
     def test_vector_matches_scalar(self):
         eps = np.array([0.002, 0.05, 0.0005])
         vec = cycles_to_failure(TWO_LINE, eps)
@@ -187,6 +203,14 @@ class TestValidation:
             StrainLifeParams(m=0.0, A=1.0, alpha=0.5)
         with pytest.raises(ValueError):
             StrainLifeParams(m=1.0, A=1.0, alpha=0.5, C=-1e-4)
+
+    @pytest.mark.parametrize("name", ["m", "A", "alpha", "B", "beta", "C", "V0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_reject_non_finite(self, name, value):
+        fields = dict(m=2.0, A=0.01, alpha=0.2, B=0.0, beta=0.0, C=3e-4, V0=593.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            StrainLifeParams(**fields)
 
     def test_lifetime_rejects_bad_scale(self):
         with pytest.raises(ValueError):
