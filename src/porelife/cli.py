@@ -8,6 +8,7 @@ directory, and is byte-reproducible from its seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -125,16 +126,7 @@ def cmd_genfield(
                 "pore_volume_fraction": info["pore_volume_fraction"],
             }
         )
-    manifest["stats"] = {
-        "pore_density": stats.pore_density,
-        "radius_median_um": stats.radius_median_um,
-        "radius_log_sd": stats.radius_log_sd,
-        "accept_radius_um": stats.accept_radius_um,
-        "gauge_radius_mm": stats.gauge_radius_mm,
-        "gauge_length_mm": stats.gauge_length_mm,
-        "surface_kt_boost": stats.surface_kt_boost,
-        "shells": config.shells,
-    }
+    manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
     _write_json(out_dir / "manifest.json", manifest)
     return EXIT_OK
 

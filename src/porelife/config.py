@@ -2,13 +2,16 @@
 
 Every key is optional; defaults reproduce the calibration protocol used
 throughout (9 load levels from 20 to 100 MPa, 20 stabilization cycles,
-10 synthetic realizations, run-out cap at 2e6 cycles).  A commented
-reference file ships at the repository root as ``porelife.conf.example``.
+10 synthetic realizations, run-out cap at 2e6 cycles).  A section or key
+that no command reads is rejected, so a misspelling cannot silently fall
+back to the default.  A commented reference file ships at the repository
+root as ``porelife.conf.example``.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field as dataclass_field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +53,13 @@ class RunConfig:
     cycle_samples: int = 40
     pores: PoreFieldStats = PoreFieldStats()
     shells: int = DEFAULT_SHELLS
-    paths: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         levels = tuple(float(x) for x in self.load_levels)
         if not levels:
             raise ConfigError("load_levels must not be empty")
+        if not all(map(math.isfinite, levels)):
+            raise ConfigError(f"load levels must be finite, got {levels}")
         if any(x <= 0 for x in levels):
             raise ConfigError("load levels must be positive")
         if any(nxt <= cur for cur, nxt in zip(levels, levels[1:])):
@@ -65,18 +69,8 @@ class RunConfig:
             raise ConfigError("n_k must be at least 1")
         if self.n_cycles < 1:
             raise ConfigError("n_cycles must be at least 1")
-        if self.runout_cycles <= 0:
-            raise ConfigError("N_max must be positive")
-
-
-def _get(parser, section, key, cast, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    return default
+        if not (math.isfinite(self.runout_cycles) and self.runout_cycles > 0):
+            raise ConfigError(f"N_max must be positive and finite, got {self.runout_cycles}")
 
 
 def _float_list(raw: str):
@@ -97,26 +91,38 @@ def load_config(path=None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    known = set()  # every (section, key) this function reads
+
+    def get(section, key, cast, default):
+        known.add((section, key))
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                return cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        return default
+
     try:
         material = ChabocheParams(
-            E=_get(parser, "material", "E", float, ALSI7MG.E),
-            nu=_get(parser, "material", "nu", float, ALSI7MG.nu),
-            sigma_y=_get(parser, "material", "sigma_y", float, ALSI7MG.sigma_y),
-            b=_get(parser, "material", "b", float, ALSI7MG.b),
-            Q=_get(parser, "material", "Q", float, ALSI7MG.Q),
-            C_kin=_get(parser, "material", "C_kin", float, ALSI7MG.C_kin),
-            D=_get(parser, "material", "D", float, ALSI7MG.D),
+            E=get("material", "E", float, ALSI7MG.E),
+            nu=get("material", "nu", float, ALSI7MG.nu),
+            sigma_y=get("material", "sigma_y", float, ALSI7MG.sigma_y),
+            b=get("material", "b", float, ALSI7MG.b),
+            Q=get("material", "Q", float, ALSI7MG.Q),
+            C_kin=get("material", "C_kin", float, ALSI7MG.C_kin),
+            D=get("material", "D", float, ALSI7MG.D),
         )
         fatigue = StrainLifeParams(
-            m=_get(parser, "fatigue", "m", float, DEFAULT_FATIGUE.m),
-            A=_get(parser, "fatigue", "A", float, DEFAULT_FATIGUE.A),
-            B=_get(parser, "fatigue", "B", float, DEFAULT_FATIGUE.B),
-            alpha=_get(parser, "fatigue", "alpha", float, DEFAULT_FATIGUE.alpha),
-            beta=_get(parser, "fatigue", "beta", float, DEFAULT_FATIGUE.beta),
-            C=_get(parser, "fatigue", "C", float, DEFAULT_FATIGUE.C),
-            V0=_get(parser, "fatigue", "V0", float, DEFAULT_FATIGUE.V0),
+            m=get("fatigue", "m", float, DEFAULT_FATIGUE.m),
+            A=get("fatigue", "A", float, DEFAULT_FATIGUE.A),
+            B=get("fatigue", "B", float, DEFAULT_FATIGUE.B),
+            alpha=get("fatigue", "alpha", float, DEFAULT_FATIGUE.alpha),
+            beta=get("fatigue", "beta", float, DEFAULT_FATIGUE.beta),
+            C=get("fatigue", "C", float, DEFAULT_FATIGUE.C),
+            V0=get("fatigue", "V0", float, DEFAULT_FATIGUE.V0),
         )
-        free_raw = _get(parser, "fatigue", "free", str, "m, A, alpha, C")
+        free_raw = get("fatigue", "free", str, "m, A, alpha, C")
         names = [s.strip() for s in free_raw.split(",") if s.strip()]
         unknown = [n for n in names if n not in PARAM_ORDER]
         if unknown:
@@ -124,40 +130,43 @@ def load_config(path=None) -> RunConfig:
         free_mask = tuple(name in names for name in PARAM_ORDER)
 
         pores = PoreFieldStats(
-            pore_density=_get(parser, "pores", "density", float, PoreFieldStats().pore_density),
-            radius_median_um=_get(parser, "pores", "radius_median_um", float, 70.0),
-            radius_log_sd=_get(parser, "pores", "radius_log_sd", float, 0.35),
-            accept_radius_um=_get(parser, "pores", "accept_radius_um", float, 50.0),
-            gauge_radius_mm=_get(parser, "pores", "gauge_radius_mm", float, 3.072),
-            gauge_length_mm=_get(parser, "pores", "gauge_length_mm", float, 20.0),
-            surface_kt_boost=_get(parser, "pores", "surface_kt_boost", float, 1.25),
+            pore_density=get("pores", "density", float, PoreFieldStats().pore_density),
+            radius_median_um=get("pores", "radius_median_um", float, 70.0),
+            radius_log_sd=get("pores", "radius_log_sd", float, 0.35),
+            accept_radius_um=get("pores", "accept_radius_um", float, 50.0),
+            gauge_radius_mm=get("pores", "gauge_radius_mm", float, 3.072),
+            gauge_length_mm=get("pores", "gauge_length_mm", float, 20.0),
+            surface_kt_boost=get("pores", "surface_kt_boost", float, 1.25),
         )
         config = RunConfig(
             material=material,
             fatigue=fatigue,
             free_mask=free_mask,
-            load_levels=_get(parser, "protocol", "load_levels", _float_list, DEFAULT_LOAD_LEVELS),
-            n_k=_get(parser, "protocol", "n_k", int, 10),
-            n_cycles=_get(parser, "protocol", "n_cycles", int, 20),
-            runout_cycles=_get(parser, "protocol", "N_max", float, DEFAULT_RUNOUT_CYCLES),
-            seed=_get(parser, "protocol", "seed", int, 0),
-            n_starts=_get(parser, "protocol", "n_starts", int, 5),
-            budget=_get(parser, "protocol", "budget", int, 400),
-            samples_per_struct=_get(parser, "protocol", "samples_per_struct", int, 1000),
-            quantiles=_get(parser, "protocol", "quantiles", _float_list, WOHLER_QUANTILES),
-            cycle_samples=_get(parser, "protocol", "cycle_samples", int, 40),
+            load_levels=get("protocol", "load_levels", _float_list, DEFAULT_LOAD_LEVELS),
+            n_k=get("protocol", "n_k", int, 10),
+            n_cycles=get("protocol", "n_cycles", int, 20),
+            runout_cycles=get("protocol", "N_max", float, DEFAULT_RUNOUT_CYCLES),
+            seed=get("protocol", "seed", int, 0),
+            n_starts=get("protocol", "n_starts", int, 5),
+            budget=get("protocol", "budget", int, 400),
+            samples_per_struct=get("protocol", "samples_per_struct", int, 1000),
+            quantiles=get("protocol", "quantiles", _float_list, WOHLER_QUANTILES),
+            cycle_samples=get("protocol", "cycle_samples", int, 40),
             pores=pores,
-            shells=_get(parser, "pores", "shells", int, DEFAULT_SHELLS),
+            shells=get("pores", "shells", int, DEFAULT_SHELLS),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if parser.has_section("paths"):
-        for key, value in parser.items("paths"):
-            resolved = (path.parent / value).resolve() if not Path(value).is_absolute() else Path(value)
-            if not resolved.exists():
-                raise ConfigError(f"[paths] {key}: {resolved} does not exist")
-            config.paths[key] = resolved
+    known_sections = {section for section, _ in known}
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in known_sections:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
     return config
 
 

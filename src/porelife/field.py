@@ -80,8 +80,10 @@ class ElasticElementField:
             raise ValueError("inconsistent field array shapes")
         if n == 0:
             raise ValueError("field must contain at least one element")
-        if np.any(self.volumes <= 0.0):
-            raise ValueError("element volumes must be positive")
+        if not np.all(np.isfinite(self.volumes) & (self.volumes > 0.0)):
+            raise ValueError("element volumes must be positive and finite")
+        if not np.all(np.isfinite(self.sigma_unit)):
+            raise ValueError("unit stress tensors must be finite")
         if np.unique(self.ids).size != n:
             raise ValueError("element ids must be unique")
 
@@ -222,15 +224,6 @@ def synth_field_report(
         )
         if count > 0
         else 0.0,
-        "stats": {
-            "pore_density": stats.pore_density,
-            "radius_median_um": stats.radius_median_um,
-            "radius_log_sd": stats.radius_log_sd,
-            "accept_radius_um": stats.accept_radius_um,
-            "gauge_radius_mm": stats.gauge_radius_mm,
-            "gauge_length_mm": stats.gauge_length_mm,
-            "surface_kt_boost": stats.surface_kt_boost,
-        },
     }
     return field, info
 
@@ -352,6 +345,8 @@ def load_field(path) -> ElasticElementField:
                 tensor = [float(x) for x in parts[2:]]
             except ValueError as exc:
                 raise FieldFormatError(path, line_no, str(exc)) from exc
+            if not all(map(math.isfinite, (vol, *tensor))):
+                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
             if vol <= 0.0:
                 raise FieldFormatError(path, line_no, f"nonpositive volume {vol} for element {eid}")
             if eid in seen_ids:
@@ -538,6 +533,8 @@ def load_criterion_table(path) -> CriterionTable:
                 vol = float(parts[3])
             except ValueError as exc:
                 raise FieldFormatError(path, line_no, str(exc)) from exc
+            if not (math.isfinite(level) and math.isfinite(value) and math.isfinite(vol)):
+                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
             entry = per_element.setdefault(eid, {"volume": vol, "levels": {}})
             entry["levels"][level] = value
     if not per_element:

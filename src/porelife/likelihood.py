@@ -63,12 +63,15 @@ def load_observations(path) -> list[FatigueObservation]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 columns, got {len(parts)}")
+            flag = parts[2].strip()
+            if flag not in ("0", "1"):
+                raise ValueError(f"{path}:{line_no}: censored must be 0 or 1, got {flag!r}")
             try:
                 out.append(
                     FatigueObservation(
                         sigma_a=float(parts[0]),
                         n_cycles=float(parts[1]),
-                        censored=bool(int(parts[2])),
+                        censored=flag == "1",
                     )
                 )
             except ValueError as exc:

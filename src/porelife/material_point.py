@@ -14,7 +14,7 @@ Tensors are 6-vectors in the :mod:`porelife.voigt` convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class ChabocheParams:
     D: float
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.E <= 0 or self.sigma_y <= 0:
             raise ValueError("E and sigma_y must be positive")
         if not 0.0 < self.nu < 0.5:
@@ -203,7 +206,9 @@ class CycleResult:
     """Stabilized-cycle output of the cycle drivers.
 
     ``peak_history`` holds the per-cycle maximum von Mises stress, one entry
-    per integrated cycle.
+    per integrated cycle.  The stabilization metric is the max pointwise (per
+    sample, per component) stress difference between the last two cycles;
+    NaN when n_cycles == 1.
     """
 
     stress: TensorHistory
@@ -214,86 +219,73 @@ class CycleResult:
     state: MaterialPointState = field(repr=False, default=None)
 
 
-def chaboche_cycle(params: ChabocheParams, eps_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
-    """Repeat one strain cycle from a virgin state and return the final cycle.
+def _repeat_cycle(times: np.ndarray, n_cycles: int, step) -> CycleResult:
+    """Repeat one cycle of ``len(times)`` samples from a virgin state.
 
-    The stabilization metric is the max pointwise (per sample, per component)
-    stress difference between the last two cycles; NaN when n_cycles == 1.
+    The one cycle loop behind the public drivers: ``step(i, eps_p, X, p)``
+    solves sample ``i`` from the current internal variables and returns
+    ``(eps_p, X, p, stress, strain)``.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be at least 1")
-    if len(eps_path) == 0:
-        raise ValueError("empty strain path")
     eps_p, x_back, p = np.zeros(6), np.zeros(6), 0.0
-    n = len(eps_path)
-    prev = None
-    current = np.empty((n, 6))
+    sig_hist = np.empty((len(times), 6))
+    eps_hist = np.empty((len(times), 6))
     peaks = np.empty(n_cycles)
     metrics = np.full(n_cycles, np.nan)
+    prev = None
     for cycle in range(n_cycles):
-        for i in range(n):
-            eps_p, x_back, p, stress = _step_kernel(params, eps_p, x_back, p, eps_path.values[i])
-            current[i] = stress
-        peaks[cycle] = np.max(voigt.von_mises(current))
+        for i in range(len(times)):
+            eps_p, x_back, p, sig_hist[i], eps_hist[i] = step(i, eps_p, x_back, p)
+        peaks[cycle] = np.max(voigt.von_mises(sig_hist))
         if prev is not None:
-            metrics[cycle] = np.max(np.abs(current - prev))
-        prev = current.copy()
+            metrics[cycle] = np.max(np.abs(sig_hist - prev))
+        prev = sig_hist.copy()
     return CycleResult(
-        stress=TensorHistory(times=eps_path.times, values=current.copy()),
-        strain=TensorHistory(times=eps_path.times, values=eps_path.values.copy()),
+        stress=TensorHistory(times=times, values=sig_hist),
+        strain=TensorHistory(times=times, values=eps_hist),
         stabilization_metric=float(metrics[-1]),
         peak_history=peaks,
         metric_history=metrics,
         state=MaterialPointState(eps_p=eps_p, X=x_back, p=p),
     )
+
+
+def chaboche_cycle(params: ChabocheParams, eps_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
+    """Repeat one strain cycle from a virgin state and return the final cycle."""
+    if len(eps_path) == 0:
+        raise ValueError("empty strain path")
+
+    def step(i, eps_p, x_back, p):
+        return (*_step_kernel(params, eps_p, x_back, p, eps_path.values[i]), eps_path.values[i])
+
+    return _repeat_cycle(eps_path.times, n_cycles, step)
 
 
 def stress_driven_cycle(params: ChabocheParams, stress_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
     """Repeat one imposed *stress* cycle from a virgin state.
 
     Each step solves for the total strain producing the target stress by
-    fixed-point iteration with the elastic compliance; converges for any
-    hardening material.  Returns the final cycle's histories.
+    fixed-point iteration with the elastic compliance, warm-started from the
+    previous step's strain; converges for any hardening material.  Returns
+    the final cycle's histories.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be at least 1")
-    n = len(stress_path)
-    if n == 0:
+    if len(stress_path) == 0:
         raise ValueError("empty stress path")
-    eps_p, x_back, p = np.zeros(6), np.zeros(6), 0.0
-    eps = np.zeros(6)
-    prev = None
-    sig_hist = np.empty((n, 6))
-    eps_hist = np.empty((n, 6))
-    peaks = np.empty(n_cycles)
-    metrics = np.full(n_cycles, np.nan)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(stress_path.values))))
-    for cycle in range(n_cycles):
-        for i in range(n):
-            target = stress_path.values[i]
-            for _ in range(400):
-                ep_new, x_new, p_new, sig = _step_kernel(params, eps_p, x_back, p, eps)
-                gap = target - sig
-                if np.max(np.abs(gap)) < tol:
-                    break
-                eps = eps + voigt.elastic_strain(gap, params.E, params.nu)
-            else:
-                raise IntegrationError("stress-driven step did not converge", float(np.max(np.abs(gap))))
-            eps_p, x_back, p = ep_new, x_new, p_new
-            sig_hist[i] = sig
-            eps_hist[i] = eps
-        peaks[cycle] = np.max(voigt.von_mises(sig_hist))
-        if prev is not None:
-            metrics[cycle] = np.max(np.abs(sig_hist - prev))
-        prev = sig_hist.copy()
-    return CycleResult(
-        stress=TensorHistory(times=stress_path.times, values=sig_hist.copy()),
-        strain=TensorHistory(times=stress_path.times, values=eps_hist.copy()),
-        stabilization_metric=float(metrics[-1]),
-        peak_history=peaks,
-        metric_history=metrics,
-        state=MaterialPointState(eps_p=eps_p, X=x_back, p=p),
-    )
+    eps = np.zeros(6)
+
+    def step(i, eps_p, x_back, p):
+        nonlocal eps
+        for _ in range(400):
+            *state, sig = _step_kernel(params, eps_p, x_back, p, eps)
+            gap = stress_path.values[i] - sig
+            if np.max(np.abs(gap)) < tol:
+                return (*state, sig, eps)
+            eps = eps + voigt.elastic_strain(gap, params.E, params.nu)
+        raise IntegrationError("stress-driven step did not converge", float(np.max(np.abs(gap))))
+
+    return _repeat_cycle(stress_path.times, n_cycles, step)
 
 
 def uniaxial_strain_cycle(
@@ -306,48 +298,28 @@ def uniaxial_strain_cycle(
 
     The axial strain follows a cosine wave while the lateral strains are left
     free: each step solves for the transverse strain that keeps the lateral
-    stresses at zero, so the stress state stays uniaxial along x.
+    stresses at zero (warm-started from the previous step), so the stress
+    state stays uniaxial along x.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be at least 1")
     t = np.arange(samples) / samples
     axial = amplitude * np.cos(2.0 * math.pi * t)
     lam = params.E * params.nu / ((1.0 + params.nu) * (1.0 - 2.0 * params.nu))
     stiff = 2.0 * (lam + params.shear_modulus)  # d(sigma_yy)/d(lateral strain)
-    eps_p, x_back, p = np.zeros(6), np.zeros(6), 0.0
-    lateral = 0.0
-    prev = None
-    sig_hist = np.empty((samples, 6))
-    eps_hist = np.empty((samples, 6))
-    peaks = np.empty(n_cycles)
-    metrics = np.full(n_cycles, np.nan)
     eps = np.zeros(6)
-    for cycle in range(n_cycles):
-        for i in range(samples):
-            eps[0] = axial[i]
-            for _ in range(200):
-                eps[1] = eps[2] = lateral
-                ep_new, x_new, p_new, sig = _step_kernel(params, eps_p, x_back, p, eps)
-                if abs(sig[1]) < 1e-9 * params.sigma_y:
-                    break
-                lateral -= sig[1] / stiff
-            else:
-                raise IntegrationError("uniaxial lateral solve did not converge", abs(sig[1]))
-            eps_p, x_back, p = ep_new, x_new, p_new
-            sig_hist[i] = sig
-            eps_hist[i] = eps
-        peaks[cycle] = np.max(voigt.von_mises(sig_hist))
-        if prev is not None:
-            metrics[cycle] = np.max(np.abs(sig_hist - prev))
-        prev = sig_hist.copy()
-    return CycleResult(
-        stress=TensorHistory(times=t, values=sig_hist.copy()),
-        strain=TensorHistory(times=t, values=eps_hist.copy()),
-        stabilization_metric=float(metrics[-1]),
-        peak_history=peaks,
-        metric_history=metrics,
-        state=MaterialPointState(eps_p=eps_p, X=x_back, p=p),
-    )
+    lateral = 0.0
+
+    def step(i, eps_p, x_back, p):
+        nonlocal lateral
+        eps[0] = axial[i]
+        for _ in range(200):
+            eps[1] = eps[2] = lateral
+            *state, sig = _step_kernel(params, eps_p, x_back, p, eps)
+            if abs(sig[1]) < 1e-9 * params.sigma_y:
+                return (*state, sig, eps)
+            lateral -= sig[1] / stiff
+        raise IntegrationError("uniaxial lateral solve did not converge", abs(sig[1]))
+
+    return _repeat_cycle(t, n_cycles, step)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +359,30 @@ def _branch_stress_range(params: ChabocheParams, dep: float, r_stab: float) -> f
     return 2.0 * (params.sigma_y + r_stab) + kin
 
 
+def _bisect(residual, hi: float, rel_tol: float, what: str) -> float:
+    """Root in (0, inf) of a residual that is negative at 0 and increasing.
+
+    ``hi`` is doubled until the residual turns nonnegative, then the bracket
+    ``[0, hi]`` is halved until its width is ``rel_tol * max(hi, 1)``.
+    """
+    lo = 0.0
+    for _ in range(200):
+        if residual(hi) >= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise CorrectionError(f"could not bracket the {what}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
 def _solve_branch_neuber(params: ChabocheParams, product: float, r_stab: float, dep_hi: float) -> tuple[float, float]:
     """Solve range * strain-range = product on the cyclic branch curve.
 
@@ -401,22 +397,7 @@ def _solve_branch_neuber(params: ChabocheParams, product: float, r_stab: float, 
         rng = _branch_stress_range(params, dep, r_stab)
         return rng * (rng / params.E + dep) - product
 
-    lo, hi = 0.0, max(dep_hi, 1e-12)
-    for _ in range(200):
-        if residual(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise CorrectionError("could not bracket the scalar Neuber solve")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(hi, 1.0):
-            break
-    dep = 0.5 * (lo + hi)
+    dep = _bisect(residual, max(dep_hi, 1e-12), 1e-14, "scalar Neuber solve")
     return _branch_stress_range(params, dep, r_stab), dep
 
 
@@ -472,23 +453,7 @@ def neuber_correct(
     if loop_residual(0.0) >= 0.0:
         dep_loop = 0.0
     else:
-        hi = span / params.E
-        for _ in range(200):
-            if loop_residual(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise CorrectionError("could not bracket the stabilized-loop solve")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if loop_residual(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-16 * max(hi, 1.0):
-                break
-        dep_loop = 0.5 * (lo + hi)
+        dep_loop = _bisect(loop_residual, span / params.E, 1e-16, "stabilized-loop solve")
     r_stab = params.isotropic_stress(2.0 * n_cycles * dep_loop)
     rng_loop, dep_loop = _solve_branch_neuber(params, product_loop, r_stab, max(dep_loop, span / params.E))
 

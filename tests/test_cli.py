@@ -83,11 +83,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_missing_path_rejected(self, tmp_path):
+    def test_misspelled_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
-        path.write_text("[paths]\nobservations = nope.csv\n")
-        with pytest.raises(ConfigError):
+        path.write_text("[protocol]\nbudjet = 10\n")
+        with pytest.raises(ConfigError, match=r"\[protocol\] budjet: unknown key"):
             load_config(path)
+        assert main(["genfield", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        assert "budjet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["paths", "DEFAULT"])
+    def test_unknown_section_rejected(self, tmp_path, capsys, section):
+        path = tmp_path / "bad.conf"
+        path.write_text(f"[{section}]\nobservations = obs.csv\n")
+        assert main(["genfield", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[material]\nE = nan\n", "E must be finite, got nan"),
+        ("[material]\nb = nan\n", "b must be finite, got nan"),
+        ("[protocol]\nload_levels = 20, nan, 100\n", "load levels must be finite, got (20.0, nan, 100.0)"),
+        ("[protocol]\nN_max = nan\n", "N_max must be positive and finite, got nan"),
+        ("[protocol]\nN_max = inf\n", "N_max must be positive and finite, got inf"),
+    ], ids=["E", "b", "load_levels", "N_max-nan", "N_max-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.conf"
+        path.write_text(text)
+        assert main(["genfield", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
 
     def test_unknown_free_name_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -140,16 +162,29 @@ class TestCriterion:
         assert (out / "field_000.criterion.csv").read_bytes() == first
 
     def test_partial_failure_exit_code(self, conf, tmp_path):
+        # element 1's Neuber solve cannot be bracketed (see test_field's
+        # test_failure_collection); the other element still gets its row
         bad = tmp_path / "bad_field.csv"
+        bad.write_text(
+            "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz\n"
+            "0,1.0,1.0,0,0,0,0,0\n"
+            "1,1.0,1e100,0,0,0,0,0\n"
+        )
+        rc = main(["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(bad)])
+        assert rc == EXIT_PARTIAL
+        table = load_criterion_table(tmp_path / "t" / "bad_field.criterion.csv")
+        assert table.element_ids.tolist() == [0]
+
+    def test_non_finite_field_cell_is_a_validation_error(self, conf, tmp_path, capsys):
+        bad = tmp_path / "nan_field.csv"
         bad.write_text(
             "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz\n"
             "0,1.0,1.0,0,0,0,0,0\n"
             "1,1.0,nan,0,0,0,0,0\n"
         )
         rc = main(["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(bad)])
-        assert rc == EXIT_PARTIAL
-        table = load_criterion_table(tmp_path / "t" / "bad_field.criterion.csv")
-        assert table.element_ids.tolist() == [0]
+        assert rc == EXIT_VALIDATION
+        assert "nan_field.csv:3: non-finite value for element 1" in capsys.readouterr().err
 
 
 class TestCalibrate:

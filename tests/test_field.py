@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
 from porelife import voigt
 from porelife.field import (
+    FIELD_HEADER,
+    TABLE_HEADER,
     CriterionError,
     CriterionTable,
     ElasticElementField,
@@ -30,6 +33,10 @@ from porelife.weakest_link import structure_scale
 from porelife.strain_life import StrainLifeParams, element_scale_array
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 
 
 def bulk_only(volume=10.0):
@@ -91,6 +98,35 @@ class TestFieldFiles:
         path.write_text("1,1.0,1.0,0,0,0,0,0\n")
         with pytest.raises(FieldFormatError):
             load_field(path)
+
+    @pytest.mark.parametrize("volume, sxz", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_dataclass_rejected(self, volume, sxz):
+        with pytest.raises(ValueError, match="finite"):
+            ElasticElementField(ids=[0], volumes=[volume], sigma_unit=[[1.0, 0, 0, 0, 0, sxz]])
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.lists(st.lists(FINITE, min_size=6, max_size=6), min_size=1, max_size=6),
+           volumes=st.lists(POSITIVE, min_size=6, max_size=6))
+    def test_round_trip_random_finite(self, tmp_path_factory, rows, volumes):
+        field = ElasticElementField(ids=np.arange(len(rows)) * 7, volumes=volumes[: len(rows)], sigma_unit=rows)
+        path = tmp_path_factory.mktemp("field") / "field.csv"
+        save_field(path, field)
+        back = load_field(path)
+        assert np.array_equal(back.ids, field.ids)
+        assert np.array_equal(back.volumes, field.volumes)
+        assert np.array_equal(back.sigma_unit, field.sigma_unit)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_rows=st.integers(1, 5), data=st.data(), bad=NON_FINITE)
+    def test_non_finite_cell_rejected_at_its_line(self, tmp_path_factory, n_rows, data, bad):
+        rows = [[str(i), "1.0", "1.0", "0", "0", "0", "0", "0"] for i in range(n_rows)]
+        row = data.draw(st.integers(0, n_rows - 1))
+        rows[row][data.draw(st.integers(1, 7))] = bad
+        path = tmp_path_factory.mktemp("field") / "field.csv"
+        path.write_text(FIELD_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(FieldFormatError, match="non-finite") as err:
+            load_field(path)
+        assert err.value.line_no == row + 2
 
 
 class TestSynthField:
@@ -298,12 +334,13 @@ class TestCriterionTable:
         assert np.array_equal(back.load_levels, table.load_levels)
 
     def test_failure_collection(self, material):
-        # a NaN stress tensor cannot be decomposed; with a failures list the
-        # run continues and the bad element is reported
+        # a unit stress of 1e100 MPa puts the Neuber product out of reach of
+        # the bracket doubling (CorrectionError); with a failures list the run
+        # continues and the bad element is reported
         field = ElasticElementField(
             ids=np.array([0, 1]),
             volumes=np.array([1.0, 1.0]),
-            sigma_unit=np.array([[1.0, 0, 0, 0, 0, 0], [np.nan, 0, 0, 0, 0, 0]]),
+            sigma_unit=np.array([[1.0, 0, 0, 0, 0, 0], [1e100, 0, 0, 0, 0, 0]]),
         )
         failures = []
         table = criterion_table(field, material, [50.0], failures=failures)
@@ -327,6 +364,33 @@ class TestCriterionTable:
         arrays[field].flat[-1] = value
         with pytest.raises(ValueError):
             CriterionTable(**arrays)
+
+    @settings(max_examples=15, deadline=None)
+    @given(volumes=st.lists(POSITIVE, min_size=1, max_size=5),
+           levels=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4, unique=True),
+           steps=st.lists(st.floats(0.0, 1e3), min_size=20, max_size=20))
+    def test_table_round_trip_random_finite(self, tmp_path_factory, volumes, levels, steps):
+        n, k = len(volumes), len(levels)
+        delta = np.cumsum(np.array(steps[: n * k]).reshape(n, k), axis=1)  # nondecreasing rows
+        table = CriterionTable(element_ids=np.arange(n), volumes=volumes, load_levels=sorted(levels), delta_eps=delta)
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        save_criterion_table(path, table)
+        back = load_criterion_table(path)
+        assert np.array_equal(back.volumes, table.volumes)
+        assert np.array_equal(back.load_levels, table.load_levels)
+        assert np.array_equal(back.delta_eps, table.delta_eps)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_rows=st.integers(1, 6), data=st.data(), bad=NON_FINITE)
+    def test_table_non_finite_cell_rejected_at_its_line(self, tmp_path_factory, n_rows, data, bad):
+        rows = [[str(i // 2), ("40.0", "80.0")[i % 2], "0.001", "1.0"] for i in range(n_rows)]
+        row = data.draw(st.integers(0, n_rows - 1))
+        rows[row][data.draw(st.integers(1, 3))] = bad
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text("# geometry: g\n" + TABLE_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(FieldFormatError, match="non-finite") as err:
+            load_criterion_table(path)
+        assert err.value.line_no == row + 3
 
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):

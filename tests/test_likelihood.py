@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
@@ -81,6 +82,22 @@ class TestObservationFiles:
         path = tmp_path / "obs.csv"
         path.write_text("sigma_a_MPa,n_cycles,censored\n80,1e5,0\nnan,1e5,0\n")
         with pytest.raises(ValueError, match=r"obs\.csv:3:"):
+            load_observations(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.booleans()),
+                         min_size=1, max_size=8))
+    def test_round_trip_random_finite(self, tmp_path_factory, rows):
+        obs = [FatigueObservation(*row) for row in rows]
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        save_observations(path, obs)
+        assert load_observations(path) == obs
+
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "true", ""])
+    def test_censored_flag_must_be_zero_or_one(self, tmp_path, flag):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"sigma_a_MPa,n_cycles,censored\n80,1e5,1\n80,1e5,{flag}\n")
+        with pytest.raises(ValueError, match=r"obs\.csv:3: censored must be 0 or 1"):
             load_observations(path)
 
     @pytest.mark.parametrize("volume, modulus", [(math.nan, 75500.0), (math.inf, 75500.0), (593.0, math.nan)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,13 @@ def yield_gap(params, stress, state):
     xi = voigt.deviator(stress) - state.X
     j = math.sqrt(1.5 * voigt.contract(xi, xi))
     return j - params.sigma_y - params.isotropic_stress(state.p)
+
+
+@pytest.mark.parametrize("name", ["E", "b", "sigma_y", "D"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_constants_rejected(material, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(material, **{name: value})
 
 
 class TestChabocheStep:
