@@ -54,6 +54,7 @@ from .likelihood import (
     FatigueObservation,
     Heterogeneous,
     Homogeneous,
+    ObservationArrays,
     UnknownPores,
     loglik_heterogeneous,
     loglik_homogeneous,
@@ -99,6 +100,7 @@ __all__ = [
     "FatigueObservation",
     "Heterogeneous",
     "Homogeneous",
+    "ObservationArrays",
     "UnknownPores",
     "loglik_heterogeneous",
     "loglik_homogeneous",

@@ -32,8 +32,8 @@ from .field import (
     tile_field,
 )
 from .likelihood import (
-    FatigueObservation,
     Heterogeneous,
+    ObservationArrays,
     heterogeneous_objective,
     homogeneous_objective,
     load_observations,
@@ -345,22 +345,16 @@ def _pooled_median(structs, samples_per_struct, seed, runout_cycles) -> float:
 
 def synthesize_observations(params, tables, levels, samples_per_struct, seed, runout_cycles):
     """Multi-scale-model lifetimes on known fields, censored at the cap."""
-    observations = []
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(tables) * len(levels))
-    idx = 0
+    children = iter(np.random.SeedSequence(seed).spawn(len(tables) * len(levels)))
+    sigma_a, n_cycles, censored = [], [], []
     for table in tables:
         for level in levels:
             struct = structure_for(params, Heterogeneous(table), level)
-            values, censored = sample_lifetimes(
-                struct, samples_per_struct, children[idx], runout_cycles
-            )
-            idx += 1
-            for v, c in zip(values, censored):
-                observations.append(
-                    FatigueObservation(level, min(float(v), runout_cycles), bool(c))
-                )
-    return observations
+            values, flags = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
+            sigma_a.append(np.full(values.size, level, dtype=float))
+            n_cycles.append(np.minimum(values, runout_cycles))
+            censored.append(flags)
+    return ObservationArrays(np.concatenate(sigma_a), np.concatenate(n_cycles), np.concatenate(censored))
 
 
 def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:

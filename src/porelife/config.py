@@ -103,6 +103,12 @@ def load_config(path=None) -> RunConfig:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
         return default
 
+    def finite(section, key, default):
+        value = get(section, key, float, default)
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+        return value
+
     try:
         material = ChabocheParams(
             E=get("material", "E", float, ALSI7MG.E),
@@ -130,13 +136,13 @@ def load_config(path=None) -> RunConfig:
         free_mask = tuple(name in names for name in PARAM_ORDER)
 
         pores = PoreFieldStats(
-            pore_density=get("pores", "density", float, PoreFieldStats().pore_density),
-            radius_median_um=get("pores", "radius_median_um", float, 70.0),
-            radius_log_sd=get("pores", "radius_log_sd", float, 0.35),
-            accept_radius_um=get("pores", "accept_radius_um", float, 50.0),
-            gauge_radius_mm=get("pores", "gauge_radius_mm", float, 3.072),
-            gauge_length_mm=get("pores", "gauge_length_mm", float, 20.0),
-            surface_kt_boost=get("pores", "surface_kt_boost", float, 1.25),
+            pore_density=finite("pores", "density", PoreFieldStats().pore_density),
+            radius_median_um=finite("pores", "radius_median_um", 70.0),
+            radius_log_sd=finite("pores", "radius_log_sd", 0.35),
+            accept_radius_um=finite("pores", "accept_radius_um", 50.0),
+            gauge_radius_mm=finite("pores", "gauge_radius_mm", 3.072),
+            gauge_length_mm=finite("pores", "gauge_length_mm", 20.0),
+            surface_kt_boost=finite("pores", "surface_kt_boost", 1.25),
         )
         config = RunConfig(
             material=material,

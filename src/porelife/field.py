@@ -10,8 +10,10 @@ load levels (the reusable input to the likelihood) also live here.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import asdict, dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -115,6 +117,9 @@ class PoreFieldStats:
     surface_kt_boost: float = 1.25
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.pore_density < 0:
             raise ValueError("pore density must be nonnegative")
         if min(self.radius_median_um, self.radius_log_sd, self.accept_radius_um) <= 0:
@@ -298,73 +303,97 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
 # Field files
 # ---------------------------------------------------------------------------
 
+def _read_rows(path, header: str):
+    """Geometry tag, header line number and rows of a field or table file.
+
+    Comment and blank lines may precede the header; the last ``# geometry:``
+    comment before it sets the tag.  The rows become a structured array (an
+    ``int64`` id, then floats) in one numpy pass.  That pass refuses comment
+    and whitespace-only lines among the rows and some spellings ``int`` and
+    ``float`` accept; the rows are then parsed line by line, which raises at
+    the first line that does not parse.
+    """
+    names = header.split(",")
+    dtype = np.dtype([(names[0], np.int64)] + [(name, np.float64) for name in names[1:]])
+    geometry_tag = ""
+    with open(path, "r", encoding="utf-8") as fh:
+        for header_line, raw in enumerate(iter(fh.readline, ""), start=1):
+            line = raw.strip()
+            if line.startswith("# geometry:"):
+                geometry_tag = line.split(":", 1)[1].strip()
+            elif line and not line.startswith("#"):
+                if line != header:
+                    raise FieldFormatError(path, header_line, f"expected header '{header}'")
+                break
+        else:
+            raise FieldFormatError(path, 0, "missing header line")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
+                return geometry_tag, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            fh.seek(0)
+        rows = []
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line_no <= header_line or not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != len(names):
+                raise FieldFormatError(path, line_no, f"expected {len(names)} columns, got {len(parts)}")
+            try:
+                rows.append((np.int64(int(parts[0])), *map(float, parts[1:])))
+            except (ValueError, OverflowError) as exc:
+                raise FieldFormatError(path, line_no, str(exc)) from exc
+    return geometry_tag, header_line, np.array(rows, dtype=dtype)
+
+
+def _check_rows(path, header_line: int, checks) -> None:
+    """Raise at the first row that fails a check.
+
+    ``checks`` are ``(bad, message)`` pairs in the order a row is checked:
+    ``bad`` masks the rows and ``message(i)`` describes row ``i``.  The row's
+    file line is found by counting the data lines after the header.
+    """
+    failing = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
+    if not failing:
+        return
+    row = min(failing)
+    message = next(message for bad, message in checks if bad[row])
+    with open(path, "r", encoding="utf-8") as fh:
+        data_lines = (n for n, raw in enumerate(fh, start=1) if n > header_line and raw.strip()[:1] not in ("", "#"))
+        raise FieldFormatError(path, next(itertools.islice(data_lines, row, None)), message(row))
+
+
 def save_field(path, field: ElasticElementField) -> None:
     """Write a field file (comma-separated, full round-trip precision)."""
-    lines = []
-    if field.geometry_tag:
-        lines.append(f"# geometry: {field.geometry_tag}")
-    if field.nominal_area_note:
-        lines.append(f"# note: {field.nominal_area_note}")
-    lines.append(FIELD_HEADER)
-    for i in range(field.n_elements):
-        row = [str(int(field.ids[i])), repr(float(field.volumes[i]))]
-        row += [repr(float(x)) for x in field.sigma_unit[i]]
-        lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if field.geometry_tag:
+            fh.write(f"# geometry: {field.geometry_tag}\n")
+        if field.nominal_area_note:
+            fh.write(f"# note: {field.nominal_area_note}\n")
+        fh.write(FIELD_HEADER + "\n")
+        rows = zip(field.ids.tolist(), field.volumes.tolist(), field.sigma_unit.tolist())
+        fh.writelines(f"{eid},{vol!r},{','.join(map(repr, tensor))}\n" for eid, vol, tensor in rows)
 
 
 def load_field(path) -> ElasticElementField:
     """Parse a field file, validating invariants with line-numbered errors."""
-    ids, volumes, tensors = [], [], []
-    seen_ids = set()
-    geometry_tag = ""
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header_seen:
-                    continue
-                if line.startswith("# geometry:"):
-                    geometry_tag = line.split(":", 1)[1].strip()
-                continue
-            if not header_seen:
-                if line != FIELD_HEADER:
-                    raise FieldFormatError(path, line_no, f"expected header '{FIELD_HEADER}'")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise FieldFormatError(path, line_no, f"expected 8 columns, got {len(parts)}")
-            try:
-                eid = int(parts[0])
-                vol = float(parts[1])
-                tensor = [float(x) for x in parts[2:]]
-            except ValueError as exc:
-                raise FieldFormatError(path, line_no, str(exc)) from exc
-            if not all(map(math.isfinite, (vol, *tensor))):
-                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
-            if vol <= 0.0:
-                raise FieldFormatError(path, line_no, f"nonpositive volume {vol} for element {eid}")
-            if eid in seen_ids:
-                raise FieldFormatError(path, line_no, f"duplicate element id {eid}")
-            seen_ids.add(eid)
-            ids.append(eid)
-            volumes.append(vol)
-            tensors.append(tensor)
-    if not header_seen:
-        raise FieldFormatError(path, 0, "missing header line")
-    if not ids:
+    geometry_tag, header_line, rows = _read_rows(path, FIELD_HEADER)
+    if rows.size == 0:
         raise FieldFormatError(path, 0, "field file has no element rows")
-    return ElasticElementField(
-        ids=np.array(ids),
-        volumes=np.array(volumes),
-        sigma_unit=np.array(tensors),
-        geometry_tag=geometry_tag,
-    )
+    ids = rows["id"].copy()
+    volumes = rows["volume_mm3"].copy()
+    sigma_unit = np.column_stack([rows[name] for name in rows.dtype.names[2:]])
+    repeated = np.ones(ids.size, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    _check_rows(path, header_line, [
+        (~(np.isfinite(volumes) & np.all(np.isfinite(sigma_unit), axis=1)),
+         lambda i: f"non-finite value for element {ids[i]}"),
+        (volumes <= 0.0, lambda i: f"nonpositive volume {volumes[i]} for element {ids[i]}"),
+        (repeated, lambda i: f"duplicate element id {ids[i]}"),
+    ])
+    return ElasticElementField(ids=ids, volumes=volumes, sigma_unit=sigma_unit, geometry_tag=geometry_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +461,8 @@ def criterion_table(
     Per element and level the proportional elastic history is the unit
     tensor scaled by the amplitude over a fully reversed cosine cycle; the
     fast plastic correction recovers the stabilized cycle, and the strain
-    range is measured along the element's critical direction.  Identical
-    (tensor, level) pairs are solved once and reused.
+    range is measured along the element's critical direction.  Elements with
+    identical unit tensors are solved once and share the row.
 
     Correction failures raise :class:`CriterionError` annotated with the
     element id, unless a ``failures`` list is supplied, in which case failed
@@ -452,22 +481,17 @@ def criterion_table(
     kept = []
     for i in range(field.n_elements):
         tensor = field.sigma_unit[i]
-        key0 = tensor.tobytes()
+        key = tensor.tobytes()
         try:
-            n_star = cache.get(("dir", key0))
-            if n_star is None:
+            row = cache.get(key)
+            if row is None:
                 n_star = critical_direction(tensor)
-                cache[("dir", key0)] = n_star
-            row = np.empty(levels.size)
-            for j, level in enumerate(levels):
-                key = (key0, level)
-                val = cache.get(key)
-                if val is None:
+                row = np.empty(levels.size)
+                for j, level in enumerate(levels):
                     history = cosine_cycle(tensor, amplitude=level, samples=samples)
                     _, strain = neuber_correct(mat, history, n_cycles=cycles)
-                    val = criterion_delta_eps(strain, n_star)
-                    cache[key] = val
-                row[j] = val
+                    row[j] = criterion_delta_eps(strain, n_star)
+                cache[key] = row
         except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
             err = CriterionError(int(field.ids[i]), exc)
             if failures is None:
@@ -489,66 +513,47 @@ def criterion_table(
 
 
 def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
-    """Write a criterion table as long-format CSV."""
-    lines = [f"# {c}" for c in comments]
-    if table.geometry_tag:
-        lines.append(f"# geometry: {table.geometry_tag}")
-    lines.append(TABLE_HEADER)
-    for i in range(table.element_ids.size):
-        for j, level in enumerate(table.load_levels):
-            lines.append(
-                f"{int(table.element_ids[i])},{float(level)!r},"
-                f"{float(table.delta_eps[i, j])!r},{float(table.volumes[i])!r}"
-            )
+    """Write a criterion table as long-format CSV, one row per (element, level)."""
+    levels = [repr(level) for level in table.load_levels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        if table.geometry_tag:
+            fh.write(f"# geometry: {table.geometry_tag}\n")
+        fh.write(TABLE_HEADER + "\n")
+        for eid, vol, row in zip(table.element_ids.tolist(), table.volumes.tolist(), table.delta_eps.tolist()):
+            tail = f",{vol!r}\n"
+            fh.writelines(f"{eid},{level},{value!r}{tail}" for level, value in zip(levels, row))
 
 
 def load_criterion_table(path) -> CriterionTable:
-    """Parse a long-format criterion table CSV."""
-    per_element: dict[int, dict] = {}
-    geometry_tag = ""
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# geometry:") and not header_seen:
-                    geometry_tag = line.split(":", 1)[1].strip()
-                continue
-            if not header_seen:
-                if line != TABLE_HEADER:
-                    raise FieldFormatError(path, line_no, f"expected header '{TABLE_HEADER}'")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FieldFormatError(path, line_no, f"expected 4 columns, got {len(parts)}")
-            try:
-                eid = int(parts[0])
-                level = float(parts[1])
-                value = float(parts[2])
-                vol = float(parts[3])
-            except ValueError as exc:
-                raise FieldFormatError(path, line_no, str(exc)) from exc
-            if not (math.isfinite(level) and math.isfinite(value) and math.isfinite(vol)):
-                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
-            entry = per_element.setdefault(eid, {"volume": vol, "levels": {}})
-            entry["levels"][level] = value
-    if not per_element:
+    """Parse a long-format criterion table CSV; rows may come in any order.
+
+    Every element must carry the same load levels, each once, and the same
+    volume on every row.
+    """
+    geometry_tag, header_line, rows = _read_rows(path, TABLE_HEADER)
+    if rows.size == 0:
         raise FieldFormatError(path, 0, "criterion table has no rows")
-    eids = sorted(per_element)
-    level_sets = {tuple(sorted(per_element[e]["levels"])) for e in eids}
-    if len(level_sets) != 1:
+    eid, level, delta, volume = (rows[name] for name in rows.dtype.names)
+    eids, first, inverse, counts = np.unique(eid, return_index=True, return_inverse=True, return_counts=True)
+    first_volume = volume[first][inverse]
+    order = np.lexsort((level, eid))  # stable: a repeated pair sorts after its first row
+    eid_sorted, grid = eid[order], level[order]
+    repeated = np.zeros(rows.size, dtype=bool)
+    repeated[order[1:]] = (eid_sorted[1:] == eid_sorted[:-1]) & (grid[1:] == grid[:-1])
+    _check_rows(path, header_line, [
+        (~(np.isfinite(level) & np.isfinite(delta) & np.isfinite(volume)),
+         lambda i: f"non-finite value for element {eid[i]}"),
+        (repeated, lambda i: f"repeated load level {level[i]} for element {eid[i]}"),
+        (volume != first_volume,
+         lambda i: f"volume {volume[i]} for element {eid[i]} differs from its first row's {first_volume[i]}"),
+    ])
+    if np.any(counts != counts[0]) or np.any(grid.reshape(eids.size, -1) != grid[: counts[0]]):
         raise FieldFormatError(path, 0, "elements carry inconsistent load-level grids")
-    levels = np.array(next(iter(level_sets)))
-    delta = np.array([[per_element[e]["levels"][lv] for lv in levels] for e in eids])
     return CriterionTable(
-        element_ids=np.array(eids),
-        volumes=np.array([per_element[e]["volume"] for e in eids]),
-        load_levels=levels,
-        delta_eps=delta,
+        element_ids=eids,
+        volumes=volume[first],
+        load_levels=grid[: counts[0]].copy(),
+        delta_eps=delta[order].reshape(eids.size, -1),
         geometry_tag=geometry_tag,
     )

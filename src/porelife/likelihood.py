@@ -46,6 +46,47 @@ class FatigueObservation:
             raise ValueError(f"n_cycles must be positive and finite, got {self.n_cycles}")
 
 
+@dataclass(frozen=True, eq=False)
+class ObservationArrays:
+    """Observations as three columns: amplitudes, cycles and run-out flags.
+
+    Every objective takes them; ``of`` converts a sequence of
+    :class:`FatigueObservation`.  Amplitudes and cycles are checked like a
+    single observation's.
+    """
+
+    sigma_a: np.ndarray
+    n_cycles: np.ndarray
+    censored: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("sigma_a", float), ("n_cycles", float), ("censored", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not (self.sigma_a.ndim == 1 and self.sigma_a.shape == self.n_cycles.shape == self.censored.shape):
+            raise ValueError("observation columns must be 1-D and of one length")
+        if self.sigma_a.size == 0:
+            raise ValueError("no observations")
+        for name in ("sigma_a", "n_cycles"):
+            values = getattr(self, name)
+            bad = ~(np.isfinite(values) & (values > 0.0))
+            if bad.any():
+                raise ValueError(f"{name} must be positive and finite, got {values[bad][0]}")
+
+    @classmethod
+    def of(cls, observations: Sequence[FatigueObservation] | ObservationArrays) -> ObservationArrays:
+        if isinstance(observations, cls):
+            return observations
+        obs = list(observations)
+        return cls(
+            np.array([o.sigma_a for o in obs], dtype=float),
+            np.array([o.n_cycles for o in obs], dtype=float),
+            np.array([o.censored for o in obs], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return int(self.sigma_a.size)
+
+
 def load_observations(path) -> list[FatigueObservation]:
     """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``)."""
     out = []
@@ -241,7 +282,7 @@ class _Rows:
 
 
 class _Kernel:
-    """Censored log-likelihood of observations over assigned structures.
+    """Censored log-likelihood of observation arrays over assigned structures.
 
     An observation's group is the segments (structure, amplitude) of its
     assigned structures (all when ``assignments`` is None) at its amplitude.
@@ -249,14 +290,9 @@ class _Kernel:
     group.  Only the segment log rates depend on the parameters.
     """
 
-    def __init__(self, observations, structures, assignments, runout_cycles):
-        obs = list(observations)
-        if not obs:
-            raise ValueError("no observations")
-        sigma = np.array([o.sigma_a for o in obs], dtype=float)
-        cycles = np.array([o.n_cycles for o in obs], dtype=float)
-        censored = np.array([o.censored for o in obs], dtype=bool)
-        amps, amp_index = np.unique(sigma, return_inverse=True)
+    def __init__(self, obs: ObservationArrays, structures, assignments, runout_cycles):
+        cycles, censored = obs.n_cycles, obs.censored
+        amps, amp_index = np.unique(obs.sigma_a, return_inverse=True)
         if assignments is None:
             distinct = [tuple(range(len(structures)))]
             assigned = np.zeros(len(obs), dtype=np.intp)
@@ -293,7 +329,7 @@ class _Kernel:
 
 
 def homogeneous_objective(
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     volume: float,
     youngs_modulus: float = DEFAULT_YOUNGS_MODULUS,
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
@@ -302,11 +338,11 @@ def homogeneous_objective(
 
     Each distinct amplitude is a one-element segment (sigma_a / E, volume).
     """
-    return _Kernel(observations, [Homogeneous(volume, youngs_modulus)], None, runout_cycles)
+    return _Kernel(ObservationArrays.of(observations), [Homogeneous(volume, youngs_modulus)], None, runout_cycles)
 
 
 def heterogeneous_objective(
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
 ) -> Callable[[StrainLifeParams], float]:
@@ -315,7 +351,7 @@ def heterogeneous_objective(
     A single table may be shared across all observations; segments are
     (table, amplitude) pairs, so a shared table is histogrammed once per level.
     """
-    obs = list(observations)
+    obs = ObservationArrays.of(observations)
     tables = [tables] if isinstance(tables, CriterionTable) else list(tables)
     if len(tables) == 1:
         return _Kernel(obs, tables, None, runout_cycles)
@@ -327,7 +363,7 @@ def heterogeneous_objective(
 
 
 def unknown_pores_objective(
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
     assignments: Sequence[Sequence[int]] | None = None,
@@ -340,7 +376,7 @@ def unknown_pores_objective(
     observations.  The assignment is fixed, so the objective stays
     deterministic across optimizer iterations.
     """
-    obs = list(observations)
+    obs = ObservationArrays.of(observations)
     tables = list(tables)
     if not tables:
         raise ValueError("no synthetic tables")
@@ -359,7 +395,7 @@ def unknown_pores_objective(
 
 def loglik_homogeneous(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     volume: float,
     youngs_modulus: float = DEFAULT_YOUNGS_MODULUS,
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
@@ -370,7 +406,7 @@ def loglik_homogeneous(
 
 def loglik_heterogeneous(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
 ) -> float:
@@ -380,7 +416,7 @@ def loglik_heterogeneous(
 
 def loglik_unknown_pores(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation],
+    observations: Sequence[FatigueObservation] | ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
     assignments: Sequence[Sequence[int]] | None = None,

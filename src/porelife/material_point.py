@@ -331,11 +331,14 @@ def _proportional_decomposition(values, tol: float = 1e-6):
 
     The direction is normalized to unit von Mises equivalent; amplitudes are
     the signed equivalents.  Raises ProportionalityError when any sample
-    deviates from the common direction by more than ``tol`` in angle.
+    deviates from the common direction by more than ``tol`` in angle, or
+    when the history's norm is not finite (its square overflows).
     """
     norms = np.sqrt(voigt.contract(values, values))
     ref_idx = int(np.argmax(norms))
     ref_norm = norms[ref_idx]
+    if not math.isfinite(ref_norm):
+        raise ProportionalityError(f"history norm is not finite ({ref_norm}): the stresses overflow")
     if ref_norm == 0.0:
         return None, np.zeros(len(values))
     ref = values[ref_idx] / ref_norm

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .likelihood import ObservationArrays
 from .strain_life import StrainLifeParams
 
 #: Canonical parameter order of the optimization vector.
@@ -34,7 +35,8 @@ class CalibrationDegeneracyError(RuntimeError):
 
 
 def ensure_failures(observations) -> None:
-    if not any(not o.censored for o in observations):
+    """Raise unless some observation (a sequence or :class:`ObservationArrays`) failed."""
+    if ObservationArrays.of(observations).censored.all():
         raise CalibrationDegeneracyError(
             "all observations are run-outs; the likelihood is maximized by infinite life"
         )

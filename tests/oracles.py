@@ -3,7 +3,8 @@
 Everything here re-derives expected values through a different route than
 the library: explicit rate integration instead of return mapping, scalar
 incremental cycling instead of the analytic hysteresis branch, survival
-products instead of the closed-form structure scale.
+products instead of the closed-form structure scale, and line-by-line parsers and
+per-cell writers instead of the column-wise file I/O.
 """
 from __future__ import annotations
 
@@ -12,6 +13,13 @@ import math
 import numpy as np
 
 from porelife import voigt
+from porelife.field import (
+    FIELD_HEADER,
+    TABLE_HEADER,
+    CriterionTable,
+    ElasticElementField,
+    FieldFormatError,
+)
 from porelife.material_point import (
     ChabocheParams,
     TensorHistory,
@@ -312,3 +320,147 @@ def survival_product_loglik(params, observations, structures, runout_cycles: flo
 def table_amplitudes(table, sigma_a: float):
     """Per-element strain amplitudes of a criterion table, by np.interp per row."""
     return np.array([0.5 * np.interp(sigma_a, table.load_levels, row) for row in table.delta_eps]), table.volumes
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line field and criterion-table files
+# ---------------------------------------------------------------------------
+
+def cell_save_field(path, field: ElasticElementField) -> None:
+    """Field file written one formatted cell at a time, joined in memory."""
+    lines = []
+    if field.geometry_tag:
+        lines.append(f"# geometry: {field.geometry_tag}")
+    if field.nominal_area_note:
+        lines.append(f"# note: {field.nominal_area_note}")
+    lines.append(FIELD_HEADER)
+    for i in range(field.n_elements):
+        row = [str(int(field.ids[i])), repr(float(field.volumes[i]))]
+        row += [repr(float(x)) for x in field.sigma_unit[i]]
+        lines.append(",".join(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def line_load_field(path) -> ElasticElementField:
+    """Field file parsed one line at a time with ``int``/``float``."""
+    ids, volumes, tensors = [], [], []
+    seen_ids = set()
+    geometry_tag = ""
+    header_seen = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if header_seen:
+                    continue
+                if line.startswith("# geometry:"):
+                    geometry_tag = line.split(":", 1)[1].strip()
+                continue
+            if not header_seen:
+                if line != FIELD_HEADER:
+                    raise FieldFormatError(path, line_no, f"expected header '{FIELD_HEADER}'")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise FieldFormatError(path, line_no, f"expected 8 columns, got {len(parts)}")
+            try:
+                eid = int(parts[0])
+                vol = float(parts[1])
+                tensor = [float(x) for x in parts[2:]]
+            except ValueError as exc:
+                raise FieldFormatError(path, line_no, str(exc)) from exc
+            if not all(map(math.isfinite, (vol, *tensor))):
+                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
+            if vol <= 0.0:
+                raise FieldFormatError(path, line_no, f"nonpositive volume {vol} for element {eid}")
+            if eid in seen_ids:
+                raise FieldFormatError(path, line_no, f"duplicate element id {eid}")
+            seen_ids.add(eid)
+            ids.append(eid)
+            volumes.append(vol)
+            tensors.append(tensor)
+    if not header_seen:
+        raise FieldFormatError(path, 0, "missing header line")
+    if not ids:
+        raise FieldFormatError(path, 0, "field file has no element rows")
+    return ElasticElementField(
+        ids=np.array(ids),
+        volumes=np.array(volumes),
+        sigma_unit=np.array(tensors),
+        geometry_tag=geometry_tag,
+    )
+
+
+def cell_save_criterion_table(path, table: CriterionTable, comments=()) -> None:
+    """Criterion table written one formatted cell at a time, joined in memory."""
+    lines = [f"# {c}" for c in comments]
+    if table.geometry_tag:
+        lines.append(f"# geometry: {table.geometry_tag}")
+    lines.append(TABLE_HEADER)
+    for i in range(table.element_ids.size):
+        for j, level in enumerate(table.load_levels):
+            lines.append(
+                f"{int(table.element_ids[i])},{float(level)!r},"
+                f"{float(table.delta_eps[i, j])!r},{float(table.volumes[i])!r}"
+            )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def line_load_criterion_table(path) -> CriterionTable:
+    """Criterion table parsed one line at a time into a dict per element.
+
+    It predates the repeated-pair and volume-mismatch checks: a repeated
+    (element, level) row overwrites the earlier one, and an element's later
+    volumes are ignored.
+    """
+    per_element: dict[int, dict] = {}
+    geometry_tag = ""
+    header_seen = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if line.startswith("# geometry:") and not header_seen:
+                    geometry_tag = line.split(":", 1)[1].strip()
+                continue
+            if not header_seen:
+                if line != TABLE_HEADER:
+                    raise FieldFormatError(path, line_no, f"expected header '{TABLE_HEADER}'")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise FieldFormatError(path, line_no, f"expected 4 columns, got {len(parts)}")
+            try:
+                eid = int(parts[0])
+                level = float(parts[1])
+                value = float(parts[2])
+                vol = float(parts[3])
+            except ValueError as exc:
+                raise FieldFormatError(path, line_no, str(exc)) from exc
+            if not (math.isfinite(level) and math.isfinite(value) and math.isfinite(vol)):
+                raise FieldFormatError(path, line_no, f"non-finite value for element {eid}")
+            entry = per_element.setdefault(eid, {"volume": vol, "levels": {}})
+            entry["levels"][level] = value
+    if not per_element:
+        raise FieldFormatError(path, 0, "criterion table has no rows")
+    eids = sorted(per_element)
+    level_sets = {tuple(sorted(per_element[e]["levels"])) for e in eids}
+    if len(level_sets) != 1:
+        raise FieldFormatError(path, 0, "elements carry inconsistent load-level grids")
+    levels = np.array(next(iter(level_sets)))
+    delta = np.array([[per_element[e]["levels"][lv] for lv in levels] for e in eids])
+    return CriterionTable(
+        element_ids=np.array(eids),
+        volumes=np.array([per_element[e]["volume"] for e in eids]),
+        load_levels=levels,
+        delta_eps=delta,
+        geometry_tag=geometry_tag,
+    )

@@ -10,16 +10,20 @@ from porelife.cli import (
     EXIT_PARTIAL,
     EXIT_VALIDATION,
     main,
+    synthesize_observations,
 )
 from porelife.config import ConfigError, load_config
-from porelife.field import load_criterion_table, load_field
+from porelife.field import CriterionTable, load_criterion_table, load_field
 from porelife.likelihood import (
     FatigueObservation,
     Heterogeneous,
     Homogeneous,
+    ObservationArrays,
+    homogeneous_objective,
     save_observations,
     structure_for,
 )
+from porelife.weakest_link import sample_lifetimes
 from porelife.strain_life import StrainLifeParams
 
 SMALL_CONF = """
@@ -104,7 +108,9 @@ class TestConfig:
         ("[protocol]\nload_levels = 20, nan, 100\n", "load levels must be finite, got (20.0, nan, 100.0)"),
         ("[protocol]\nN_max = nan\n", "N_max must be positive and finite, got nan"),
         ("[protocol]\nN_max = inf\n", "N_max must be positive and finite, got inf"),
-    ], ids=["E", "b", "load_levels", "N_max-nan", "N_max-inf"])
+        ("[pores]\ndensity = nan\n", "[pores] density must be finite, got nan"),
+        ("[pores]\ngauge_radius_mm = inf\n", "[pores] gauge_radius_mm must be finite, got inf"),
+    ], ids=["E", "b", "load_levels", "N_max-nan", "N_max-inf", "density", "gauge_radius_mm"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.conf"
         path.write_text(text)
@@ -173,6 +179,19 @@ class TestCriterion:
         rc = main(["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(bad)])
         assert rc == EXIT_PARTIAL
         table = load_criterion_table(tmp_path / "t" / "bad_field.criterion.csv")
+        assert table.element_ids.tolist() == [0]
+
+    def test_overflowing_element_is_a_partial_failure(self, conf, tmp_path, capsys):
+        bad = tmp_path / "huge_field.csv"
+        bad.write_text(
+            "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz\n"
+            "0,1.0,1.0,0,0,0,0,0\n"
+            "1,1.0,1e200,0,0,0,0,0\n"
+        )
+        rc = main(["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(bad)])
+        assert rc == EXIT_PARTIAL
+        assert "element 1 failed" in capsys.readouterr().err
+        table = load_criterion_table(tmp_path / "t" / "huge_field.criterion.csv")
         assert table.element_ids.tolist() == [0]
 
     def test_non_finite_field_cell_is_a_validation_error(self, conf, tmp_path, capsys):
@@ -328,6 +347,31 @@ class TestHomogenize:
             m=fitted_b["m"], A=fitted_b["A"], alpha=fitted_b["alpha"],
             B=fitted_b["B"], beta=fitted_b["beta"], C=fitted_b["C"], V0=fitted_b["V0"],
         )
+
+
+    def test_synthesized_observations_match_one_at_a_time_build(self):
+        params = StrainLifeParams(m=2.0, A=0.0047, alpha=0.129, C=3e-4, V0=593.0)
+        levels = (55.0, 75.0, 95.0)
+        tables = [
+            CriterionTable(
+                element_ids=[0, 1], volumes=[590.0, 3.0], load_levels=levels,
+                delta_eps=np.outer([1.0, k], levels) * 2.0 / 75500.0,
+            )
+            for k in (1.5, 2.2)
+        ]
+        arrays = synthesize_observations(params, tables, levels, 200, 7, 2e6)
+        children = iter(np.random.SeedSequence(7).spawn(len(tables) * len(levels)))
+        objects = []
+        for table in tables:
+            for level in levels:
+                struct = structure_for(params, Heterogeneous(table), level)
+                values, censored = sample_lifetimes(struct, 200, next(children), 2e6)
+                objects += [FatigueObservation(level, min(float(v), 2e6), bool(c)) for v, c in zip(values, censored)]
+        expected = ObservationArrays.of(objects)
+        for name in ("sigma_a", "n_cycles", "censored"):
+            assert getattr(arrays, name).tobytes() == getattr(expected, name).tobytes()
+        assert 0 < np.count_nonzero(arrays.censored) < len(arrays)
+        assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(objects, 593.0)(params)
 
 
 class TestExitCodes:

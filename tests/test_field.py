@@ -31,12 +31,93 @@ from porelife.field import (
 from porelife.material_point import ALSI7MG
 from porelife.weakest_link import structure_scale
 from porelife.strain_life import StrainLifeParams, element_scale_array
+from oracles import cell_save_criterion_table, cell_save_field, line_load_criterion_table, line_load_field
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+IDS = st.integers(-(2**63), 2**63 - 1)
+#: Lines both loaders skip between rows.
+FILLER = st.sampled_from(["", "   ", "\t", "# a comment", "  # indented comment", "#"])
+#: Cells that neither ``int`` nor ``float`` accepts.
+UNPARSEABLE = st.sampled_from(["abc", "", " ", "1.0.0", "0x1p3", "1d5", "nan(1)", "1 # c", "--1", "1e", "5x"])
+
+
+def render(value, style: int) -> str:
+    """One cell in one of several spellings both loaders read."""
+    if isinstance(value, int):
+        return (str(value), f" {value} ", f"+{value}" if value >= 0 else str(value))[style % 3]
+    return (repr(value), f"{value:.17g}", f"{value:.17e}", f" {value!r}\t")[style % 4]
+
+
+@st.composite
+def random_field(draw):
+    n = draw(st.integers(1, 6))
+    return ElasticElementField(
+        ids=draw(st.lists(IDS, min_size=n, max_size=n, unique=True)),
+        volumes=draw(st.lists(POSITIVE, min_size=n, max_size=n)),
+        sigma_unit=draw(st.lists(st.lists(FINITE, min_size=6, max_size=6), min_size=n, max_size=n)),
+        geometry_tag=draw(st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)).strip(),
+        nominal_area_note=draw(st.sampled_from(["", "unit nominal amplitude = 1 MPa uniaxial along x"])),
+    )
+
+
+@st.composite
+def random_table(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    steps = draw(st.lists(st.floats(0.0, 1e3), min_size=n * k, max_size=n * k))
+    return CriterionTable(
+        element_ids=draw(st.lists(IDS, min_size=n, max_size=n, unique=True)),
+        volumes=draw(st.lists(POSITIVE, min_size=n, max_size=n)),
+        load_levels=sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=k, max_size=k, unique=True))),
+        delta_eps=np.cumsum(np.array(steps).reshape(n, k), axis=1),
+        geometry_tag=draw(st.sampled_from(["", "cylinder r=3.072 L=20.0"])),
+    )
+
+
+def rewrite(data, text: str, shuffle: bool):
+    """The file text with its rows respelled, optionally shuffled, and filler lines between them."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line in (FIELD_HEADER, TABLE_HEADER)) + 1
+    rows = [
+        ",".join(render(int(c) if j == 0 else float(c), data.draw(st.integers(0, 11))) for j, c in enumerate(line.split(",")))
+        for line in lines[start:]
+    ]
+    if shuffle:
+        rows = data.draw(st.permutations(rows))
+    body = []
+    for row in rows:
+        body += data.draw(st.lists(FILLER, max_size=2)) + [row]
+    return "\n".join(lines[:start] + body + data.draw(st.lists(FILLER, max_size=2))) + "\n"
+
+
+def assert_same_arrays(new, old, names):
+    for name in names:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert new.geometry_tag == old.geometry_tag
+
+
+def corrupt(data, text: str, n_columns: int):
+    """The file text with one row spoiled: a cell that does not parse, or a column too few or too many.
+
+    Returns the text and the spoiled row's line number.
+    """
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line in (FIELD_HEADER, TABLE_HEADER)) + 1
+    row = data.draw(st.sampled_from([i for i in range(start, len(lines)) if lines[i].strip()[:1] not in ("", "#")]))
+    cells = lines[row].split(",")
+    how = data.draw(st.sampled_from(["cell", "fewer", "more"]))
+    if how == "cell":
+        cells[data.draw(st.integers(0, n_columns - 1))] = data.draw(UNPARSEABLE)
+    elif how == "fewer":
+        del cells[data.draw(st.integers(0, n_columns - 1))]
+    else:
+        cells.insert(data.draw(st.integers(0, n_columns)), "0")
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n", row + 1
 
 
 def bulk_only(volume=10.0):
@@ -127,6 +208,63 @@ class TestFieldFiles:
         with pytest.raises(FieldFormatError, match="non-finite") as err:
             load_field(path)
         assert err.value.line_no == row + 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=random_field(), data=st.data())
+    def test_loader_equals_line_oracle(self, tmp_path_factory, field, data):
+        path = tmp_path_factory.mktemp("field") / "field.csv"
+        cell_save_field(path, field)
+        path.write_text(rewrite(data, path.read_text(), shuffle=data.draw(st.booleans())))
+        assert_same_arrays(load_field(path), line_load_field(path), ("ids", "volumes", "sigma_unit"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=random_field())
+    def test_writer_bytes_equal_cell_oracle(self, tmp_path_factory, field):
+        folder = tmp_path_factory.mktemp("field")
+        save_field(folder / "new.csv", field)
+        cell_save_field(folder / "old.csv", field)
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=random_field(), data=st.data())
+    def test_bad_row_reported_at_its_line(self, tmp_path_factory, field, data):
+        path = tmp_path_factory.mktemp("field") / "field.csv"
+        save_field(path, field)
+        text, line_no = corrupt(data, rewrite(data, path.read_text(), shuffle=False), 8)
+        path.write_text(text)
+        with pytest.raises(FieldFormatError) as err:
+            load_field(path)
+        with pytest.raises(FieldFormatError) as oracle:
+            line_load_field(path)
+        assert err.value.line_no == oracle.value.line_no == line_no
+        assert str(err.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("header, row", [
+        (FIELD_HEADER, "0,1.0,1.0,0,0,0,0,0"), (TABLE_HEADER, "0,40.0,0.001,1.0"),
+    ], ids=["field", "table"])
+    def test_hash_after_a_cell_is_not_a_comment(self, tmp_path, header, row):
+        path = tmp_path / "file.csv"
+        path.write_text(f"{header}\n{row}\n{row.replace('0,', '1,', 1)} # note\n")
+        load = load_field if header == FIELD_HEADER else load_criterion_table
+        with pytest.raises(FieldFormatError, match="could not convert string to float") as err:
+            load(path)
+        assert err.value.line_no == 3
+
+    def test_duplicate_id_named_at_its_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(FIELD_HEADER + "\n" + "".join(f"{i},1.0,1.0,0,0,0,0,0\n" for i in (3, 1, 2, 1, 3)))
+        with pytest.raises(FieldFormatError, match="duplicate element id 1") as err:
+            load_field(path)
+        assert err.value.line_no == 5
+
+    @pytest.mark.parametrize("name", [
+        "pore_density", "radius_median_um", "radius_log_sd", "accept_radius_um",
+        "gauge_radius_mm", "gauge_length_mm", "surface_kt_boost",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_pore_stats_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            PoreFieldStats(**{name: value})
 
 
 class TestSynthField:
@@ -391,6 +529,91 @@ class TestCriterionTable:
         with pytest.raises(FieldFormatError, match="non-finite") as err:
             load_criterion_table(path)
         assert err.value.line_no == row + 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=random_table(), data=st.data())
+    def test_table_loader_equals_line_oracle(self, tmp_path_factory, table, data):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        cell_save_criterion_table(path, table, comments=["content-hash: abc"])
+        path.write_text(rewrite(data, path.read_text(), shuffle=True))
+        assert_same_arrays(
+            load_criterion_table(path), line_load_criterion_table(path),
+            ("element_ids", "volumes", "load_levels", "delta_eps"),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=random_table(), comments=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=8), max_size=2))
+    def test_table_writer_bytes_equal_cell_oracle(self, tmp_path_factory, table, comments):
+        folder = tmp_path_factory.mktemp("table")
+        save_criterion_table(folder / "new.csv", table, comments=comments)
+        cell_save_criterion_table(folder / "old.csv", table, comments=comments)
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=random_table(), data=st.data())
+    def test_table_bad_row_reported_at_its_line(self, tmp_path_factory, table, data):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        save_criterion_table(path, table)
+        text, line_no = corrupt(data, rewrite(data, path.read_text(), shuffle=True), 4)
+        path.write_text(text)
+        with pytest.raises(FieldFormatError) as err:
+            load_criterion_table(path)
+        with pytest.raises(FieldFormatError) as oracle:
+            line_load_criterion_table(path)
+        assert err.value.line_no == oracle.value.line_no == line_no
+        assert str(err.value) == str(oracle.value)
+
+    def test_repeated_level_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(TABLE_HEADER + "\n0,40.0,0.001,1.0\n1,40.0,0.001,1.0\n0,40.0,0.002,1.0\n")
+        assert line_load_criterion_table(path).delta_eps[0, 0] == 0.002  # the last row used to win
+        with pytest.raises(FieldFormatError, match="repeated load level 40.0 for element 0") as err:
+            load_criterion_table(path)
+        assert err.value.line_no == 4
+
+    def test_volume_mismatch_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(TABLE_HEADER + "\n0,80.0,0.002,1.0\n1,40.0,0.001,1.0\n# c\n0,40.0,0.001,2.0\n1,80.0,0.002,1.0\n")
+        assert line_load_criterion_table(path).volumes[0] == 1.0  # the later volume used to be ignored
+        with pytest.raises(FieldFormatError, match="volume 2.0 for element 0 differs from its first row's 1.0") as err:
+            load_criterion_table(path)
+        assert err.value.line_no == 5
+
+    @settings(max_examples=25, deadline=None)
+    @given(table=random_table(), data=st.data())
+    def test_repeated_row_rejected_at_its_line(self, tmp_path_factory, table, data):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        save_criterion_table(path, table)
+        header, *rows = path.read_text().splitlines()[-table.delta_eps.size - 1:]
+        source = data.draw(st.integers(0, len(rows) - 1))
+        target = data.draw(st.integers(source + 1, len(rows)))
+        eid, level, _, volume = rows[source].split(",")
+        rows.insert(target, f"{eid},{level},{data.draw(st.floats(0.0, 1e3))!r},{volume}")
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(FieldFormatError, match=f"repeated load level {float(level)} for element {eid}") as err:
+            load_criterion_table(path)
+        assert err.value.line_no == target + 2
+
+    def test_inconsistent_grids_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(TABLE_HEADER + "\n0,40.0,0.001,1.0\n0,80.0,0.002,1.0\n1,40.0,0.001,1.0\n1,60.0,0.002,1.0\n")
+        with pytest.raises(FieldFormatError, match="inconsistent load-level grids") as err:
+            load_criterion_table(path)
+        assert err.value.line_no == 0
+
+    def test_overflowing_element_recorded(self, material):
+        # the squared norm of a 1e200 MPa history overflows; the element
+        # fails instead of passing as hydrostatic with a 1e197 strain range
+        field = ElasticElementField(
+            ids=np.array([0, 1]),
+            volumes=np.array([1.0, 1.0]),
+            sigma_unit=np.array([[1.0, 0, 0, 0, 0, 0], [1e200, 0, 0, 0, 0, 0]]),
+        )
+        failures = []
+        table = criterion_table(field, material, [50.0], failures=failures)
+        assert [eid for eid, _ in failures] == [1]
+        assert "not finite" in str(failures[0][1])
+        assert table.element_ids.tolist() == [0]
 
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):

@@ -11,10 +11,13 @@ from porelife.field import CriterionTable, PoreFieldStats
 from porelife.likelihood import (
     LOG_FLOOR,
     FatigueObservation,
+    ObservationArrays,
     Heterogeneous,
     Homogeneous,
     UnknownPores,
     failure_term,
+    heterogeneous_objective,
+    homogeneous_objective,
     load_observations,
     loglik_heterogeneous,
     loglik_homogeneous,
@@ -22,6 +25,7 @@ from porelife.likelihood import (
     runout_term,
     save_observations,
     structure_for,
+    unknown_pores_objective,
 )
 from porelife.strain_life import StrainLifeParams, element_lifetime
 from porelife.weakest_link import structure_scale
@@ -104,6 +108,40 @@ class TestObservationFiles:
     def test_homogeneous_non_finite_rejected(self, volume, modulus):
         with pytest.raises(ValueError, match="finite"):
             Homogeneous(volume=volume, youngs_modulus=modulus)
+
+
+class TestObservationArrays:
+    def test_of_sequence(self):
+        obs = [FatigueObservation(80.0, 1e4, False), FatigueObservation(60.0, 2e6, True)]
+        arrays = ObservationArrays.of(obs)
+        assert arrays.sigma_a.tolist() == [80.0, 60.0]
+        assert arrays.n_cycles.tolist() == [1e4, 2e6]
+        assert arrays.censored.tolist() == [False, True]
+        assert ObservationArrays.of(arrays) is arrays
+
+    @pytest.mark.parametrize("sigma_a, n_cycles, match", [
+        ([80.0, math.nan], [1e4, 1e5], "sigma_a must be positive and finite, got nan"),
+        ([80.0, 0.0], [1e4, 1e5], "sigma_a must be positive and finite, got 0.0"),
+        ([80.0, 90.0], [1e4, math.inf], "n_cycles must be positive and finite, got inf"),
+        ([80.0, 90.0], [1e4, -1.0], "n_cycles must be positive and finite, got -1.0"),
+        ([80.0, 90.0], [1e4], "one length"),
+        ([], [], "no observations"),
+    ])
+    def test_invalid_columns_rejected(self, sigma_a, n_cycles, match):
+        with pytest.raises(ValueError, match=match):
+            ObservationArrays(sigma_a, n_cycles, np.zeros(len(n_cycles), dtype=bool))
+
+    def test_objectives_equal_on_arrays_and_sequences(self):
+        obs = oracle_observations()
+        arrays = ObservationArrays.of(obs)
+        tables = [grid_table(s) for s in range(3)]
+        for build in (
+            lambda o: homogeneous_objective(o, 593.0),
+            lambda o: heterogeneous_objective(o, tables[0]),
+            lambda o: heterogeneous_objective(o, [tables[i % 3] for i in range(len(obs))]),
+            lambda o: unknown_pores_objective(o, tables),
+        ):
+            assert build(arrays)(PARAMS) == build(obs)(PARAMS)
 
 
 class TestStructureFor:

@@ -230,6 +230,12 @@ class TestNeuberCorrect:
         with pytest.raises(ProportionalityError):
             neuber_correct(material, history)
 
+    def test_overflowing_history_rejected(self, material):
+        # the squared norm overflows to inf; the history must not pass as hydrostatic
+        history = cosine_cycle(np.array([1e200, 0, 0, 0, 0, 0]), amplitude=50.0)
+        with pytest.raises(ProportionalityError, match="not finite"):
+            neuber_correct(material, history)
+
     def test_distorted_wave_vs_reference(self, material):
         # proportional but non-sinusoidal cycles (second-harmonic distortion,
         # asymmetric extremes) must stay within the 5 % oracle envelope
