@@ -304,23 +304,25 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
 # ---------------------------------------------------------------------------
 
 def _read_rows(path, header: str):
-    """Geometry tag, header line number and rows of a field or table file.
+    """Tags, header line number and rows of a field or table file.
 
     Comment and blank lines may precede the header; the last ``# geometry:``
-    comment before it sets the tag.  The rows become a structured array (an
-    ``int64`` id, then floats) in one numpy pass.  That pass refuses comment
-    and whitespace-only lines among the rows and some spellings ``int`` and
-    ``float`` accept; the rows are then parsed line by line, which raises at
-    the first line that does not parse.
+    and ``# note:`` comments before it set the tags ``geometry`` and
+    ``note``.  The rows become a structured array (an ``int64`` id, then
+    floats) in one numpy pass.  That pass refuses comment and whitespace-only
+    lines among the rows and some spellings ``int`` and ``float`` accept; the
+    rows are then parsed line by line, which raises at the first line that
+    does not parse.
     """
     names = header.split(",")
     dtype = np.dtype([(names[0], np.int64)] + [(name, np.float64) for name in names[1:]])
-    geometry_tag = ""
+    tags = {"geometry": "", "note": ""}
     with open(path, "r", encoding="utf-8") as fh:
         for header_line, raw in enumerate(iter(fh.readline, ""), start=1):
             line = raw.strip()
-            if line.startswith("# geometry:"):
-                geometry_tag = line.split(":", 1)[1].strip()
+            if line.startswith(("# geometry:", "# note:")):
+                key, value = line[2:].split(":", 1)
+                tags[key] = value.strip()
             elif line and not line.startswith("#"):
                 if line != header:
                     raise FieldFormatError(path, header_line, f"expected header '{header}'")
@@ -330,7 +332,7 @@ def _read_rows(path, header: str):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
-                return geometry_tag, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                return tags, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             fh.seek(0)
         rows = []
@@ -345,7 +347,7 @@ def _read_rows(path, header: str):
                 rows.append((np.int64(int(parts[0])), *map(float, parts[1:])))
             except (ValueError, OverflowError) as exc:
                 raise FieldFormatError(path, line_no, str(exc)) from exc
-    return geometry_tag, header_line, np.array(rows, dtype=dtype)
+    return tags, header_line, np.array(rows, dtype=dtype)
 
 
 def _check_rows(path, header_line: int, checks) -> None:
@@ -379,7 +381,7 @@ def save_field(path, field: ElasticElementField) -> None:
 
 def load_field(path) -> ElasticElementField:
     """Parse a field file, validating invariants with line-numbered errors."""
-    geometry_tag, header_line, rows = _read_rows(path, FIELD_HEADER)
+    tags, header_line, rows = _read_rows(path, FIELD_HEADER)
     if rows.size == 0:
         raise FieldFormatError(path, 0, "field file has no element rows")
     ids = rows["id"].copy()
@@ -393,7 +395,9 @@ def load_field(path) -> ElasticElementField:
         (volumes <= 0.0, lambda i: f"nonpositive volume {volumes[i]} for element {ids[i]}"),
         (repeated, lambda i: f"duplicate element id {ids[i]}"),
     ])
-    return ElasticElementField(ids=ids, volumes=volumes, sigma_unit=sigma_unit, geometry_tag=geometry_tag)
+    return ElasticElementField(
+        ids=ids, volumes=volumes, sigma_unit=sigma_unit, geometry_tag=tags["geometry"], nominal_area_note=tags["note"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +535,7 @@ def load_criterion_table(path) -> CriterionTable:
     Every element must carry the same load levels, each once, and the same
     volume on every row.
     """
-    geometry_tag, header_line, rows = _read_rows(path, TABLE_HEADER)
+    tags, header_line, rows = _read_rows(path, TABLE_HEADER)
     if rows.size == 0:
         raise FieldFormatError(path, 0, "criterion table has no rows")
     eid, level, delta, volume = (rows[name] for name in rows.dtype.names)
@@ -555,5 +559,5 @@ def load_criterion_table(path) -> CriterionTable:
         volumes=volume[first],
         load_levels=grid[: counts[0]].copy(),
         delta_eps=delta[order].reshape(eids.size, -1),
-        geometry_tag=geometry_tag,
+        geometry_tag=tags["geometry"],
     )

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import CriterionTable
-from .strain_life import StrainLifeParams, cycles_to_failure
-from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime
+from .strain_life import StrainLifeParams, _density, _log_rates, _survival
+from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, _log_sum_exp
 
 OBSERVATIONS_HEADER = "sigma_a_MPa,n_cycles,censored"
 
@@ -180,9 +180,8 @@ class _Segments:
     """Volume histograms of structures at given loads (segments).
 
     Elements at one strain amplitude share one Weibull scale, so a segment's
-    weakest-link rate needs only the volume V_j at each distinct amplitude
-    u_j: Lambda = sum_j N(u_j)^-m V_j ln 2 / V0, and the structure scale is
-    Lambda^(-1/m), infinite when Lambda = 0.
+    weakest-link rate (see ``strain_life._log_rates``) needs only the volume
+    at each distinct amplitude.
     """
 
     def __init__(self, histograms):
@@ -196,12 +195,10 @@ class _Segments:
 
     def log_rates(self, params: StrainLifeParams) -> np.ndarray:
         """log Lambda per segment: one inversion, then a max-shifted log-sum-exp."""
-        log_life = np.log(cycles_to_failure(params, self.amplitudes))
-        terms = self.bin_log_volume - params.m * log_life[self.bin_amplitude]
-        peak = np.maximum.reduceat(terms, self.start)
-        peak = np.where(np.isfinite(peak), peak, 0.0)
-        sums = np.add.reduceat(np.exp(terms - peak[self.bin_segment]), self.start)
-        return peak + np.log(sums) + math.log(math.log(2.0) / params.V0)
+        return _log_rates(
+            params, self.amplitudes, self.bin_amplitude, self.bin_log_volume,
+            lambda terms: _log_sum_exp(terms, self.start, self.bin_segment),
+        )
 
 
 def _structure(params: StrainLifeParams, structure, sigma_a: float) -> StructureLifetime:
@@ -230,23 +227,6 @@ def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float
 # ---------------------------------------------------------------------------
 # Log-likelihood terms
 # ---------------------------------------------------------------------------
-
-def _density(log_rate, shape, log_n):
-    """Weibull density at n of a structure with rate Lambda = scale^-shape.
-
-    Overflow-safe: exactly 0 once (n/scale)^shape reaches 700, and the log
-    density is clamped at -700 (far below the floor) before exponentiation.
-    """
-    log_t = shape * log_n + log_rate  # log (n/scale)^shape
-    t = np.exp(np.minimum(log_t, 700.0))
-    log_pdf = log_t - t - log_n + math.log(shape)
-    return np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
-
-
-def _survival(log_rate, shape, log_n):
-    """Weibull survival at n; exactly 1 at infinite scale (Lambda = 0)."""
-    return np.exp(-np.exp(np.minimum(shape * log_n + log_rate, 700.0)))
-
 
 def failure_term(scale: float, shape: float, n_cycles: float) -> float:
     """log(density + floor) of one failure observation."""

@@ -334,7 +334,8 @@ def _proportional_decomposition(values, tol: float = 1e-6):
     deviates from the common direction by more than ``tol`` in angle, or
     when the history's norm is not finite (its square overflows).
     """
-    norms = np.sqrt(voigt.contract(values, values))
+    with np.errstate(over="ignore"):  # the finiteness check below reports it
+        norms = np.sqrt(voigt.contract(values, values))
     ref_idx = int(np.argmax(norms))
     ref_norm = norms[ref_idx]
     if not math.isfinite(ref_norm):
@@ -509,12 +510,16 @@ def critical_direction(sigma) -> np.ndarray:
     When the top eigenvalues are degenerate (within 1e-9 of the tensor norm)
     the returned vector is the one in the degenerate subspace with the
     lexicographically largest absolute components (x, then y, then z),
-    sign-normalized to a positive first nonzero component.
+    sign-normalized to a positive first nonzero component.  Raises
+    ValueError when the tensor's norm is not finite (its square overflows).
     """
     sigma = np.asarray(sigma, dtype=float)
     mat = voigt.to_matrix(sigma)
+    with np.errstate(over="ignore"):  # reported below
+        norm = float(np.linalg.norm(mat))
+    if not math.isfinite(norm):
+        raise ValueError(f"tensor norm is not finite ({norm}): the stresses overflow")
     evals, evecs = np.linalg.eigh(mat)
-    norm = float(np.linalg.norm(mat))
     tol = 1e-9 * max(norm, 1e-300)
     top = evals >= evals[-1] - tol
     basis = evecs[:, top]

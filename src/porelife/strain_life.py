@@ -15,9 +15,6 @@ import numpy as np
 #: Gauge volume of the reference cylindrical specimen, mm^3.
 DEFAULT_REFERENCE_VOLUME = 593.0
 
-_LN2 = math.log(2.0)
-
-
 @dataclass(frozen=True)
 class StrainLifeParams:
     """Six-parameter fatigue model plus the Weibull reference volume.
@@ -82,16 +79,55 @@ class WeibullLifetime:
         return math.isinf(self.scale)
 
     def median(self) -> float:
-        if self.is_infinite:
-            return math.inf
-        return self.scale * _LN2 ** (1.0 / self.shape)
+        return self.quantile(0.5)  # the inverse CDF at 0.5 is scale * (ln 2)^(1/shape) exactly
 
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
         if self.is_infinite:
             return math.inf
-        return self.scale * (-math.log1p(-q)) ** (1.0 / self.shape)
+        return float(self._inverse_cdf(q))
+
+    def _inverse_cdf(self, q):
+        """Cycles at failure probability q (scalar or array) of a finite-scale lifetime."""
+        return self.scale * (-np.log1p(-q)) ** (1.0 / self.shape)
+
+
+def _hazard(log_rate, shape, log_n):
+    """log (n/scale)^shape and (n/scale)^shape capped at e^700, from log rate -shape ln(scale)."""
+    log_t = shape * log_n + log_rate
+    return log_t, np.exp(np.minimum(log_t, 700.0))
+
+
+def _density(log_rate, shape, log_n):
+    """Weibull density at n = e^log_n: exactly 0 once the hazard reaches 700, log density clamped at -700."""
+    log_t, t = _hazard(log_rate, shape, log_n)
+    log_pdf = log_t - t - log_n + math.log(shape)
+    return np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
+
+
+def _survival(log_rate, shape, log_n):
+    """Weibull survival at n = e^log_n; exactly 1 at infinite scale."""
+    return np.exp(-_hazard(log_rate, shape, log_n)[1])
+
+
+def _at_cycles(dist: WeibullLifetime, cycles, term):
+    """``term`` at cycle count(s) n, in units of the scale; 0 for infinite life.
+
+    In those units the log rate is 0, so (n/scale)^shape is formed from the
+    one rounded ratio n/scale instead of the difference of two large logs.
+    """
+    n = np.asarray(cycles, dtype=float)
+    if np.any(n < 0.0):
+        raise ValueError("cycle count must be nonnegative")
+    if dist.is_infinite:
+        out = np.zeros(n.shape)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = term(0.0, dist.shape, np.log(n / dist.scale))
+    if np.isscalar(cycles):
+        return float(out)
+    return out
 
 
 def strain_amplitude(params: StrainLifeParams, cycles):
@@ -155,6 +191,16 @@ def cycles_to_failure(params: StrainLifeParams, eps_amp):
     return out.reshape(np.shape(eps_amp))
 
 
+def _log_rates(params: StrainLifeParams, amplitudes, index, log_volumes, combine=None):
+    """Weakest-link log rates log(V ln 2 / V0 * N(u)^-m) of volumes V at u = amplitudes[index].
+
+    ``combine`` sums the terms per structure in the log domain before the
+    factor.  The scale rate^(-1/m) is infinite at or below the fatigue limit.
+    """
+    terms = log_volumes - params.m * np.log(cycles_to_failure(params, amplitudes))[index]
+    return (terms if combine is None else combine(terms)) + math.log(math.log(2.0) / params.V0)
+
+
 def element_lifetime(params: StrainLifeParams, delta_eps: float, volume: float) -> WeibullLifetime:
     """Weibull lifetime of one element from its strain range and volume.
 
@@ -162,69 +208,41 @@ def element_lifetime(params: StrainLifeParams, delta_eps: float, volume: float) 
     factor (V0 / (V ln 2))^(1/m); larger volume or larger strain range both
     shorten the characteristic life.
     """
-    if delta_eps < 0.0:
-        raise ValueError("strain range must be nonnegative")
-    if volume <= 0.0:
-        raise ValueError("volume must be positive")
-    if 0.5 * delta_eps <= params.C:
-        return WeibullLifetime.infinite(params.m)
-    base = cycles_to_failure(params, 0.5 * delta_eps)
-    scale = base * (params.V0 / (volume * _LN2)) ** (1.0 / params.m)
-    return WeibullLifetime(scale=scale, shape=params.m)
+    return WeibullLifetime(scale=float(element_scale_array(params, delta_eps, volume)), shape=params.m)
 
 
 def element_scale_array(params: StrainLifeParams, delta_eps, volumes):
     """Vectorized Weibull scales for many elements; inf where below the limit.
 
-    Bulk path behind :func:`element_lifetime` used by the structure-level
-    aggregation, where one call covers every element of a specimen.
+    Bulk path behind :func:`element_lifetime`; strain ranges must be
+    nonnegative and volumes positive, both finite.
     """
     delta_eps = np.asarray(delta_eps, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
-    amp = 0.5 * delta_eps
+    if not np.all(np.isfinite(delta_eps) & (delta_eps >= 0.0)):
+        raise ValueError("strain range must be nonnegative and finite")
+    if not np.all(np.isfinite(volumes) & (volumes > 0.0)):
+        raise ValueError("volume must be positive and finite")
     # strain values repeat heavily across elements (shared concentration
     # grids), so invert the curve only once per distinct amplitude
-    uniq, inverse = np.unique(amp, return_inverse=True)
-    base_uniq = cycles_to_failure(params, np.where(uniq > params.C, uniq, params.C + 1.0))
-    base = base_uniq[inverse].reshape(amp.shape)
-    scales = base * (params.V0 / (volumes * _LN2)) ** (1.0 / params.m)
-    return np.where(amp > params.C, scales, np.inf)
+    amplitudes, index = np.unique(0.5 * delta_eps, return_inverse=True)
+    log_rate = _log_rates(params, amplitudes, index.reshape(delta_eps.shape), np.log(volumes))
+    return np.exp(-log_rate / params.m)
 
 
 def weibull_cdf(dist: WeibullLifetime, cycles):
     """Failure probability by the given cycle count(s); 0 for infinite life."""
-    n = np.asarray(cycles, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("cycle count must be nonnegative")
-    if dist.is_infinite:
-        out = np.zeros(n.shape)
-    else:
-        out = -np.expm1(-((n / dist.scale) ** dist.shape))
-    if np.isscalar(cycles):
-        return float(out)
-    return out
+    return _at_cycles(dist, cycles, lambda *args: -np.expm1(-_hazard(*args)[1]))
 
 
 def weibull_pdf(dist: WeibullLifetime, cycles):
-    """Failure density at the given cycle count(s); 0 for infinite life."""
-    n = np.asarray(cycles, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("cycle count must be nonnegative")
-    if dist.is_infinite:
-        out = np.zeros(n.shape)
-    else:
-        ratio = n / dist.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = dist.shape / dist.scale * ratio ** (dist.shape - 1.0) * np.exp(-(ratio**dist.shape))
-        at_zero = ratio == 0.0
-        if np.any(at_zero):
-            if dist.shape > 1.0:
-                limit = 0.0
-            elif dist.shape == 1.0:
-                limit = 1.0 / dist.scale
-            else:
-                limit = np.inf
-            out = np.where(at_zero, limit, out)
-    if np.isscalar(cycles):
-        return float(out)
-    return out
+    """Failure density at the given cycle count(s); 0 for infinite life.
+
+    At n = 0 it is the limit: 0 for shape > 1, 1/scale for shape 1, inf below.
+    """
+    at_zero = 0.0 if dist.shape > 1.0 else 1.0 if dist.shape == 1.0 else math.inf
+
+    def density(log_rate, shape, log_x):  # of x = n / scale, hence the division
+        return np.where(log_x == -np.inf, at_zero, _density(log_rate, shape, log_x)) / dist.scale
+
+    return _at_cycles(dist, cycles, density)

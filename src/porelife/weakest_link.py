@@ -28,6 +28,14 @@ class StructureLifetime(WeibullLifetime):
     """Weibull lifetime of a whole structure (scale never above any element's)."""
 
 
+def _log_sum_exp(terms, start, segment):
+    """Max-shifted log sum exp over terms[start[k]:start[k + 1]], where terms[i] is in segment[i]; -inf if all are."""
+    peak = np.maximum.reduceat(terms, start)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    sums = np.add.reduceat(np.exp(terms - peak[segment]), start)
+    return peak + np.log(sums)
+
+
 def structure_scale(element_scales: Iterable[float], shape: float) -> float:
     """Combine element Weibull scales into the structure scale.
 
@@ -47,9 +55,7 @@ def structure_scale(element_scales: Iterable[float], shape: float) -> float:
         return math.inf
     if finite.size == 1:
         return float(finite[0])
-    t = -shape * np.log(finite)
-    t_max = np.max(t)
-    log_sum = t_max + math.log(np.sum(np.exp(t - t_max)))
+    log_sum = _log_sum_exp(-shape * np.log(finite), [0], np.zeros(finite.size, dtype=np.intp))[0]
     return float(math.exp(-log_sum / shape))
 
 
@@ -80,9 +86,7 @@ def sample_lifetimes(
     if struct.is_infinite:
         values = np.full(count, runout_cycles)
         return values, np.ones(count, dtype=bool)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    values = struct.scale * (-np.log1p(-u)) ** (1.0 / struct.shape)
+    values = struct._inverse_cdf(np.random.default_rng(seed).random(count))
     return values, values >= runout_cycles
 
 

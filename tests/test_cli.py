@@ -13,7 +13,7 @@ from porelife.cli import (
     synthesize_observations,
 )
 from porelife.config import ConfigError, load_config
-from porelife.field import CriterionTable, load_criterion_table, load_field
+from porelife.field import CriterionTable, load_criterion_table, load_field, save_field
 from porelife.likelihood import (
     FatigueObservation,
     Heterogeneous,
@@ -145,6 +145,13 @@ class TestGenfield:
         a = load_field(tmp_path / "a" / "field_000.csv")
         b = load_field(tmp_path / "b" / "field_000.csv")
         assert b.n_elements == 2 * a.n_elements
+
+    def test_loaded_field_saves_to_its_own_bytes(self, conf, tmp_path):
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "3"])
+        source = tmp_path / "f" / "field_000.csv"
+        assert b"\n# note: " in source.read_bytes()
+        save_field(tmp_path / "again.csv", load_field(source))
+        assert (tmp_path / "again.csv").read_bytes() == source.read_bytes()
 
     def test_reproducible_bytes(self, conf, tmp_path):
         main(["genfield", "--config", str(conf), "--out", str(tmp_path / "r1"), "--count", "2"])

@@ -27,7 +27,7 @@ from porelife.likelihood import (
     structure_for,
     unknown_pores_objective,
 )
-from porelife.strain_life import StrainLifeParams, element_lifetime
+from porelife.strain_life import StrainLifeParams, element_lifetime, element_scale_array
 from porelife.weakest_link import structure_scale
 from oracles import survival_product_loglik, table_amplitudes
 
@@ -144,7 +144,51 @@ class TestObservationArrays:
             assert build(arrays)(PARAMS) == build(obs)(PARAMS)
 
 
+TWO_LINE = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, B=0.35, beta=0.72, C=6e-4, V0=593.0)
+
+
+@st.composite
+def tables_and_load(draw):
+    """A criterion table whose strain ranges come from a small pool, so amplitudes
+    repeat, with ranges below the limit 2C = 1.2e-3, and a load within its grid."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    pool = draw(st.lists(st.floats(0.0, 2e-2), min_size=1, max_size=5)) + [1e-3]
+    rows = [sorted(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))) for _ in range(n)]
+    table = CriterionTable(
+        element_ids=np.arange(n),
+        volumes=np.array(draw(st.lists(st.floats(1e-4, 1e3), min_size=n, max_size=n))),
+        load_levels=np.cumsum(draw(st.lists(st.floats(1.0, 50.0), min_size=k, max_size=k))),
+        delta_eps=np.array(rows),
+    )
+    return table, draw(st.floats(table.load_levels[0], table.load_levels[-1]))
+
+
 class TestStructureFor:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tables_and_load(), params=st.sampled_from([PARAMS, TWO_LINE]))
+    def test_matches_per_element_aggregation(self, case, params):
+        table, load = case
+        struct = structure_for(params, Heterogeneous(table), load)
+        scale = structure_scale(element_scale_array(params, table.interpolate(load), table.volumes), params.m)
+        if math.isinf(scale):
+            assert struct.is_infinite
+        else:
+            assert_allclose(struct.scale, scale, rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tables_and_load(), params=st.sampled_from([PARAMS, TWO_LINE]), data=st.data())
+    def test_scale_does_not_increase_with_load_or_volume(self, case, params, data):
+        # weakest link: a higher load or a larger element never lengthens the life;
+        # the 1e-12 slack allows for the rounding of differently grouped sums
+        table, load = case
+        scale = structure_for(params, Heterogeneous(table), load).scale
+        higher = data.draw(st.floats(load, table.load_levels[-1]))
+        assert structure_for(params, Heterogeneous(table), higher).scale <= scale * (1.0 + 1e-12)
+        volumes = table.volumes.copy()
+        volumes[data.draw(st.integers(0, volumes.size - 1))] *= data.draw(st.floats(1.0, 1e3))
+        larger = CriterionTable(table.element_ids, volumes, table.load_levels, table.delta_eps)
+        assert structure_for(params, Heterogeneous(larger), load).scale <= scale * (1.0 + 1e-12)
+
     def test_homogeneous_below_limit_infinite(self):
         # strain amplitude at 20 MPa is 2.65e-4 < C = 6e-4
         struct = structure_for(PARAMS, Homogeneous(volume=593.0), 20.0)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats as scipy_stats
 
 from porelife.strain_life import (
     StrainLifeParams,
@@ -164,8 +166,45 @@ class TestElementLifetime:
             else:
                 assert_allclose(s, ref.scale, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "delta_eps, volume",
+        [(-1e-3, 1.0), (math.nan, 1.0), (math.inf, 1.0), (3e-3, 0.0), (3e-3, -2.0), (3e-3, math.nan), (3e-3, math.inf)],
+    )
+    def test_array_path_rejects_what_the_scalar_path_rejects(self, delta_eps, volume):
+        params = StrainLifeParams(m=1.7, A=0.02, alpha=0.25, C=2e-4)
+        with pytest.raises(ValueError):
+            element_lifetime(params, delta_eps, volume)
+        with pytest.raises(ValueError):
+            element_scale_array(params, [3e-3, delta_eps], [1.0, volume])
+
+
+SHAPES = st.floats(0.3, 12.0)
+SCALES = st.floats(1.0, 1e9)
+
 
 class TestWeibull:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=SHAPES, scale=st.one_of(SCALES, st.just(math.inf)), x=st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=5))
+    def test_cdf_matches_scipy(self, shape, scale, x):
+        # x is n/scale for finite scales; an infinite scale is evaluated at n = x * 1e6
+        n = np.array(x) * (scale if math.isfinite(scale) else 1e6)
+        dist = WeibullLifetime(scale=scale, shape=shape)
+        assert_allclose(weibull_cdf(dist, n), scipy_stats.weibull_min.cdf(n, shape, scale=scale), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=SHAPES, scale=SCALES, x=st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=5))
+    def test_pdf_matches_scipy(self, shape, scale, x):
+        # below 1e-280 the density meets the hazard's e^700 cap and the log density's -700 clamp
+        n = np.array(x) * scale
+        dist = WeibullLifetime(scale=scale, shape=shape)
+        assert_allclose(weibull_pdf(dist, n), scipy_stats.weibull_min.pdf(n, shape, scale=scale), rtol=1e-12, atol=1e-280)
+
+    @pytest.mark.parametrize("shape, limit", [(0.5, math.inf), (1.0, 1e-3), (2.0, 0.0)])
+    def test_pdf_limit_at_zero(self, shape, limit):
+        dist = WeibullLifetime(scale=1e3, shape=shape)
+        assert weibull_pdf(dist, 0.0) == limit
+        assert weibull_pdf(dist, np.array([0.0, 5.0]))[0] == limit
+
     def test_median_identity(self):
         dist = WeibullLifetime(scale=1000.0, shape=2.0)
         assert_allclose(weibull_cdf(dist, 1000.0 * math.log(2.0) ** 0.5), 0.5, atol=1e-9)
@@ -174,6 +213,8 @@ class TestWeibull:
         dist = WeibullLifetime.infinite(2.0)
         assert weibull_cdf(dist, 1e9) == 0.0
         assert weibull_pdf(dist, 1e9) == 0.0
+        for shape in (0.5, 1.0, 2.0):
+            assert np.all(weibull_pdf(WeibullLifetime.infinite(shape), np.array([0.0, 1.0, 1e300])) == 0.0)
 
     def test_direct_value(self):
         dist = WeibullLifetime(scale=3e6, shape=2.0)
