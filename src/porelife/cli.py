@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, fatigue_as_dict, fatigue_from_dict, load_config
+from .config import ConfigError, RunConfig, fatigue_from_dict, load_config
 from .field import (
     CriterionError,
     FieldFormatError,
@@ -33,6 +33,7 @@ from .field import (
 )
 from .likelihood import (
     Heterogeneous,
+    Homogeneous,
     ObservationArrays,
     heterogeneous_objective,
     homogeneous_objective,
@@ -69,29 +70,34 @@ def _write_json(path, payload) -> None:
 def _load_params_arg(config: RunConfig, params_path) -> StrainLifeParams:
     if params_path is None:
         return config.fatigue
-    with open(params_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    record = payload.get("params", payload)
-    return fatigue_from_dict(record)
+    try:
+        with open(params_path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return fatigue_from_dict(payload.get("params", payload) if isinstance(payload, dict) else payload)
+    except ValueError as exc:
+        raise ConfigError(f"{params_path}: {exc}") from exc
+
+
+def _criterion(config: RunConfig, field, failures=None):
+    return criterion_table(
+        field,
+        config.material,
+        config.load_levels,
+        cycles=config.n_cycles,
+        samples=config.cycle_samples,
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
 # genfield
 # ---------------------------------------------------------------------------
 
-def cmd_genfield(
-    config: RunConfig,
-    out_dir,
-    count: int = 1,
-    n_pores: int | None = None,
-    thin: float | None = None,
-    tile: int | None = None,
-    notch_kt: float | None = None,
-    notch_volume_fraction: float = DEFAULT_NOTCH_VOLUME_FRACTION,
-) -> int:
+def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
     """Generate synthetic field files plus a JSON manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if count < 1:
+        raise ConfigError(f"--count must be at least 1, got {count}")
+    out.mkdir(parents=True, exist_ok=True)
     stats = config.pores
     if thin is not None:
         stats = thin_variant(stats, thin)
@@ -107,14 +113,14 @@ def cmd_genfield(
     }
     for i in range(count):
         field, info = synth_field_report(
-            stats, config.shells, children[i], nu=config.material.nu, n_pores=n_pores
+            stats, config.shells, children[i], nu=config.material.nu, n_pores=pores
         )
-        if tile is not None and tile > 1:
+        if tile is not None:
             field = tile_field(field, tile)
         if notch_kt is not None:
             field = notch_variant(field, notch_kt, notch_volume_fraction)
         name = f"field_{i:03d}.csv"
-        save_field(out_dir / name, field)
+        save_field(out / name, field)
         manifest["fields"].append(
             {
                 "file": name,
@@ -127,7 +133,7 @@ def cmd_genfield(
             }
         )
     manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(out / "manifest.json", manifest)
     return EXIT_OK
 
 
@@ -160,28 +166,19 @@ def _stored_hash(table_path: Path) -> str | None:
     return None
 
 
-def cmd_criterion(config: RunConfig, out_dir, field_paths) -> int:
+def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables for field files; skips unchanged inputs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     any_failures = False
-    for raw in field_paths:
-        field_path = Path(raw)
-        table_path = out_dir / (field_path.stem + ".criterion.csv")
+    for field_path in fields:
+        table_path = out / (field_path.stem + ".criterion.csv")
         content_hash = _criterion_content_hash(config, field_path)
         if _stored_hash(table_path) == content_hash:
             print(f"{table_path.name}: up to date, skipped")
             continue
         field = load_field(field_path)
         failures: list = []
-        table = criterion_table(
-            field,
-            config.material,
-            config.load_levels,
-            cycles=config.n_cycles,
-            samples=config.cycle_samples,
-            failures=failures,
-        )
+        table = _criterion(config, field, failures)
         for eid, err in failures:
             any_failures = True
             print(f"{field_path.name}: element {eid} failed: {err}", file=sys.stderr)
@@ -216,21 +213,14 @@ def _unknown_pores_assignments(n_obs: int, pool_size: int, n_k: int, seed):
 
 
 def cmd_calibrate(
-    config: RunConfig,
-    out_dir,
-    mode: str,
-    observations_path,
-    table_paths=(),
-    homogeneous_observations_path=None,
-    reduce_per_level: bool = False,
+    config: RunConfig, out, mode, observations, tables, homogeneous_observations, reduce_per_level
 ) -> int:
     """Fit the fatigue model in one of the four likelihood modes."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    observations = load_observations(observations_path)
+    out.mkdir(parents=True, exist_ok=True)
+    observations = load_observations(observations)
     ensure_failures(observations)
     volume = config.pores.gauge_volume
-    tables = [load_criterion_table(p) for p in table_paths]
+    tables = [load_criterion_table(p) for p in tables]
 
     if mode == "homogeneous":
         objective = homogeneous_objective(
@@ -252,9 +242,9 @@ def cmd_calibrate(
     elif mode == "joint":
         if not tables:
             raise ConfigError("joint mode needs criterion tables for the porous term")
-        if homogeneous_observations_path is None:
+        if homogeneous_observations is None:
             raise ConfigError("joint mode needs --homogeneous-observations")
-        homogeneous_obs = load_observations(homogeneous_observations_path)
+        homogeneous_obs = load_observations(homogeneous_observations)
         if reduce_per_level:
             homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
         ensure_failures(homogeneous_obs)
@@ -282,10 +272,10 @@ def cmd_calibrate(
     )
     result = calibrate(problem, n_starts=config.n_starts, seed=config.seed)
     _write_json(
-        out_dir / "fitted.json",
+        out / "fitted.json",
         {
             "mode": mode,
-            "params": fatigue_as_dict(result.params),
+            "params": dataclasses.asdict(result.params),
             "log_likelihood": result.log_likelihood,
             "n_observations": len(observations),
             "n_censored": sum(1 for o in observations if o.censored),
@@ -294,7 +284,7 @@ def cmd_calibrate(
             "seed": config.seed,
         },
     )
-    write_trace_csv(out_dir / "trace.csv", result.trace)
+    write_trace_csv(out / "trace.csv", result.trace)
     print(
         f"mode={mode}: log-likelihood {result.log_likelihood:.4f} "
         f"({len(observations)} observations)"
@@ -306,12 +296,11 @@ def cmd_calibrate(
 # wohler
 # ---------------------------------------------------------------------------
 
-def cmd_wohler(config: RunConfig, out_dir, table_paths, params_path=None) -> int:
+def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     """Pooled lifetime quantiles per load level across criterion tables."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = _load_params_arg(config, params_path)
-    tables = [load_criterion_table(p) for p in table_paths]
+    out.mkdir(parents=True, exist_ok=True)
+    params = _load_params_arg(config, params)
+    tables = [load_criterion_table(p) for p in tables]
     if not tables:
         raise ConfigError("wohler needs at least one criterion table")
     structs_per_level = {
@@ -325,7 +314,7 @@ def cmd_wohler(config: RunConfig, out_dir, table_paths, params_path=None) -> int
         seed=config.seed,
         runout_cycles=config.runout_cycles,
     )
-    write_quantile_csv(out_dir / "wohler.csv", table, config.quantiles)
+    write_quantile_csv(out / "wohler.csv", table, config.quantiles)
     print(f"wohler.csv: {len(config.load_levels)} levels x {len(tables)} fields")
     return EXIT_OK
 
@@ -372,15 +361,16 @@ def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     return calibrate(problem, n_starts=config.n_starts, seed=config.seed).params
 
 
+def _challenge_table(config: RunConfig, path, seed, n_pores, notch_kt, notch_volume_fraction):
+    """The table at ``path``, else one computed on a notched synthetic field."""
+    if path is not None:
+        return load_criterion_table(path)
+    field, _ = synth_field_report(config.pores, config.shells, seed, nu=config.material.nu, n_pores=n_pores)
+    return _criterion(config, notch_variant(field, notch_kt, notch_volume_fraction))
+
+
 def cmd_homogenize(
-    config: RunConfig,
-    out_dir,
-    cylinder_table_paths,
-    params_path=None,
-    challenge_porous_path=None,
-    challenge_bare_path=None,
-    notch_kt: float = DEFAULT_NOTCH_KT,
-    notch_volume_fraction: float = DEFAULT_NOTCH_VOLUME_FRACTION,
+    config: RunConfig, out, params, challenge_porous, challenge_bare, notch_kt, notch_volume_fraction, tables
 ) -> int:
     """Homogenization transferability study.
 
@@ -390,10 +380,9 @@ def cmd_homogenize(
     challenge geometry (porous for A, pore-free for B).  Challenge tables
     are generated from the config when not supplied.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params_a = _load_params_arg(config, params_path)
-    cylinder_tables = [load_criterion_table(p) for p in cylinder_table_paths]
+    out.mkdir(parents=True, exist_ok=True)
+    params_a = _load_params_arg(config, params)
+    cylinder_tables = [load_criterion_table(p) for p in tables]
     if not cylinder_tables:
         raise ConfigError("homogenize needs at least one cylinder criterion table")
     levels = config.load_levels
@@ -408,37 +397,13 @@ def cmd_homogenize(
     )
     params_b = fit_homogenized_model(config, observations)
 
-    if challenge_porous_path is not None:
-        challenge_porous = load_criterion_table(challenge_porous_path)
-    else:
-        seed_gen = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
-        porous_field, _ = synth_field_report(
-            config.pores, config.shells, seed_gen, nu=config.material.nu
-        )
-        challenge_porous = criterion_table(
-            notch_variant(porous_field, notch_kt, notch_volume_fraction),
-            config.material,
-            levels,
-            cycles=config.n_cycles,
-            samples=config.cycle_samples,
-        )
-    if challenge_bare_path is not None:
-        challenge_bare = load_criterion_table(challenge_bare_path)
-    else:
-        bare_field = synth_field_report(
-            config.pores, config.shells, config.seed, nu=config.material.nu, n_pores=0
-        )[0]
-        challenge_bare = criterion_table(
-            notch_variant(bare_field, notch_kt, notch_volume_fraction),
-            config.material,
-            levels,
-            cycles=config.n_cycles,
-            samples=config.cycle_samples,
-        )
+    porous_seed = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
+    porous = _challenge_table(config, challenge_porous, porous_seed, None, notch_kt, notch_volume_fraction)
+    bare = _challenge_table(config, challenge_bare, config.seed, 0, notch_kt, notch_volume_fraction)
 
     report = {
-        "model_a": fatigue_as_dict(params_a),
-        "model_b": fatigue_as_dict(params_b),
+        "model_a": dataclasses.asdict(params_a),
+        "model_b": dataclasses.asdict(params_b),
         "levels": list(levels),
         "notch_kt": notch_kt,
         "cylinder": {"median_A": [], "median_B": []},
@@ -450,21 +415,15 @@ def cmd_homogenize(
             _pooled_median(structs_a, config.samples_per_struct, config.seed, config.runout_cycles)
         )
         report["cylinder"]["median_B"].append(_gauge_structure(params_b, config, level).median())
-        report["challenge"]["median_A"].append(
-            structure_for(params_a, Heterogeneous(challenge_porous), level).median()
-        )
-        report["challenge"]["median_B"].append(
-            structure_for(params_b, Heterogeneous(challenge_bare), level).median()
-        )
-    _write_json(out_dir / "homogenize.json", report)
+        report["challenge"]["median_A"].append(structure_for(params_a, Heterogeneous(porous), level).median())
+        report["challenge"]["median_B"].append(structure_for(params_b, Heterogeneous(bare), level).median())
+    _write_json(out / "homogenize.json", report)
     print("homogenize.json written")
     return EXIT_OK
 
 
 def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float) -> StructureLifetime:
     """Homogenized prediction on the plain gauge volume."""
-    from .likelihood import Homogeneous
-
     return structure_for(
         params, Homogeneous(config.pores.gauge_volume, config.material.E), level
     )
@@ -474,7 +433,8 @@ def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float) 
 # argparse wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, command):
+    sub.set_defaults(command=command)
     sub.add_argument("--config", type=Path, default=None, help="run configuration file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", type=Path, required=True, help="output directory")
@@ -489,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("genfield", help="generate synthetic pore fields")
-    _add_common(p)
+    _add_common(p, cmd_genfield)
     p.add_argument("--count", type=int, default=1, help="number of fields")
     p.add_argument("--pores", type=int, default=None, help="pin the pore count (0 = bulk only)")
     p.add_argument("--thin", type=float, default=None, help="iso-volume radius divisor")
@@ -503,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("criterion", help="precompute criterion tables")
-    _add_common(p)
+    _add_common(p, cmd_criterion)
     p.add_argument("fields", nargs="+", type=Path, help="field files")
 
     p = sub.add_parser("calibrate", help="maximum-likelihood calibration")
-    _add_common(p)
+    _add_common(p, cmd_calibrate)
     p.add_argument(
         "--mode",
         required=True,
@@ -519,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce-per-level", action="store_true")
 
     p = sub.add_parser("wohler", help="pooled lifetime quantiles per load level")
-    _add_common(p)
+    _add_common(p, cmd_wohler)
     p.add_argument("--params", type=Path, default=None, help="fitted.json parameter file")
     p.add_argument("tables", nargs="+", type=Path)
 
     p = sub.add_parser("homogenize", help="homogenization transferability study")
-    _add_common(p)
+    _add_common(p, cmd_homogenize)
     p.add_argument("--params", type=Path, default=None)
     p.add_argument("--challenge-porous", type=Path, default=None)
     p.add_argument("--challenge-bare", type=Path, default=None)
@@ -537,48 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, seed = args.pop("command"), args.pop("seed")
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.command == "genfield":
-            return cmd_genfield(
-                config,
-                args.out,
-                count=args.count,
-                n_pores=args.pores,
-                thin=args.thin,
-                tile=args.tile,
-                notch_kt=args.notch_kt,
-                notch_volume_fraction=args.notch_volume_fraction,
-            )
-        if args.command == "criterion":
-            return cmd_criterion(config, args.out, args.fields)
-        if args.command == "calibrate":
-            return cmd_calibrate(
-                config,
-                args.out,
-                mode=args.mode,
-                observations_path=args.observations,
-                table_paths=args.tables,
-                homogeneous_observations_path=args.homogeneous_observations,
-                reduce_per_level=args.reduce_per_level,
-            )
-        if args.command == "wohler":
-            return cmd_wohler(config, args.out, args.tables, params_path=args.params)
-        if args.command == "homogenize":
-            return cmd_homogenize(
-                config,
-                args.out,
-                args.tables,
-                params_path=args.params,
-                challenge_porous_path=args.challenge_porous,
-                challenge_bare_path=args.challenge_bare,
-                notch_kt=args.notch_kt,
-                notch_volume_fraction=args.notch_volume_fraction,
-            )
-        raise ConfigError(f"unknown command {args.command}")
+        config = load_config(args.pop("config"))
+        if seed is not None:
+            config.seed = seed
+        return command(config, **args)
     except CalibrationDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

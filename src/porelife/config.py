@@ -1,26 +1,29 @@
 """Run configuration: line-oriented key-value files with section headers.
 
-Every key is optional; defaults reproduce the calibration protocol used
-throughout (9 load levels from 20 to 100 MPa, 20 stabilization cycles,
-10 synthetic realizations, run-out cap at 2e6 cycles).  A section or key
-that no command reads is rejected, so a misspelling cannot silently fall
-back to the default.  A commented reference file ships at the repository
-root as ``porelife.conf.example``.
+Every key is optional and defaults to the dataclass field it sets:
+``[material]`` fills :class:`ChabocheParams`, ``[fatigue]``
+:class:`StrainLifeParams`, ``[pores]`` :class:`PoreFieldStats` and
+``[protocol]`` :class:`RunConfig` itself.  The defaults reproduce the
+calibration protocol used throughout (9 load levels from 20 to 100 MPa, 20
+stabilization cycles, 10 synthetic realizations, run-out cap at 2e6
+cycles).  A section or key that no command reads is rejected, so a
+misspelling cannot silently fall back to the default.  A commented
+reference file ships at the repository root as ``porelife.conf.example``.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .field import DEFAULT_SHELLS, PoreFieldStats
-from .material_point import ALSI7MG, ChabocheParams
+from .material_point import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
 from .strain_life import StrainLifeParams
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, WOHLER_QUANTILES
-from .optimize import PARAM_ORDER
+from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER
 
 
 class ConfigError(ValueError):
@@ -43,14 +46,14 @@ class RunConfig:
     free_mask: tuple = (True, True, False, True, False, True)
     load_levels: tuple = DEFAULT_LOAD_LEVELS
     n_k: int = 10
-    n_cycles: int = 20
+    n_cycles: int = DEFAULT_STABILIZATION_CYCLES
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES
     seed: int = 0
-    n_starts: int = 5
-    budget: int = 400
+    n_starts: int = DEFAULT_STARTS
+    budget: int = DEFAULT_BUDGET
     samples_per_struct: int = 1000
     quantiles: tuple = WOHLER_QUANTILES
-    cycle_samples: int = 40
+    cycle_samples: int = DEFAULT_CYCLE_SAMPLES
     pores: PoreFieldStats = PoreFieldStats()
     shells: int = DEFAULT_SHELLS
 
@@ -65,22 +68,70 @@ class RunConfig:
         if any(nxt <= cur for cur, nxt in zip(levels, levels[1:])):
             raise ConfigError(f"load levels must be strictly ascending, got {levels}")
         self.load_levels = levels
-        if self.n_k < 1:
-            raise ConfigError("n_k must be at least 1")
-        if self.n_cycles < 1:
-            raise ConfigError("n_cycles must be at least 1")
+        for name, low in (("n_k", 1), ("n_cycles", 1), ("n_starts", 1), ("budget", 1),
+                          ("samples_per_struct", 1), ("cycle_samples", 2), ("shells", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.runout_cycles) and self.runout_cycles > 0):
             raise ConfigError(f"N_max must be positive and finite, got {self.runout_cycles}")
+        if not self.quantiles or not all(0.0 < q < 1.0 for q in self.quantiles):
+            raise ConfigError(f"quantiles must lie in (0, 1), got {tuple(self.quantiles)}")
+
+
+#: Section -> the RunConfig field it fills (None: RunConfig itself).
+_SECTIONS = {"material": "material", "fatigue": "fatigue", "pores": "pores", "protocol": None}
+
+#: Keys not spelled like the field they set: (section, key) -> (owner, field).
+_RENAMED = {
+    ("pores", "density"): ("pores", "pore_density"),
+    ("pores", "shells"): (None, "shells"),
+    ("fatigue", "free"): (None, "free_mask"),
+    ("protocol", "N_max"): (None, "runout_cycles"),
+}
+
+
+def _key_table(defaults: RunConfig) -> dict:
+    """Every accepted (section, key) -> (owner, field); each field has one key."""
+    taken = set(_RENAMED.values()) | {(None, owner) for owner in _SECTIONS.values()}
+    table = dict(_RENAMED)
+    for section, owner in _SECTIONS.items():
+        for f in fields(defaults if owner is None else getattr(defaults, owner)):
+            if (owner, f.name) not in taken:
+                table[section, f.name] = (owner, f.name)
+    return table
+
+
+_KEYS = _key_table(RunConfig())
 
 
 def _float_list(raw: str):
     return tuple(float(x) for x in raw.replace(";", ",").split(",") if x.strip())
 
 
+def _free_mask(raw: str) -> tuple:
+    names = [s.strip() for s in raw.split(",") if s.strip()]
+    unknown = [n for n in names if n not in PARAM_ORDER]
+    if unknown:
+        raise ConfigError(f"unknown free parameter names: {unknown}")
+    return tuple(name in names for name in PARAM_ORDER)
+
+
+def _parse(section: str, key: str, raw: str, name: str, default):
+    """``raw`` read as the type of the field's default; a tuple is a comma list."""
+    if name == "free_mask":
+        return _free_mask(raw)
+    cast = _float_list if isinstance(default, tuple) else type(default)
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+
+
 def load_config(path=None) -> RunConfig:
     """Read a config file; a missing path yields pure defaults."""
+    defaults = RunConfig()
     if path is None:
-        return RunConfig()
+        return defaults
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -88,114 +139,48 @@ def load_config(path=None) -> RunConfig:
     parser.optionxform = str
     try:
         parser.read(path, encoding="utf-8")
+        sections = {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
 
-    known = set()  # every (section, key) this function reads
-
-    def get(section, key, cast, default):
-        known.add((section, key))
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-        return default
-
-    def finite(section, key, default):
-        value = get(section, key, float, default)
-        if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-        return value
-
+    values = {owner: {} for owner in _SECTIONS.values()}
+    for section, items in sections.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key, raw in items:
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
+            owner, name = _KEYS[section, key]
+            target = defaults if owner is None else getattr(defaults, owner)
+            value = _parse(section, key, raw, name, getattr(target, name))
+            # nested parameter sets name their fields; name the key instead
+            if owner is not None and not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+            values[owner][name] = value
     try:
-        material = ChabocheParams(
-            E=get("material", "E", float, ALSI7MG.E),
-            nu=get("material", "nu", float, ALSI7MG.nu),
-            sigma_y=get("material", "sigma_y", float, ALSI7MG.sigma_y),
-            b=get("material", "b", float, ALSI7MG.b),
-            Q=get("material", "Q", float, ALSI7MG.Q),
-            C_kin=get("material", "C_kin", float, ALSI7MG.C_kin),
-            D=get("material", "D", float, ALSI7MG.D),
-        )
-        fatigue = StrainLifeParams(
-            m=get("fatigue", "m", float, DEFAULT_FATIGUE.m),
-            A=get("fatigue", "A", float, DEFAULT_FATIGUE.A),
-            B=get("fatigue", "B", float, DEFAULT_FATIGUE.B),
-            alpha=get("fatigue", "alpha", float, DEFAULT_FATIGUE.alpha),
-            beta=get("fatigue", "beta", float, DEFAULT_FATIGUE.beta),
-            C=get("fatigue", "C", float, DEFAULT_FATIGUE.C),
-            V0=get("fatigue", "V0", float, DEFAULT_FATIGUE.V0),
-        )
-        free_raw = get("fatigue", "free", str, "m, A, alpha, C")
-        names = [s.strip() for s in free_raw.split(",") if s.strip()]
-        unknown = [n for n in names if n not in PARAM_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown free parameter names: {unknown}")
-        free_mask = tuple(name in names for name in PARAM_ORDER)
-
-        pores = PoreFieldStats(
-            pore_density=finite("pores", "density", PoreFieldStats().pore_density),
-            radius_median_um=finite("pores", "radius_median_um", 70.0),
-            radius_log_sd=finite("pores", "radius_log_sd", 0.35),
-            accept_radius_um=finite("pores", "accept_radius_um", 50.0),
-            gauge_radius_mm=finite("pores", "gauge_radius_mm", 3.072),
-            gauge_length_mm=finite("pores", "gauge_length_mm", 20.0),
-            surface_kt_boost=finite("pores", "surface_kt_boost", 1.25),
-        )
-        config = RunConfig(
-            material=material,
-            fatigue=fatigue,
-            free_mask=free_mask,
-            load_levels=get("protocol", "load_levels", _float_list, DEFAULT_LOAD_LEVELS),
-            n_k=get("protocol", "n_k", int, 10),
-            n_cycles=get("protocol", "n_cycles", int, 20),
-            runout_cycles=get("protocol", "N_max", float, DEFAULT_RUNOUT_CYCLES),
-            seed=get("protocol", "seed", int, 0),
-            n_starts=get("protocol", "n_starts", int, 5),
-            budget=get("protocol", "budget", int, 400),
-            samples_per_struct=get("protocol", "samples_per_struct", int, 1000),
-            quantiles=get("protocol", "quantiles", _float_list, WOHLER_QUANTILES),
-            cycle_samples=get("protocol", "cycle_samples", int, 40),
-            pores=pores,
-            shells=get("pores", "shells", int, DEFAULT_SHELLS),
-        )
+        nested = {owner: replace(getattr(defaults, owner), **values[owner]) for owner in _SECTIONS.values() if owner}
+        return replace(defaults, **nested, **values[None])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    known_sections = {section for section, _ in known}
-    if parser.defaults():
-        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
-    for section in parser.sections():
-        if section not in known_sections:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser.options(section):
-            if (section, key) not in known:
-                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
-    return config
 
+def fatigue_from_dict(record) -> StrainLifeParams:
+    """Fatigue parameters from a record keyed by field name (``fitted.json``'s ``params``).
 
-def fatigue_as_dict(params: StrainLifeParams) -> dict:
-    """Flat key-value record of the fatigue model (config serialization order)."""
-    return {
-        "m": params.m,
-        "A": params.A,
-        "alpha": params.alpha,
-        "B": params.B,
-        "beta": params.beta,
-        "C": params.C,
-        "V0": params.V0,
-    }
-
-
-def fatigue_from_dict(record: dict) -> StrainLifeParams:
-    return StrainLifeParams(
-        m=float(record["m"]),
-        A=float(record["A"]),
-        alpha=float(record["alpha"]),
-        B=float(record.get("B", 0.0)),
-        beta=float(record.get("beta", 0.0)),
-        C=float(record.get("C", 0.0)),
-        V0=float(record.get("V0", 593.0)),
-    )
+    Fields with a dataclass default may be absent; keys that name no field are ignored.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"fatigue parameters must be a JSON object, got {type(record).__name__}")
+    values = {}
+    for f in fields(StrainLifeParams):
+        if f.name not in record:
+            if f.default is MISSING:
+                raise ValueError(f"missing fatigue parameter '{f.name}'")
+            continue
+        try:
+            values[f.name] = float(record[f.name])
+        except (TypeError, ValueError):
+            raise ValueError(f"fatigue parameter '{f.name}' must be a number, got {record[f.name]!r}") from None
+    return StrainLifeParams(**values)

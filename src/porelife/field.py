@@ -20,6 +20,8 @@ import numpy as np
 
 from . import voigt
 from .material_point import (
+    DEFAULT_CYCLE_SAMPLES,
+    DEFAULT_STABILIZATION_CYCLES,
     ChabocheParams,
     cosine_cycle,
     criterion_delta_eps,
@@ -174,6 +176,8 @@ def synth_field_report(
     gauge_volume = stats.gauge_volume
     if n_pores is None:
         count = int(rng.poisson(stats.pore_density * gauge_volume))
+    elif n_pores < 0:
+        raise ValueError(f"n_pores must be nonnegative, got {n_pores}")
     else:
         count = int(n_pores)
     kt_peak = cavity_peak_kt(nu)
@@ -456,8 +460,8 @@ def criterion_table(
     field: ElasticElementField,
     mat: ChabocheParams,
     load_levels,
-    cycles: int = 20,
-    samples: int = 40,
+    cycles: int = DEFAULT_STABILIZATION_CYCLES,
+    samples: int = DEFAULT_CYCLE_SAMPLES,
     failures: list | None = None,
 ) -> CriterionTable:
     """Stabilized-cycle strain range for every element at every load level.

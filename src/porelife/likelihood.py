@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import CriterionTable
+from .material_point import ALSI7MG
 from .strain_life import StrainLifeParams, _density, _log_rates, _survival
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, _log_sum_exp
 
@@ -28,7 +29,7 @@ LOG_FLOOR = 1e-10
 
 #: Default Young's modulus for mapping stress amplitudes to strain on
 #: homogeneous specimens (the cast Al-Si7Mg value).
-DEFAULT_YOUNGS_MODULUS = 75500.0
+DEFAULT_YOUNGS_MODULUS = ALSI7MG.E
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import configparser
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from porelife.cli import (
     main,
     synthesize_observations,
 )
-from porelife.config import ConfigError, load_config
-from porelife.field import CriterionTable, load_criterion_table, load_field, save_field
+from porelife.config import ConfigError, RunConfig, load_config
+from porelife.field import CriterionTable, load_criterion_table, load_field, save_criterion_table, save_field
 from porelife.likelihood import (
     FatigueObservation,
     Heterogeneous,
@@ -37,6 +40,16 @@ seed = 5
 gauge_radius_mm = 1.2
 gauge_length_mm = 6.0
 """
+
+
+REFERENCE_CONF = Path(__file__).resolve().parents[1] / "porelife.conf.example"
+
+
+def reference_keys():
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    parser.read(REFERENCE_CONF, encoding="utf-8")
+    return [(section, key, raw) for section in parser.sections() for key, raw in parser.items(section)]
 
 
 @pytest.fixture
@@ -80,6 +93,54 @@ class TestConfig:
         config = load_config(ref)
         assert config.material.E == 75500.0
         assert config.free_mask == (True, True, False, True, False, True)
+
+    def test_reference_file_is_every_default(self):
+        config, defaults = load_config(REFERENCE_CONF), RunConfig()
+        for field in dataclasses.fields(RunConfig):
+            assert getattr(config, field.name) == getattr(defaults, field.name), field.name
+
+    @pytest.mark.parametrize("section, key, raw", reference_keys(), ids=lambda v: str(v))
+    def test_every_reference_key_accepted_alone(self, tmp_path, section, key, raw):
+        path = tmp_path / "one.conf"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        config, defaults = load_config(path), RunConfig()
+        for field in dataclasses.fields(RunConfig):
+            assert getattr(config, field.name) == getattr(defaults, field.name), field.name
+
+    @pytest.mark.parametrize("section, key", [
+        ("pores", "pore_density"), ("protocol", "runout_cycles"), ("protocol", "free_mask"),
+        ("protocol", "shells"), ("material", "seed"), ("protocol", "pores"),
+    ])
+    def test_field_names_and_misplaced_keys_rejected(self, tmp_path, section, key):
+        path = tmp_path / "bad.conf"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[protocol]\nbudget = 0\n", "budget must be at least 1, got 0"),
+        ("[protocol]\nn_starts = 0\n", "n_starts must be at least 1, got 0"),
+        ("[protocol]\nsamples_per_struct = 0\n", "samples_per_struct must be at least 1, got 0"),
+        ("[protocol]\ncycle_samples = 1\n", "cycle_samples must be at least 2, got 1"),
+        ("[pores]\nshells = 0\n", "shells must be at least 1, got 0"),
+        ("[protocol]\nquantiles = 0.5, 1.0\n", "quantiles must lie in (0, 1), got (0.5, 1.0)"),
+        ("[protocol]\nquantiles = 0, 0.5\n", "quantiles must lie in (0, 1), got (0.0, 0.5)"),
+        ("[protocol]\nquantiles = nan\n", "quantiles must lie in (0, 1), got (nan,)"),
+        ("[protocol]\nquantiles =\n", "quantiles must lie in (0, 1), got ()"),
+    ], ids=["budget", "n_starts", "samples_per_struct", "cycle_samples", "shells", "q-one", "q-zero", "q-nan", "q-empty"])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.conf"
+        path.write_text(text)
+        out = tmp_path / "f"
+        assert main(["genfield", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_interpolation_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_text("[protocol]\nseed = 5%\n")
+        assert main(["genfield", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        assert "'%' must be followed by '%' or '('" in capsys.readouterr().err
 
     def test_descending_levels_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -152,6 +213,23 @@ class TestGenfield:
         assert b"\n# note: " in source.read_bytes()
         save_field(tmp_path / "again.csv", load_field(source))
         assert (tmp_path / "again.csv").read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--count", "0"], ["--pores", "-3"], ["--tile", "0"]],
+                             ids=["count", "pores", "tile"])
+    def test_out_of_range_flag_rejected(self, conf, tmp_path, flags):
+        out = tmp_path / "f"
+        assert main(["genfield", "--config", str(conf), "--out", str(out), *flags]) == EXIT_VALIDATION
+        assert not (out / "manifest.json").exists()
+        assert not (out / "field_000.csv").exists()
+
+    def test_seed_flag_overrides_config(self, conf, tmp_path):
+        reseeded = tmp_path / "reseeded.conf"
+        reseeded.write_text(SMALL_CONF.replace("seed = 5", "seed = 9"))
+        main(["genfield", "--config", str(conf), "--seed", "9", "--out", str(tmp_path / "flag")])
+        main(["genfield", "--config", str(reseeded), "--out", str(tmp_path / "file")])
+        assert json.loads((tmp_path / "flag" / "manifest.json").read_text())["seed"] == 9
+        for name in ("field_000.csv", "manifest.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
     def test_reproducible_bytes(self, conf, tmp_path):
         main(["genfield", "--config", str(conf), "--out", str(tmp_path / "r1"), "--count", "2"])
@@ -327,6 +405,44 @@ class TestWohler:
         m = load_config(conf).fatigue.m
         for level in base:
             assert_allclose(tiled[level] / base[level], 2.0 ** (-1.0 / m), rtol=0.03)
+
+
+    @pytest.fixture
+    def bulk_table(self, tmp_path):
+        path = tmp_path / "bulk.criterion.csv"
+        levels = (40.0, 60.0, 80.0, 100.0)
+        save_criterion_table(path, CriterionTable(
+            element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[2 * lv / 75500.0 for lv in levels]],
+        ))
+        return path
+
+    def test_params_file_sets_the_model(self, conf, tmp_path, bulk_table):
+        record = dataclasses.asdict(dataclasses.replace(load_config(conf).fatigue, m=3.0, A=0.02))
+        params = tmp_path / "fitted.json"
+        params.write_text(json.dumps({"mode": "homogeneous", "params": record}))
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"m": 3.0, "A": 0.02, "alpha": record["alpha"], "C": record["C"]}))
+        in_config = tmp_path / "model.conf"
+        in_config.write_text(SMALL_CONF + "[fatigue]\nm = 3.0\nA = 0.02\n")
+        main(["wohler", "--config", str(conf), "--params", str(params), "--out", str(tmp_path / "p"), str(bulk_table)])
+        main(["wohler", "--config", str(conf), "--params", str(flat), "--out", str(tmp_path / "f"), str(bulk_table)])
+        main(["wohler", "--config", str(in_config), "--out", str(tmp_path / "c"), str(bulk_table)])
+        expected = (tmp_path / "c" / "wohler.csv").read_bytes()
+        assert (tmp_path / "p" / "wohler.csv").read_bytes() == expected
+        assert (tmp_path / "f" / "wohler.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("payload", [
+        [2.0, 0.02, 0.2],
+        {"params": {"A": 0.02, "alpha": 0.2}},
+        {"m": None, "A": 0.02, "alpha": 0.2},
+    ], ids=["list", "missing-m", "null-m"])
+    def test_malformed_params_file_rejected(self, conf, tmp_path, capsys, bulk_table, payload):
+        params = tmp_path / "bad_params.json"
+        params.write_text(json.dumps(payload))
+        rc = main(["wohler", "--config", str(conf), "--params", str(params), "--out", str(tmp_path / "w"), str(bulk_table)])
+        assert rc == EXIT_VALIDATION
+        assert str(params) in capsys.readouterr().err
+        assert not (tmp_path / "w" / "wohler.csv").exists()
 
 
 class TestHomogenize:
