@@ -89,6 +89,14 @@ def _criterion(config: RunConfig, field, failures=None):
     )
 
 
+def _check_notch(notch_kt, notch_volume_fraction) -> None:
+    """Reject notch flags that :func:`notch_variant` would refuse, naming the flag."""
+    if not notch_kt > 1.0:
+        raise ConfigError(f"--notch-kt must exceed 1, got {notch_kt}")
+    if not 0.0 < notch_volume_fraction < 1.0:
+        raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
+
+
 # ---------------------------------------------------------------------------
 # genfield
 # ---------------------------------------------------------------------------
@@ -97,6 +105,12 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
     """Generate synthetic field files plus a JSON manifest."""
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
+    if pores is not None and pores < 0:
+        raise ConfigError(f"--pores must be nonnegative, got {pores}")
+    if tile is not None and tile < 1:
+        raise ConfigError(f"--tile must be at least 1, got {tile}")
+    if notch_kt is not None:
+        _check_notch(notch_kt, notch_volume_fraction)
     out.mkdir(parents=True, exist_ok=True)
     stats = config.pores
     if thin is not None:
@@ -380,6 +394,8 @@ def cmd_homogenize(
     challenge geometry (porous for A, pore-free for B).  Challenge tables
     are generated from the config when not supplied.
     """
+    if challenge_porous is None or challenge_bare is None:
+        _check_notch(notch_kt, notch_volume_fraction)
     out.mkdir(parents=True, exist_ok=True)
     params_a = _load_params_arg(config, params)
     cylinder_tables = [load_criterion_table(p) for p in tables]

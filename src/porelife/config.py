@@ -22,7 +22,7 @@ import numpy as np
 from .field import DEFAULT_SHELLS, PoreFieldStats
 from .material_point import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
 from .strain_life import StrainLifeParams
-from .weakest_link import DEFAULT_RUNOUT_CYCLES, WOHLER_QUANTILES
+from .weakest_link import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
 from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER
 
 
@@ -51,7 +51,7 @@ class RunConfig:
     seed: int = 0
     n_starts: int = DEFAULT_STARTS
     budget: int = DEFAULT_BUDGET
-    samples_per_struct: int = 1000
+    samples_per_struct: int = DEFAULT_SAMPLES_PER_STRUCT
     quantiles: tuple = WOHLER_QUANTILES
     cycle_samples: int = DEFAULT_CYCLE_SAMPLES
     pores: PoreFieldStats = PoreFieldStats()
@@ -110,6 +110,8 @@ def _float_list(raw: str):
 
 def _free_mask(raw: str) -> tuple:
     names = [s.strip() for s in raw.split(",") if s.strip()]
+    if not names:
+        raise ConfigError("[fatigue] free must name at least one parameter")
     unknown = [n for n in names if n not in PARAM_ORDER]
     if unknown:
         raise ConfigError(f"unknown free parameter names: {unknown}")

@@ -26,6 +26,7 @@ from .material_point import (
     cosine_cycle,
     criterion_delta_eps,
     critical_direction,
+    elastic_delta_eps,
     neuber_correct,
 )
 
@@ -34,6 +35,10 @@ TABLE_HEADER = "element_id,load_MPa,delta_eps,volume_mm3"
 
 #: Shell elements per pore; the innermost sits at the cavity surface.
 DEFAULT_SHELLS = 8
+
+#: Distinct unit tensors per broadcast pass of :func:`criterion_table`;
+#: bounds its (chunk, levels, samples, 6) temporaries.
+CRITERION_CHUNK = 32
 
 #: Shells extend to this multiple of the pore radius; beyond it the stress
 #: concentration has decayed below ~2 % and the material counts as bulk.
@@ -472,6 +477,11 @@ def criterion_table(
     range is measured along the element's critical direction.  Elements with
     identical unit tensors are solved once and share the row.
 
+    The distinct tensors go in chunks of :data:`CRITERION_CHUNK` through one
+    broadcast pass (:func:`elastic_delta_eps`) that settles every cell below
+    yield; only the other cells go through :func:`neuber_correct`, one by
+    one, levels ascending.  Each cell equals the per-cell chain bit for bit.
+
     Correction failures raise :class:`CriterionError` annotated with the
     element id, unless a ``failures`` list is supplied, in which case failed
     elements are skipped and recorded there as ``(element_id, exception)``.
@@ -484,38 +494,49 @@ def criterion_table(
     if np.any(np.diff(levels) <= 0.0):
         raise ValueError("load levels must be strictly ascending")
 
-    cache: dict = {}
-    rows = []
-    kept = []
-    for i in range(field.n_elements):
-        tensor = field.sigma_unit[i]
-        key = tensor.tobytes()
-        try:
-            row = cache.get(key)
-            if row is None:
-                n_star = critical_direction(tensor)
-                row = np.empty(levels.size)
-                for j, level in enumerate(levels):
-                    history = cosine_cycle(tensor, amplitude=level, samples=samples)
-                    _, strain = neuber_correct(mat, history, n_cycles=cycles)
-                    row[j] = criterion_delta_eps(strain, n_star)
-                cache[key] = row
-        except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
-            err = CriterionError(int(field.ids[i]), exc)
-            if failures is None:
-                raise err from exc
-            failures.append((int(field.ids[i]), err))
-            continue
-        rows.append(row)
-        kept.append(i)
-    if not rows:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+    slots: dict = {}
+    inverse = np.array([slots.setdefault(t.tobytes(), len(slots)) for t in field.sigma_unit], dtype=np.intp)
+    distinct = field.sigma_unit[np.unique(inverse, return_index=True)[1]]
+    rows = np.empty((len(distinct), levels.size))
+    errors: dict = {}  # distinct tensor -> its first exception
+    for start in range(0, len(distinct), CRITERION_CHUNK):
+        tensors = distinct[start:start + CRITERION_CHUNK]
+        n_stars = np.zeros((len(tensors), 3))
+        for k, tensor in enumerate(tensors):
+            try:
+                n_stars[k] = critical_direction(tensor)
+            except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
+                errors[start + k] = exc
+        rows[start:start + len(tensors)], elastic = elastic_delta_eps(mat, tensors, n_stars, levels, samples)
+        for k, j in zip(*np.nonzero(~elastic)):  # per tensor, levels ascending
+            if start + k in errors:
+                continue
+            try:
+                history = cosine_cycle(tensors[k], amplitude=levels[j], samples=samples)
+                _, strain = neuber_correct(mat, history, n_cycles=cycles)
+                rows[start + k, j] = criterion_delta_eps(strain, n_stars[k])
+            except Exception as exc:  # noqa: BLE001
+                errors[start + k] = exc
+
+    failed = np.zeros(len(distinct), dtype=bool)
+    failed[list(errors)] = True
+    for i in np.flatnonzero(failed[inverse]):
+        cause = errors[inverse[i]]
+        err = CriterionError(int(field.ids[i]), cause)
+        if failures is None:
+            raise err from cause
+        failures.append((int(field.ids[i]), err))
+    kept = np.flatnonzero(~failed[inverse])
+    if kept.size == 0:
         raise CriterionError(-1, RuntimeError("criterion failed for every element"))
-    kept = np.array(kept)
     return CriterionTable(
         element_ids=field.ids[kept],
         volumes=field.volumes[kept],
         load_levels=levels,
-        delta_eps=np.vstack(rows),
+        delta_eps=rows[inverse[kept]],
         geometry_tag=field.geometry_tag,
     )
 

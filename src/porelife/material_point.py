@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,10 +129,15 @@ class TensorHistory:
         return int(self.times.size)
 
 
+def _cosine_wave(amplitude, samples: int):
+    """Sample times t in [0, 1) and amplitude * cos(2 pi t), one wave per amplitude."""
+    t = np.arange(samples) / samples
+    return t, np.multiply.outer(amplitude, np.cos(2.0 * math.pi * t))
+
+
 def cosine_cycle(tensor, amplitude: float = 1.0, samples: int = DEFAULT_CYCLE_SAMPLES) -> TensorHistory:
     """One fully reversed cycle: amplitude * tensor * cos(2 pi t), t in [0, 1)."""
-    t = np.arange(samples) / samples
-    wave = amplitude * np.cos(2.0 * math.pi * t)
+    t, wave = _cosine_wave(amplitude, samples)
     return TensorHistory(times=t, values=np.outer(wave, np.asarray(tensor, dtype=float)))
 
 
@@ -326,35 +332,71 @@ def uniaxial_strain_cycle(
 # Proportional cyclic Neuber correction
 # ---------------------------------------------------------------------------
 
+class _Decomposition(NamedTuple):
+    """Per-history arrays of :func:`_decompose`; ``...`` is the stack shape."""
+
+    norms: np.ndarray  # (..., n) sample norms
+    res_norm: np.ndarray  # (..., n) norms of the samples' parts off the reference
+    ref_norm: np.ndarray  # (...) largest sample norm
+    proportional: np.ndarray  # (...) every nonzero sample within tol of the reference
+    j_ref: np.ndarray  # (...) von Mises equivalent of the unit reference
+    direction: np.ndarray  # (..., 6) reference scaled to unit equivalent
+    amp: np.ndarray  # (..., n) signed equivalents
+
+    @property
+    def has_direction(self) -> np.ndarray:
+        """(...) finite, nonzero, proportional and not hydrostatic: ``direction`` and ``amp`` hold."""
+        return np.isfinite(self.ref_norm) & (self.ref_norm != 0.0) & self.proportional & (self.j_ref != 0.0)
+
+
+def _decompose(values, tol: float = 1e-6) -> _Decomposition:
+    """Reference direction and amplitudes of each history in a (..., n, 6) stack.
+
+    The reference is the sample of largest norm.  Nothing is checked: where
+    ``has_direction`` is False the direction and amplitudes are meaningless.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see the docstring
+        norms = np.sqrt(voigt.contract(values, values))
+        ref_idx = np.argmax(norms, axis=-1)[..., None]
+        ref_norm = np.take_along_axis(norms, ref_idx, axis=-1)
+        ref = np.take_along_axis(values, ref_idx[..., None], axis=-2)[..., 0, :] / ref_norm
+        coeffs = voigt.contract(values, ref[..., None, :])
+        residual = values - coeffs[..., None] * ref[..., None, :]
+        res_norm = np.sqrt(voigt.contract(residual, residual))
+        bad = (res_norm > tol * np.maximum(norms, 1e-300)) & (norms > 0.0)
+        j_ref = voigt.von_mises(ref)
+        return _Decomposition(
+            norms, res_norm, ref_norm[..., 0], ~np.any(bad, axis=-1), j_ref,
+            ref / j_ref[..., None], coeffs * j_ref[..., None],
+        )
+
+
 def _proportional_decomposition(values, tol: float = 1e-6):
-    """Split a proportional history into (unit-equivalent direction, amplitudes).
+    """Split one proportional history into (unit-equivalent direction, amplitudes).
 
     The direction is normalized to unit von Mises equivalent; amplitudes are
-    the signed equivalents.  Raises ProportionalityError when any sample
-    deviates from the common direction by more than ``tol`` in angle, or
-    when the history's norm is not finite (its square overflows).
+    the signed equivalents.  A zero or purely hydrostatic history, which
+    never yields, has no direction (None).  Raises ProportionalityError when
+    any sample deviates from the common direction by more than ``tol`` in
+    angle, or when the history's norm is not finite (its square overflows).
     """
-    with np.errstate(over="ignore"):  # the finiteness check below reports it
-        norms = np.sqrt(voigt.contract(values, values))
-    ref_idx = int(np.argmax(norms))
-    ref_norm = norms[ref_idx]
-    if not math.isfinite(ref_norm):
-        raise ProportionalityError(f"history norm is not finite ({ref_norm}): the stresses overflow")
-    if ref_norm == 0.0:
+    split = _decompose(values, tol)
+    if not math.isfinite(split.ref_norm):
+        raise ProportionalityError(f"history norm is not finite ({split.ref_norm}): the stresses overflow")
+    if split.ref_norm == 0.0:
         return None, np.zeros(len(values))
-    ref = values[ref_idx] / ref_norm
-    coeffs = voigt.contract(values, ref)
-    residual = values - np.outer(coeffs, ref)
-    res_norm = np.sqrt(voigt.contract(residual, residual))
-    bad = res_norm > tol * np.maximum(norms, 1e-300)
-    if np.any(bad & (norms > 0.0)):
-        worst = float(np.max(res_norm[norms > 0.0] / norms[norms > 0.0]))
+    if not split.proportional:
+        nonzero = split.norms > 0.0
+        worst = float(np.max(split.res_norm[nonzero] / split.norms[nonzero]))
         raise ProportionalityError(f"history is not proportional (angular deviation {worst:.3e})")
-    j_ref = voigt.von_mises(ref)
-    if j_ref == 0.0:
+    if split.j_ref == 0.0:
         return None, np.zeros(len(values))  # purely hydrostatic, never yields
-    direction = ref / j_ref
-    return direction, coeffs * j_ref
+    return split.direction, split.amp
+
+
+def _below_yield(params: ChabocheParams, amp):
+    """Whether each history's peak equivalent stays within the yield stress."""
+    return np.max(np.abs(amp), axis=-1) <= params.sigma_y
 
 
 def _branch_stress_range(params: ChabocheParams, dep: float, r_stab: float) -> float:
@@ -432,8 +474,7 @@ def neuber_correct(
     times = elastic_stress_history.times
     direction, amp = _proportional_decomposition(values)
 
-    peak = float(np.max(np.abs(amp))) if direction is not None else 0.0
-    if direction is None or peak <= params.sigma_y:
+    if direction is None or _below_yield(params, amp):
         strain = voigt.elastic_strain(values, params.E, params.nu)
         return (
             TensorHistory(times=times, values=values.copy()),
@@ -549,3 +590,25 @@ def criterion_delta_eps(strain_history: TensorHistory, n_star) -> float:
         raise ValueError("n_star must be a unit vector")
     projected = voigt.normal_projection(strain_history.values, n_star)
     return float(np.max(projected) - np.min(projected))
+
+
+def elastic_delta_eps(params: ChabocheParams, tensors, n_stars, levels, samples: int = DEFAULT_CYCLE_SAMPLES):
+    """Criterion strain ranges of every (tensor, level) cell that stays elastic.
+
+    One broadcast pass over the (k, 6) unit ``tensors``, their (k, 3)
+    critical directions ``n_stars`` and the (j,) amplitudes ``levels`` runs
+    :func:`cosine_cycle`, the elastic branch of :func:`neuber_correct` and
+    :func:`criterion_delta_eps` in their own operation order, so every
+    elastic cell equals that chain bit for bit.  Returns ``(delta_eps,
+    elastic)``, both (k, j).  Where ``elastic`` is False the range is
+    meaningless: the cell yields, or its history is zero, hydrostatic, not
+    proportional or not finite, and :func:`neuber_correct` must handle it.
+    """
+    _, wave = _cosine_wave(np.asarray(levels, dtype=float), samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # only in cells that are not elastic
+        values = wave[None, :, :, None] * np.asarray(tensors, dtype=float)[:, None, None, :]
+        split = _decompose(values)
+        elastic = split.has_direction & _below_yield(params, split.amp)
+        strain = voigt.elastic_strain(values, params.E, params.nu)
+        projected = voigt.normal_projection(strain, np.asarray(n_stars, dtype=float)[:, None, None, :])
+        return np.max(projected, axis=-1) - np.min(projected, axis=-1), elastic

@@ -43,14 +43,15 @@ def von_mises(t):
 
 
 def normal_projection(t, n):
-    """Quadratic form n . t . n for a unit vector n."""
+    """Quadratic form n . t . n for unit vector(s) n; the leading shapes broadcast."""
     t = np.asarray(t, dtype=float)
     n = np.asarray(n, dtype=float)
+    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
     return (
-        t[..., 0] * n[0] * n[0]
-        + t[..., 1] * n[1] * n[1]
-        + t[..., 2] * n[2] * n[2]
-        + 2.0 * (t[..., 3] * n[0] * n[1] + t[..., 4] * n[1] * n[2] + t[..., 5] * n[0] * n[2])
+        t[..., 0] * n0 * n0
+        + t[..., 1] * n1 * n1
+        + t[..., 2] * n2 * n2
+        + 2.0 * (t[..., 3] * n0 * n1 + t[..., 4] * n1 * n2 + t[..., 5] * n0 * n2)
     )
 
 

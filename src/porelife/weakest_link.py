@@ -19,6 +19,9 @@ from .strain_life import WeibullLifetime, weibull_cdf
 #: Test stop for run-outs, cycles.
 DEFAULT_RUNOUT_CYCLES = 2.0e6
 
+#: Lifetime draws per structure when pooling realizations into quantiles.
+DEFAULT_SAMPLES_PER_STRUCT = 1000
+
 #: Quantile levels of the load-life table (1/15/50/85/99 %).
 WOHLER_QUANTILES = (0.01, 0.15, 0.50, 0.85, 0.99)
 
@@ -93,7 +96,7 @@ def sample_lifetimes(
 def wohler_quantiles(
     structs_per_level: Mapping[float, Sequence[StructureLifetime]],
     quantiles: Sequence[float] = WOHLER_QUANTILES,
-    samples_per_struct: int = 1000,
+    samples_per_struct: int = DEFAULT_SAMPLES_PER_STRUCT,
     seed=0,
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
 ):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from porelife.material_point import ALSI7MG
+
+# Property tests without their own deadline run under this profile; a failing
+# example prints its reproduction blob, so it can be replayed from a CI log
+# with @reproduce_failure.
+settings.register_profile("porelife", deadline=None, print_blob=True)
+settings.load_profile("porelife")
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 Everything here re-derives expected values through a different route than
 the library: explicit rate integration instead of return mapping, scalar
-incremental cycling instead of the analytic hysteresis branch, survival
+incremental cycling instead of the analytic hysteresis branch, one Neuber
+correction per criterion cell instead of the batched elastic cells, survival
 products instead of the closed-form structure scale, and line-by-line parsers and
 per-cell writers instead of the column-wise file I/O.
 """
@@ -16,16 +17,21 @@ from porelife import voigt
 from porelife.field import (
     FIELD_HEADER,
     TABLE_HEADER,
+    CriterionError,
     CriterionTable,
     ElasticElementField,
     FieldFormatError,
 )
 from porelife.material_point import (
+    DEFAULT_CYCLE_SAMPLES,
+    DEFAULT_STABILIZATION_CYCLES,
     ChabocheParams,
     TensorHistory,
     _proportional_decomposition,
+    cosine_cycle,
     criterion_delta_eps,
     critical_direction,
+    neuber_correct,
 )
 
 
@@ -235,6 +241,57 @@ def neuber_reference(params: ChabocheParams, elastic_history: TensorHistory, n_c
     strain_vals = np.outer(sig_hist, elastic_dir) + np.outer(ep_hist, plastic_dir)
     return criterion_delta_eps(
         TensorHistory(times=elastic_history.times, values=strain_vals), n_star
+    )
+
+
+def cell_criterion_table(
+    field: ElasticElementField,
+    mat: ChabocheParams,
+    load_levels,
+    cycles: int = DEFAULT_STABILIZATION_CYCLES,
+    samples: int = DEFAULT_CYCLE_SAMPLES,
+    failures: list | None = None,
+) -> CriterionTable:
+    """Criterion table built one (element, level) cell at a time.
+
+    Every cell of a distinct unit tensor goes through cosine_cycle,
+    neuber_correct and criterion_delta_eps, elastic or not; a failing
+    element stops at its first exception (direction, then levels ascending).
+    """
+    levels = np.asarray(load_levels, dtype=float)
+    cache: dict = {}
+    rows = []
+    kept = []
+    for i in range(field.n_elements):
+        tensor = field.sigma_unit[i]
+        key = tensor.tobytes()
+        try:
+            row = cache.get(key)
+            if row is None:
+                n_star = critical_direction(tensor)
+                row = np.empty(levels.size)
+                for j, level in enumerate(levels):
+                    history = cosine_cycle(tensor, amplitude=level, samples=samples)
+                    _, strain = neuber_correct(mat, history, n_cycles=cycles)
+                    row[j] = criterion_delta_eps(strain, n_star)
+                cache[key] = row
+        except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
+            err = CriterionError(int(field.ids[i]), exc)
+            if failures is None:
+                raise err from exc
+            failures.append((int(field.ids[i]), err))
+            continue
+        rows.append(row)
+        kept.append(i)
+    if not rows:
+        raise CriterionError(-1, RuntimeError("criterion failed for every element"))
+    kept = np.array(kept)
+    return CriterionTable(
+        element_ids=field.ids[kept],
+        volumes=field.volumes[kept],
+        load_levels=levels,
+        delta_eps=np.vstack(rows),
+        geometry_tag=field.geometry_tag,
     )
 
 

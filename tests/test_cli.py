@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from porelife.likelihood import (
     save_observations,
     structure_for,
 )
-from porelife.weakest_link import sample_lifetimes
+from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, sample_lifetimes, wohler_quantiles
 from porelife.strain_life import StrainLifeParams
 
 SMALL_CONF = """
@@ -86,6 +87,10 @@ class TestConfig:
         assert config.runout_cycles == 2e6
         assert config.quantiles == (0.01, 0.15, 0.50, 0.85, 0.99)
 
+    def test_samples_per_struct_declared_once(self):
+        default = inspect.signature(wohler_quantiles).parameters["samples_per_struct"].default
+        assert RunConfig().samples_per_struct == default == DEFAULT_SAMPLES_PER_STRUCT == 1000
+
     def test_reference_file_parses(self):
         from pathlib import Path
 
@@ -127,7 +132,10 @@ class TestConfig:
         ("[protocol]\nquantiles = 0, 0.5\n", "quantiles must lie in (0, 1), got (0.0, 0.5)"),
         ("[protocol]\nquantiles = nan\n", "quantiles must lie in (0, 1), got (nan,)"),
         ("[protocol]\nquantiles =\n", "quantiles must lie in (0, 1), got ()"),
-    ], ids=["budget", "n_starts", "samples_per_struct", "cycle_samples", "shells", "q-one", "q-zero", "q-nan", "q-empty"])
+        ("[fatigue]\nfree =\n", "[fatigue] free must name at least one parameter"),
+        ("[fatigue]\nfree = , ,\n", "[fatigue] free must name at least one parameter"),
+    ], ids=["budget", "n_starts", "samples_per_struct", "cycle_samples", "shells", "q-one", "q-zero", "q-nan", "q-empty",
+            "free-empty", "free-commas"])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.conf"
         path.write_text(text)
@@ -214,13 +222,19 @@ class TestGenfield:
         save_field(tmp_path / "again.csv", load_field(source))
         assert (tmp_path / "again.csv").read_bytes() == source.read_bytes()
 
-    @pytest.mark.parametrize("flags", [["--count", "0"], ["--pores", "-3"], ["--tile", "0"]],
-                             ids=["count", "pores", "tile"])
-    def test_out_of_range_flag_rejected(self, conf, tmp_path, flags):
+    @pytest.mark.parametrize("flags, named", [
+        (["--count", "0"], "--count must be at least 1, got 0"),
+        (["--pores", "-3"], "--pores must be nonnegative, got -3"),
+        (["--tile", "0"], "--tile must be at least 1, got 0"),
+        (["--notch-kt", "0.5"], "--notch-kt must exceed 1, got 0.5"),
+        (["--notch-kt", "nan"], "--notch-kt must exceed 1, got nan"),
+        (["--notch-kt", "2", "--notch-volume-fraction", "1.5"], "--notch-volume-fraction must be in (0, 1), got 1.5"),
+    ], ids=["count", "pores", "tile", "notch-kt", "notch-kt-nan", "notch-fraction"])
+    def test_out_of_range_flag_rejected(self, conf, tmp_path, capsys, flags, named):
         out = tmp_path / "f"
         assert main(["genfield", "--config", str(conf), "--out", str(out), *flags]) == EXIT_VALIDATION
-        assert not (out / "manifest.json").exists()
-        assert not (out / "field_000.csv").exists()
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, conf, tmp_path):
         reseeded = tmp_path / "reseeded.conf"
@@ -495,6 +509,14 @@ class TestHomogenize:
             assert getattr(arrays, name).tobytes() == getattr(expected, name).tobytes()
         assert 0 < np.count_nonzero(arrays.censored) < len(arrays)
         assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(objects, 593.0)(params)
+
+
+    def test_notch_kt_named_before_any_work(self, conf, tmp_path, capsys):
+        out = tmp_path / "h"
+        rc = main(["homogenize", "--config", str(conf), "--out", str(out), "--notch-kt", "0.5", str(tmp_path / "none.csv")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --notch-kt must exceed 1, got 0.5\n"
+        assert not out.exists()
 
 
 class TestExitCodes:

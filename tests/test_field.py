@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
+import porelife.field
 from porelife import voigt
 from porelife.field import (
     FIELD_HEADER,
@@ -31,7 +33,13 @@ from porelife.field import (
 from porelife.material_point import ALSI7MG
 from porelife.weakest_link import structure_scale
 from porelife.strain_life import StrainLifeParams, element_scale_array
-from oracles import cell_save_criterion_table, cell_save_field, line_load_criterion_table, line_load_field
+from oracles import (
+    cell_criterion_table,
+    cell_save_criterion_table,
+    cell_save_field,
+    line_load_criterion_table,
+    line_load_field,
+)
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
 
@@ -118,6 +126,72 @@ def corrupt(data, text: str, n_columns: int):
         cells.insert(data.draw(st.integers(0, n_columns)), "0")
     lines[row] = ",".join(cells)
     return "\n".join(lines) + "\n", row + 1
+
+
+#: Load levels of the batched-criterion tests.  At 85 MPa the "at_yield"
+#: element's elastic peak is exactly the yield stress, 170 MPa.
+CRITERION_LEVELS = (20.0, 40.0, 60.0, 85.0, 100.0, 150.0)
+
+
+def multiaxial_unit(seed, kt):
+    """A uniaxial-plus-random unit-load tensor scaled to von Mises equivalent kt."""
+    shape = voigt.UNIAXIAL_X + 0.4 * np.random.default_rng(seed).standard_normal(6)
+    return shape * (kt / voigt.von_mises(shape))
+
+
+#: Unit-load tensors of every kind the criterion must handle, from (seed, kt).
+ELEMENT_KINDS = {
+    "multiaxial": multiaxial_unit,
+    "zero": lambda seed, kt: np.zeros(6),
+    "hydrostatic": lambda seed, kt: kt * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+    "degenerate": lambda seed, kt: kt * np.array([1.0, 1.0, -0.5, 0.0, 0.0, 0.0]),  # top eigenvalue twice
+    "at_yield": lambda seed, kt: np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    # the Neuber bracket doubling cannot reach the product: CorrectionError
+    "bracket": lambda seed, kt: np.array([1e100, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    # critical_direction's tensor norm overflows
+    "overflow": lambda seed, kt: np.array([1e200, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    # the cycle's stresses themselves overflow at the higher levels
+    "huge": lambda seed, kt: np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e307]),
+    # the direction is found, but the history's squared norm overflows
+    "history_overflow": lambda seed, kt: np.array([1e153, 0.0, 0.0, 0.0, 0.0, 0.0]),
+}
+
+
+@st.composite
+def criterion_field(draw):
+    """A field mixing every element kind, with repeated tensors."""
+    n = draw(st.integers(1, 9))
+    tensors = []
+    for _ in range(n):
+        kind = draw(st.sampled_from([*ELEMENT_KINDS, "repeat"]))
+        if kind == "repeat" and tensors:
+            tensors.append(tensors[draw(st.integers(0, len(tensors) - 1))].copy())
+        else:
+            make = ELEMENT_KINDS.get(kind, multiaxial_unit)
+            tensors.append(make(draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.3, 2.5))))
+    return ElasticElementField(
+        ids=draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)),
+        volumes=np.ones(n),
+        sigma_unit=np.array(tensors),
+    )
+
+
+def table_outcome(build, field, levels, collect: bool):
+    """A criterion build's table bytes (or raised message) and failure list."""
+    failures = [] if collect else None
+    try:
+        table = build(field, ALSI7MG, levels, failures=failures)
+    except CriterionError as exc:
+        result = ("raised", exc.element_id, str(exc), type(exc.cause))
+    else:
+        result = tuple(getattr(table, name).tobytes() for name in ("element_ids", "volumes", "load_levels", "delta_eps"))
+    return result, [(eid, str(err), type(err.cause)) for eid, err in failures or []]
+
+
+def assert_matches_cell_oracle(field, levels):
+    for collect in (True, False):
+        assert table_outcome(criterion_table, field, levels, collect) == table_outcome(
+            cell_criterion_table, field, levels, collect)
 
 
 def bulk_only(volume=10.0):
@@ -615,6 +689,10 @@ class TestCriterionTable:
         assert "not finite" in str(failures[0][1])
         assert table.element_ids.tolist() == [0]
 
+    def test_samples_validation(self, material):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            criterion_table(bulk_only(), material, [80.0], samples=0)
+
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):
             CriterionTable(
@@ -623,3 +701,82 @@ class TestCriterionTable:
                 load_levels=np.array([40.0, 80.0]),
                 delta_eps=np.array([[2e-3, 1e-3]]),  # decreasing along levels
             )
+
+
+class TestBatchedCriterion:
+    """The batched table equals the one-cell-at-a-time oracle bit for bit."""
+
+    @settings(max_examples=60)
+    @given(field=criterion_field(), data=st.data())
+    def test_equals_cell_oracle(self, field, data):
+        levels = sorted(data.draw(st.sets(st.sampled_from(CRITERION_LEVELS), min_size=1, max_size=4)))
+        chunk = data.draw(st.sampled_from([1, 2, 3, porelife.field.CRITERION_CHUNK]))
+        with mock.patch.object(porelife.field, "CRITERION_CHUNK", chunk):
+            assert_matches_cell_oracle(field, levels)
+
+    @pytest.mark.parametrize("extra", [-porelife.field.CRITERION_CHUNK + 1, 0, 1], ids=["one", "chunk", "chunk+1"])
+    def test_chunk_boundaries(self, extra):
+        n = porelife.field.CRITERION_CHUNK + extra
+        kinds = list(ELEMENT_KINDS)
+        tensors = [ELEMENT_KINDS[kinds[i % len(kinds)]](i, 0.5 + 0.05 * i) for i in range(n)]
+        tensors[-1] = tensors[0].copy()  # at n = chunk + 1 a repeat across the boundary
+        field = ElasticElementField(ids=np.arange(n)[::-1], volumes=np.ones(n), sigma_unit=np.array(tensors))
+        assert_matches_cell_oracle(field, [40.0, 85.0, 150.0])
+
+    def test_failures_in_element_order(self, material):
+        tensors = [ELEMENT_KINDS[kind](1, 1.5) for kind in ("overflow", "multiaxial", "bracket", "history_overflow")]
+        field = ElasticElementField(ids=[7, 3, 5, 1], volumes=np.ones(4), sigma_unit=np.array(tensors))
+        failures = []
+        table = criterion_table(field, material, [40.0, 150.0], failures=failures)
+        assert [eid for eid, _ in failures] == [7, 5, 1]
+        assert "tensor norm is not finite" in str(failures[0][1])
+        assert "could not bracket" in str(failures[1][1])
+        assert "history norm is not finite" in str(failures[2][1])
+        assert table.element_ids.tolist() == [3]
+
+    def test_only_cells_that_are_not_elastic_reach_the_corrector(self, material, monkeypatch):
+        # uniaxial Kt 0.5 ... 2.5 (2.0 twice), a zero and a hydrostatic element
+        tensors = [kt * voigt.UNIAXIAL_X for kt in (0.5, 1.0, 1.5, 2.0, 2.5, 2.0)]
+        tensors += [np.zeros(6), np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])]
+        field = ElasticElementField(ids=np.arange(8), volumes=np.ones(8), sigma_unit=np.array(tensors))
+        levels = [40.0, 85.0, 100.0]
+        calls = []
+        original = porelife.field.neuber_correct
+
+        def counting(params, history, *args, **kwargs):
+            calls.append(history.values[0].tolist())  # the t = 0 sample: level * tensor
+            return original(params, history, *args, **kwargs)
+
+        monkeypatch.setattr(porelife.field, "neuber_correct", counting)
+        table = criterion_table(field, material, levels)
+        # yielding: Kt 2.0 at 100 MPa, Kt 2.5 at 85 and 100 MPa (Kt 2.0 at 85 MPa
+        # peaks exactly at the yield stress and stays elastic); the zero and the
+        # hydrostatic element have no direction and go to the corrector as well
+        assert calls == [
+            [200.0, 0, 0, 0, 0, 0], [212.5, 0, 0, 0, 0, 0], [250.0, 0, 0, 0, 0, 0],
+            [0.0] * 6, [0.0] * 6, [0.0] * 6,
+            [40.0, 40.0, 40.0, 0, 0, 0], [85.0, 85.0, 85.0, 0, 0, 0], [100.0, 100.0, 100.0, 0, 0, 0],
+        ]
+        monkeypatch.setattr(porelife.field, "neuber_correct", original)
+        assert table.delta_eps.tobytes() == cell_criterion_table(field, material, levels).delta_eps.tobytes()
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_frame_invariance_of_a_whole_field(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        # Kt up to 2.4 yields at the top levels (2.4 * 150 = 360 MPa > 170 MPa),
+        # so both the batched elastic cells and the corrector are exercised
+        tensors = [multiaxial_unit(rng.integers(2**32), kt) for kt in (0.6, 1.0, 1.4, 1.8, 2.4)]
+        tensors += [ELEMENT_KINDS[kind](0, 1.7) for kind in ("zero", "hydrostatic", "degenerate", "at_yield")]
+        sigma = np.array(tensors)
+        levels = [40.0, 85.0, 100.0, 150.0]
+        with mock.patch.object(porelife.field, "neuber_correct", wraps=porelife.field.neuber_correct) as corrector:
+            base = criterion_table(ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=sigma), ALSI7MG, levels)
+        assert corrector.call_count > 2 * len(levels)  # more than the zero and hydrostatic cells
+        turned = criterion_table(
+            ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=voigt.rotate(sigma, q)), ALSI7MG, levels
+        )
+        assert_allclose(turned.delta_eps, base.delta_eps, rtol=1e-9, atol=0.0)

@@ -11,6 +11,8 @@ from porelife.material_point import (
     MaterialPointState,
     ProportionalityError,
     TensorHistory,
+    _decompose,
+    _proportional_decomposition,
     chaboche_cycle,
     chaboche_step,
     cosine_cycle,
@@ -229,6 +231,21 @@ class TestNeuberCorrect:
         history = TensorHistory(times=np.arange(8) / 8.0, values=values)
         with pytest.raises(ProportionalityError):
             neuber_correct(material, history)
+
+    def test_stacked_decomposition_equals_one_history_at_a_time(self, rng):
+        proportional = cosine_cycle(rng.standard_normal(6), amplitude=90.0).values
+        crooked = proportional.copy()
+        crooked[3, 4] += 1.0
+        hydrostatic = cosine_cycle([2.0, 2.0, 2.0, 0.0, 0.0, 0.0], amplitude=30.0).values
+        split = _decompose(np.stack([proportional, crooked, hydrostatic, np.zeros_like(proportional)]))
+        assert split.proportional.tolist() == [True, False, True, True]
+        assert split.ref_norm[3] == 0.0 and split.j_ref[2] == 0.0
+        direction, amp = _proportional_decomposition(proportional)
+        assert split.direction[0].tobytes() == direction.tobytes()
+        assert split.amp[0].tobytes() == amp.tobytes()
+        with pytest.raises(ProportionalityError, match="not proportional"):
+            _proportional_decomposition(crooked)
+        assert _proportional_decomposition(hydrostatic)[0] is None
 
     def test_overflowing_history_rejected(self, material):
         # the squared norm overflows to inf; the history must not pass as hydrostatic

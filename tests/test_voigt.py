@@ -37,3 +37,12 @@ def test_normal_projection_matches_matrix_form(rng):
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
     assert_allclose(voigt.normal_projection(t, n), n @ voigt.to_matrix(t) @ n, atol=1e-14)
+
+
+def test_normal_projection_broadcasts_a_stack_of_directions(rng):
+    t = rng.standard_normal((4, 5, 6))
+    n = rng.standard_normal((4, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    stacked = voigt.normal_projection(t, n[:, None, :])
+    for i in range(4):
+        assert stacked[i].tobytes() == voigt.normal_projection(t[i], n[i]).tobytes()
