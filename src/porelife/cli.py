@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,6 +110,8 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         raise ConfigError(f"--pores must be nonnegative, got {pores}")
     if tile is not None and tile < 1:
         raise ConfigError(f"--tile must be at least 1, got {tile}")
+    if thin is not None and not 1.0 <= thin < math.inf:
+        raise ConfigError(f"--thin must be finite and at least 1, got {thin}")
     if notch_kt is not None:
         _check_notch(notch_kt, notch_volume_fraction)
     out.mkdir(parents=True, exist_ok=True)

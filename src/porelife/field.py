@@ -187,9 +187,8 @@ def synth_field_report(
         count = int(n_pores)
     kt_peak = cavity_peak_kt(nu)
 
-    ids = [0]
-    volumes = [gauge_volume]
-    tensors = [voigt.UNIAXIAL_X.copy()]
+    volumes = np.array([gauge_volume])
+    tensors = np.array([voigt.UNIAXIAL_X])
     surface_breaking = 0
     if count > 0:
         radii = _sample_radii_mm(stats, count, rng)
@@ -200,31 +199,26 @@ def synth_field_report(
         surface_breaking = int(np.sum(is_surface))
         ratio = SHELL_EXTENT ** (np.arange(resolution + 1) / resolution)
         kt_shells = 1.0 + (kt_peak - 1.0) * ratio[:-1] ** -3
-        next_id = 1
-        shell_total = 0.0
-        for a, surf in zip(radii, is_surface):
-            bounds = a * ratio
-            shell_vols = 4.0 / 3.0 * math.pi * (bounds[1:] ** 3 - bounds[:-1] ** 3)
-            shell_total += float(np.sum(shell_vols))
-            for k in range(resolution):
-                kt = kt_shells[k]
-                if surf and k == 0:
-                    kt *= stats.surface_kt_boost
-                ids.append(next_id)
-                volumes.append(shell_vols[k])
-                tensors.append(kt * voigt.UNIAXIAL_X)
-                next_id += 1
+        # one row per pore, one column per shell bound; cubing the contiguous
+        # bounds gives each cube bit for bit as cubing one pore's bounds alone
+        cubes = (radii[:, None] * ratio) ** 3
+        shell_vols = 4.0 / 3.0 * math.pi * (cubes[:, 1:] - cubes[:, :-1])
+        # the per-pore sums are added in pore order: a cumulative sum is sequential
+        shell_total = float(np.cumsum(np.sum(shell_vols, axis=1))[-1])
+        kt = np.tile(kt_shells, (count, 1))
+        kt[is_surface, 0] *= stats.surface_kt_boost
         bulk = gauge_volume - shell_total
         if bulk <= 0.0:
             raise FieldGenerationError(
                 f"shell volume {shell_total:.3f} mm^3 exceeds the gauge volume {gauge_volume:.3f} mm^3"
             )
-        volumes[0] = bulk
+        volumes = np.concatenate([[bulk], shell_vols.ravel()])
+        tensors = np.vstack([tensors, kt.ravel()[:, None] * voigt.UNIAXIAL_X])
 
     field = ElasticElementField(
-        ids=np.array(ids),
-        volumes=np.array(volumes),
-        sigma_unit=np.array(tensors),
+        ids=np.arange(volumes.size),
+        volumes=volumes,
+        sigma_unit=tensors,
         geometry_tag=f"cylinder r={stats.gauge_radius_mm} L={stats.gauge_length_mm}",
         nominal_area_note="unit nominal amplitude = 1 MPa uniaxial along x",
     )
@@ -272,10 +266,10 @@ def tile_field(field: ElasticElementField, k: int) -> ElasticElementField:
 
 def thin_variant(stats: PoreFieldStats, radius_divisor: float) -> PoreFieldStats:
     """Iso-volume thin-specimen statistics: radius/d, length*d^2."""
-    if radius_divisor <= 1.0:
-        if radius_divisor == 1.0:
-            return stats
-        raise ValueError("radius divisor must be >= 1")
+    if radius_divisor == 1.0:
+        return stats
+    if not 1.0 < radius_divisor < math.inf:
+        raise ValueError(f"radius divisor must be finite and >= 1, got {radius_divisor}")
     return replace(
         stats,
         gauge_radius_mm=stats.gauge_radius_mm / radius_divisor,
@@ -292,8 +286,8 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
     as-is.  Total volume is conserved exactly.  On a pore-free field this
     reduces to a plain bulk-plus-notch-block geometry.
     """
-    if kt <= 1.0:
-        raise ValueError("kt must exceed 1")
+    if not kt > 1.0:
+        raise ValueError(f"kt must exceed 1, got {kt}")
     if not 0.0 < volume_fraction < 1.0:
         raise ValueError("volume_fraction must be in (0, 1)")
     offset = int(np.max(field.ids)) + 1
@@ -376,6 +370,21 @@ def _check_rows(path, header_line: int, checks) -> None:
         raise FieldFormatError(path, next(itertools.islice(data_lines, row, None)), message(row))
 
 
+def _format_rows(rows: np.ndarray, fmt):
+    """``fmt(row)`` for each row of a 2-D float array, in order, as a generator.
+
+    A row that occurs more than once is formatted once and its text shared.
+    Rows are told apart by their bytes, so ``-0.0`` and ``0.0`` keep their
+    own text.  Rows that occur once are formatted as they stream out and not
+    kept: a mesh of distinct rows holds no text beyond the row being written.
+    """
+    values = rows.tolist()
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    shared = {slot: fmt(values[i]) for slot, i in enumerate(first.tolist()) if counts[slot] > 1}
+    return (shared[slot] if slot in shared else fmt(row) for slot, row in zip(inverse.tolist(), values))
+
+
 def save_field(path, field: ElasticElementField) -> None:
     """Write a field file (comma-separated, full round-trip precision)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -384,8 +393,9 @@ def save_field(path, field: ElasticElementField) -> None:
         if field.nominal_area_note:
             fh.write(f"# note: {field.nominal_area_note}\n")
         fh.write(FIELD_HEADER + "\n")
-        rows = zip(field.ids.tolist(), field.volumes.tolist(), field.sigma_unit.tolist())
-        fh.writelines(f"{eid},{vol!r},{','.join(map(repr, tensor))}\n" for eid, vol, tensor in rows)
+        tensors = _format_rows(field.sigma_unit, lambda tensor: ",".join(map(repr, tensor)))
+        rows = zip(field.ids.tolist(), field.volumes.tolist(), tensors)
+        fh.writelines(f"{eid},{vol!r},{tensor}\n" for eid, vol, tensor in rows)
 
 
 def load_field(path) -> ElasticElementField:
@@ -542,16 +552,23 @@ def criterion_table(
 
 
 def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
-    """Write a criterion table as long-format CSV, one row per (element, level)."""
-    levels = [repr(level) for level in table.load_levels.tolist()]
+    """Write a criterion table as long-format CSV, one row per (element, level).
+
+    An element's rows differ only in their ``,level,value,`` middles; those
+    are formatted once per distinct strain-range row.
+    """
+    levels = [f",{level!r}," for level in table.load_levels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         if table.geometry_tag:
             fh.write(f"# geometry: {table.geometry_tag}\n")
         fh.write(TABLE_HEADER + "\n")
-        for eid, vol, row in zip(table.element_ids.tolist(), table.volumes.tolist(), table.delta_eps.tolist()):
-            tail = f",{vol!r}\n"
-            fh.writelines(f"{eid},{level},{value!r}{tail}" for level, value in zip(levels, row))
+        if not levels:
+            return
+        middles = _format_rows(table.delta_eps, lambda row: [f"{level}{value!r}," for level, value in zip(levels, row)])
+        for eid, vol, pieces in zip(table.element_ids.tolist(), table.volumes.tolist(), middles):
+            head, tail = str(eid), f"{vol!r}\n"
+            fh.write(head + (tail + head).join(pieces) + tail)
 
 
 def load_criterion_table(path) -> CriterionTable:

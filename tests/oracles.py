@@ -3,8 +3,9 @@
 Everything here re-derives expected values through a different route than
 the library: explicit rate integration instead of return mapping, scalar
 incremental cycling instead of the analytic hysteresis branch, one Neuber
-correction per criterion cell instead of the batched elastic cells, survival
-products instead of the closed-form structure scale, and line-by-line parsers and
+correction per criterion cell instead of the batched elastic cells, one loop
+iteration per pore shell instead of the array synthesis, survival products
+instead of the closed-form structure scale, and line-by-line parsers and
 per-cell writers instead of the column-wise file I/O.
 """
 from __future__ import annotations
@@ -15,12 +16,18 @@ import numpy as np
 
 from porelife import voigt
 from porelife.field import (
+    DEFAULT_SHELLS,
     FIELD_HEADER,
+    SHELL_EXTENT,
     TABLE_HEADER,
     CriterionError,
     CriterionTable,
     ElasticElementField,
     FieldFormatError,
+    FieldGenerationError,
+    PoreFieldStats,
+    _sample_radii_mm,
+    cavity_peak_kt,
 )
 from porelife.material_point import (
     DEFAULT_CYCLE_SAMPLES,
@@ -293,6 +300,90 @@ def cell_criterion_table(
         delta_eps=np.vstack(rows),
         geometry_tag=field.geometry_tag,
     )
+
+
+# ---------------------------------------------------------------------------
+# Pore-field synthesis one shell at a time
+# ---------------------------------------------------------------------------
+
+def loop_synth_field_report(
+    stats: PoreFieldStats,
+    resolution: int = DEFAULT_SHELLS,
+    seed=0,
+    nu: float = 0.3,
+    n_pores: int | None = None,
+) -> tuple[ElasticElementField, dict]:
+    """Synthetic porous field built pore by pore and shell by shell.
+
+    Same recipe and random draws as ``synth_field_report``; each shell's
+    volume, stress concentration and surface boost is appended in a Python
+    loop, and the shell volumes are summed pore by pore.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    rng = np.random.default_rng(seed)
+    gauge_volume = stats.gauge_volume
+    if n_pores is None:
+        count = int(rng.poisson(stats.pore_density * gauge_volume))
+    elif n_pores < 0:
+        raise ValueError(f"n_pores must be nonnegative, got {n_pores}")
+    else:
+        count = int(n_pores)
+    kt_peak = cavity_peak_kt(nu)
+
+    ids = [0]
+    volumes = [gauge_volume]
+    tensors = [voigt.UNIAXIAL_X.copy()]
+    surface_breaking = 0
+    if count > 0:
+        radii = _sample_radii_mm(stats, count, rng)
+        # uniform centers in the cylinder; only the radial coordinate matters
+        # for the lateral surface-breaking classification
+        radial = stats.gauge_radius_mm * np.sqrt(rng.random(count))
+        is_surface = radial > stats.gauge_radius_mm - radii
+        surface_breaking = int(np.sum(is_surface))
+        ratio = SHELL_EXTENT ** (np.arange(resolution + 1) / resolution)
+        kt_shells = 1.0 + (kt_peak - 1.0) * ratio[:-1] ** -3
+        next_id = 1
+        shell_total = 0.0
+        for a, surf in zip(radii, is_surface):
+            bounds = a * ratio
+            shell_vols = 4.0 / 3.0 * math.pi * (bounds[1:] ** 3 - bounds[:-1] ** 3)
+            shell_total += float(np.sum(shell_vols))
+            for k in range(resolution):
+                kt = kt_shells[k]
+                if surf and k == 0:
+                    kt *= stats.surface_kt_boost
+                ids.append(next_id)
+                volumes.append(shell_vols[k])
+                tensors.append(kt * voigt.UNIAXIAL_X)
+                next_id += 1
+        bulk = gauge_volume - shell_total
+        if bulk <= 0.0:
+            raise FieldGenerationError(
+                f"shell volume {shell_total:.3f} mm^3 exceeds the gauge volume {gauge_volume:.3f} mm^3"
+            )
+        volumes[0] = bulk
+
+    field = ElasticElementField(
+        ids=np.array(ids),
+        volumes=np.array(volumes),
+        sigma_unit=np.array(tensors),
+        geometry_tag=f"cylinder r={stats.gauge_radius_mm} L={stats.gauge_length_mm}",
+        nominal_area_note="unit nominal amplitude = 1 MPa uniaxial along x",
+    )
+    info = {
+        "seed": seed if isinstance(seed, int) else str(seed),
+        "pore_count": count,
+        "surface_breaking_count": surface_breaking,
+        "gauge_volume_mm3": gauge_volume,
+        "pore_volume_fraction": float(
+            np.sum(4.0 / 3.0 * math.pi * radii**3) / gauge_volume
+        )
+        if count > 0
+        else 0.0,
+    }
+    return field, info
 
 
 # ---------------------------------------------------------------------------

@@ -226,10 +226,13 @@ class TestGenfield:
         (["--count", "0"], "--count must be at least 1, got 0"),
         (["--pores", "-3"], "--pores must be nonnegative, got -3"),
         (["--tile", "0"], "--tile must be at least 1, got 0"),
+        (["--thin", "0.5"], "--thin must be finite and at least 1, got 0.5"),
+        (["--thin", "nan"], "--thin must be finite and at least 1, got nan"),
+        (["--thin", "inf"], "--thin must be finite and at least 1, got inf"),
         (["--notch-kt", "0.5"], "--notch-kt must exceed 1, got 0.5"),
         (["--notch-kt", "nan"], "--notch-kt must exceed 1, got nan"),
         (["--notch-kt", "2", "--notch-volume-fraction", "1.5"], "--notch-volume-fraction must be in (0, 1), got 1.5"),
-    ], ids=["count", "pores", "tile", "notch-kt", "notch-kt-nan", "notch-fraction"])
+    ], ids=["count", "pores", "tile", "thin", "thin-nan", "thin-inf", "notch-kt", "notch-kt-nan", "notch-fraction"])
     def test_out_of_range_flag_rejected(self, conf, tmp_path, capsys, flags, named):
         out = tmp_path / "f"
         assert main(["genfield", "--config", str(conf), "--out", str(out), *flags]) == EXIT_VALIDATION

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
@@ -17,6 +17,7 @@ from porelife.field import (
     ElasticElementField,
     ExtrapolationError,
     FieldFormatError,
+    FieldGenerationError,
     PoreFieldStats,
     cavity_peak_kt,
     criterion_table,
@@ -39,6 +40,7 @@ from oracles import (
     cell_save_field,
     line_load_criterion_table,
     line_load_field,
+    loop_synth_field_report,
 )
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
@@ -60,27 +62,36 @@ def render(value, style: int) -> str:
     return (repr(value), f"{value:.17g}", f"{value:.17e}", f" {value!r}\t")[style % 4]
 
 
+def pooled(draw, n: int, row, pool: bool):
+    """n rows drawn with ``row``, or picked from a pool of at most three, so that rows repeat."""
+    if not pool:
+        return [draw(row) for _ in range(n)]
+    rows = [draw(row) for _ in range(draw(st.integers(1, 3)))]
+    return [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
+
+
 @st.composite
-def random_field(draw):
-    n = draw(st.integers(1, 6))
+def random_field(draw, pool: bool = False):
+    n = draw(st.integers(1, 8 if pool else 6))
     return ElasticElementField(
         ids=draw(st.lists(IDS, min_size=n, max_size=n, unique=True)),
         volumes=draw(st.lists(POSITIVE, min_size=n, max_size=n)),
-        sigma_unit=draw(st.lists(st.lists(FINITE, min_size=6, max_size=6), min_size=n, max_size=n)),
+        sigma_unit=pooled(draw, n, st.lists(FINITE, min_size=6, max_size=6), pool),
         geometry_tag=draw(st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)).strip(),
         nominal_area_note=draw(st.sampled_from(["", "unit nominal amplitude = 1 MPa uniaxial along x"])),
     )
 
 
 @st.composite
-def random_table(draw):
-    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    steps = draw(st.lists(st.floats(0.0, 1e3), min_size=n * k, max_size=n * k))
+def random_table(draw, pool: bool = False):
+    n, k = draw(st.integers(1, 8 if pool else 5)), draw(st.integers(1, 4))
+    # a row of -0.0 steps sums to -0.0, the same value as 0.0 but other bytes
+    steps = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e3)), min_size=k, max_size=k)
     return CriterionTable(
         element_ids=draw(st.lists(IDS, min_size=n, max_size=n, unique=True)),
         volumes=draw(st.lists(POSITIVE, min_size=n, max_size=n)),
         load_levels=sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=k, max_size=k, unique=True))),
-        delta_eps=np.cumsum(np.array(steps).reshape(n, k), axis=1),
+        delta_eps=np.cumsum(pooled(draw, n, steps, pool), axis=1),
         geometry_tag=draw(st.sampled_from(["", "cylinder r=3.072 L=20.0"])),
     )
 
@@ -291,8 +302,8 @@ class TestFieldFiles:
         path.write_text(rewrite(data, path.read_text(), shuffle=data.draw(st.booleans())))
         assert_same_arrays(load_field(path), line_load_field(path), ("ids", "volumes", "sigma_unit"))
 
-    @settings(max_examples=40, deadline=None)
-    @given(field=random_field())
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.one_of(random_field(), random_field(pool=True)))
     def test_writer_bytes_equal_cell_oracle(self, tmp_path_factory, field):
         folder = tmp_path_factory.mktemp("field")
         save_field(folder / "new.csv", field)
@@ -341,7 +352,41 @@ class TestFieldFiles:
             PoreFieldStats(**{name: value})
 
 
+@st.composite
+def pore_stats(draw):
+    """Pore statistics from pore-free to gauges too thin for their pores' shells."""
+    return PoreFieldStats(
+        pore_density=draw(st.floats(0.0, 3.0)),
+        radius_median_um=draw(st.floats(30.0, 200.0)),
+        radius_log_sd=draw(st.floats(0.2, 0.8)),
+        accept_radius_um=draw(st.floats(20.0, 80.0)),
+        gauge_radius_mm=draw(st.floats(0.05, 3.0)),
+        gauge_length_mm=draw(st.floats(0.5, 20.0)),
+        surface_kt_boost=draw(st.floats(1.0, 2.0)),
+    )
+
+
+def synth_outcome(synth, stats, resolution, seed, n_pores):
+    """A synthesized field's array bytes, tags and report, or the generation error's message."""
+    try:
+        field, info = synth(stats, resolution, seed, n_pores=n_pores)
+    except FieldGenerationError as exc:
+        return str(exc)
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (field.ids, field.volumes, field.sigma_unit)]
+    return arrays, field.geometry_tag, field.nominal_area_note, info
+
+
 class TestSynthField:
+    @settings(max_examples=80, deadline=None)
+    @given(stats=pore_stats(), resolution=st.integers(1, 33), seed=st.integers(0, 2**32 - 1),
+           n_pores=st.one_of(st.none(), st.integers(0, 30)))
+    @example(stats=SMALL, resolution=8, seed=0, n_pores=0)
+    @example(stats=PoreFieldStats(gauge_radius_mm=0.06, gauge_length_mm=2000.0), resolution=33, seed=4, n_pores=3)
+    @example(stats=PoreFieldStats(gauge_radius_mm=0.1, gauge_length_mm=0.1), resolution=1, seed=0, n_pores=5)
+    def test_equals_loop_oracle(self, stats, resolution, seed, n_pores):
+        assert synth_outcome(synth_field_report, stats, resolution, seed, n_pores) == synth_outcome(
+            loop_synth_field_report, stats, resolution, seed, n_pores)
+
     def test_pore_free_limit(self):
         field = synth_field(SMALL, seed=0, n_pores=0)
         assert field.n_elements == 1
@@ -451,8 +496,11 @@ class TestVariants:
 
     def test_thin_identity(self):
         assert thin_variant(SMALL, 1.0) is SMALL
-        with pytest.raises(ValueError):
-            thin_variant(SMALL, 0.5)
+
+    @pytest.mark.parametrize("divisor", [0.5, math.nan, math.inf])
+    def test_thin_out_of_range_rejected(self, divisor):
+        with pytest.raises(ValueError, match=f"radius divisor must be finite and >= 1, got {divisor}"):
+            thin_variant(SMALL, divisor)
 
     def test_thin_increases_surface_fraction(self):
         thin = thin_variant(SMALL, 4.0)
@@ -463,6 +511,11 @@ class TestVariants:
             _, info = synth_field_report(thin, seed=seed)
             thin_frac.append(info["surface_breaking_count"] / max(info["pore_count"], 1))
         assert np.mean(thin_frac) > np.mean(base_frac)
+
+    @pytest.mark.parametrize("kt", [1.0, 0.5, math.nan])
+    def test_notch_kt_out_of_range_rejected(self, kt):
+        with pytest.raises(ValueError, match=f"kt must exceed 1, got {kt}"):
+            notch_variant(synth_field(SMALL, seed=5, n_pores=1), kt, 0.02)
 
     def test_notch_variant_splits_volume(self):
         field = synth_field(SMALL, seed=5, n_pores=4)
@@ -615,13 +668,39 @@ class TestCriterionTable:
             ("element_ids", "volumes", "load_levels", "delta_eps"),
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(table=random_table(), comments=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=8), max_size=2))
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.one_of(random_table(), random_table(pool=True)),
+           comments=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=8), max_size=2))
     def test_table_writer_bytes_equal_cell_oracle(self, tmp_path_factory, table, comments):
         folder = tmp_path_factory.mktemp("table")
         save_criterion_table(folder / "new.csv", table, comments=comments)
         cell_save_criterion_table(folder / "old.csv", table, comments=comments)
         assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, levels", [(1, 1), (1, 3), (4, 1), (5, 3)])
+    def test_writers_keep_signed_zeros_apart(self, tmp_path, n, levels):
+        # -0.0 equals 0.0 as a float: rows keyed on their values would share one text
+        pick = np.arange(n) % 2
+        table = CriterionTable(
+            element_ids=np.arange(n), volumes=np.ones(n), load_levels=np.arange(1.0, levels + 1),
+            delta_eps=np.array([[-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])[pick, :levels],
+        )
+        field = ElasticElementField(ids=np.arange(n), volumes=np.ones(n), sigma_unit=np.array([
+            [-0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])[pick])
+        same = []
+        for save, oracle, data in ((save_criterion_table, cell_save_criterion_table, table),
+                                   (save_field, cell_save_field, field)):
+            save(tmp_path / "new.csv", data)
+            oracle(tmp_path / "old.csv", data)
+            assert b",-0.0," in (tmp_path / "new.csv").read_bytes()
+            same.append((tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes())
+        assert same == [True, True]  # [table, field]
+
+    def test_table_without_levels_writes_only_its_header(self, tmp_path):
+        table = CriterionTable(element_ids=[3, 4], volumes=[1.0, 2.0], load_levels=[], delta_eps=np.zeros((2, 0)))
+        save_criterion_table(tmp_path / "new.csv", table)
+        cell_save_criterion_table(tmp_path / "old.csv", table)
+        assert (tmp_path / "new.csv").read_text() == (tmp_path / "old.csv").read_text() == TABLE_HEADER + "\n"
 
     @settings(max_examples=40, deadline=None)
     @given(table=random_table(), data=st.data())
