@@ -51,7 +51,7 @@ from .optimize import (
     write_trace_csv,
 )
 from .strain_life import StrainLifeParams
-from .weakest_link import StructureLifetime, sample_lifetimes, wohler_quantiles, write_quantile_csv
+from .weakest_link import StructureLifetime, pooled_lifetimes, wohler_quantiles, write_quantile_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,6 +60,8 @@ EXIT_DEGENERATE = 4
 
 DEFAULT_NOTCH_KT = 2.5
 DEFAULT_NOTCH_VOLUME_FRACTION = 0.02
+
+CALIBRATION_MODES = ("homogeneous", "heterogeneous", "unknown-pores", "joint")
 
 
 def _write_json(path, payload) -> None:
@@ -94,6 +96,8 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
     """Reject notch flags that :func:`notch_variant` would refuse, naming the flag."""
     if not notch_kt > 1.0:
         raise ConfigError(f"--notch-kt must exceed 1, got {notch_kt}")
+    if notch_kt == math.inf:
+        raise ConfigError(f"--notch-kt must be finite, got {notch_kt}")
     if not 0.0 < notch_volume_fraction < 1.0:
         raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
 
@@ -229,65 +233,51 @@ def _unknown_pores_assignments(n_obs: int, pool_size: int, n_k: int, seed):
     return [rng.choice(pool_size, size=n_k, replace=False) for _ in range(n_obs)]
 
 
+def _homogeneous_term(config: RunConfig, observations):
+    """Homogeneous-regime objective on the plain gauge volume."""
+    return homogeneous_objective(observations, config.pores.gauge_volume, config.material.E, config.runout_cycles)
+
+
+def _fit(config: RunConfig, objective, free_mask):
+    """Best of the config's starts for one objective, from the config's fatigue parameters."""
+    problem = CalibrationProblem(objective=objective, x0=config.fatigue, free_mask=free_mask, budget=config.budget)
+    return calibrate(problem, n_starts=config.n_starts, seed=config.seed)
+
+
 def cmd_calibrate(
     config: RunConfig, out, mode, observations, tables, homogeneous_observations, reduce_per_level
 ) -> int:
     """Fit the fatigue model in one of the four likelihood modes."""
+    if mode not in CALIBRATION_MODES:
+        raise ConfigError(f"unknown calibration mode '{mode}'")
+    if mode != "homogeneous" and not tables:
+        raise ConfigError(f"{mode} mode needs at least one criterion table")
+    if mode == "joint" and homogeneous_observations is None:
+        raise ConfigError("joint mode needs --homogeneous-observations")
     out.mkdir(parents=True, exist_ok=True)
     observations = load_observations(observations)
     ensure_failures(observations)
-    volume = config.pores.gauge_volume
     tables = [load_criterion_table(p) for p in tables]
 
     if mode == "homogeneous":
-        objective = homogeneous_objective(
-            observations, volume, config.material.E, config.runout_cycles
-        )
+        objective = _homogeneous_term(config, observations)
     elif mode == "heterogeneous":
-        if not tables:
-            raise ConfigError("heterogeneous mode needs at least one criterion table")
         objective = heterogeneous_objective(observations, tables, config.runout_cycles)
-    elif mode == "unknown-pores":
-        if not tables:
-            raise ConfigError("unknown-pores mode needs at least one criterion table")
-        assignments = _unknown_pores_assignments(
-            len(observations), len(tables), config.n_k, config.seed
-        )
-        objective = unknown_pores_objective(
-            observations, tables, config.runout_cycles, assignments
-        )
-    elif mode == "joint":
-        if not tables:
-            raise ConfigError("joint mode needs criterion tables for the porous term")
-        if homogeneous_observations is None:
-            raise ConfigError("joint mode needs --homogeneous-observations")
+    else:
+        assignments = _unknown_pores_assignments(len(observations), len(tables), config.n_k, config.seed)
+        objective = unknown_pores_objective(observations, tables, config.runout_cycles, assignments)
+
+    if mode == "joint":
         homogeneous_obs = load_observations(homogeneous_observations)
         if reduce_per_level:
             homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
         ensure_failures(homogeneous_obs)
-        assignments = _unknown_pores_assignments(
-            len(observations), len(tables), config.n_k, config.seed
-        )
-        term_h = homogeneous_objective(
-            homogeneous_obs, volume, config.material.E, config.runout_cycles
-        )
-        term_u = unknown_pores_objective(
-            observations, tables, config.runout_cycles, assignments
-        )
+        term_h, term_u = _homogeneous_term(config, homogeneous_obs), objective
 
         def objective(params):
             return term_h(params) + term_u(params)
 
-    else:
-        raise ConfigError(f"unknown calibration mode '{mode}'")
-
-    problem = CalibrationProblem(
-        objective=objective,
-        x0=config.fatigue,
-        free_mask=config.free_mask,
-        budget=config.budget,
-    )
-    result = calibrate(problem, n_starts=config.n_starts, seed=config.seed)
+    result = _fit(config, objective, config.free_mask)
     _write_json(
         out / "fitted.json",
         {
@@ -341,41 +331,22 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
 # ---------------------------------------------------------------------------
 
 def _pooled_median(structs, samples_per_struct, seed, runout_cycles) -> float:
-    pools = []
-    children = np.random.SeedSequence(seed).spawn(len(structs))
-    for struct, child in zip(structs, children):
-        values, _ = sample_lifetimes(struct, samples_per_struct, child, runout_cycles)
-        pools.append(values)
-    return float(np.median(np.concatenate(pools)))
+    lifetimes, _ = pooled_lifetimes(structs, samples_per_struct, np.random.SeedSequence(seed), runout_cycles)
+    return float(np.median(lifetimes))
 
 
 def synthesize_observations(params, tables, levels, samples_per_struct, seed, runout_cycles):
     """Multi-scale-model lifetimes on known fields, censored at the cap."""
-    children = iter(np.random.SeedSequence(seed).spawn(len(tables) * len(levels)))
-    sigma_a, n_cycles, censored = [], [], []
-    for table in tables:
-        for level in levels:
-            struct = structure_for(params, Heterogeneous(table), level)
-            values, flags = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
-            sigma_a.append(np.full(values.size, level, dtype=float))
-            n_cycles.append(np.minimum(values, runout_cycles))
-            censored.append(flags)
-    return ObservationArrays(np.concatenate(sigma_a), np.concatenate(n_cycles), np.concatenate(censored))
+    structs = [structure_for(params, Heterogeneous(table), level) for table in tables for level in levels]
+    lifetimes, censored = pooled_lifetimes(structs, samples_per_struct, np.random.SeedSequence(seed), runout_cycles)
+    sigma_a = np.tile(np.repeat(levels, samples_per_struct), len(tables))
+    return ObservationArrays(sigma_a, np.minimum(lifetimes, runout_cycles), censored)
 
 
 def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     """0D homogeneous fit (one-line model) on synthetic lifetime data."""
     ensure_failures(observations)
-    objective = homogeneous_objective(
-        observations, config.pores.gauge_volume, config.material.E, config.runout_cycles
-    )
-    problem = CalibrationProblem(
-        objective=objective,
-        x0=config.fatigue,
-        free_mask=one_line_mask(),
-        budget=config.budget,
-    )
-    return calibrate(problem, n_starts=config.n_starts, seed=config.seed).params
+    return _fit(config, _homogeneous_term(config, observations), one_line_mask()).params
 
 
 def _challenge_table(config: RunConfig, path, seed, n_pores, notch_kt, notch_volume_fraction):
@@ -487,11 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="maximum-likelihood calibration")
     _add_common(p, cmd_calibrate)
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=["homogeneous", "heterogeneous", "unknown-pores", "joint"],
-    )
+    p.add_argument("--mode", required=True, choices=CALIBRATION_MODES)
     p.add_argument("--observations", required=True, type=Path)
     p.add_argument("--tables", nargs="*", type=Path, default=[])
     p.add_argument("--homogeneous-observations", type=Path, default=None)

@@ -23,7 +23,7 @@ from .field import DEFAULT_SHELLS, PoreFieldStats
 from .material_point import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
 from .strain_life import StrainLifeParams
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
-from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER
+from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER, one_line_mask
 
 
 class ConfigError(ValueError):
@@ -34,7 +34,7 @@ DEFAULT_LOAD_LEVELS = tuple(float(x) for x in np.linspace(20.0, 100.0, 9))
 
 #: Fallback fatigue parameters; a plausible cast-aluminium curve that keeps
 #: predicted lifetimes in a testable window over the default level grid.
-DEFAULT_FATIGUE = StrainLifeParams(m=2.0, A=0.025, alpha=0.2, B=0.0, beta=0.0, C=3e-4, V0=593.0)
+DEFAULT_FATIGUE = StrainLifeParams(m=2.0, A=0.025, alpha=0.2, B=0.0, beta=0.0, C=3e-4)
 
 
 @dataclass(eq=False)
@@ -43,7 +43,7 @@ class RunConfig:
 
     material: ChabocheParams = ALSI7MG
     fatigue: StrainLifeParams = DEFAULT_FATIGUE
-    free_mask: tuple = (True, True, False, True, False, True)
+    free_mask: tuple = one_line_mask()
     load_levels: tuple = DEFAULT_LOAD_LEVELS
     n_k: int = 10
     n_cycles: int = DEFAULT_STABILIZATION_CYCLES

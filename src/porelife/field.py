@@ -105,6 +105,17 @@ class ElasticElementField:
         return float(np.sum(self.volumes))
 
 
+#: Largest double below 1.
+_MAX_UNIFORM = 1.0 - 2.0**-53
+
+
+def _radius_law(stats) -> tuple[float, float, float]:
+    """Log-median radius in mm, log standard deviation, and the normal CDF at the acceptance radius."""
+    mu = math.log(stats.radius_median_um / 1000.0)
+    s = stats.radius_log_sd
+    return mu, s, NormalDist().cdf((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
+
+
 @dataclass(frozen=True)
 class PoreFieldStats:
     """Statistical description of the pore population and gauge geometry.
@@ -131,6 +142,9 @@ class PoreFieldStats:
             raise ValueError("pore density must be nonnegative")
         if min(self.radius_median_um, self.radius_log_sd, self.accept_radius_um) <= 0:
             raise ValueError("radius law parameters must be positive")
+        if not _radius_law(self)[2] < 1.0:
+            raise ValueError(f"accept_radius_um {self.accept_radius_um} leaves no radius to draw "
+                             f"(median {self.radius_median_um} um, log sd {self.radius_log_sd})")
         if min(self.gauge_radius_mm, self.gauge_length_mm) <= 0:
             raise ValueError("gauge dimensions must be positive")
         if self.surface_kt_boost < 1.0:
@@ -148,11 +162,10 @@ def cavity_peak_kt(nu: float) -> float:
 
 def _sample_radii_mm(stats: PoreFieldStats, count: int, rng) -> np.ndarray:
     """Truncated log-normal radii, in mm, truncated below the acceptance radius."""
-    mu = math.log(stats.radius_median_um / 1000.0)
-    s = stats.radius_log_sd
+    mu, s, floor = _radius_law(stats)
+    # rounding can carry a draw just below 1 up to 1, which has no quantile
+    u = np.minimum(floor + rng.random(count) * (1.0 - floor), _MAX_UNIFORM)
     normal = NormalDist()
-    floor = normal.cdf((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
-    u = floor + rng.random(count) * (1.0 - floor)
     return np.exp(mu + s * np.array([normal.inv_cdf(x) for x in u]))
 
 
@@ -288,6 +301,8 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
     """
     if not kt > 1.0:
         raise ValueError(f"kt must exceed 1, got {kt}")
+    if kt == math.inf:
+        raise ValueError(f"kt must be finite, got {kt}")
     if not 0.0 < volume_fraction < 1.0:
         raise ValueError("volume_fraction must be in (0, 1)")
     offset = int(np.max(field.ids)) + 1

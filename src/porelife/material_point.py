@@ -21,9 +21,6 @@ import numpy as np
 
 from . import voigt
 
-#: Return-mapping consistency tolerance, MPa.
-YIELD_TOL = 1e-8
-
 #: Samples per load cycle; bounds the range error of the criterion below
 #: 0.3 % for fully reversed proportional loading.
 DEFAULT_CYCLE_SAMPLES = 40
@@ -199,8 +196,8 @@ def _step_kernel(params: ChabocheParams, eps_p, X, p, eps_total):
 def chaboche_step(params: ChabocheParams, state: MaterialPointState, eps_total):
     """One implicit return-mapping update for an imposed total strain tensor.
 
-    Returns ``(new_state, stress)``.  The updated stress satisfies the yield
-    condition to within :data:`YIELD_TOL`.
+    Returns ``(new_state, stress)``.  The return mapping stops once the
+    consistency residual is below 1e-10 MPa in magnitude.
     """
     eps_total = np.asarray(eps_total, dtype=float)
     eps_p, x_back, p, stress = _step_kernel(params, state.eps_p, state.X, state.p, eps_total)
@@ -307,8 +304,7 @@ def uniaxial_strain_cycle(
     stresses at zero (warm-started from the previous step), so the stress
     state stays uniaxial along x.
     """
-    t = np.arange(samples) / samples
-    axial = amplitude * np.cos(2.0 * math.pi * t)
+    t, axial = _cosine_wave(amplitude, samples)
     lam = params.E * params.nu / ((1.0 + params.nu) * (1.0 - 2.0 * params.nu))
     stiff = 2.0 * (lam + params.shear_modulus)  # d(sigma_yy)/d(lateral strain)
     eps = np.zeros(6)
@@ -349,11 +345,13 @@ class _Decomposition(NamedTuple):
         return np.isfinite(self.ref_norm) & (self.ref_norm != 0.0) & self.proportional & (self.j_ref != 0.0)
 
 
-def _decompose(values, tol: float = 1e-6) -> _Decomposition:
+def _decompose(values) -> _Decomposition:
     """Reference direction and amplitudes of each history in a (..., n, 6) stack.
 
-    The reference is the sample of largest norm.  Nothing is checked: where
-    ``has_direction`` is False the direction and amplitudes are meaningless.
+    The reference is the sample of largest norm; a nonzero sample off it by
+    more than 1e-6 in angle makes the history non-proportional.  Nothing is
+    checked: where ``has_direction`` is False the direction and amplitudes
+    are meaningless.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see the docstring
         norms = np.sqrt(voigt.contract(values, values))
@@ -363,7 +361,7 @@ def _decompose(values, tol: float = 1e-6) -> _Decomposition:
         coeffs = voigt.contract(values, ref[..., None, :])
         residual = values - coeffs[..., None] * ref[..., None, :]
         res_norm = np.sqrt(voigt.contract(residual, residual))
-        bad = (res_norm > tol * np.maximum(norms, 1e-300)) & (norms > 0.0)
+        bad = (res_norm > 1e-6 * np.maximum(norms, 1e-300)) & (norms > 0.0)
         j_ref = voigt.von_mises(ref)
         return _Decomposition(
             norms, res_norm, ref_norm[..., 0], ~np.any(bad, axis=-1), j_ref,
@@ -371,16 +369,16 @@ def _decompose(values, tol: float = 1e-6) -> _Decomposition:
         )
 
 
-def _proportional_decomposition(values, tol: float = 1e-6):
+def _proportional_decomposition(values):
     """Split one proportional history into (unit-equivalent direction, amplitudes).
 
     The direction is normalized to unit von Mises equivalent; amplitudes are
     the signed equivalents.  A zero or purely hydrostatic history, which
     never yields, has no direction (None).  Raises ProportionalityError when
-    any sample deviates from the common direction by more than ``tol`` in
+    any sample deviates from the common direction by more than 1e-6 in
     angle, or when the history's norm is not finite (its square overflows).
     """
-    split = _decompose(values, tol)
+    split = _decompose(values)
     if not math.isfinite(split.ref_norm):
         raise ProportionalityError(f"history norm is not finite ({split.ref_norm}): the stresses overflow")
     if split.ref_norm == 0.0:

@@ -54,15 +54,13 @@ def nelder_mead(
     f: Callable[[np.ndarray], float],
     x0,
     budget: int = DEFAULT_BUDGET,
-    f_spread_tol: float = 1e-9,
-    initial_step: float = 0.05,
 ) -> NelderMeadResult:
     """Maximize f by the simplex method; returns the best vertex and trace.
 
     Standard coefficients (reflection 1, expansion 2, contraction 0.5,
     shrink 0.5); the initial simplex perturbs each coordinate by 5 %
     (absolute 0.05 at zero coordinates).  Stops on the iteration budget or
-    when the simplex function spread falls below ``f_spread_tol`` while the
+    when the simplex function spread falls below 1e-9 while the
     vertex spread is also small (equal values at symmetric vertices must not
     stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
     holds one ``(iteration, best_x, best_f)`` entry per iteration.
@@ -80,7 +78,7 @@ def nelder_mead(
     verts = [x0.copy()]
     for i in range(dim):
         x = x0.copy()
-        x[i] += initial_step * x[i] if x[i] != 0.0 else initial_step
+        x[i] += 0.05 * x[i] if x[i] != 0.0 else 0.05
         verts.append(x)
     vals = [f(v) for v in verts]
 
@@ -93,7 +91,7 @@ def nelder_mead(
         trace.append((iteration, verts[0].copy(), vals[0]))
         iterations = iteration + 1
         x_spread = max(float(np.max(np.abs(v - verts[0]))) for v in verts[1:])
-        if vals[0] - vals[-1] < f_spread_tol and x_spread < 1e-8:
+        if vals[0] - vals[-1] < 1e-9 and x_spread < 1e-8:
             break
 
         centroid = np.mean(verts[:-1], axis=0)
@@ -190,14 +188,14 @@ def calibrate(
     problem: CalibrationProblem,
     n_starts: int = DEFAULT_STARTS,
     seed=0,
-    jitter: float = 0.25,
 ) -> CalibrationResult:
     """Maximize the objective over the free parameters; best of all starts.
 
     Start 0 is the supplied initialization; the remaining starts jitter the
     free coordinates in the transformed space with deterministic Gaussian
-    noise.  The winning start's per-iteration trace is returned as rows of
-    ``(iteration, params_vector, log_likelihood)`` in untransformed units.
+    noise of standard deviation 0.25.  The winning start's per-iteration
+    trace is returned as rows of ``(iteration, params_vector,
+    log_likelihood)`` in untransformed units.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -213,7 +211,7 @@ def calibrate(
     rng = np.random.default_rng(seed)
     starts = [y0]
     for _ in range(n_starts - 1):
-        starts.append(y0 + jitter * rng.standard_normal(y0.size))
+        starts.append(y0 + 0.25 * rng.standard_normal(y0.size))
 
     results = []
     for y_start in starts:

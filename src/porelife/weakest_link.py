@@ -93,6 +93,24 @@ def sample_lifetimes(
     return values, values >= runout_cycles
 
 
+def pooled_lifetimes(
+    structs: Sequence[StructureLifetime],
+    samples_per_struct: int,
+    seed: np.random.SeedSequence,
+    runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
+):
+    """Draws of every structure pooled in order; each draws from its own child spawned from ``seed``.
+
+    Returns the concatenated ``(lifetimes, censored)`` of :func:`sample_lifetimes`.
+    """
+    draws = [
+        sample_lifetimes(struct, samples_per_struct, child, runout_cycles)
+        for struct, child in zip(structs, seed.spawn(len(structs)))
+    ]
+    lifetimes, censored = zip(*draws)
+    return np.concatenate(lifetimes), np.concatenate(censored)
+
+
 def wohler_quantiles(
     structs_per_level: Mapping[float, Sequence[StructureLifetime]],
     quantiles: Sequence[float] = WOHLER_QUANTILES,
@@ -114,24 +132,16 @@ def wohler_quantiles(
     if not structs_per_level:
         raise ValueError("no load levels given")
     root = np.random.SeedSequence(seed)
-    levels = list(structs_per_level)
     table = {}
-    for li, level in enumerate(levels):
-        structs = list(structs_per_level[level])
+    for li, (level, structs) in enumerate(structs_per_level.items()):
+        structs = list(structs)
         if not structs:
             raise ValueError(f"no structures at load level {level}")
         level_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(li,))
-        child_seeds = level_seq.spawn(len(structs))
-        pools = []
-        flags = []
-        for struct, child in zip(structs, child_seeds):
-            values, censored = sample_lifetimes(struct, samples_per_struct, child, runout_cycles)
-            pools.append(values)
-            flags.append(censored)
-        pool = np.concatenate(pools)
+        pool, censored = pooled_lifetimes(structs, samples_per_struct, level_seq, runout_cycles)
         table[level] = {
             "quantiles": {q: float(np.quantile(pool, q)) for q in quantiles},
-            "censored_fraction": float(np.mean(np.concatenate(flags))),
+            "censored_fraction": float(np.mean(censored)),
         }
     return table
 

@@ -5,8 +5,9 @@ the library: explicit rate integration instead of return mapping, scalar
 incremental cycling instead of the analytic hysteresis branch, one Neuber
 correction per criterion cell instead of the batched elastic cells, one loop
 iteration per pore shell instead of the array synthesis, survival products
-instead of the closed-form structure scale, and line-by-line parsers and
-per-cell writers instead of the column-wise file I/O.
+instead of the closed-form structure scale, line-by-line parsers and
+per-cell writers instead of the column-wise file I/O, and one Python loop per
+Monte Carlo pool (spawn, draw, append) instead of the shared pooled draw.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from porelife.material_point import (
     critical_direction,
     neuber_correct,
 )
+from porelife.weakest_link import sample_lifetimes
 
 
 # ---------------------------------------------------------------------------
@@ -612,3 +614,55 @@ def line_load_criterion_table(path) -> CriterionTable:
         delta_eps=delta,
         geometry_tag=geometry_tag,
     )
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo pools built one structure at a time
+# ---------------------------------------------------------------------------
+
+def loop_pooled_draws(structs, samples_per_struct: int, seed, runout_cycles: float):
+    """Draws of each structure from its own child of ``SeedSequence(seed)``, appended in a loop."""
+    pools, flags = [], []
+    children = np.random.SeedSequence(seed).spawn(len(structs))
+    for struct, child in zip(structs, children):
+        values, censored = sample_lifetimes(struct, samples_per_struct, child, runout_cycles)
+        pools.append(values)
+        flags.append(censored)
+    return np.concatenate(pools), np.concatenate(flags)
+
+
+def loop_wohler_quantiles(structs_per_level, quantiles, samples_per_struct: int, seed, runout_cycles: float):
+    """Quantile table with one pool per level, seeded by spawn key ``(level index,)``."""
+    root = np.random.SeedSequence(seed)
+    table = {}
+    for li, level in enumerate(list(structs_per_level)):
+        structs = list(structs_per_level[level])
+        level_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(li,))
+        child_seeds = level_seq.spawn(len(structs))
+        pools, flags = [], []
+        for struct, child in zip(structs, child_seeds):
+            values, censored = sample_lifetimes(struct, samples_per_struct, child, runout_cycles)
+            pools.append(values)
+            flags.append(censored)
+        pool = np.concatenate(pools)
+        table[level] = {
+            "quantiles": {q: float(np.quantile(pool, q)) for q in quantiles},
+            "censored_fraction": float(np.mean(np.concatenate(flags))),
+        }
+    return table
+
+
+def loop_synthesize_observations(structs_by_table, levels, samples_per_struct: int, seed, runout_cycles: float):
+    """(sigma_a, n_cycles, censored) columns drawn table by table, level by level.
+
+    ``structs_by_table[t][l]`` is the structure of table ``t`` at ``levels[l]``.
+    """
+    children = iter(np.random.SeedSequence(seed).spawn(len(structs_by_table) * len(levels)))
+    sigma_a, n_cycles, censored = [], [], []
+    for structs in structs_by_table:
+        for level, struct in zip(levels, structs):
+            values, flags = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
+            sigma_a.append(np.full(values.size, level, dtype=float))
+            n_cycles.append(np.minimum(values, runout_cycles))
+            censored.append(flags)
+    return np.concatenate(sigma_a), np.concatenate(n_cycles), np.concatenate(censored)

@@ -13,6 +13,8 @@ from porelife.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_VALIDATION,
+    _pooled_median,
+    cmd_calibrate,
     main,
     synthesize_observations,
 )
@@ -27,8 +29,10 @@ from porelife.likelihood import (
     save_observations,
     structure_for,
 )
-from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, sample_lifetimes, wohler_quantiles
-from porelife.strain_life import StrainLifeParams
+from porelife.optimize import one_line_mask
+from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, StructureLifetime, sample_lifetimes, wohler_quantiles
+from porelife.strain_life import DEFAULT_REFERENCE_VOLUME, StrainLifeParams
+from oracles import loop_pooled_draws, loop_synthesize_observations
 
 SMALL_CONF = """
 [protocol]
@@ -91,6 +95,10 @@ class TestConfig:
         default = inspect.signature(wohler_quantiles).parameters["samples_per_struct"].default
         assert RunConfig().samples_per_struct == default == DEFAULT_SAMPLES_PER_STRUCT == 1000
 
+    def test_free_mask_and_reference_volume_declared_once(self):
+        assert RunConfig().free_mask == one_line_mask() == (True, True, False, True, False, True)
+        assert RunConfig().fatigue.V0 == DEFAULT_REFERENCE_VOLUME == 593.0
+
     def test_reference_file_parses(self):
         from pathlib import Path
 
@@ -134,8 +142,10 @@ class TestConfig:
         ("[protocol]\nquantiles =\n", "quantiles must lie in (0, 1), got ()"),
         ("[fatigue]\nfree =\n", "[fatigue] free must name at least one parameter"),
         ("[fatigue]\nfree = , ,\n", "[fatigue] free must name at least one parameter"),
+        ("[pores]\nradius_median_um = 20\nradius_log_sd = 0.05\naccept_radius_um = 100\n",
+         "accept_radius_um 100.0 leaves no radius to draw"),
     ], ids=["budget", "n_starts", "samples_per_struct", "cycle_samples", "shells", "q-one", "q-zero", "q-nan", "q-empty",
-            "free-empty", "free-commas"])
+            "free-empty", "free-commas", "empty-radius-law"])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.conf"
         path.write_text(text)
@@ -231,8 +241,10 @@ class TestGenfield:
         (["--thin", "inf"], "--thin must be finite and at least 1, got inf"),
         (["--notch-kt", "0.5"], "--notch-kt must exceed 1, got 0.5"),
         (["--notch-kt", "nan"], "--notch-kt must exceed 1, got nan"),
+        (["--notch-kt", "inf"], "--notch-kt must be finite, got inf"),
         (["--notch-kt", "2", "--notch-volume-fraction", "1.5"], "--notch-volume-fraction must be in (0, 1), got 1.5"),
-    ], ids=["count", "pores", "tile", "thin", "thin-nan", "thin-inf", "notch-kt", "notch-kt-nan", "notch-fraction"])
+    ], ids=["count", "pores", "tile", "thin", "thin-nan", "thin-inf", "notch-kt", "notch-kt-nan", "notch-kt-inf",
+            "notch-fraction"])
     def test_out_of_range_flag_rejected(self, conf, tmp_path, capsys, flags, named):
         out = tmp_path / "f"
         assert main(["genfield", "--config", str(conf), "--out", str(out), *flags]) == EXIT_VALIDATION
@@ -375,6 +387,27 @@ class TestCalibrate:
             "--mode", "unknown-pores", "--observations", str(obs_path),
         ])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("missing, named", [
+        ("--tables", "joint mode needs at least one criterion table"),
+        ("--homogeneous-observations", "joint mode needs --homogeneous-observations"),
+    ])
+    def test_joint_mode_without_an_input_is_validation_error(self, conf, tmp_path, capsys, missing, named):
+        obs_path = tmp_path / "obs.csv"
+        write_synthetic_obs(obs_path)
+        inputs = {"--tables": str(tmp_path / "t.csv"), "--homogeneous-observations": str(obs_path)}
+        del inputs[missing]
+        out = tmp_path / "cal"
+        args = ["calibrate", "--config", str(conf), "--out", str(out), "--mode", "joint", "--observations", str(obs_path)]
+        assert main(args + [item for pair in inputs.items() for item in pair]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_unknown_mode_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "cal"
+        with pytest.raises(ConfigError, match="unknown calibration mode 'jiont'"):
+            cmd_calibrate(RunConfig(), out, "jiont", tmp_path / "none.csv", [tmp_path / "t.csv"], tmp_path / "h.csv", False)
+        assert not out.exists()
 
 
 class TestWohler:
@@ -520,6 +553,37 @@ class TestHomogenize:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: --notch-kt must exceed 1, got 0.5\n"
         assert not out.exists()
+
+    def test_infinite_notch_kt_named_before_any_work(self, conf, tmp_path, capsys):
+        out = tmp_path / "h"
+        rc = main(["homogenize", "--config", str(conf), "--out", str(out), "--notch-kt", "inf", str(tmp_path / "none.csv")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --notch-kt must be finite, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_structs", [3, 1])
+    def test_pooled_median_equals_loop_oracle(self, n_structs):
+        structs = [StructureLifetime(scale=1.5e6, shape=2.0), StructureLifetime.infinite(2.0),
+                   StructureLifetime(scale=3e4, shape=4.0)][:n_structs]
+        want, _ = loop_pooled_draws(structs, 301, 7, 2e6)
+        assert _pooled_median(structs, 301, 7, 2e6) == float(np.median(want))
+
+    @pytest.mark.parametrize("n_tables, levels", [(2, (5.0, 55.0, 95.0)), (1, (75.0,))], ids=["pools", "one-structure"])
+    def test_synthesized_observations_equal_loop_oracle(self, n_tables, levels):
+        params = StrainLifeParams(m=2.0, A=0.0047, alpha=0.129, C=3e-4, V0=593.0)
+        tables = [
+            CriterionTable(
+                element_ids=[0, 1], volumes=[590.0, 3.0], load_levels=levels,
+                delta_eps=np.outer([1.0, k], levels) * 2.0 / 75500.0,
+            )
+            for k in (1.5, 2.2)[:n_tables]
+        ]
+        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        assert any(s.is_infinite for row in structs_by_table for s in row) == (n_tables == 2)
+        arrays = synthesize_observations(params, tables, levels, 200, 7, 2e6)
+        want = loop_synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
+        for got, expected in zip((arrays.sigma_a, arrays.n_cycles, arrays.censored), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestExitCodes:

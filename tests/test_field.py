@@ -387,6 +387,26 @@ class TestSynthField:
         assert synth_outcome(synth_field_report, stats, resolution, seed, n_pores) == synth_outcome(
             loop_synth_field_report, stats, resolution, seed, n_pores)
 
+    @settings(max_examples=150, deadline=None)
+    @given(median=st.floats(1.0, 200.0), log_sd=st.floats(0.01, 0.5), accept=st.floats(1.0, 1000.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(median=20.0, log_sd=0.05, accept=100.0, seed=0)  # the law lies wholly below the floor
+    @example(median=20.0, log_sd=0.05, accept=30.113, seed=0)  # one double of the law stays above it
+    def test_every_accepted_radius_law_draws(self, median, log_sd, accept, seed):
+        # radii stay below median * exp(8.3 * log_sd), so the shells fit this gauge
+        try:
+            stats = PoreFieldStats(radius_median_um=median, radius_log_sd=log_sd, accept_radius_um=accept,
+                                   gauge_radius_mm=100.0, gauge_length_mm=100.0)
+        except ValueError as exc:
+            assert f"accept_radius_um {accept} leaves no radius to draw" in str(exc)
+            return
+        field, info = synth_field_report(stats, resolution=2, seed=seed, n_pores=3)
+        assert info["pore_count"] == 3 and field.n_elements == 7
+        assert np.all(np.isfinite(field.volumes) & (field.volumes > 0.0))
+        # the floor's CDF value is rounded, so far in the tail a radius may fall a little short of it
+        radii_um = 1000.0 * porelife.field._sample_radii_mm(stats, 3, np.random.default_rng(seed))
+        assert np.all(radii_um >= 0.99 * accept)
+
     def test_pore_free_limit(self):
         field = synth_field(SMALL, seed=0, n_pores=0)
         assert field.n_elements == 1
@@ -516,6 +536,10 @@ class TestVariants:
     def test_notch_kt_out_of_range_rejected(self, kt):
         with pytest.raises(ValueError, match=f"kt must exceed 1, got {kt}"):
             notch_variant(synth_field(SMALL, seed=5, n_pores=1), kt, 0.02)
+
+    def test_infinite_notch_kt_rejected(self):
+        with pytest.raises(ValueError, match="kt must be finite, got inf"):
+            notch_variant(synth_field(SMALL, seed=5, n_pores=1), math.inf, 0.02)
 
     def test_notch_variant_splits_volume(self):
         field = synth_field(SMALL, seed=5, n_pores=4)

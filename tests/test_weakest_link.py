@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from porelife.strain_life import WeibullLifetime, weibull_cdf
 from porelife.weakest_link import (
+    DEFAULT_RUNOUT_CYCLES,
+    WOHLER_QUANTILES,
     StructureLifetime,
+    pooled_lifetimes,
     sample_lifetimes,
     structure_cdf,
     structure_lifetime,
@@ -14,7 +17,14 @@ from porelife.weakest_link import (
     wohler_quantiles,
     write_quantile_csv,
 )
-from oracles import survival_product_cdf
+from oracles import loop_pooled_draws, loop_wohler_quantiles, survival_product_cdf
+
+#: Structures censored now and then, always (infinite life) and never.
+MIXED_POOL = (
+    StructureLifetime(scale=1.5e6, shape=2.0),
+    StructureLifetime.infinite(2.0),
+    StructureLifetime(scale=3e4, shape=4.0),
+)
 
 
 class TestStructureScale:
@@ -115,6 +125,27 @@ class TestSampling:
         assert np.all((u > 0.0) & (u < 1.0))
         ks = np.max(np.abs(np.sort(u) - (np.arange(1, 5001) - 0.5) / 5000))
         assert ks < 0.03
+
+
+class TestPooledLifetimes:
+    @pytest.mark.parametrize("structs", [MIXED_POOL, MIXED_POOL[:1], MIXED_POOL[1:2]],
+                             ids=["mixed", "one-structure", "one-infinite"])
+    def test_equals_loop_oracle(self, structs):
+        lifetimes, censored = pooled_lifetimes(structs, 300, np.random.SeedSequence(11), 2e6)
+        want_lifetimes, want_censored = loop_pooled_draws(structs, 300, 11, 2e6)
+        assert lifetimes.tobytes() == want_lifetimes.tobytes()
+        assert censored.tobytes() == want_censored.tobytes()
+
+    def test_mixed_pool_is_partly_censored(self):
+        _, censored = pooled_lifetimes(MIXED_POOL, 300, np.random.SeedSequence(11), 2e6)
+        assert censored[300:600].all() and not censored[600:].any()
+        assert 0 < np.count_nonzero(censored[:300]) < 300
+
+    def test_wohler_quantiles_equal_loop_oracle(self):
+        structs_per_level = {40.0: MIXED_POOL, 60.0: MIXED_POOL[2:], 80.0: MIXED_POOL[1:2]}
+        table = wohler_quantiles(structs_per_level, samples_per_struct=300, seed=4)
+        want = loop_wohler_quantiles(structs_per_level, WOHLER_QUANTILES, 300, 4, DEFAULT_RUNOUT_CYCLES)
+        assert repr(table) == repr(want)
 
 
 class TestWohlerQuantiles:
