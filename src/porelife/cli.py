@@ -20,12 +20,14 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, fatigue_from_dict, load_config
 from .field import (
+    TABLE_HEADER,
     CriterionError,
     FieldFormatError,
     criterion_table,
     load_criterion_table,
     load_field,
     notch_variant,
+    read_header,
     save_criterion_table,
     save_field,
     synth_field_report,
@@ -175,26 +177,17 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
     return digest.hexdigest()
 
 
-def _stored_hash(table_path: Path) -> str | None:
-    if not table_path.exists():
-        return None
-    with open(table_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# content-hash: "):
-                return line.split(": ", 1)[1].strip()
-            if not line.startswith("#"):
-                break
-    return None
-
-
 def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables for field files; skips unchanged inputs."""
-    out.mkdir(parents=True, exist_ok=True)
     any_failures = False
     for field_path in fields:
         table_path = out / (field_path.stem + ".criterion.csv")
         content_hash = _criterion_content_hash(config, field_path)
-        if _stored_hash(table_path) == content_hash:
+        try:
+            up_to_date = read_header(table_path, TABLE_HEADER)[0].get("content-hash") == content_hash
+        except (OSError, ValueError):  # no table yet, or one whose header is not a table's
+            up_to_date = False
+        if up_to_date:
             print(f"{table_path.name}: up to date, skipped")
             continue
         field = load_field(field_path)
@@ -203,6 +196,7 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
         for eid, err in failures:
             any_failures = True
             print(f"{field_path.name}: element {eid} failed: {err}", file=sys.stderr)
+        out.mkdir(parents=True, exist_ok=True)
         save_criterion_table(
             table_path,
             table,
@@ -254,10 +248,14 @@ def cmd_calibrate(
         raise ConfigError(f"{mode} mode needs at least one criterion table")
     if mode == "joint" and homogeneous_observations is None:
         raise ConfigError("joint mode needs --homogeneous-observations")
-    out.mkdir(parents=True, exist_ok=True)
     observations = load_observations(observations)
     ensure_failures(observations)
     tables = [load_criterion_table(p) for p in tables]
+    if mode == "joint":
+        homogeneous_obs = load_observations(homogeneous_observations)
+        if reduce_per_level:
+            homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
+        ensure_failures(homogeneous_obs)
 
     if mode == "homogeneous":
         objective = _homogeneous_term(config, observations)
@@ -268,15 +266,12 @@ def cmd_calibrate(
         objective = unknown_pores_objective(observations, tables, config.runout_cycles, assignments)
 
     if mode == "joint":
-        homogeneous_obs = load_observations(homogeneous_observations)
-        if reduce_per_level:
-            homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
-        ensure_failures(homogeneous_obs)
         term_h, term_u = _homogeneous_term(config, homogeneous_obs), objective
 
         def objective(params):
             return term_h(params) + term_u(params)
 
+    out.mkdir(parents=True, exist_ok=True)
     result = _fit(config, objective, config.free_mask)
     _write_json(
         out / "fitted.json",
@@ -305,11 +300,11 @@ def cmd_calibrate(
 
 def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     """Pooled lifetime quantiles per load level across criterion tables."""
-    out.mkdir(parents=True, exist_ok=True)
     params = _load_params_arg(config, params)
     tables = [load_criterion_table(p) for p in tables]
     if not tables:
         raise ConfigError("wohler needs at least one criterion table")
+    out.mkdir(parents=True, exist_ok=True)
     structs_per_level = {
         level: [structure_for(params, Heterogeneous(t), level) for t in tables]
         for level in config.load_levels
@@ -349,10 +344,10 @@ def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     return _fit(config, _homogeneous_term(config, observations), one_line_mask()).params
 
 
-def _challenge_table(config: RunConfig, path, seed, n_pores, notch_kt, notch_volume_fraction):
-    """The table at ``path``, else one computed on a notched synthetic field."""
-    if path is not None:
-        return load_criterion_table(path)
+def _challenge_table(config: RunConfig, table, seed, n_pores, notch_kt, notch_volume_fraction):
+    """``table`` if given, else one computed on a notched synthetic field."""
+    if table is not None:
+        return table
     field, _ = synth_field_report(config.pores, config.shells, seed, nu=config.material.nu, n_pores=n_pores)
     return _criterion(config, notch_variant(field, notch_kt, notch_volume_fraction))
 
@@ -370,11 +365,12 @@ def cmd_homogenize(
     """
     if challenge_porous is None or challenge_bare is None:
         _check_notch(notch_kt, notch_volume_fraction)
-    out.mkdir(parents=True, exist_ok=True)
     params_a = _load_params_arg(config, params)
     cylinder_tables = [load_criterion_table(p) for p in tables]
     if not cylinder_tables:
         raise ConfigError("homogenize needs at least one cylinder criterion table")
+    porous, bare = (None if p is None else load_criterion_table(p) for p in (challenge_porous, challenge_bare))
+    out.mkdir(parents=True, exist_ok=True)
     levels = config.load_levels
 
     observations = synthesize_observations(
@@ -388,8 +384,8 @@ def cmd_homogenize(
     params_b = fit_homogenized_model(config, observations)
 
     porous_seed = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
-    porous = _challenge_table(config, challenge_porous, porous_seed, None, notch_kt, notch_volume_fraction)
-    bare = _challenge_table(config, challenge_bare, config.seed, 0, notch_kt, notch_volume_fraction)
+    porous = _challenge_table(config, porous, porous_seed, None, notch_kt, notch_volume_fraction)
+    bare = _challenge_table(config, bare, config.seed, 0, notch_kt, notch_volume_fraction)
 
     report = {
         "model_a": dataclasses.asdict(params_a),

@@ -46,7 +46,7 @@ SHELL_EXTENT = 4.0
 
 
 class FieldFormatError(ValueError):
-    """Malformed field or table file; carries the offending line number."""
+    """Malformed input CSV file; carries the offending line number."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -321,36 +321,48 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
 # Field files
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, header: str):
-    """Tags, header line number and rows of a field or table file.
+def _row_dtype(header: str, int_column: str) -> np.dtype:
+    """Row dtype of a CSV file: the header's columns as ``float64``, ``int_column`` as ``int64``."""
+    return np.dtype([(name, np.int64 if name == int_column else np.float64) for name in header.split(",")])
 
-    Comment and blank lines may precede the header; the last ``# geometry:``
-    and ``# note:`` comments before it set the tags ``geometry`` and
-    ``note``.  The rows become a structured array (an ``int64`` id, then
-    floats) in one numpy pass.  That pass refuses comment and whitespace-only
-    lines among the rows and some spellings ``int`` and ``float`` accept; the
-    rows are then parsed line by line, which raises at the first line that
-    does not parse.
+
+def read_header(path, header: str) -> tuple[dict, int]:
+    """Tags and line number of the header of a CSV file, which must read ``header``.
+
+    Comment and blank lines may precede the header; each ``# key: value``
+    comment among them sets the tag ``key`` (the last one wins).
     """
-    names = header.split(",")
-    dtype = np.dtype([(names[0], np.int64)] + [(name, np.float64) for name in names[1:]])
-    tags = {"geometry": "", "note": ""}
+    tags = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for header_line, raw in enumerate(iter(fh.readline, ""), start=1):
+        for header_line, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if line.startswith(("# geometry:", "# note:")):
+            if line.startswith("# ") and ":" in line:
                 key, value = line[2:].split(":", 1)
                 tags[key] = value.strip()
             elif line and not line.startswith("#"):
                 if line != header:
                     raise FieldFormatError(path, header_line, f"expected header '{header}'")
-                break
-        else:
-            raise FieldFormatError(path, 0, "missing header line")
+                return tags, header_line
+    raise FieldFormatError(path, 0, "missing header line")
+
+
+def _read_rows(path, dtype: np.dtype, messages=None):
+    """Tags, header line number and rows of a CSV file headed by ``dtype``'s names.
+
+    The rows become a structured array of ``dtype`` in one numpy pass.  That
+    pass refuses comment and whitespace-only lines among the rows and some
+    spellings ``int`` and ``float`` accept; the rows are then parsed line by
+    line, each cell by ``int`` or ``float`` as its field's kind, which raises
+    at the first line that does not parse, saying ``messages[column]`` if given.
+    """
+    names = dtype.names
+    tags, header_line = read_header(path, ",".join(names))
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
-                return tags, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=header_line, ndmin=1)
+                return tags, header_line, rows
         except ValueError:
             fh.seek(0)
         rows = []
@@ -361,10 +373,14 @@ def _read_rows(path, header: str):
             parts = line.split(",")
             if len(parts) != len(names):
                 raise FieldFormatError(path, line_no, f"expected {len(names)} columns, got {len(parts)}")
-            try:
-                rows.append((np.int64(int(parts[0])), *map(float, parts[1:])))
-            except (ValueError, OverflowError) as exc:
-                raise FieldFormatError(path, line_no, str(exc)) from exc
+            row = []
+            for name, cell in zip(names, parts):
+                try:
+                    row.append(np.int64(int(cell)) if dtype[name].kind == "i" else float(cell))
+                except (ValueError, OverflowError) as exc:
+                    message = f"{messages[name]}, got {cell.strip()!r}" if name in (messages or {}) else str(exc)
+                    raise FieldFormatError(path, line_no, message) from exc
+            rows.append(tuple(row))
     return tags, header_line, np.array(rows, dtype=dtype)
 
 
@@ -385,6 +401,14 @@ def _check_rows(path, header_line: int, checks) -> None:
         raise FieldFormatError(path, next(itertools.islice(data_lines, row, None)), message(row))
 
 
+def _distinct_rows(rows: np.ndarray):
+    """``(first, inverse, counts)`` of the rows told apart by bytes (``-0.0`` is not ``0.0``), first seen first."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse], counts[order]
+
+
 def _format_rows(rows: np.ndarray, fmt):
     """``fmt(row)`` for each row of a 2-D float array, in order, as a generator.
 
@@ -394,8 +418,7 @@ def _format_rows(rows: np.ndarray, fmt):
     kept: a mesh of distinct rows holds no text beyond the row being written.
     """
     values = rows.tolist()
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    first, inverse, counts = _distinct_rows(rows)
     shared = {slot: fmt(values[i]) for slot, i in enumerate(first.tolist()) if counts[slot] > 1}
     return (shared[slot] if slot in shared else fmt(row) for slot, row in zip(inverse.tolist(), values))
 
@@ -415,7 +438,7 @@ def save_field(path, field: ElasticElementField) -> None:
 
 def load_field(path) -> ElasticElementField:
     """Parse a field file, validating invariants with line-numbered errors."""
-    tags, header_line, rows = _read_rows(path, FIELD_HEADER)
+    tags, header_line, rows = _read_rows(path, _row_dtype(FIELD_HEADER, "id"))
     if rows.size == 0:
         raise FieldFormatError(path, 0, "field file has no element rows")
     ids = rows["id"].copy()
@@ -430,7 +453,8 @@ def load_field(path) -> ElasticElementField:
         (repeated, lambda i: f"duplicate element id {ids[i]}"),
     ])
     return ElasticElementField(
-        ids=ids, volumes=volumes, sigma_unit=sigma_unit, geometry_tag=tags["geometry"], nominal_area_note=tags["note"]
+        ids=ids, volumes=volumes, sigma_unit=sigma_unit,
+        geometry_tag=tags.get("geometry", ""), nominal_area_note=tags.get("note", ""),
     )
 
 
@@ -522,9 +546,8 @@ def criterion_table(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
-    slots: dict = {}
-    inverse = np.array([slots.setdefault(t.tobytes(), len(slots)) for t in field.sigma_unit], dtype=np.intp)
-    distinct = field.sigma_unit[np.unique(inverse, return_index=True)[1]]
+    first, inverse, _ = _distinct_rows(field.sigma_unit)
+    distinct = field.sigma_unit[first]
     rows = np.empty((len(distinct), levels.size))
     errors: dict = {}  # distinct tensor -> its first exception
     for start in range(0, len(distinct), CRITERION_CHUNK):
@@ -592,7 +615,7 @@ def load_criterion_table(path) -> CriterionTable:
     Every element must carry the same load levels, each once, and the same
     volume on every row.
     """
-    tags, header_line, rows = _read_rows(path, TABLE_HEADER)
+    tags, header_line, rows = _read_rows(path, _row_dtype(TABLE_HEADER, "element_id"))
     if rows.size == 0:
         raise FieldFormatError(path, 0, "criterion table has no rows")
     eid, level, delta, volume = (rows[name] for name in rows.dtype.names)
@@ -616,5 +639,5 @@ def load_criterion_table(path) -> CriterionTable:
         volumes=volume[first],
         load_levels=grid[: counts[0]].copy(),
         delta_eps=delta[order].reshape(eids.size, -1),
-        geometry_tag=tags["geometry"],
+        geometry_tag=tags.get("geometry", ""),
     )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import CriterionTable
+from .field import CriterionTable, FieldFormatError, _check_rows, _read_rows, _row_dtype
 from .material_point import ALSI7MG
 from .strain_life import StrainLifeParams, _density, _log_rates, _survival
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, _log_sum_exp
@@ -89,38 +89,18 @@ class ObservationArrays:
 
 
 def load_observations(path) -> list[FatigueObservation]:
-    """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != OBSERVATIONS_HEADER:
-                    raise ValueError(f"{path}:{line_no}: expected header '{OBSERVATIONS_HEADER}'")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 columns, got {len(parts)}")
-            flag = parts[2].strip()
-            if flag not in ("0", "1"):
-                raise ValueError(f"{path}:{line_no}: censored must be 0 or 1, got {flag!r}")
-            try:
-                out.append(
-                    FatigueObservation(
-                        sigma_a=float(parts[0]),
-                        n_cycles=float(parts[1]),
-                        censored=flag == "1",
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if not out:
-        raise ValueError(f"{path}: no observations found")
-    return out
+    """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``) with line-numbered errors."""
+    dtype = _row_dtype(OBSERVATIONS_HEADER, "censored")
+    _, header_line, rows = _read_rows(path, dtype, {"censored": "censored must be 0 or 1"})
+    if rows.size == 0:
+        raise FieldFormatError(path, 0, "no observations found")
+    sigma, cycles, censored = (rows[name] for name in dtype.names)
+    _check_rows(path, header_line, [
+        ((censored != 0) & (censored != 1), lambda i: f"censored must be 0 or 1, got {censored[i]}"),
+        (~(np.isfinite(sigma) & (sigma > 0.0)), lambda i: f"sigma_a must be positive and finite, got {sigma[i]}"),
+        (~(np.isfinite(cycles) & (cycles > 0.0)), lambda i: f"n_cycles must be positive and finite, got {cycles[i]}"),
+    ])
+    return [FatigueObservation(s, n, c == 1) for s, n, c in rows.tolist()]
 
 
 def save_observations(path, observations: Sequence[FatigueObservation]) -> None:

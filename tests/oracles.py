@@ -41,6 +41,7 @@ from porelife.material_point import (
     critical_direction,
     neuber_correct,
 )
+from porelife.likelihood import OBSERVATIONS_HEADER, FatigueObservation
 from porelife.weakest_link import sample_lifetimes
 
 
@@ -473,7 +474,7 @@ def table_amplitudes(table, sigma_a: float):
 
 
 # ---------------------------------------------------------------------------
-# Line-by-line field and criterion-table files
+# Line-by-line field, criterion-table and observations files
 # ---------------------------------------------------------------------------
 
 def cell_save_field(path, field: ElasticElementField) -> None:
@@ -614,6 +615,38 @@ def line_load_criterion_table(path) -> CriterionTable:
         delta_eps=delta,
         geometry_tag=geometry_tag,
     )
+
+
+def line_load_observations(path) -> list[FatigueObservation]:
+    """Observations file parsed one line at a time with ``float`` and a literal ``0``/``1`` flag.
+
+    A flag is checked before the amplitude and cycles are converted.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header_seen = False
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != OBSERVATIONS_HEADER:
+                    raise FieldFormatError(path, line_no, f"expected header '{OBSERVATIONS_HEADER}'")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise FieldFormatError(path, line_no, f"expected 3 columns, got {len(parts)}")
+            flag = parts[2].strip()
+            if flag not in ("0", "1"):
+                raise FieldFormatError(path, line_no, f"censored must be 0 or 1, got {flag!r}")
+            try:
+                out.append(FatigueObservation(sigma_a=float(parts[0]), n_cycles=float(parts[1]), censored=flag == "1"))
+            except ValueError as exc:
+                raise FieldFormatError(path, line_no, str(exc)) from exc
+    if not out:
+        raise ValueError(f"{path}: no observations found")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,15 @@ from porelife.cli import (
     synthesize_observations,
 )
 from porelife.config import ConfigError, RunConfig, load_config
-from porelife.field import CriterionTable, load_criterion_table, load_field, save_criterion_table, save_field
+from porelife.field import (
+    FIELD_HEADER,
+    TABLE_HEADER,
+    CriterionTable,
+    load_criterion_table,
+    load_field,
+    save_criterion_table,
+    save_field,
+)
 from porelife.likelihood import (
     FatigueObservation,
     Heterogeneous,
@@ -62,6 +70,40 @@ def conf(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text(SMALL_CONF)
     return path
+
+
+def write_bulk_table(path):
+    """A one-element criterion table on SMALL_CONF's load levels."""
+    levels = (40.0, 60.0, 80.0, 100.0)
+    save_criterion_table(path, CriterionTable(
+        element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[2 * lv / 75500.0 for lv in levels]],
+    ))
+    return path
+
+
+#: Malformed contents per input kind, each refused when the file is loaded.
+MALFORMED = {
+    "field": FIELD_HEADER + "\n0,1.0,nan,0,0,0,0,0\n",
+    "table": TABLE_HEADER.replace("load_MPa", "level") + "\n0,40.0,0.001,27.1\n",
+    "observations": "sigma_a_MPa,n_cycles,censored\n80,1e5,7\n",
+    "params": "[2.0, 0.02, 0.2]",
+}
+
+
+def spoil(path, kind: str, how: str):
+    """``path`` removed (``missing``) or rewritten with a malformed ``kind`` file (``malformed``)."""
+    if how == "missing":
+        path.unlink()
+    else:
+        path.write_text(MALFORMED[kind])
+    return path
+
+
+def assert_refused_without_out(capsys, argv, out, path):
+    """The command exits 2 naming ``path`` and leaves no ``out`` behind."""
+    assert main(argv) == EXIT_VALIDATION
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_synthetic_obs(path, levels=(60.0, 80.0, 100.0), runouts=False):
@@ -319,6 +361,26 @@ class TestCriterion:
         assert rc == EXIT_VALIDATION
         assert "nan_field.csv:3: non-finite value for element 1" in capsys.readouterr().err
 
+    def test_damaged_header_recomputes_the_table(self, conf, tmp_path, capsys):
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "0"])
+        argv = ["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(tmp_path / "f" / "field_000.csv")]
+        assert main(argv) == EXIT_OK
+        table = tmp_path / "t" / "field_000.criterion.csv"
+        first = table.read_bytes()
+        table.write_bytes(first.replace(TABLE_HEADER.encode(), TABLE_HEADER.replace("load_MPa", "level").encode()))
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "field_000.criterion.csv: 1 elements x 4 levels\n"
+        assert table.read_bytes() == first
+
+    @pytest.mark.parametrize("how", ["missing", "malformed"])
+    def test_bad_field_leaves_no_out(self, conf, tmp_path, capsys, how):
+        field = tmp_path / "field.csv"
+        field.write_text(FIELD_HEADER + "\n0,1.0,1.0,0,0,0,0,0\n")
+        out = tmp_path / "t"
+        argv = ["criterion", "--config", str(conf), "--out", str(out), str(spoil(field, "field", how))]
+        assert_refused_without_out(capsys, argv, out, field)
+
 
 class TestCalibrate:
     def test_homogeneous_mode(self, conf, tmp_path):
@@ -402,6 +464,21 @@ class TestCalibrate:
         assert main(args + [item for pair in inputs.items() for item in pair]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["missing", "malformed"])
+    @pytest.mark.parametrize("flag", ["--observations", "--tables", "--homogeneous-observations"])
+    def test_bad_input_leaves_no_out(self, conf, tmp_path, capsys, flag, how):
+        inputs = {
+            "--observations": tmp_path / "obs.csv",
+            "--tables": write_bulk_table(tmp_path / "t.criterion.csv"),
+            "--homogeneous-observations": tmp_path / "hom.csv",
+        }
+        write_synthetic_obs(inputs["--observations"])
+        write_synthetic_obs(inputs["--homogeneous-observations"], levels=(100.0, 140.0))
+        spoil(inputs[flag], "table" if flag == "--tables" else "observations", how)
+        out = tmp_path / "cal"
+        argv = ["calibrate", "--config", str(conf), "--out", str(out), "--mode", "joint"]
+        assert_refused_without_out(capsys, argv + [str(item) for pair in inputs.items() for item in pair], out, inputs[flag])
 
     def test_unknown_mode_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "cal"
@@ -494,6 +571,17 @@ class TestWohler:
         assert str(params) in capsys.readouterr().err
         assert not (tmp_path / "w" / "wohler.csv").exists()
 
+    @pytest.mark.parametrize("how", ["missing", "malformed"])
+    @pytest.mark.parametrize("kind", ["params", "table"])
+    def test_bad_input_leaves_no_out(self, conf, tmp_path, capsys, kind, how):
+        params = tmp_path / "fitted.json"
+        params.write_text(json.dumps(dataclasses.asdict(load_config(conf).fatigue)))
+        table = write_bulk_table(tmp_path / "t.criterion.csv")
+        bad = spoil(params if kind == "params" else table, kind, how)
+        out = tmp_path / "w"
+        argv = ["wohler", "--config", str(conf), "--params", str(params), "--out", str(out), str(table)]
+        assert_refused_without_out(capsys, argv, out, bad)
+
 
 class TestHomogenize:
     def test_report_structure(self, tmp_path):
@@ -560,6 +648,19 @@ class TestHomogenize:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: --notch-kt must be finite, got inf\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["missing", "malformed"])
+    @pytest.mark.parametrize("flag", ["--params", "--challenge-porous", "--challenge-bare", "cylinder"])
+    def test_bad_input_leaves_no_out(self, conf, tmp_path, capsys, flag, how):
+        params = tmp_path / "fitted.json"
+        params.write_text(json.dumps(dataclasses.asdict(load_config(conf).fatigue)))
+        inputs = {"--params": params, **{name: write_bulk_table(tmp_path / f"{name.strip('-')}.criterion.csv")
+                                         for name in ("--challenge-porous", "--challenge-bare", "cylinder")}}
+        spoil(inputs[flag], "params" if flag == "--params" else "table", how)
+        out = tmp_path / "h"
+        argv = ["homogenize", "--config", str(conf), "--out", str(out)]
+        argv += [str(item) for name in ("--params", "--challenge-porous", "--challenge-bare") for item in (name, inputs[name])]
+        assert_refused_without_out(capsys, argv + [str(inputs["cylinder"])], out, inputs[flag])
 
     @pytest.mark.parametrize("n_structs", [3, 1])
     def test_pooled_median_equals_loop_oracle(self, n_structs):

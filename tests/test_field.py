@@ -24,6 +24,7 @@ from porelife.field import (
     load_criterion_table,
     load_field,
     notch_variant,
+    read_header,
     save_criterion_table,
     save_field,
     synth_field,
@@ -334,6 +335,14 @@ class TestFieldFiles:
         with pytest.raises(FieldFormatError, match="could not convert string to float") as err:
             load(path)
         assert err.value.line_no == 3
+
+    def test_every_key_value_comment_before_the_header_is_a_tag(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "# content-hash: abc\n# note: first\n\n# a comment\n# note: a: b\n"
+            f"{TABLE_HEADER}\n# after: the header\n0,40.0,0.001,1.0\n"
+        )
+        assert read_header(path, TABLE_HEADER) == ({"content-hash": "abc", "note": "a: b"}, 6)
 
     def test_duplicate_id_named_at_its_line(self, tmp_path):
         path = tmp_path / "dup.csv"

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
-from porelife.field import CriterionTable, PoreFieldStats
+from porelife.field import CriterionTable, FieldFormatError, PoreFieldStats
 from porelife.likelihood import (
     LOG_FLOOR,
+    OBSERVATIONS_HEADER,
     FatigueObservation,
     ObservationArrays,
     Heterogeneous,
@@ -29,7 +30,7 @@ from porelife.likelihood import (
 )
 from porelife.strain_life import StrainLifeParams, element_lifetime, element_scale_array
 from porelife.weakest_link import structure_scale
-from oracles import survival_product_loglik, table_amplitudes
+from oracles import line_load_observations, survival_product_loglik, table_amplitudes
 
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
 
@@ -50,6 +51,30 @@ def scipy_pdf(scale, shape, n):
 
 def scipy_survival(scale, shape, n):
     return scipy_stats.weibull_min.sf(n, shape, scale=scale)
+
+
+#: Spellings of a float both observation readers take.
+FLOAT_SPELLINGS = (repr, "{:.17g}".format, "{:.17e}".format, lambda value: f" {value!r}\t")
+#: Lines both observation readers skip between rows.
+OBSERVATION_FILLER = st.sampled_from(["", "   ", "# a comment", "  # indented: comment", "#"])
+#: Amplitude or cycle cells that neither reader takes: unparseable, non-finite or nonpositive.
+BAD_NUMBERS = st.sampled_from(["abc", "", "1.0.0", "0x1p3", "1 # c", "5x", "nan", "inf", "-inf", "0", "-1.5", "-0.0"])
+#: Censored flags that neither reader takes (``01``, ``+1`` and ``-0`` are integer spellings only the new one takes).
+BAD_FLAGS = st.sampled_from(["7", "2", "-1", "10", "true", "", " ", "1.0", "1e0", "0x1", "yes", "nan"])
+
+
+@st.composite
+def observation_lines(draw):
+    """The lines of a valid observations file, with comments and blank lines around its rows, and its rows' indices."""
+    lines = draw(st.lists(st.sampled_from(["# source: lab", "", "# a comment"]), max_size=2)) + [OBSERVATIONS_HEADER]
+    rows = []
+    positive = st.floats(1e-300, 1e300)
+    for sigma_a, n_cycles, censored in draw(st.lists(st.tuples(positive, positive, st.booleans()), min_size=1, max_size=6)):
+        lines += draw(st.lists(OBSERVATION_FILLER, max_size=2))
+        rows.append(len(lines))
+        sigma_cell, cycles_cell = (draw(st.sampled_from(FLOAT_SPELLINGS))(v) for v in (sigma_a, n_cycles))
+        lines.append(f"{sigma_cell},{cycles_cell},{draw(st.sampled_from(['', ' ']))}{int(censored)}")
+    return lines + draw(st.lists(OBSERVATION_FILLER, max_size=2)), rows
 
 
 class TestObservationFiles:
@@ -103,6 +128,63 @@ class TestObservationFiles:
         path.write_text(f"sigma_a_MPa,n_cycles,censored\n80,1e5,1\n80,1e5,{flag}\n")
         with pytest.raises(ValueError, match=r"obs\.csv:3: censored must be 0 or 1"):
             load_observations(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(file=observation_lines())
+    def test_reader_equals_line_oracle(self, tmp_path_factory, file):
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        path.write_text("\n".join(file[0]) + "\n")
+        assert load_observations(path) == line_load_observations(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(file=observation_lines(), data=st.data())
+    def test_malformed_line_rejected_where_the_line_oracle_rejects_it(self, tmp_path_factory, file, data):
+        lines, rows = file
+        row = data.draw(st.sampled_from(rows))
+        cells = lines[row].split(",")
+        how = data.draw(st.sampled_from(["number", "flag", "fewer", "more"]))
+        if how == "number":
+            cells[data.draw(st.integers(0, 1))] = data.draw(BAD_NUMBERS)
+        elif how == "flag":
+            cells[2] = data.draw(BAD_FLAGS)
+        elif how == "fewer":
+            del cells[data.draw(st.integers(0, 2))]
+        else:
+            cells.insert(data.draw(st.integers(0, 3)), "0")
+        lines[row] = ",".join(cells)
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FieldFormatError) as err:
+            load_observations(path)
+        with pytest.raises(FieldFormatError) as oracle:
+            line_load_observations(path)
+        assert err.value.line_no == oracle.value.line_no == row + 1
+        if how == "flag":  # the oracle quotes the cell, the reader prints an integer flag as a number
+            assert str(err.value).startswith(f"{path}:{row + 1}: censored must be 0 or 1, got ")
+        else:
+            assert str(err.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ":0: missing header line"),
+        ("# only a comment\n\n", ":0: missing header line"),
+        (OBSERVATIONS_HEADER + "\n# no rows\n", ":0: no observations found"),
+        ("sigma,n,c\n80,1000,0\n", ":1: expected header 'sigma_a_MPa,n_cycles,censored'"),
+        (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,7\n", ":3: censored must be 0 or 1, got 7"),
+        (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,99999999999999999999\n",
+         ":3: censored must be 0 or 1, got '99999999999999999999'"),
+    ], ids=["empty", "comments-only", "no-rows", "header", "flag", "flag-overflow"])
+    def test_file_level_messages(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(FieldFormatError) as err:
+            load_observations(path)
+        assert str(err.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("flag, censored", [("01", True), ("+1", True), ("-0", False), (" 1 ", True)])
+    def test_integer_spellings_of_a_flag_accepted(self, tmp_path, flag, censored):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"{OBSERVATIONS_HEADER}\n80,1e5,{flag}\n")
+        assert load_observations(path) == [FatigueObservation(80.0, 1e5, censored)]
 
     @pytest.mark.parametrize("volume, modulus", [(math.nan, 75500.0), (math.inf, 75500.0), (593.0, math.nan)])
     def test_homogeneous_non_finite_rejected(self, volume, modulus):
