@@ -184,7 +184,8 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
         table_path = out / (field_path.stem + ".criterion.csv")
         content_hash = _criterion_content_hash(config, field_path)
         try:
-            up_to_date = read_header(table_path, TABLE_HEADER)[0].get("content-hash") == content_hash
+            with open(table_path, "r", encoding="utf-8") as fh:
+                up_to_date = read_header(fh, TABLE_HEADER)[0].get("content-hash") == content_hash
         except (OSError, ValueError):  # no table yet, or one whose header is not a table's
             up_to_date = False
         if up_to_date:
@@ -251,11 +252,6 @@ def cmd_calibrate(
     observations = load_observations(observations)
     ensure_failures(observations)
     tables = [load_criterion_table(p) for p in tables]
-    if mode == "joint":
-        homogeneous_obs = load_observations(homogeneous_observations)
-        if reduce_per_level:
-            homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
-        ensure_failures(homogeneous_obs)
 
     if mode == "homogeneous":
         objective = _homogeneous_term(config, observations)
@@ -266,6 +262,10 @@ def cmd_calibrate(
         objective = unknown_pores_objective(observations, tables, config.runout_cycles, assignments)
 
     if mode == "joint":
+        homogeneous_obs = load_observations(homogeneous_observations)
+        if reduce_per_level:
+            homogeneous_obs = _reduce_per_level(homogeneous_obs, config.seed)
+        ensure_failures(homogeneous_obs)
         term_h, term_u = _homogeneous_term(config, homogeneous_obs), objective
 
         def objective(params):

@@ -326,43 +326,41 @@ def _row_dtype(header: str, int_column: str) -> np.dtype:
     return np.dtype([(name, np.int64 if name == int_column else np.float64) for name in header.split(",")])
 
 
-def read_header(path, header: str) -> tuple[dict, int]:
-    """Tags and line number of the header of a CSV file, which must read ``header``.
+def read_header(fh, header: str) -> tuple[dict, int]:
+    """Tags and line number of the header of the open CSV file ``fh``, which must read ``header``.
 
-    Comment and blank lines may precede the header; each ``# key: value``
-    comment among them sets the tag ``key`` (the last one wins).
+    Blank and comment lines may precede it; each ``# key: value`` one sets the tag ``key``, the last one wins.
     """
     tags = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for header_line, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("# ") and ":" in line:
-                key, value = line[2:].split(":", 1)
-                tags[key] = value.strip()
-            elif line and not line.startswith("#"):
-                if line != header:
-                    raise FieldFormatError(path, header_line, f"expected header '{header}'")
-                return tags, header_line
-    raise FieldFormatError(path, 0, "missing header line")
+    for header_line, raw in enumerate(iter(fh.readline, ""), start=1):
+        line = raw.strip()
+        if line.startswith("# ") and ":" in line:
+            key, value = line[2:].split(":", 1)
+            tags[key] = value.strip()
+        elif line and not line.startswith("#"):
+            if line != header:
+                raise FieldFormatError(fh.name, header_line, f"expected header '{header}'")
+            return tags, header_line
+    raise FieldFormatError(fh.name, 0, "missing header line")
 
 
 def _read_rows(path, dtype: np.dtype, messages=None):
     """Tags, header line number and rows of a CSV file headed by ``dtype``'s names.
 
     The rows become a structured array of ``dtype`` in one numpy pass.  That
-    pass refuses comment and whitespace-only lines among the rows and some
-    spellings ``int`` and ``float`` accept; the rows are then parsed line by
-    line, each cell by ``int`` or ``float`` as its field's kind, which raises
-    at the first line that does not parse, saying ``messages[column]`` if given.
+    pass refuses comment and whitespace-only lines among the rows, some
+    spellings ``int`` and ``float`` accept and integers spelled as floats; the
+    rows are then parsed line by line, each cell by ``int`` or ``float`` as its
+    kind, raising at the first bad line with ``messages[column]`` if given.
     """
     names = dtype.names
-    tags, header_line = read_header(path, ",".join(names))
     with open(path, "r", encoding="utf-8") as fh:
+        tags, header_line = read_header(fh, ",".join(names))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=header_line, ndmin=1)
-                return tags, header_line, rows
+                warnings.simplefilter("error", DeprecationWarning)  # an int cell numpy would truncate
+                return tags, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             fh.seek(0)
         rows = []
@@ -453,8 +451,7 @@ def load_field(path) -> ElasticElementField:
         (repeated, lambda i: f"duplicate element id {ids[i]}"),
     ])
     return ElasticElementField(
-        ids=ids, volumes=volumes, sigma_unit=sigma_unit,
-        geometry_tag=tags.get("geometry", ""), nominal_area_note=tags.get("note", ""),
+        ids=ids, volumes=volumes, sigma_unit=sigma_unit, geometry_tag=tags.get("geometry", ""), nominal_area_note=tags.get("note", "")
     )
 
 

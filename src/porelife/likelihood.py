@@ -90,17 +90,20 @@ class ObservationArrays:
 
 def load_observations(path) -> list[FatigueObservation]:
     """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``) with line-numbered errors."""
-    dtype = _row_dtype(OBSERVATIONS_HEADER, "censored")
-    _, header_line, rows = _read_rows(path, dtype, {"censored": "censored must be 0 or 1"})
+    _, header_line, rows = _read_rows(path, _row_dtype(OBSERVATIONS_HEADER, "censored"), {"censored": "censored must be 0 or 1"})
     if rows.size == 0:
         raise FieldFormatError(path, 0, "no observations found")
-    sigma, cycles, censored = (rows[name] for name in dtype.names)
+    observations, rejected = [], np.zeros(rows.size, dtype=bool)
+    try:
+        for sigma, cycles, flag in rows.tolist():
+            observations.append(FatigueObservation(sigma, cycles, flag == 1))
+    except ValueError as exc:  # the first row FatigueObservation refuses
+        rejected[len(observations)], error = True, str(exc)
     _check_rows(path, header_line, [
-        ((censored != 0) & (censored != 1), lambda i: f"censored must be 0 or 1, got {censored[i]}"),
-        (~(np.isfinite(sigma) & (sigma > 0.0)), lambda i: f"sigma_a must be positive and finite, got {sigma[i]}"),
-        (~(np.isfinite(cycles) & (cycles > 0.0)), lambda i: f"n_cycles must be positive and finite, got {cycles[i]}"),
+        (~np.isin(rows["censored"], (0, 1)), lambda i: f"censored must be 0 or 1, got {rows['censored'][i]}"),
+        (rejected, lambda i: error),
     ])
-    return [FatigueObservation(s, n, c == 1) for s, n, c in rows.tolist()]
+    return observations
 
 
 def save_observations(path, observations: Sequence[FatigueObservation]) -> None:

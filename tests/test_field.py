@@ -342,7 +342,9 @@ class TestFieldFiles:
             "# content-hash: abc\n# note: first\n\n# a comment\n# note: a: b\n"
             f"{TABLE_HEADER}\n# after: the header\n0,40.0,0.001,1.0\n"
         )
-        assert read_header(path, TABLE_HEADER) == ({"content-hash": "abc", "note": "a: b"}, 6)
+        with open(path, encoding="utf-8") as fh:
+            assert read_header(fh, TABLE_HEADER) == ({"content-hash": "abc", "note": "a: b"}, 6)
+            assert fh.readline() == "# after: the header\n"
 
     def test_duplicate_id_named_at_its_line(self, tmp_path):
         path = tmp_path / "dup.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,13 +173,35 @@ class TestObservationFiles:
         (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,7\n", ":3: censored must be 0 or 1, got 7"),
         (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,99999999999999999999\n",
          ":3: censored must be 0 or 1, got '99999999999999999999'"),
-    ], ids=["empty", "comments-only", "no-rows", "header", "flag", "flag-overflow"])
+        (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,0.5\n", ":3: censored must be 0 or 1, got '0.5'"),
+        (OBSERVATIONS_HEADER + "\n80,1e5,1\n80,1e5,1.0\n", ":3: censored must be 0 or 1, got '1.0'"),
+    ], ids=["empty", "comments-only", "no-rows", "header", "flag", "flag-overflow", "flag-fraction", "flag-float-one"])
     def test_file_level_messages(self, tmp_path, text, message):
         path = tmp_path / "obs.csv"
         path.write_text(text)
-        with pytest.raises(FieldFormatError) as err:
-            load_observations(path)
+        with warnings.catch_warnings():  # as outside the test suite, where a DeprecationWarning is ignored
+            warnings.simplefilter("ignore")
+            with pytest.raises(FieldFormatError) as err:
+                load_observations(path)
         assert str(err.value) == f"{path}{message}"
+
+    def test_integer_read_via_float_goes_to_the_line_parser(self, tmp_path, monkeypatch):
+        def loadtxt_via_float(*args, dtype, **kwargs):
+            """numpy 1.23 to 1.26: a float-spelled integer cell is truncated after a DeprecationWarning."""
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '0.5' to int64") from exc
+            return np.array([(80.0, 1e5, 1), (80.0, 1e5, 0)], dtype=dtype)
+
+        path = tmp_path / "obs.csv"
+        path.write_text(f"{OBSERVATIONS_HEADER}\n80,1e5,1\n80,1e5,0.5\n")
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FieldFormatError) as err:
+                load_observations(path)
+        assert str(err.value) == f"{path}:3: censored must be 0 or 1, got '0.5'"
 
     @pytest.mark.parametrize("flag, censored", [("01", True), ("+1", True), ("-0", False), (" 1 ", True)])
     def test_integer_spellings_of_a_flag_accepted(self, tmp_path, flag, censored):
