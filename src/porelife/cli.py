@@ -2,7 +2,9 @@
 calibration, load-life quantile prediction, and the homogenization study.
 
 Every command reads one config file, writes CSV/JSON into an output
-directory, and is byte-reproducible from its seed.  Exit codes: 0 success,
+directory (``criterion`` also a binary sidecar per table, which later
+commands load in place of the CSV it was made from), and is
+byte-reproducible from its seed.  Exit codes: 0 success,
 2 validation error, 3 partial element failures, 4 calibration degeneracy.
 """
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .field import (
     load_field,
     notch_variant,
     read_header,
+    read_sidecar,
     save_criterion_table,
     save_field,
     synth_field_report,
@@ -178,7 +181,7 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
 
 
 def cmd_criterion(config: RunConfig, out, fields) -> int:
-    """Precompute criterion tables for field files; skips unchanged inputs."""
+    """Precompute criterion tables and their sidecars for field files; skips unchanged inputs."""
     any_failures = False
     for field_path in fields:
         table_path = out / (field_path.stem + ".criterion.csv")
@@ -188,7 +191,8 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
                 up_to_date = read_header(fh, TABLE_HEADER)[0].get("content-hash") == content_hash
         except (OSError, ValueError):  # no table yet, or one whose header is not a table's
             up_to_date = False
-        if up_to_date:
+        # the header scan does not read the rows: the sidecar's digest of the whole file vouches for them
+        if up_to_date and read_sidecar(table_path) is not None:
             print(f"{table_path.name}: up to date, skipped")
             continue
         field = load_field(field_path)

@@ -10,10 +10,13 @@ load levels (the reusable input to the likelihood) also live here.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -32,6 +35,9 @@ from .material_point import (
 
 FIELD_HEADER = "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz"
 TABLE_HEADER = "element_id,load_MPa,delta_eps,volume_mm3"
+
+#: Bytes per read when a criterion table CSV is hashed for its sidecar.
+SIDECAR_HASH_BLOCK = 1 << 16
 
 #: Shell elements per pore; the innermost sits at the cavity surface.
 DEFAULT_SHELLS = 8
@@ -587,10 +593,11 @@ def criterion_table(
 
 
 def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
-    """Write a criterion table as long-format CSV, one row per (element, level).
+    """Write a criterion table as long-format CSV, one row per (element, level), then its sidecar.
 
     An element's rows differ only in their ``,level,value,`` middles; those
-    are formatted once per distinct strain-range row.
+    are formatted once per distinct strain-range row.  The binary sidecar
+    (see :func:`read_sidecar`) is written after the CSV is closed.
     """
     levels = [f",{level!r}," for level in table.load_levels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
@@ -604,14 +611,106 @@ def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
         for eid, vol, pieces in zip(table.element_ids.tolist(), table.volumes.tolist(), middles):
             head, tail = str(eid), f"{vol!r}\n"
             fh.write(head + (tail + head).join(pieces) + tail)
+    _save_sidecar(path, table, comments)
+
+
+def _sidecar_path(path) -> Path | None:
+    """``x.criterion.npy`` for the table CSV ``x.criterion.csv``; ``None`` when that is the CSV itself."""
+    path = Path(path)
+    sidecar = path.parent / (path.stem + ".npy")
+    return None if sidecar == path else sidecar
+
+
+def _sidecar_dtype(n: int, levels: int, tag_bytes: int) -> np.dtype:
+    """The sidecar's one record: CSV digest, UTF-8 geometry tag and the table's arrays."""
+    return np.dtype([
+        ("sha256", "S64"),
+        ("geometry", "u1", (tag_bytes,)),
+        ("element_ids", "<i8", (n,)),
+        ("volumes", "<f8", (n,)),
+        ("load_levels", "<f8", (levels,)),
+        ("delta_eps", "<f8", (n, levels)),
+    ])
+
+
+def _digest(path) -> bytes:
+    """Hex SHA-256 of the file's exact bytes, read in blocks of :data:`SIDECAR_HASH_BLOCK`."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(SIDECAR_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest().encode()
+
+
+def _save_sidecar(path, table: CriterionTable, comments) -> None:
+    """Write the sidecar of the table CSV just written to ``path`` from ``table``.
+
+    The record holds what :func:`load_criterion_table` parses from the CSV:
+    ids ascending with the rows reordered to match, and the geometry tag as
+    the header scan reads it.  A table that the CSV reader refuses or
+    reorders otherwise gets none: no rows or levels, repeated ids, levels
+    not strictly ascending, or a line break in the tag or a comment.
+    """
+    sidecar, ids, levels = _sidecar_path(path), table.element_ids, table.load_levels
+    if (sidecar is None or ids.size == 0 or np.unique(ids).size != ids.size
+            or np.any(np.diff(levels) <= 0.0)
+            or any(ch in f"{text}" for text in (table.geometry_tag, *comments) for ch in "\r\n")):
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        tag = read_header(fh, TABLE_HEADER)[0].get("geometry", "").encode("utf-8")
+    order = np.argsort(ids, kind="stable")
+    record = np.zeros((), _sidecar_dtype(ids.size, levels.size, len(tag)))
+    record["sha256"] = _digest(path)
+    record["geometry"] = np.frombuffer(tag, dtype=np.uint8)
+    record["load_levels"] = levels
+    for name in ("element_ids", "volumes", "delta_eps"):  # straight into the record: no reordered copies
+        np.take(getattr(table, name), order, axis=0, out=record[name])
+    tmp = sidecar.with_name(sidecar.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, record, allow_pickle=False)
+    os.replace(tmp, sidecar)
+
+
+def read_sidecar(path):
+    """The sidecar record of the criterion table CSV ``path``, or ``None``.
+
+    ``x.criterion.csv``'s sidecar is ``x.criterion.npy``: one record of
+    :func:`_sidecar_dtype` saved by ``np.save``.  It is used only when its
+    layout is the expected one and it carries the SHA-256 of the CSV's exact
+    bytes; a missing, stale, truncated, pickled or mis-shaped one is
+    ``None``.  Without a sidecar file the CSV is not hashed.
+    """
+    sidecar = _sidecar_path(path)
+    if sidecar is None or not sidecar.is_file():
+        return None
+    try:
+        with open(sidecar, "rb") as fh:
+            record = np.load(fh, allow_pickle=False)
+        n, levels = record.dtype["delta_eps"].shape
+        layout = _sidecar_dtype(n, levels, record.dtype["geometry"].shape[0])
+        if record.shape == () and record.dtype == layout and record["sha256"] == _digest(path):
+            return record
+    except (OSError, EOFError, ValueError, KeyError, IndexError, AttributeError):  # not a sidecar of this layout
+        pass
+    return None
 
 
 def load_criterion_table(path) -> CriterionTable:
     """Parse a long-format criterion table CSV; rows may come in any order.
 
     Every element must carry the same load levels, each once, and the same
-    volume on every row.
+    volume on every row.  A sidecar made from the CSV's exact bytes (see
+    :func:`read_sidecar`) gives the same table without parsing the CSV.
     """
+    record = read_sidecar(path)
+    if record is not None:
+        return CriterionTable(
+            element_ids=record["element_ids"],
+            volumes=record["volumes"],
+            load_levels=record["load_levels"],
+            delta_eps=record["delta_eps"],
+            geometry_tag=record["geometry"].tobytes().decode("utf-8"),
+        )
     tags, header_line, rows = _read_rows(path, _row_dtype(TABLE_HEADER, "element_id"))
     if rows.size == 0:
         raise FieldFormatError(path, 0, "criterion table has no rows")

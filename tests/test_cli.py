@@ -373,6 +373,53 @@ class TestCriterion:
         assert capsys.readouterr().out == "field_000.criterion.csv: 1 elements x 4 levels\n"
         assert table.read_bytes() == first
 
+    def test_damaged_row_recomputes_the_table(self, conf, tmp_path, capsys):
+        # the header and its content-hash stay intact; only the sidecar's digest sees the row
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "0"])
+        argv = ["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(tmp_path / "f" / "field_000.csv")]
+        assert main(argv) == EXIT_OK
+        table = tmp_path / "t" / "field_000.criterion.csv"
+        first, sidecar = table.read_bytes(), table.with_suffix(".npy").read_bytes()
+        assert b"\n0,60.0," in first
+        table.write_bytes(first.replace(b"\n0,60.0,", b"\n0,60.0x,"))
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "field_000.criterion.csv: 1 elements x 4 levels\n"
+        assert table.read_bytes() == first
+        assert table.with_suffix(".npy").read_bytes() == sidecar
+        assert main(["wohler", "--config", str(conf), "--out", str(tmp_path / "w"), str(table)]) == EXIT_OK
+
+    def test_sidecar_bytes_are_deterministic(self, conf, tmp_path, capsys):
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "2", "--count", "2"])
+        fields = [str(tmp_path / "f" / f"field_{i:03d}.csv") for i in range(2)]
+        for out in ("t1", "t2"):
+            assert main(["criterion", "--config", str(conf), "--out", str(tmp_path / out), *fields]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+        assert names == ["field_000.criterion.csv", "field_000.criterion.npy",
+                         "field_001.criterion.csv", "field_001.criterion.npy"]
+        assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())  # no *.tmp left behind
+        for name in names:
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (tmp_path / "t1").iterdir()}
+        capsys.readouterr()
+        assert main(["criterion", "--config", str(conf), "--out", str(tmp_path / "t1"), *fields]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(f"field_{i:03d}.criterion.csv: up to date, skipped\n" for i in range(2))
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (tmp_path / "t1").iterdir()} == before
+
+    def test_table_without_sidecar_is_recomputed_once(self, conf, tmp_path, capsys):
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "0"])
+        argv = ["criterion", "--config", str(conf), "--out", str(tmp_path / "t"), str(tmp_path / "f" / "field_000.csv")]
+        assert main(argv) == EXIT_OK
+        sidecar = tmp_path / "t" / "field_000.criterion.npy"
+        first = sidecar.read_bytes()
+        sidecar.unlink()
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == ("field_000.criterion.csv: 1 elements x 4 levels\n"
+                                           "field_000.criterion.csv: up to date, skipped\n")
+        assert sidecar.read_bytes() == first
+
     @pytest.mark.parametrize("how", ["missing", "malformed"])
     def test_bad_field_leaves_no_out(self, conf, tmp_path, capsys, how):
         field = tmp_path / "field.csv"

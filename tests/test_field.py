@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -25,6 +27,7 @@ from porelife.field import (
     load_field,
     notch_variant,
     read_header,
+    read_sidecar,
     save_criterion_table,
     save_field,
     synth_field,
@@ -815,6 +818,150 @@ class TestCriterionTable:
                 load_levels=np.array([40.0, 80.0]),
                 delta_eps=np.array([[2e-3, 1e-3]]),  # decreasing along levels
             )
+
+
+TABLE_ARRAYS = ("element_ids", "volumes", "load_levels", "delta_eps")
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the table's arrays and tag, or the error's message and line."""
+    try:
+        table = load_criterion_table(path)
+    except FieldFormatError as exc:
+        return "error", str(exc), exc.line_no
+    arrays = [getattr(table, name) for name in TABLE_ARRAYS]
+    return "table", [(a.dtype, a.shape, a.tobytes()) for a in arrays], table.geometry_tag
+
+
+def relayout(record, shape=(), **formats):
+    """``record`` rebuilt with some fields in another format, each field's values cast and cut or repeated to fit."""
+    dtype = np.dtype([(name, *formats.get(name, (record.dtype[name].base, record.dtype[name].shape)))
+                      for name in record.dtype.names])
+    out = np.zeros(shape, dtype)
+    for name in dtype.names:
+        out[name] = np.resize(record[name].astype(dtype[name].base), dtype[name].shape)
+    return out
+
+
+def resave(record, save=np.save, **kwargs):
+    """A sidecar spoiler that saves ``record`` (a function of the valid one) in its place."""
+    def spoil(sidecar, csv):
+        spoiled = record(np.load(sidecar))
+        with open(sidecar, "wb") as fh:
+            save(fh, spoiled, **kwargs)
+    return spoil
+
+
+#: Ways a sidecar goes bad, as ``spoil(sidecar, csv)``.  Each one but ``stale``
+#: and ``damaged_row`` keeps the CSV's digest, so only its layout is wrong.
+SPOILED_SIDECARS = {
+    "missing": lambda sidecar, csv: sidecar.unlink(),
+    "stale": lambda sidecar, csv: csv.write_text(csv.read_text().replace(",27.1\n", ",27.2\n")),
+    "damaged_row": lambda sidecar, csv: csv.write_text(csv.read_text().replace("\n2,60.0,", "\n2,60.0x,")),
+    "truncated_data": lambda sidecar, csv: sidecar.write_bytes(sidecar.read_bytes()[:-8]),
+    "truncated_header": lambda sidecar, csv: sidecar.write_bytes(sidecar.read_bytes()[:40]),
+    "empty": lambda sidecar, csv: sidecar.write_bytes(b""),
+    "not_npy": lambda sidecar, csv: sidecar.write_bytes(b"element_id,load_MPa\n"),
+    "directory": lambda sidecar, csv: (sidecar.unlink(), sidecar.mkdir()),
+    "npz_archive": resave(lambda r: r, save=lambda fh, r: np.savez(fh, record=r)),
+    "object_array": resave(lambda r: np.array([r.item()], dtype=object), allow_pickle=True),
+    "object_field": resave(lambda r: relayout(r, sha256=(object, ())), allow_pickle=True),
+    "int32_ids": resave(lambda r: relayout(r, element_ids=("<i4", r.dtype["element_ids"].shape))),
+    "big_endian_strains": resave(lambda r: relayout(r, delta_eps=(">f8", r.dtype["delta_eps"].shape))),
+    "flat_strains": resave(lambda r: relayout(r, delta_eps=("<f8", (r["delta_eps"].size,)))),
+    "scalar_tag": resave(lambda r: relayout(r, geometry=("u1", ()))),
+    "record_array": resave(lambda r: relayout(r, shape=(1,))),
+    "plain_array": resave(lambda r: r["delta_eps"]),
+    "missing_field": resave(lambda r: r[["sha256", "element_ids", "volumes", "load_levels", "delta_eps"]]),
+}
+
+
+#: A one-element, one-level table.
+ONE_CELL = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[40.0], delta_eps=[[1e-3]])
+
+#: Tag and comment text: any character, with line breaks and spaces common.
+TAG_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(" \t\r\n")), max_size=10)
+
+
+class TestTableSidecar:
+    """The binary sidecar gives the CSV path's table, and only for the CSV it was made from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.one_of(random_table(), random_table(pool=True)), tag=TAG_TEXT, comments=st.lists(TAG_TEXT, max_size=2))
+    @example(table=ONE_CELL, tag="g\n7,40.0,0.5,1.0", comments=[])
+    @example(table=ONE_CELL, tag="g", comments=["c\r7,40.0,0.5,1.0"])
+    @example(table=ONE_CELL, tag="g\r\nh", comments=[])
+    @example(table=ONE_CELL, tag="", comments=["geometry: h\n"])
+    def test_sidecar_equals_csv_path(self, tmp_path_factory, table, tag, comments):
+        # ids come shuffled and rows repeat; -0.0 steps leave signed zeros
+        path = tmp_path_factory.mktemp("table") / "t.criterion.csv"
+        save_criterion_table(path, dataclasses.replace(table, geometry_tag=tag), comments=comments)
+        sidecar = path.with_suffix(".npy")
+        if any(ch in text for text in (tag, *comments) for ch in "\r\n"):
+            assert not sidecar.exists()  # a line break could add or split CSV lines
+            return
+        assert read_sidecar(path) is not None
+        fast = load_criterion_table(path)
+        sidecar.unlink()
+        assert_same_arrays(fast, load_criterion_table(path), TABLE_ARRAYS)
+
+    @pytest.mark.parametrize("table", [
+        CriterionTable(element_ids=[3, 1, 3], volumes=[1.0, 2.0, 1.0], load_levels=[40.0], delta_eps=[[1e-3]] * 3),
+        CriterionTable(element_ids=[3, 4], volumes=[1.0, 2.0], load_levels=[], delta_eps=np.zeros((2, 0))),
+        CriterionTable(element_ids=[], volumes=[], load_levels=[40.0], delta_eps=np.zeros((0, 1))),
+    ], ids=["repeated_ids", "no_levels", "no_elements"])
+    def test_no_sidecar_for_a_table_the_csv_reader_refuses(self, tmp_path, table):
+        path = tmp_path / "t.criterion.csv"
+        save_criterion_table(path, table)
+        assert not path.with_suffix(".npy").exists()
+        with pytest.raises(FieldFormatError):
+            load_criterion_table(path)
+
+    def test_no_sidecar_when_the_csv_path_reorders_levels(self, tmp_path):
+        table = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[80.0, 40.0], delta_eps=[[1e-3, 1e-3]])
+        save_criterion_table(tmp_path / "t.criterion.csv", table)
+        assert not (tmp_path / "t.criterion.npy").exists()
+        assert load_criterion_table(tmp_path / "t.criterion.csv").load_levels.tolist() == [40.0, 80.0]
+
+    def test_sidecar_is_never_the_csv_itself(self, tmp_path):
+        path = tmp_path / "table.npy"
+        save_criterion_table(path, ONE_CELL)
+        assert path.read_text().endswith(TABLE_HEADER + "\n0,40.0,0.001,1.0\n")
+        assert read_sidecar(path) is None
+
+    @pytest.mark.parametrize("how", SPOILED_SIDECARS)
+    def test_spoiled_sidecar_gives_the_csv_path(self, tmp_path, how):
+        path = tmp_path / "t.criterion.csv"
+        table = CriterionTable(
+            element_ids=[2, 0, 1], volumes=[27.1, 27.1, 3.0], load_levels=[40.0, 60.0],
+            delta_eps=[[1e-3, 2e-3], [-0.0, 0.0], [1e-3, 1e-3]], geometry_tag="cylinder r=3.072 L=20.0",
+        )
+        save_criterion_table(path, table, comments=["content-hash: abc"])
+        sidecar = path.with_suffix(".npy")
+        assert read_sidecar(path) is not None
+        SPOILED_SIDECARS[how](sidecar, path)
+        assert read_sidecar(path) is None
+        spoiled = load_outcome(path)
+        if sidecar.is_file():
+            sidecar.unlink()
+        assert spoiled == load_outcome(path)
+        if how == "damaged_row":
+            assert spoiled[0] == "error" and spoiled[2] == 5
+        elif how == "stale":
+            assert load_criterion_table(path).volumes.tolist() == [27.2, 3.0, 27.2]
+
+    def test_no_sidecar_file_means_no_hashing(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.criterion.csv"
+        save_criterion_table(path, ONE_CELL)
+        path.with_suffix(".npy").unlink()
+        monkeypatch.setattr(porelife.field, "_digest", mock.Mock(side_effect=AssertionError("hashed")))
+        assert load_criterion_table(path).element_ids.tolist() == [0]
+
+    def test_digest_reads_in_blocks(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.csv"
+        path.write_bytes(bytes(range(256)) * 1000)
+        monkeypatch.setattr(porelife.field, "SIDECAR_HASH_BLOCK", 1000)
+        assert porelife.field._digest(path) == hashlib.sha256(path.read_bytes()).hexdigest().encode()
 
 
 class TestBatchedCriterion:
