@@ -182,6 +182,9 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
 
 def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs."""
+    for field_path in fields:  # the name goes into the table's one-line `source:` comment
+        if "\n" in field_path.name or "\r" in field_path.name:
+            raise ConfigError(f"field file name {field_path.name!r} holds a line break")
     any_failures = False
     for field_path in fields:
         table_path = out / (field_path.stem + ".criterion.csv")

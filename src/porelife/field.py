@@ -26,9 +26,10 @@ from .material_point import (
     DEFAULT_CYCLE_SAMPLES,
     DEFAULT_STABILIZATION_CYCLES,
     ChabocheParams,
+    check_count,
     cosine_cycle,
     criterion_delta_eps,
-    critical_direction,
+    critical_directions,
     elastic_delta_eps,
     neuber_correct,
 )
@@ -172,7 +173,10 @@ def _sample_radii_mm(stats: PoreFieldStats, count: int, rng) -> np.ndarray:
     # rounding can carry a draw just below 1 up to 1, which has no quantile
     u = np.minimum(floor + rng.random(count) * (1.0 - floor), _MAX_UNIFORM)
     normal = NormalDist()
-    return np.exp(mu + s * np.array([normal.inv_cdf(x) for x in u]))
+    radii = np.exp(mu + s * np.array([normal.inv_cdf(x) for x in u]))
+    # far in the upper tail the floor's CDF value is rounded to a double a few
+    # ulp below 1, and its quantile can fall short of the acceptance radius
+    return np.maximum(radii, stats.accept_radius_um / 1000.0)
 
 
 def synth_field_report(
@@ -428,7 +432,14 @@ def _format_rows(rows: np.ndarray, fmt):
 
 
 def save_field(path, field: ElasticElementField) -> None:
-    """Write a field file (comma-separated, full round-trip precision)."""
+    """Write a field file (comma-separated, full round-trip precision).
+
+    A geometry tag or note holding a line break, which :func:`load_field`
+    would refuse, raises ValueError before the file is opened.
+    """
+    for name, text in (("geometry tag", field.geometry_tag), ("note", field.nominal_area_note)):
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"field {name} {text!r} holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
         if field.geometry_tag:
             fh.write(f"# geometry: {field.geometry_tag}\n")
@@ -530,9 +541,11 @@ def criterion_table(
     identical unit tensors are solved once and share the row.
 
     The distinct tensors go in chunks of :data:`CRITERION_CHUNK` through one
-    broadcast pass (:func:`elastic_delta_eps`) that settles every cell below
-    yield; only the other cells go through :func:`neuber_correct`, one by
-    one, levels ascending.  Each cell equals the per-cell chain bit for bit.
+    stacked eigensolve (:func:`critical_directions`) and one broadcast pass
+    (:func:`elastic_delta_eps`) that settles every cell below yield; only
+    the other cells go through :func:`neuber_correct`, one by one, levels
+    ascending.  Each cell equals the per-cell chain bit for bit.  ``cycles``
+    and ``samples`` must be integers of at least 1.
 
     Correction failures raise :class:`CriterionError` annotated with the
     element id, unless a ``failures`` list is supplied, in which case failed
@@ -546,8 +559,7 @@ def criterion_table(
     if np.any(np.diff(levels) <= 0.0):
         raise ValueError("load levels must be strictly ascending")
 
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    cycles, samples = check_count("cycles", cycles), check_count("samples", samples)
 
     first, inverse, _ = _distinct_rows(field.sigma_unit)
     distinct = field.sigma_unit[first]
@@ -555,12 +567,8 @@ def criterion_table(
     errors: dict = {}  # distinct tensor -> its first exception
     for start in range(0, len(distinct), CRITERION_CHUNK):
         tensors = distinct[start:start + CRITERION_CHUNK]
-        n_stars = np.zeros((len(tensors), 3))
-        for k, tensor in enumerate(tensors):
-            try:
-                n_stars[k] = critical_direction(tensor)
-            except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
-                errors[start + k] = exc
+        n_stars, refused = critical_directions(tensors)
+        errors.update((start + k, exc) for k, exc in refused.items())
         rows[start:start + len(tensors)], elastic = elastic_delta_eps(mat, tensors, n_stars, levels, samples)
         for k, j in zip(*np.nonzero(~elastic)):  # per tensor, levels ascending
             if start + k in errors:

@@ -14,6 +14,7 @@ Tensors are 6-vectors in the :mod:`porelife.voigt` convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -126,8 +127,19 @@ class TensorHistory:
         return int(self.times.size)
 
 
+def check_count(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` for a bool, a non-integral value or one below 1."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def _cosine_wave(amplitude, samples: int):
     """Sample times t in [0, 1) and amplitude * cos(2 pi t), one wave per amplitude."""
+    samples = check_count("samples", samples)
     t = np.arange(samples) / samples
     return t, np.multiply.outer(amplitude, np.cos(2.0 * math.pi * t))
 
@@ -229,8 +241,7 @@ def _repeat_cycle(times: np.ndarray, n_cycles: int, step) -> CycleResult:
     solves sample ``i`` from the current internal variables and returns
     ``(eps_p, X, p, stress, strain)``.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be at least 1")
+    n_cycles = check_count("n_cycles", n_cycles)
     eps_p, x_back, p = np.zeros(6), np.zeros(6), 0.0
     sig_hist = np.empty((len(times), 6))
     eps_hist = np.empty((len(times), 6))
@@ -397,10 +408,18 @@ def _below_yield(params: ChabocheParams, amp):
     return np.max(np.abs(amp), axis=-1) <= params.sigma_y
 
 
-def _branch_stress_range(params: ChabocheParams, dep: float, r_stab: float) -> float:
-    """Stress range of the stabilized uniaxial hysteresis branch."""
-    kin = 2.0 * params.C_kin / params.D * math.tanh(0.5 * params.D * dep) if params.D > 0 else params.C_kin * dep
-    return 2.0 * (params.sigma_y + r_stab) + kin
+def _branch_range(params: ChabocheParams):
+    """``range(dep, floor)``: stress range of the stabilized uniaxial hysteresis branch.
+
+    ``dep`` is the plastic strain range and ``floor = 2 (sigma_y + r)`` the
+    elastic part at isotropic stress ``r``.  The material's constants are
+    bound once, in the operation order of ``floor + 2 C / D tanh(D / 2 dep)``.
+    """
+    if params.D > 0:
+        two_c_over_d, half_d = 2.0 * params.C_kin / params.D, 0.5 * params.D
+        return lambda dep, floor: floor + two_c_over_d * math.tanh(half_d * dep)
+    c_kin = params.C_kin
+    return lambda dep, floor: floor + c_kin * dep
 
 
 def _bisect(residual, hi: float, rel_tol: float, what: str) -> float:
@@ -422,27 +441,34 @@ def _bisect(residual, hi: float, rel_tol: float, what: str) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * max(hi, 1.0):
+        if hi - lo <= rel_tol * (1.0 if 1.0 > hi else hi):  # max(hi, 1.0), NaN included
             break
     return 0.5 * (lo + hi)
 
 
-def _solve_branch_neuber(params: ChabocheParams, product: float, r_stab: float, dep_hi: float) -> tuple[float, float]:
-    """Solve range * strain-range = product on the cyclic branch curve.
+def _branch_solver(params: ChabocheParams, r_stab: float):
+    """``solve(product, dep_hi)``: range * strain-range = product on the cyclic branch.
 
-    Returns (stress range, plastic strain range).  Elastic whenever the
-    elastic solution stays within the doubled yield surface.
+    The branch is the one at isotropic stress ``r_stab``.  ``solve`` returns
+    (stress range, plastic strain range), elastic whenever the elastic
+    solution stays within the doubled yield surface.
     """
-    elastic_range = math.sqrt(product * params.E)
-    if elastic_range <= 2.0 * (params.sigma_y + r_stab):
-        return elastic_range, 0.0
+    branch_range, young = _branch_range(params), params.E
+    floor = 2.0 * (params.sigma_y + r_stab)
 
-    def residual(dep):
-        rng = _branch_stress_range(params, dep, r_stab)
-        return rng * (rng / params.E + dep) - product
+    def solve(product: float, dep_hi: float) -> tuple[float, float]:
+        elastic_range = math.sqrt(product * young)
+        if elastic_range <= floor:
+            return elastic_range, 0.0
 
-    dep = _bisect(residual, max(dep_hi, 1e-12), 1e-14, "scalar Neuber solve")
-    return _branch_stress_range(params, dep, r_stab), dep
+        def residual(dep):
+            rng = branch_range(dep, floor)
+            return rng * (rng / young + dep) - product
+
+        dep = _bisect(residual, max(dep_hi, 1e-12), 1e-14, "scalar Neuber solve")
+        return branch_range(dep, floor), dep
+
+    return solve
 
 
 def neuber_correct(
@@ -466,6 +492,7 @@ def neuber_correct(
 
     Returns ``(stress_history, strain_history)``.
     """
+    n_cycles = check_count("n_cycles", n_cycles)
     if len(elastic_stress_history) == 0:
         raise ValueError("empty elastic history")
     values = elastic_stress_history.values
@@ -481,24 +508,26 @@ def neuber_correct(
 
     a_max = float(np.max(amp))
     a_min = float(np.min(amp))
+    young, sigma_y = params.E, params.sigma_y
     span = a_max - a_min
-    product_loop = span * span / params.E
+    product_loop = span * span / young
 
     # stabilized-loop solve: the isotropic stress is coupled to the plastic
     # range through the cumulative plastic strain accumulated over n_cycles
     # (p grows by twice the plastic range per cycle); the coupled residual is
     # monotone in the plastic range, so one bisection settles it
+    branch_range, two_n = _branch_range(params), 2.0 * n_cycles
+
     def loop_residual(dep):
-        r_s = params.isotropic_stress(2.0 * n_cycles * dep)
-        rng = _branch_stress_range(params, dep, r_s)
-        return rng * (rng / params.E + dep) - product_loop
+        rng = branch_range(dep, 2.0 * (sigma_y + params.isotropic_stress(two_n * dep)))
+        return rng * (rng / young + dep) - product_loop
 
     if loop_residual(0.0) >= 0.0:
         dep_loop = 0.0
     else:
-        dep_loop = _bisect(loop_residual, span / params.E, 1e-16, "stabilized-loop solve")
-    r_stab = params.isotropic_stress(2.0 * n_cycles * dep_loop)
-    rng_loop, dep_loop = _solve_branch_neuber(params, product_loop, r_stab, max(dep_loop, span / params.E))
+        dep_loop = _bisect(loop_residual, span / young, 1e-16, "stabilized-loop solve")
+    solve = _branch_solver(params, params.isotropic_stress(two_n * dep_loop))
+    rng_loop, dep_loop = solve(product_loop, max(dep_loop, span / young))
 
     # reversal anchors; means scale with the corrected/elastic range ratio
     mean_a = 0.5 * (a_max + a_min)
@@ -510,11 +539,11 @@ def neuber_correct(
 
     sig_scalar = np.empty(len(amp))
     dep_scalar = np.empty(len(amp))
-    for i, a in enumerate(amp):
+    for i, a in enumerate(amp.tolist()):
         descending = _on_descending_branch(i, idx_top, idx_bot, len(amp))
         origin = a_max if descending else a_min
         span_t = abs(a - origin)
-        rng_t, dep_t = _solve_branch_neuber(params, span_t * span_t / params.E, r_stab, dep_loop)
+        rng_t, dep_t = solve(span_t * span_t / young, dep_loop)
         if descending:
             sig_scalar[i] = sig_top - rng_t
             dep_scalar[i] = dep_top - dep_t
@@ -558,7 +587,11 @@ def critical_direction(sigma) -> np.ndarray:
         norm = float(np.linalg.norm(mat))
     if not math.isfinite(norm):
         raise ValueError(f"tensor norm is not finite ({norm}): the stresses overflow")
-    evals, evecs = np.linalg.eigh(mat)
+    return _tie_rule(*np.linalg.eigh(mat), norm)
+
+
+def _tie_rule(evals, evecs, norm: float) -> np.ndarray:
+    """:func:`critical_direction` of one tensor from its ascending eigenpairs and finite norm."""
     tol = 1e-9 * max(norm, 1e-300)
     top = evals >= evals[-1] - tol
     basis = evecs[:, top]
@@ -579,6 +612,53 @@ def critical_direction(sigma) -> np.ndarray:
     return vec
 
 
+def _dot_rows(a):
+    """``a[..., i] . a[..., i]`` for each last-axis row, with the kernel of ``np.linalg.norm``: one BLAS dot per row."""
+    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
+
+
+def critical_directions(tensors) -> tuple[np.ndarray, dict]:
+    """:func:`critical_direction` of each row of a (k, 6) stack, bit for bit.
+
+    Returns ``(n_stars, errors)``: the (k, 3) directions and ``{row:
+    ValueError}`` for the rows whose norm is not finite, which go to
+    :func:`critical_direction` itself (their directions stay zero).  The
+    others share one ``np.linalg.eigh``.  Where the top eigenvalue is single
+    the tie rule runs on the whole stack through the kernels it uses on one
+    tensor: ``basis @ basis[axis]`` as a stacked ``matmul``, and
+    ``np.linalg.norm`` as one BLAS dot per row.  Degenerate tops take
+    :func:`_tie_rule` on their stacked eigenpairs.
+    """
+    tensors = np.asarray(tensors, dtype=float)
+    mats = voigt.to_matrix(tensors)
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: critical_direction reports it
+        norms = np.sqrt(_dot_rows(mats.reshape(-1, 9)))
+    n_stars = np.zeros((len(tensors), 3))
+    errors = {}
+    for k in np.flatnonzero(~np.isfinite(norms)).tolist():
+        try:
+            n_stars[k] = critical_direction(tensors[k])
+        except ValueError as exc:
+            errors[k] = exc
+    rows = np.flatnonzero(np.isfinite(norms))
+    evals, evecs = np.linalg.eigh(mats[rows])
+    top = evals >= evals[:, -1:] - (1e-9 * np.maximum(norms[rows], 1e-300))[:, None]
+    basis = evecs[:, :, 2:]  # the rule's basis where the top eigenvalue is single
+    proj = np.matmul(basis[:, None], basis[:, :, None])[..., 0]  # (rows, axis, 3): basis @ basis[axis]
+    lengths = np.sqrt(_dot_rows(proj))
+    found = lengths > 1e-12
+    picked, axis = np.arange(rows.size), np.argmax(found, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # only where no axis is found
+        vec = proj[picked, axis] / lengths[picked, axis][:, None]
+    lead = np.abs(vec) > 1e-12
+    flip = np.any(lead, axis=1) & (vec[picked, np.argmax(lead, axis=1)] < 0.0)
+    stacked = (np.sum(top, axis=1) == 1) & np.any(found, axis=1)
+    n_stars[rows[stacked]] = np.where(flip[:, None], -vec, vec)[stacked]
+    for i in np.flatnonzero(~stacked).tolist():
+        n_stars[rows[i]] = _tie_rule(evals[i], evecs[i], float(norms[rows[i]]))
+    return n_stars, errors
+
+
 def criterion_delta_eps(strain_history: TensorHistory, n_star) -> float:
     """Range of the normal strain n . eps(t) . n over the provided cycle."""
     if len(strain_history) == 0:
@@ -588,6 +668,48 @@ def criterion_delta_eps(strain_history: TensorHistory, n_star) -> float:
         raise ValueError("n_star must be a unit vector")
     projected = voigt.normal_projection(strain_history.values, n_star)
     return float(np.max(projected) - np.min(projected))
+
+
+#: Relative slack of :func:`_settled_cells`.  The peak equivalent ``max
+#: |amp|`` that :func:`_decompose` computes for a cell and the per-tensor
+#: ``level * vm(t)`` round the same exact value through short chains of
+#: products, quotients and sums of normal doubles (the one cancellation, in
+#: the deviator, costs a few ulp of ``|t|``), so they differ by a few dozen
+#: ulp of ``level * |t|`` at most: 1.1e-15 (10 ulp) over the 27,000 cells of
+#: the benchmark mesh.  A slack of 1e-9 covers that about 1e5 times over.
+CERTIFICATE_SLACK = 1e-9
+
+#: Bounds of every nonzero sample component for :func:`_settled_cells`: the
+#: squares of the components and of their roundings stay normal doubles.
+_SAFE_LOW, _SAFE_HIGH = 2.0**-500, 2.0**500
+
+
+def _settled_cells(params: ChabocheParams, tensors, wave):
+    """(elastic, plastic) masks of the (k, j) cells that per-tensor arithmetic settles.
+
+    Cell (k, j) is the history ``wave[j, n] * t`` with ``t = tensors[k]``
+    and level ``max |wave[j]|``.  A cell qualifies when ``t`` is finite with
+    ``vm(t) > slack |t|`` and every nonzero component of ``t`` and of its
+    samples lies within the safe bounds.  :func:`_decompose` then finds the
+    history proportional with a direction, and its ``max |amp|`` lies in
+    ``level (vm(t) -/+ slack |t|)``; the cell is ``elastic`` when that band
+    ends a slack below the yield stress and ``plastic`` when it starts a
+    slack above.  Every other cell (near yield, near hydrostatic, zero,
+    extreme or not finite) is in neither mask.
+    """
+    slack = CERTIFICATE_SLACK
+    magnitude = np.abs(tensors)
+    biggest = np.max(magnitude, axis=-1)
+    smallest = np.min(np.where(magnitude > 0.0, magnitude, np.inf), axis=-1)
+    norm = np.sqrt(voigt.contract(tensors, tensors))
+    vm = voigt.von_mises(tensors)
+    clear = (np.isfinite(norm) & (smallest >= _SAFE_LOW) & (biggest <= _SAFE_HIGH) & (vm > slack * norm))[:, None]
+    w_abs = np.abs(wave)
+    level = np.max(w_abs, axis=-1)
+    clear = clear & (np.outer(smallest, np.min(w_abs, axis=-1)) >= _SAFE_LOW) & (np.outer(biggest, level) <= _SAFE_HIGH)
+    elastic = clear & (np.outer(vm + slack * norm, level) <= params.sigma_y * (1.0 - slack))
+    plastic = clear & (np.outer(vm - slack * norm, level) >= params.sigma_y * (1.0 + slack))
+    return elastic, plastic
 
 
 def elastic_delta_eps(params: ChabocheParams, tensors, n_stars, levels, samples: int = DEFAULT_CYCLE_SAMPLES):
@@ -601,12 +723,18 @@ def elastic_delta_eps(params: ChabocheParams, tensors, n_stars, levels, samples:
     elastic)``, both (k, j).  Where ``elastic`` is False the range is
     meaningless: the cell yields, or its history is zero, hydrostatic, not
     proportional or not finite, and :func:`neuber_correct` must handle it.
+    ``elastic`` is the mask of the stacked :func:`_decompose`, which runs
+    only on the cells :func:`_settled_cells` leaves open.
     """
+    tensors = np.asarray(tensors, dtype=float)
     _, wave = _cosine_wave(np.asarray(levels, dtype=float), samples)
     with np.errstate(over="ignore", invalid="ignore"):  # only in cells that are not elastic
-        values = wave[None, :, :, None] * np.asarray(tensors, dtype=float)[:, None, None, :]
-        split = _decompose(values)
-        elastic = split.has_direction & _below_yield(params, split.amp)
+        values = wave[None, :, :, None] * tensors[:, None, None, :]
+        elastic, plastic = _settled_cells(params, tensors, wave)
+        open_cells = ~(elastic | plastic)
+        if np.any(open_cells):
+            split = _decompose(values[open_cells])
+            elastic[open_cells] = split.has_direction & _below_yield(params, split.amp)
         strain = voigt.elastic_strain(values, params.E, params.nu)
         projected = voigt.normal_projection(strain, np.asarray(n_stars, dtype=float)[:, None, None, :])
         return np.max(projected, axis=-1) - np.min(projected, axis=-1), elastic

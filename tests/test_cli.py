@@ -350,6 +350,16 @@ class TestCriterion:
         table = load_criterion_table(tmp_path / "t" / "huge_field.criterion.csv")
         assert table.element_ids.tolist() == [0]
 
+    @pytest.mark.parametrize("name", ["two\nlines.csv", "carriage\rreturn.csv"])
+    def test_field_name_with_a_line_break_is_refused(self, conf, tmp_path, capsys, name):
+        # the name goes into the table's `source:` comment, which must stay one line
+        main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "0"])
+        field = (tmp_path / "f" / "field_000.csv").rename(tmp_path / "f" / name)
+        out = tmp_path / "t"
+        assert main(["criterion", "--config", str(conf), "--out", str(out), str(field)]) == EXIT_VALIDATION
+        assert f"field file name {name!r} holds a line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_field_cell_is_a_validation_error(self, conf, tmp_path, capsys):
         bad = tmp_path / "nan_field.csv"
         bad.write_text(

@@ -349,6 +349,13 @@ class TestFieldFiles:
             assert read_header(fh, TABLE_HEADER) == ({"content-hash": "abc", "note": "a: b"}, 6)
             assert fh.readline() == "# after: the header\n"
 
+    @pytest.mark.parametrize("tag, note", [("a\rb", ""), ("cyl\nr=3", ""), ("", "one\ntwo"), ("", "x\r\n")])
+    def test_line_break_refused_before_the_file_opens(self, tmp_path, tag, note):
+        field = dataclasses.replace(bulk_only(), geometry_tag=tag, nominal_area_note=note)
+        with pytest.raises(ValueError, match="holds a line break"):
+            save_field(tmp_path / "field.csv", field)
+        assert not (tmp_path / "field.csv").exists()
+
     def test_duplicate_id_named_at_its_line(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(FIELD_HEADER + "\n" + "".join(f"{i},1.0,1.0,0,0,0,0,0\n" for i in (3, 1, 2, 1, 3)))
@@ -420,6 +427,14 @@ class TestSynthField:
         # the floor's CDF value is rounded, so far in the tail a radius may fall a little short of it
         radii_um = 1000.0 * porelife.field._sample_radii_mm(stats, 3, np.random.default_rng(seed))
         assert np.all(radii_um >= 0.99 * accept)
+
+    @pytest.mark.parametrize("median, log_sd, accept", [(48.0, 0.306640625, 586.0), (70.0, 0.35, 50.0)])
+    def test_no_radius_falls_below_the_acceptance_radius(self, median, log_sd, accept):
+        # 586 um lies 8.16 log sd up; its CDF value rounds to 1 - 2**-52, whose
+        # quantile is 8.13, so unclamped draws at that floor fell 1 % short
+        stats = PoreFieldStats(radius_median_um=median, radius_log_sd=log_sd, accept_radius_um=accept)
+        radii = porelife.field._sample_radii_mm(stats, 200, np.random.default_rng(0))
+        assert np.all(radii >= accept / 1000.0)
 
     def test_pore_free_limit(self):
         field = synth_field(SMALL, seed=0, n_pores=0)
@@ -809,6 +824,22 @@ class TestCriterionTable:
     def test_samples_validation(self, material):
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             criterion_table(bulk_only(), material, [80.0], samples=0)
+
+    @pytest.mark.parametrize("name", ["cycles", "samples"])
+    @pytest.mark.parametrize("value, message", [
+        (-3, "must be at least 1, got -3"), (0, "must be at least 1, got 0"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    ])
+    def test_counts_validated_up_front(self, material, name, value, message):
+        with mock.patch.object(porelife.field, "critical_directions") as directions:
+            with pytest.raises(ValueError, match=f"{name} {message}"):
+                criterion_table(bulk_only(), material, [100.0], **{name: value})
+        directions.assert_not_called()
+
+    def test_integral_float_counts_give_the_int_table(self, material):
+        field = ElasticElementField(ids=[0, 1], volumes=[1.0, 1.0], sigma_unit=[voigt.UNIAXIAL_X, 2.5 * voigt.UNIAXIAL_X])
+        table = criterion_table(field, material, [40.0, 100.0], cycles=20.0, samples=40.0)
+        assert table.delta_eps.tobytes() == criterion_table(field, material, [40.0, 100.0]).delta_eps.tobytes()
 
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):

@@ -3,27 +3,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from porelife import voigt
+from porelife import material_point, voigt
 from porelife.material_point import (
+    ALSI7MG,
+    CERTIFICATE_SLACK,
     ChabocheParams,
     MaterialPointState,
     ProportionalityError,
     TensorHistory,
     _decompose,
     _proportional_decomposition,
+    _settled_cells,
     chaboche_cycle,
     chaboche_step,
     cosine_cycle,
     criterion_delta_eps,
     critical_direction,
+    critical_directions,
+    elastic_delta_eps,
     neuber_correct,
     stress_driven_cycle,
     uniaxial_strain_cycle,
 )
 from oracles import (
+    decompose_elastic_delta_eps,
     neuber_reference,
+    scalar_neuber_correct,
     scalar_uniaxial_forward_euler,
     tensor_forward_euler,
 )
@@ -382,3 +391,212 @@ class TestValidation:
             TensorHistory(times=np.array([0.0, 0.0]), values=np.zeros((2, 6)))
         with pytest.raises(ValueError):
             TensorHistory(times=np.array([0.0]), values=np.zeros((2, 6)))
+
+
+def outcome(fn, *args, **kwargs):
+    """The bytes of every array ``fn`` returns, or the type and text of what it raises."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return tuple(np.asarray(getattr(part, "values", part)).tobytes() for part in result)
+
+
+class TestHoistedNeuber:
+    """The corrector with hoisted residual constants equals its scalar copy byte for byte."""
+
+    @settings(max_examples=120)
+    @given(
+        wave=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=60),
+        mean=st.floats(-0.8, 0.8),
+        peak=st.floats(20.0, 2000.0),
+        seed=st.integers(0, 2**32 - 1),
+        n_cycles=st.integers(1, 40),
+        material=st.sampled_from([ALSI7MG, dataclasses.replace(ALSI7MG, D=0.0)]),
+    )
+    @example(wave=[1.0, -1.0], mean=0.0, peak=400.0, seed=0, n_cycles=20, material=dataclasses.replace(ALSI7MG, D=0.0))
+    def test_equals_scalar_copy(self, wave, mean, peak, seed, n_cycles, material):
+        direction = np.random.default_rng(seed).standard_normal(6)
+        values = np.outer(peak * (np.array(wave) + mean), direction / voigt.von_mises(direction))
+        history = TensorHistory(times=np.arange(len(wave)) / len(wave), values=values)
+        assert outcome(neuber_correct, material, history, n_cycles) == outcome(
+            scalar_neuber_correct, material, history, n_cycles)
+
+    @pytest.mark.parametrize("peak", [171.0, 250.0, 400.0, 1e4])
+    def test_equals_scalar_copy_on_cosine_cycles(self, material, peak):
+        for n_cycles in (1, 20):
+            history = cosine_cycle([1.0, 0.3, -0.2, 0.1, 0.0, 0.05], amplitude=peak)
+            assert outcome(neuber_correct, material, history, n_cycles) == outcome(
+                scalar_neuber_correct, material, history, n_cycles)
+
+
+def cells_of(kind, seed, kt):
+    """A (tensor, level) pair whose cell the elastic-mask certificate must handle."""
+    rng = np.random.default_rng(seed)
+    shape = voigt.UNIAXIAL_X + 0.4 * rng.standard_normal(6)
+    unit = shape / voigt.von_mises(shape)
+    level = float(rng.choice([20.0, 40.0, 85.0, 100.0, 150.0]))
+    if kind == "near_yield":  # peak equivalent within a few slacks of the yield stress
+        off = float(rng.choice([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, -3e-9, 1e-7, -1e-7]))
+        return unit * (ALSI7MG.sigma_y / level * (1.0 + off)), level
+    if kind == "near_hydrostatic":
+        return kt * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) + kt * float(rng.choice([0.0, 1e-16, 1e-12, 1e-9, 1e-6])) * unit, level
+    if kind == "zero":
+        return np.zeros(6), level
+    if kind == "tiny":
+        return unit * kt * float(rng.choice([1e-120, 1e-150, 1e-160, 1e-300])), level
+    if kind == "huge":
+        return unit * kt * float(rng.choice([1e120, 1e150, 1e160, 1e300])), level
+    if kind == "subnormal":
+        tensor = unit * kt
+        tensor[rng.integers(6)] = float(rng.choice([5e-324, -1e-310, 2.2e-308]))
+        return tensor, level
+    return unit * kt, level
+
+
+CELL_KINDS = ["near_yield", "near_hydrostatic", "zero", "tiny", "huge", "subnormal", "plain"]
+
+
+class TestCertifiedElasticMask:
+    """``elastic_delta_eps`` equals the stacked ``_decompose`` of every cell, mask and ranges."""
+
+    @settings(max_examples=80)
+    @given(
+        cells=st.lists(st.tuples(st.sampled_from(CELL_KINDS), st.integers(0, 2**32 - 1), st.floats(0.3, 2.5)),
+                       min_size=1, max_size=8),
+        extra_levels=st.lists(st.floats(1.0, 300.0), max_size=3),
+        samples=st.sampled_from([1, 2, 3, 7, 40]),
+    )
+    def test_equals_decompose_everywhere(self, cells, extra_levels, samples):
+        tensors, levels = zip(*(cells_of(*cell) for cell in cells))
+        tensors = np.array(tensors)
+        levels = sorted(set(levels) | set(extra_levels))
+        n_stars = np.tile([1.0, 0.0, 0.0], (len(tensors), 1))
+        fast, mask = elastic_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
+        slow, slow_mask = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
+        assert mask.tolist() == slow_mask.tolist()
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("tensor, level, samples", [
+        ([0.0, 1.24330533e-157, -7.54646586e-158, 2.50372388e-158, 0.0, -7.05702469e-158], 1.1484276843099452e-05, 2),
+        ([1.09722571e-159, 0.0, -1.15266312e-214, -1.40128811e-216, 9.83783928e-215, -0.0], 1.6593415089431033e-05, 1),
+        ([1.86194817e-161, 0.0, 1.21214255e-161, 1.32574707e-161, 0.0, -1.47185957e-161], 0.010468655026238297, 2),
+    ])
+    def test_cells_whose_squares_underflow_stay_open(self, tensor, level, samples):
+        # the stacked _decompose finds no direction here: the samples' squared norms underflow
+        tensors, n_stars = np.array([tensor]), np.array([[1.0, 0.0, 0.0]])
+        fast, mask = elastic_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
+        slow, slow_mask = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
+        assert mask.tolist() == slow_mask.tolist() == [[False]]
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_at_yield_and_hydrostatic_cells_stay_open(self):
+        # Kt 2.0 at 85 MPa peaks exactly at the yield stress; [1, 1, 1, 0, 0, 0] has no direction
+        tensors = np.array([[2.0, 0, 0, 0, 0, 0], [1.0, 1.0, 1.0, 0, 0, 0], np.zeros(6)])
+        _, wave = material_point._cosine_wave(np.array([40.0, 85.0, 100.0]), 40)
+        elastic, plastic = _settled_cells(ALSI7MG, tensors, wave)
+        assert elastic.tolist() == [[True, False, False], [False] * 3, [False] * 3]
+        assert plastic.tolist() == [[False, False, True], [False] * 3, [False] * 3]
+        assert elastic_delta_eps(ALSI7MG, tensors, np.zeros((3, 3)), [40.0, 85.0, 100.0])[1].tolist() == [
+            [True, True, False], [False] * 3, [False] * 3]
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_settles_a_mesh_of_distinct_tensors(self, seed):
+        # the certificate is not vacuous: away from the yield stress it settles every cell
+        rng = np.random.default_rng(seed)
+        shape = voigt.UNIAXIAL_X + 0.2 * rng.standard_normal((200, 6))
+        tensors = shape * ((1.0 + 0.3 * rng.lognormal(0.0, 0.6, 200)) / voigt.von_mises(shape))[:, None]
+        levels = np.arange(20.0, 101.0, 10.0)
+        _, wave = material_point._cosine_wave(levels, 40)
+        elastic, plastic = _settled_cells(ALSI7MG, tensors, wave)
+        peak = np.outer(voigt.von_mises(tensors), levels)
+        near = np.abs(peak / ALSI7MG.sigma_y - 1.0) < 4.0 * CERTIFICATE_SLACK
+        assert np.all((elastic | plastic) | near)
+        assert not np.any(elastic & plastic)
+
+
+def direction_outcomes(tensors):
+    """Per row: the scalar direction's bytes, or its exception's type and text."""
+    return [outcome(lambda t: (critical_direction(t),), tensor) for tensor in tensors]
+
+
+def stacked_outcomes(tensors):
+    n_stars, errors = critical_directions(tensors)
+    return [(type(errors[k]), str(errors[k])) if k in errors else (n_stars[k].tobytes(),) for k in range(len(tensors))]
+
+
+def spectral_tensor(seed, gaps, scale):
+    """``scale R diag(-0.5 + gaps[1], 1 - gaps[0], 1) R^T`` in voigt form, R a seeded random rotation."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    evals = np.array([-0.5 + gaps[1], 1.0 - gaps[0], 1.0])
+    return scale * voigt.from_matrix(q @ np.diag(evals) @ q.T)
+
+
+GAPS = st.sampled_from([0.0, 1e-16, 1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9, 1e-8, 1e-3, 0.5])
+
+EXACT_TIES = [
+    np.zeros(6), [50.0, 50.0, 50.0, 0, 0, 0], [100.0, 100.0, 0.0, 0, 0, 0], [1.0, 1.0, -0.5, 0, 0, 0],
+    [0.0, 0.0, -50.0, 0, 0, 0], [-1.0, 2.0, 2.0, 0, 0, 0], [2.0, -1.0, 2.0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0],
+    [0, 0, 0, 0, 0, -3.0], [1e-300, 1e-300, 1e-300, 0, 0, 0], [5e-324, 0, 0, 0, 0, 0], [-1.0, -1.0, -1.0, 0, 0, 0],
+]
+OVERFLOWING = [
+    [1e200, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1e154], [1e154, 0, 0, 0, 0, 0], [-1.6e154, 1e154, 0, 0, 0, 0],
+    [math.inf, 0, 0, 0, 0, 0], [math.nan, 1.0, 0, 0, 0, 0], [1e308, 1e308, 1e308, 0, 0, 0], [1e153, 0, 0, 0, 0, 0],
+]
+
+
+class TestStackedDirections:
+    """``critical_directions`` equals ``critical_direction`` per row, bit for bit and error for error."""
+
+    def test_stacked_eigh_equals_one_matrix_at_a_time(self, rng):
+        # the stacked path rests on this; it depends on the LAPACK build, so it is checked here
+        mats = voigt.to_matrix(np.vstack([rng.standard_normal((200, 6)), np.array(EXACT_TIES, dtype=float)]))
+        evals, evecs = np.linalg.eigh(mats)
+        for k, mat in enumerate(mats):
+            one_vals, one_vecs = np.linalg.eigh(mat)
+            assert evals[k].tobytes() == one_vals.tobytes() and evecs[k].tobytes() == one_vecs.tobytes()
+
+    @settings(max_examples=100)
+    @given(
+        specs=st.lists(st.tuples(st.integers(0, 2**32 - 1), GAPS, GAPS, st.sampled_from([1.0, -1.0, 1e-100, 3e100, 1e150])),
+                       min_size=1, max_size=10),
+        extras=st.lists(st.sampled_from(EXACT_TIES + OVERFLOWING), max_size=4),
+    )
+    def test_equals_scalar_rule(self, specs, extras):
+        tensors = np.array([spectral_tensor(seed, (g0, g1), scale) for seed, g0, g1, scale in specs] + extras, dtype=float)
+        assert stacked_outcomes(tensors) == direction_outcomes(tensors)
+
+    def test_every_kind_at_once(self, rng):
+        tensors = np.vstack([rng.standard_normal((40, 6)), np.array(EXACT_TIES + OVERFLOWING, dtype=float)])
+        expected = direction_outcomes(tensors)
+        assert stacked_outcomes(tensors) == expected
+        assert sum(len(row) == 2 for row in expected) == 6  # every overflowing row but the two that fit
+        assert stacked_outcomes(tensors[:0]) == []
+
+
+class TestCountValidation:
+    """Cycle and sample counts must be integers of at least 1, named when they are not."""
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "must be at least 1, got 0"), (-3, "must be at least 1, got -3"), (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"), (math.nan, "must be an integer, got nan"),
+        (np.float64(1.5), "must be an integer, got 1.5"), (np.bool_(True), "must be an integer, got True"),
+    ])
+    def test_bad_counts_rejected(self, material, value, message):
+        history = cosine_cycle(voigt.UNIAXIAL_X, amplitude=250.0)
+        with pytest.raises(ValueError, match=f"n_cycles {message}"):
+            neuber_correct(material, history, n_cycles=value)
+        with pytest.raises(ValueError, match=f"samples {message}"):
+            cosine_cycle(voigt.UNIAXIAL_X, amplitude=250.0, samples=value)
+        with pytest.raises(ValueError, match=f"samples {message}"):
+            uniaxial_strain_cycle(material, 0.004, n_cycles=1, samples=value)
+        with pytest.raises(ValueError, match=f"n_cycles {message}"):
+            uniaxial_strain_cycle(material, 0.004, n_cycles=value)
+
+    def test_integral_counts_accepted(self, material):
+        history = cosine_cycle(voigt.UNIAXIAL_X, amplitude=250.0, samples=np.int64(40))
+        assert history.values.tobytes() == cosine_cycle(voigt.UNIAXIAL_X, amplitude=250.0, samples=40.0).values.tobytes()
+        for n_cycles in (np.int32(20), 20.0):
+            assert outcome(neuber_correct, material, history, n_cycles) == outcome(neuber_correct, material, history, 20)
