@@ -431,15 +431,21 @@ def _format_rows(rows: np.ndarray, fmt):
     return (shared[slot] if slot in shared else fmt(row) for slot, row in zip(inverse.tolist(), values))
 
 
+def check_one_line(what: str, *texts: str) -> None:
+    """Raise ValueError naming ``what`` if a text bound for one comment line holds a line break (``\\n`` or ``\\r``)."""
+    for text in texts:
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"{what} {text!r} holds a line break")
+
+
 def save_field(path, field: ElasticElementField) -> None:
     """Write a field file (comma-separated, full round-trip precision).
 
     A geometry tag or note holding a line break, which :func:`load_field`
     would refuse, raises ValueError before the file is opened.
     """
-    for name, text in (("geometry tag", field.geometry_tag), ("note", field.nominal_area_note)):
-        if "\n" in text or "\r" in text:
-            raise ValueError(f"field {name} {text!r} holds a line break")
+    check_one_line("field geometry tag", field.geometry_tag)
+    check_one_line("field note", field.nominal_area_note)
     with open(path, "w", encoding="utf-8") as fh:
         if field.geometry_tag:
             fh.write(f"# geometry: {field.geometry_tag}\n")
@@ -500,6 +506,8 @@ class CriterionTable:
             raise ValueError("strain ranges and load levels must be finite")
         if np.any(self.delta_eps < 0.0):
             raise ValueError("strain ranges must be nonnegative")
+        if np.any(np.diff(self.load_levels) <= 0.0):
+            raise ValueError("load levels must be strictly ascending")
         if np.any(np.diff(self.delta_eps, axis=1) < -1e-15):
             raise ValueError("strain ranges must be nondecreasing along load levels")
 
@@ -605,8 +613,12 @@ def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
 
     An element's rows differ only in their ``,level,value,`` middles; those
     are formatted once per distinct strain-range row.  The binary sidecar
-    (see :func:`read_sidecar`) is written after the CSV is closed.
+    (see :func:`read_sidecar`) is written after the CSV is closed.  A tag or
+    comment holding a line break raises ValueError before the file is opened.
     """
+    comments = [f"{c}" for c in comments]
+    check_one_line("table geometry tag", table.geometry_tag)
+    check_one_line("table comment", *comments)
     levels = [f",{level!r}," for level in table.load_levels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
@@ -619,7 +631,7 @@ def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
         for eid, vol, pieces in zip(table.element_ids.tolist(), table.volumes.tolist(), middles):
             head, tail = str(eid), f"{vol!r}\n"
             fh.write(head + (tail + head).join(pieces) + tail)
-    _save_sidecar(path, table, comments)
+    _save_sidecar(path, table)
 
 
 def _sidecar_path(path) -> Path | None:
@@ -650,19 +662,16 @@ def _digest(path) -> bytes:
     return digest.hexdigest().encode()
 
 
-def _save_sidecar(path, table: CriterionTable, comments) -> None:
+def _save_sidecar(path, table: CriterionTable) -> None:
     """Write the sidecar of the table CSV just written to ``path`` from ``table``.
 
     The record holds what :func:`load_criterion_table` parses from the CSV:
     ids ascending with the rows reordered to match, and the geometry tag as
-    the header scan reads it.  A table that the CSV reader refuses or
-    reorders otherwise gets none: no rows or levels, repeated ids, levels
-    not strictly ascending, or a line break in the tag or a comment.
+    the header scan reads it.  A table that the CSV reader refuses gets
+    none: no rows or levels, or repeated ids.
     """
     sidecar, ids, levels = _sidecar_path(path), table.element_ids, table.load_levels
-    if (sidecar is None or ids.size == 0 or np.unique(ids).size != ids.size
-            or np.any(np.diff(levels) <= 0.0)
-            or any(ch in f"{text}" for text in (table.geometry_tag, *comments) for ch in "\r\n")):
+    if sidecar is None or ids.size == 0 or np.unique(ids).size != ids.size:
         return
     with open(path, "r", encoding="utf-8") as fh:
         tag = read_header(fh, TABLE_HEADER)[0].get("geometry", "").encode("utf-8")

@@ -483,7 +483,8 @@ def neuber_correct(
     the last load reversal is conserved, with the plastic part following the
     stabilized uniaxial hysteresis branch of the hardening model.  The scalar
     solution is mapped back through the proportional direction.  Below yield
-    the correction is the identity.
+    the correction is the identity; above it, a history without a load
+    reversal raises ValueError.
 
     "Stabilized" means cycle ``n_cycles`` by convention: the isotropic stress
     is taken at the cumulative plastic strain of ``n_cycles`` loops, which
@@ -510,6 +511,8 @@ def neuber_correct(
     a_min = float(np.min(amp))
     young, sigma_y = params.E, params.sigma_y
     span = a_max - a_min
+    if span == 0.0:  # the reversal anchors below scale by 1 / span
+        raise ValueError("elastic history has no load reversal: its peak and trough equivalents are equal")
     product_loop = span * span / young
 
     # stabilized-loop solve: the isotropic stress is coupled to the plastic

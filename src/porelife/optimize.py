@@ -75,23 +75,17 @@ def nelder_mead(
     dim = x0.size
     if dim < 1:
         raise ValueError("need at least one free parameter")
-    verts = [x0.copy()]
-    for i in range(dim):
-        x = x0.copy()
-        x[i] += 0.05 * x[i] if x[i] != 0.0 else 0.05
-        verts.append(x)
-    vals = [f(v) for v in verts]
+    verts = np.tile(x0, (dim + 1, 1))
+    verts[1:][np.diag_indices(dim)] += np.where(x0 != 0.0, 0.05 * x0, 0.05)  # row i + 1 steps coordinate i
+    vals = np.fromiter(map(f, verts), dtype=float, count=dim + 1)
 
     trace = []
-    iterations = 0
     for iteration in range(budget):
         order = np.argsort(vals)[::-1]  # best first
-        verts = [verts[i] for i in order]
-        vals = [vals[i] for i in order]
-        trace.append((iteration, verts[0].copy(), vals[0]))
-        iterations = iteration + 1
-        x_spread = max(float(np.max(np.abs(v - verts[0]))) for v in verts[1:])
-        if vals[0] - vals[-1] < 1e-9 and x_spread < 1e-8:
+        verts, vals = verts[order], vals[order]
+        trace.append((iteration, verts[0].copy(), float(vals[0])))
+        # Python floats: -inf - -inf is NaN without a numpy warning
+        if float(vals[0]) - float(vals[-1]) < 1e-9 and np.max(np.abs(verts[1:] - verts[0])) < 1e-8:
             break
 
         centroid = np.mean(verts[:-1], axis=0)
@@ -100,29 +94,22 @@ def nelder_mead(
         if fr > vals[0]:
             expanded = centroid + 2.0 * (centroid - verts[-1])
             fe = f(expanded)
-            if fe > fr:
-                verts[-1], vals[-1] = expanded, fe
-            else:
-                verts[-1], vals[-1] = reflected, fr
+            verts[-1], vals[-1] = (expanded, fe) if fe > fr else (reflected, fr)
             continue
         if fr > vals[-2]:
             verts[-1], vals[-1] = reflected, fr
             continue
-        if fr > vals[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
-        else:
-            contracted = centroid + 0.5 * (verts[-1] - centroid)
+        contracted = centroid + 0.5 * ((reflected if fr > vals[-1] else verts[-1]) - centroid)
         fc = f(contracted)
         if fc > max(fr, vals[-1]):
             verts[-1], vals[-1] = contracted, fc
             continue
+        verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
         for i in range(1, dim + 1):
-            verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
             vals[i] = f(verts[i])
 
-    order = np.argsort(vals)[::-1]
-    best = order[0]
-    return NelderMeadResult(x=verts[best].copy(), fun=vals[best], trace=trace, iterations=iterations)
+    best = np.argsort(vals)[-1]
+    return NelderMeadResult(x=verts[best].copy(), fun=float(vals[best]), trace=trace, iterations=len(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +195,9 @@ def calibrate(
         vec = _from_internal(y, free_idx, pinned)
         return problem.objective(StrainLifeParams.from_vector(vec, v0))
 
-    rng = np.random.default_rng(seed)
-    starts = [y0]
-    for _ in range(n_starts - 1):
-        starts.append(y0 + 0.25 * rng.standard_normal(y0.size))
-
-    results = []
-    for y_start in starts:
-        results.append(nelder_mead(wrapped, y_start, budget=problem.budget))
+    jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
+    starts = np.vstack([y0, y0 + 0.25 * jitter])
+    results = [nelder_mead(wrapped, y_start, budget=problem.budget) for y_start in starts]
     winner = max(results, key=lambda r: r.fun)
 
     trace = [

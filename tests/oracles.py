@@ -9,12 +9,15 @@ copy of the library's that looks the material's constants up in every
 residual call), one loop iteration per pore shell instead of the array
 synthesis, survival products instead of the closed-form structure scale,
 line-by-line parsers and per-cell writers instead of the column-wise file
-I/O, and one Python loop per Monte Carlo pool (spawn, draw, append) instead
-of the shared pooled draw.
+I/O, one Python loop per Monte Carlo pool (spawn, draw, append) instead
+of the shared pooled draw, and a Nelder-Mead that keeps its simplex as
+Python lists and draws each start's jitter on its own instead of the
+simplex array and the one jitter matrix.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +52,16 @@ from porelife.material_point import (
     critical_direction,
 )
 from porelife.likelihood import OBSERVATIONS_HEADER, FatigueObservation
+from porelife.optimize import (
+    DEFAULT_BUDGET,
+    DEFAULT_STARTS,
+    CalibrationProblem,
+    CalibrationResult,
+    NelderMeadResult,
+    _from_internal,
+    _to_internal,
+)
+from porelife.strain_life import StrainLifeParams
 from porelife.weakest_link import sample_lifetimes
 
 
@@ -864,3 +877,129 @@ def loop_synthesize_observations(structs_by_table, levels, samples_per_struct: i
             n_cycles.append(np.minimum(values, runout_cycles))
             censored.append(flags)
     return np.concatenate(sigma_a), np.concatenate(n_cycles), np.concatenate(censored)
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead with the simplex kept as Python lists
+# ---------------------------------------------------------------------------
+
+def list_nelder_mead(
+    f: Callable[[np.ndarray], float],
+    x0,
+    budget: int = DEFAULT_BUDGET,
+) -> NelderMeadResult:
+    """Maximize f by the simplex method; returns the best vertex and trace.
+
+    Standard coefficients (reflection 1, expansion 2, contraction 0.5,
+    shrink 0.5); the initial simplex perturbs each coordinate by 5 %
+    (absolute 0.05 at zero coordinates).  Stops on the iteration budget or
+    when the simplex function spread falls below 1e-9 while the
+    vertex spread is also small (equal values at symmetric vertices must not
+    stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
+    holds one ``(iteration, best_x, best_f)`` entry per iteration.
+    """
+    objective = f
+
+    def f(x):
+        value = objective(x)
+        return -math.inf if math.isnan(value) else value
+
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    if dim < 1:
+        raise ValueError("need at least one free parameter")
+    verts = [x0.copy()]
+    for i in range(dim):
+        x = x0.copy()
+        x[i] += 0.05 * x[i] if x[i] != 0.0 else 0.05
+        verts.append(x)
+    vals = [f(v) for v in verts]
+
+    trace = []
+    iterations = 0
+    for iteration in range(budget):
+        order = np.argsort(vals)[::-1]  # best first
+        verts = [verts[i] for i in order]
+        vals = [vals[i] for i in order]
+        trace.append((iteration, verts[0].copy(), vals[0]))
+        iterations = iteration + 1
+        x_spread = max(float(np.max(np.abs(v - verts[0]))) for v in verts[1:])
+        if vals[0] - vals[-1] < 1e-9 and x_spread < 1e-8:
+            break
+
+        centroid = np.mean(verts[:-1], axis=0)
+        reflected = centroid + (centroid - verts[-1])
+        fr = f(reflected)
+        if fr > vals[0]:
+            expanded = centroid + 2.0 * (centroid - verts[-1])
+            fe = f(expanded)
+            if fe > fr:
+                verts[-1], vals[-1] = expanded, fe
+            else:
+                verts[-1], vals[-1] = reflected, fr
+            continue
+        if fr > vals[-2]:
+            verts[-1], vals[-1] = reflected, fr
+            continue
+        if fr > vals[-1]:
+            contracted = centroid + 0.5 * (reflected - centroid)
+        else:
+            contracted = centroid + 0.5 * (verts[-1] - centroid)
+        fc = f(contracted)
+        if fc > max(fr, vals[-1]):
+            verts[-1], vals[-1] = contracted, fc
+            continue
+        for i in range(1, dim + 1):
+            verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+            vals[i] = f(verts[i])
+
+    order = np.argsort(vals)[::-1]
+    best = order[0]
+    return NelderMeadResult(x=verts[best].copy(), fun=vals[best], trace=trace, iterations=iterations)
+
+
+def list_calibrate(
+    problem: CalibrationProblem,
+    n_starts: int = DEFAULT_STARTS,
+    seed=0,
+) -> CalibrationResult:
+    """Maximize the objective over the free parameters; best of all starts.
+
+    Start 0 is the supplied initialization; the remaining starts jitter the
+    free coordinates in the transformed space with deterministic Gaussian
+    noise of standard deviation 0.25.  The winning start's per-iteration
+    trace is returned as rows of ``(iteration, params_vector,
+    log_likelihood)`` in untransformed units.
+    """
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
+    free_idx = [i for i, b in enumerate(problem.free_mask) if b]
+    pinned = problem.x0.as_vector()
+    v0 = problem.x0.V0
+    y0 = _to_internal(pinned, free_idx)
+
+    def wrapped(y: np.ndarray) -> float:
+        vec = _from_internal(y, free_idx, pinned)
+        return problem.objective(StrainLifeParams.from_vector(vec, v0))
+
+    rng = np.random.default_rng(seed)
+    starts = [y0]
+    for _ in range(n_starts - 1):
+        starts.append(y0 + 0.25 * rng.standard_normal(y0.size))
+
+    results = []
+    for y_start in starts:
+        results.append(list_nelder_mead(wrapped, y_start, budget=problem.budget))
+    winner = max(results, key=lambda r: r.fun)
+
+    trace = [
+        (it, _from_internal(y, free_idx, pinned), val)
+        for it, y, val in winner.trace
+    ]
+    best_vec = _from_internal(winner.x, free_idx, pinned)
+    return CalibrationResult(
+        params=StrainLifeParams.from_vector(best_vec, v0),
+        log_likelihood=winner.fun,
+        trace=trace,
+        start_results=results,
+    )

@@ -49,6 +49,9 @@ from oracles import (
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
 
+#: A one-element, one-level table.
+ONE_CELL = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[40.0], delta_eps=[[1e-3]])
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -683,6 +686,12 @@ class TestCriterionTable:
         with pytest.raises(ValueError):
             CriterionTable(**arrays)
 
+    @pytest.mark.parametrize("levels", [[40.0, 80.0, 60.0], [80.0, 40.0, 60.0], [40.0, 40.0, 60.0]])
+    def test_table_levels_not_ascending_rejected(self, levels):
+        # interpolate assumes an ascending grid: [40, 80, 60] would refuse 70 MPa as outside [40, 60]
+        with pytest.raises(ValueError, match="load levels must be strictly ascending"):
+            CriterionTable(element_ids=[0], volumes=[1.0], load_levels=levels, delta_eps=[[1e-3, 1e-3, 1e-3]])
+
     @settings(max_examples=15, deadline=None)
     @given(volumes=st.lists(POSITIVE, min_size=1, max_size=5),
            levels=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4, unique=True),
@@ -724,8 +733,15 @@ class TestCriterionTable:
     @settings(max_examples=60, deadline=None)
     @given(table=st.one_of(random_table(), random_table(pool=True)),
            comments=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=8), max_size=2))
+    @example(table=ONE_CELL, comments=["content-hash: abc", "two\nlines"])
+    @example(table=ONE_CELL, comments=["carriage\rreturn"])
     def test_table_writer_bytes_equal_cell_oracle(self, tmp_path_factory, table, comments):
         folder = tmp_path_factory.mktemp("table")
+        if any(ch in text for text in comments for ch in "\r\n"):
+            with pytest.raises(ValueError, match="table comment .* holds a line break"):
+                save_criterion_table(folder / "new.csv", table, comments=comments)
+            assert not (folder / "new.csv").exists()
+            return
         save_criterion_table(folder / "new.csv", table, comments=comments)
         cell_save_criterion_table(folder / "old.csv", table, comments=comments)
         assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
@@ -821,6 +837,19 @@ class TestCriterionTable:
         assert "not finite" in str(failures[0][1])
         assert table.element_ids.tolist() == [0]
 
+    def test_history_without_reversal_recorded(self, material):
+        # one sample per cycle has no load reversal: the Kt 2 element yields at 100 MPa
+        field = ElasticElementField(
+            ids=np.array([0, 1]),
+            volumes=np.array([1.0, 1.0]),
+            sigma_unit=np.array([[2.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]]),
+        )
+        failures = []
+        table = criterion_table(field, material, [40.0, 100.0], samples=1, failures=failures)
+        assert [eid for eid, _ in failures] == [0]
+        assert "no load reversal" in str(failures[0][1])
+        assert table.element_ids.tolist() == [1]
+
     def test_samples_validation(self, material):
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             criterion_table(bulk_only(), material, [80.0], samples=0)
@@ -907,9 +936,6 @@ SPOILED_SIDECARS = {
 }
 
 
-#: A one-element, one-level table.
-ONE_CELL = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[40.0], delta_eps=[[1e-3]])
-
 #: Tag and comment text: any character, with line breaks and spaces common.
 TAG_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(" \t\r\n")), max_size=10)
 
@@ -926,11 +952,13 @@ class TestTableSidecar:
     def test_sidecar_equals_csv_path(self, tmp_path_factory, table, tag, comments):
         # ids come shuffled and rows repeat; -0.0 steps leave signed zeros
         path = tmp_path_factory.mktemp("table") / "t.criterion.csv"
-        save_criterion_table(path, dataclasses.replace(table, geometry_tag=tag), comments=comments)
         sidecar = path.with_suffix(".npy")
         if any(ch in text for text in (tag, *comments) for ch in "\r\n"):
-            assert not sidecar.exists()  # a line break could add or split CSV lines
+            with pytest.raises(ValueError, match="holds a line break"):  # it would add or split CSV lines
+                save_criterion_table(path, dataclasses.replace(table, geometry_tag=tag), comments=comments)
+            assert not path.exists() and not sidecar.exists()
             return
+        save_criterion_table(path, dataclasses.replace(table, geometry_tag=tag), comments=comments)
         assert read_sidecar(path) is not None
         fast = load_criterion_table(path)
         sidecar.unlink()
@@ -949,10 +977,12 @@ class TestTableSidecar:
             load_criterion_table(path)
 
     def test_no_sidecar_when_the_csv_path_reorders_levels(self, tmp_path):
-        table = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[80.0, 40.0], delta_eps=[[1e-3, 1e-3]])
-        save_criterion_table(tmp_path / "t.criterion.csv", table)
+        # a CriterionTable refuses descending levels, so only a hand-written CSV has them
+        (tmp_path / "t.criterion.csv").write_text(f"{TABLE_HEADER}\n0,80.0,0.002,1.0\n0,40.0,0.001,1.0\n")
+        table = load_criterion_table(tmp_path / "t.criterion.csv")
         assert not (tmp_path / "t.criterion.npy").exists()
-        assert load_criterion_table(tmp_path / "t.criterion.csv").load_levels.tolist() == [40.0, 80.0]
+        assert table.load_levels.tolist() == [40.0, 80.0]
+        assert table.delta_eps.tolist() == [[0.001, 0.002]]
 
     def test_sidecar_is_never_the_csv_itself(self, tmp_path):
         path = tmp_path / "table.npy"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from porelife.likelihood import (
@@ -21,6 +22,7 @@ from porelife.optimize import (
     write_trace_csv,
 )
 from porelife.strain_life import StrainLifeParams
+from oracles import list_calibrate, list_nelder_mead
 
 TRUE = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
 LEVELS = (80.0, 95.0, 110.0, 125.0, 140.0, 150.0)
@@ -38,6 +40,10 @@ def synth_observations(true, seed, n_per_level=37, runout=2e6):
             else:
                 out.append(FatigueObservation(level, float(value), False))
     return out
+
+
+#: A small homogeneous likelihood, for runs that only compare two optimizers.
+SMALL_OBJECTIVE = homogeneous_objective(synth_observations(TRUE, seed=6, n_per_level=4), TRUE.V0)
 
 
 class TestNelderMead:
@@ -76,6 +82,90 @@ class TestNelderMead:
         assert not math.isnan(result.fun)
         assert result.x[0] <= 0.02
         assert all(not math.isnan(v) for _, _, v in result.trace)
+
+
+def rosenbrock(x):
+    if x.size == 1:
+        return -((1.0 - x[0]) ** 2)
+    return -float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def quadratic(x):
+    return -float(np.sum((x - 0.7) ** 2))
+
+
+def with_nan_region(objective, coordinate, threshold):
+    """``objective``, but NaN wherever ``x[coordinate]`` exceeds ``threshold``."""
+    return lambda x: math.nan if x[min(coordinate, x.size - 1)] > threshold else objective(x)
+
+
+def recorded(objective, calls):
+    """``objective`` that appends the bytes of every point it is given to ``calls``."""
+    def f(x):
+        calls.append(np.asarray(x).tobytes())
+        return objective(x)
+    return f
+
+
+def as_bytes(value):
+    return np.float64(value).tobytes()
+
+
+def assert_same_trace(new, old):
+    assert len(new) == len(old)
+    for (it_new, x_new, f_new), (it_old, x_old, f_old) in zip(new, old):
+        assert it_new == it_old
+        assert x_new.tobytes() == x_old.tobytes()
+        assert as_bytes(f_new) == as_bytes(f_old)
+
+
+def assert_same_run(new, old):
+    assert new.x.tobytes() == old.x.tobytes()
+    assert as_bytes(new.fun) == as_bytes(old.fun)
+    assert new.iterations == old.iterations
+    assert_same_trace(new.trace, old.trace)
+
+
+START = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestSimplexArray:
+    """The simplex held in one array runs exactly as the list-based copy in ``oracles``."""
+
+    @settings(max_examples=120)
+    @given(
+        x0=st.integers(1, 6).flatmap(lambda dim: st.lists(START, min_size=dim, max_size=dim)),
+        budget=st.integers(0, 400),
+        objective=st.sampled_from([quadratic, rosenbrock]),
+        nan_region=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.floats(-1.0, 2.0))),
+    )
+    @example(x0=[-1.2, 1.0, 0.5], budget=400, objective=rosenbrock, nan_region=None)
+    @example(x0=[0.0] * 4, budget=400, objective=rosenbrock, nan_region=None)
+    @example(x0=[0.0], budget=200, objective=lambda x: -((x[0] - 1.0) ** 2), nan_region=(0, 0.02))
+    def test_equals_list_copy(self, x0, budget, objective, nan_region):
+        if nan_region is not None:
+            objective = with_nan_region(objective, *nan_region)
+        calls_new, calls_old = [], []
+        new = nelder_mead(recorded(objective, calls_new), np.array(x0), budget=budget)
+        old = list_nelder_mead(recorded(objective, calls_old), np.array(x0), budget=budget)
+        assert_same_run(new, old)
+        assert calls_new == calls_old
+
+    @settings(max_examples=25)
+    @given(
+        n_starts=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(0, 120),
+        free_mask=st.lists(st.booleans(), min_size=6, max_size=6).filter(any),
+    )
+    def test_calibrate_equals_list_copy(self, n_starts, seed, budget, free_mask):
+        problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, free_mask=free_mask, budget=budget)
+        new = calibrate(problem, n_starts=n_starts, seed=seed)
+        old = list_calibrate(problem, n_starts=n_starts, seed=seed)
+        assert len(new.start_results) == len(old.start_results) == n_starts
+        for run_new, run_old in zip(new.start_results, old.start_results):
+            assert_same_run(run_new, run_old)
+        assert_same_trace(new.trace, old.trace)
 
 
 class TestInternalTransform:
