@@ -57,7 +57,10 @@ class FieldFormatError(ValueError):
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
+        self.path, self.line_no, self.message = path, line_no, message
+
+    def __reduce__(self):  # the default would call the constructor with the message alone
+        return type(self), (self.path, self.line_no, self.message), self.__dict__
 
 
 class FieldGenerationError(RuntimeError):
@@ -75,6 +78,9 @@ class CriterionError(RuntimeError):
         super().__init__(f"element {element_id}: {cause}")
         self.element_id = element_id
         self.cause = cause
+
+    def __reduce__(self):  # the default would call the constructor with the message alone
+        return type(self), (self.element_id, self.cause), self.__dict__
 
 
 @dataclass(eq=False)
@@ -282,7 +288,7 @@ def tile_field(field: ElasticElementField, k: int) -> ElasticElementField:
         ids=np.tile(field.ids, k) + offsets,
         volumes=np.tile(field.volumes, k),
         sigma_unit=np.tile(field.sigma_unit, (k, 1)),
-        geometry_tag=f"{field.geometry_tag} x{k}",
+        geometry_tag=f"{field.geometry_tag} x{k}".lstrip(),
         nominal_area_note=field.nominal_area_note,
     )
 
@@ -322,7 +328,7 @@ def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float)
             [(1.0 - volume_fraction) * field.volumes, volume_fraction * field.volumes]
         ),
         sigma_unit=np.vstack([field.sigma_unit, kt * field.sigma_unit]),
-        geometry_tag=f"{field.geometry_tag} notch kt={kt} f={volume_fraction}",
+        geometry_tag=f"{field.geometry_tag} notch kt={kt} f={volume_fraction}".lstrip(),
         nominal_area_note=field.nominal_area_note,
     )
 
@@ -431,21 +437,28 @@ def _format_rows(rows: np.ndarray, fmt):
     return (shared[slot] if slot in shared else fmt(row) for slot, row in zip(inverse.tolist(), values))
 
 
-def check_one_line(what: str, *texts: str) -> None:
-    """Raise ValueError naming ``what`` if a text bound for one comment line holds a line break (``\\n`` or ``\\r``)."""
+def check_one_line(what: str, *texts: str, tag: bool = False) -> None:
+    """Raise ValueError naming ``what`` if a text bound for one comment line holds a line break (``\\n`` or ``\\r``).
+
+    A ``tag`` (a header value that loads back) must also have no leading or
+    trailing whitespace, which :func:`read_header` strips.
+    """
     for text in texts:
         if "\n" in text or "\r" in text:
             raise ValueError(f"{what} {text!r} holds a line break")
+        if tag and text != text.strip():
+            raise ValueError(f"{what} {text!r} has leading or trailing whitespace")
 
 
 def save_field(path, field: ElasticElementField) -> None:
     """Write a field file (comma-separated, full round-trip precision).
 
     A geometry tag or note holding a line break, which :func:`load_field`
-    would refuse, raises ValueError before the file is opened.
+    would refuse, or outer whitespace, which it would drop, raises
+    ValueError before the file is opened.
     """
-    check_one_line("field geometry tag", field.geometry_tag)
-    check_one_line("field note", field.nominal_area_note)
+    check_one_line("field geometry tag", field.geometry_tag, tag=True)
+    check_one_line("field note", field.nominal_area_note, tag=True)
     with open(path, "w", encoding="utf-8") as fh:
         if field.geometry_tag:
             fh.write(f"# geometry: {field.geometry_tag}\n")
@@ -614,10 +627,11 @@ def save_criterion_table(path, table: CriterionTable, comments=()) -> None:
     An element's rows differ only in their ``,level,value,`` middles; those
     are formatted once per distinct strain-range row.  The binary sidecar
     (see :func:`read_sidecar`) is written after the CSV is closed.  A tag or
-    comment holding a line break raises ValueError before the file is opened.
+    comment holding a line break, or a tag with outer whitespace, raises
+    ValueError before the file is opened.
     """
     comments = [f"{c}" for c in comments]
-    check_one_line("table geometry tag", table.geometry_tag)
+    check_one_line("table geometry tag", table.geometry_tag, tag=True)
     check_one_line("table comment", *comments)
     levels = [f",{level!r}," for level in table.load_levels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:

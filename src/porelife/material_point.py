@@ -38,7 +38,10 @@ class IntegrationError(RuntimeError):
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e} MPa)")
-        self.residual = residual
+        self.message, self.residual = message, residual
+
+    def __reduce__(self):  # the default would call the constructor with the message alone
+        return type(self), (self.message, self.residual), self.__dict__
 
 
 class ProportionalityError(ValueError):

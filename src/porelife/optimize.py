@@ -4,11 +4,15 @@ A self-contained Nelder-Mead maximizer with a full per-iteration trace, and
 calibration drivers that optimize in a log-transformed space so every
 candidate parameter set is feasible by construction.  Parameters may be
 pinned (e.g. B = beta = 0 for the one-line model); multi-start with
-deterministic jitter mitigates initialization sensitivity.
+deterministic jitter mitigates initialization sensitivity.  The starts run
+in forked processes, one per usable CPU, where the platform can fork.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -171,6 +175,64 @@ class CalibrationResult:
     start_results: list = field(repr=False, default_factory=list)
 
 
+def _usable_cpus() -> int:
+    """CPUs a fit may fork onto: 1 where this process cannot fork, or runs other threads a child would lack."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_starts(run, starts, workers: int) -> list:
+    """``[run(y) for y in starts]``, with the starts ``k::workers`` run in forked child ``k``.
+
+    Share 0 runs here, so one worker is the serial loop.  A child pickles its
+    results into a pipe and leaves through ``os._exit``, so no exception or
+    exit hook runs in it.  A share whose child could not be forked or did not
+    exit cleanly runs here, raising what the serial loop would.  If a share
+    raises here, the children left are killed and reaped.
+    """
+    children = {}  # share index -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the shares left run here
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump([run(y) for y in starts[k::workers]], fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[k] = (pid, open(read_fd, "rb"))
+        results = [None] * len(starts)
+        for k in range(workers):
+            payload, status = b"", 1
+            if k in children:
+                pid, fh = children[k]
+                with fh:
+                    payload = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+            results[k::workers] = pickle.loads(payload) if status == 0 else [run(y) for y in starts[k::workers]]
+        return results
+    finally:
+        if children:
+            import signal  # only this error path needs it; importing it costs every command memory
+
+            for pid, fh in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                fh.close()
+
+
 def calibrate(
     problem: CalibrationProblem,
     n_starts: int = DEFAULT_STARTS,
@@ -182,7 +244,9 @@ def calibrate(
     free coordinates in the transformed space with deterministic Gaussian
     noise of standard deviation 0.25.  The winning start's per-iteration
     trace is returned as rows of ``(iteration, params_vector,
-    log_likelihood)`` in untransformed units.
+    log_likelihood)`` in untransformed units.  The starts run on up to
+    ``min(n_starts, usable CPUs)`` processes (see :func:`_map_starts`); the
+    result does not depend on how many.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -197,7 +261,9 @@ def calibrate(
 
     jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
     starts = np.vstack([y0, y0 + 0.25 * jitter])
-    results = [nelder_mead(wrapped, y_start, budget=problem.budget) for y_start in starts]
+    results = _map_starts(
+        lambda y_start: nelder_mead(wrapped, y_start, budget=problem.budget), starts, min(n_starts, _usable_cpus())
+    )
     winner = max(results, key=lambda r: r.fun)
 
     trace = [

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,3 +21,17 @@ def material():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped.
+
+    ``calibrate`` forks; the benchmark refuses a run that leaves a process behind.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"left a child process behind ({f'pid {pid}, unreaped' if pid else 'still running'})")

@@ -52,6 +52,19 @@ SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
 #: A one-element, one-level table.
 ONE_CELL = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[40.0], delta_eps=[[1e-3]])
 
+#: Tag and comment text: any character, with line breaks and spaces common.
+TAG_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(" \t\r\n")), max_size=10)
+
+
+def refusal(*tags):
+    """What a writer says of the first of ``tags`` it refuses (line breaks, then outer whitespace); None if none."""
+    for text in tags:
+        if "\n" in text or "\r" in text:
+            return "holds a line break"
+        if text != text.strip():
+            return "has leading or trailing whitespace"
+    return None
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -359,6 +372,34 @@ class TestFieldFiles:
             save_field(tmp_path / "field.csv", field)
         assert not (tmp_path / "field.csv").exists()
 
+    @settings(max_examples=80, deadline=None)
+    @given(tag=TAG_TEXT, note=TAG_TEXT)
+    @example(tag=" cyl r=3 ", note="")
+    @example(tag="\tcyl ", note="note ")
+    @example(tag="cyl", note="x\x85")
+    @example(tag="cylinder r=3.072 L=20.0", note="unit nominal amplitude = 1 MPa uniaxial along x")
+    def test_tags_and_notes_load_back_as_saved(self, tmp_path_factory, tag, note):
+        folder = tmp_path_factory.mktemp("tags")
+        field = dataclasses.replace(bulk_only(), geometry_tag=tag, nominal_area_note=note)
+        table = dataclasses.replace(ONE_CELL, geometry_tag=tag)
+        for save, load, saved, refused in (
+            (save_field, load_field, field, refusal(tag, note)),
+            (save_criterion_table, load_criterion_table, table, refusal(tag)),
+        ):
+            first, second = folder / f"first.{save.__name__}.csv", folder / f"second.{save.__name__}.csv"
+            if refused:
+                with pytest.raises(ValueError, match=refused):
+                    save(first, saved)
+                assert not first.exists()
+                continue
+            save(first, saved)
+            first.with_suffix(".npy").unlink(missing_ok=True)  # the CSV header is what strips
+            loaded = load(first)
+            assert loaded.geometry_tag == tag
+            assert getattr(loaded, "nominal_area_note", note) == note
+            save(second, loaded)
+            assert second.read_bytes() == first.read_bytes()
+
     def test_duplicate_id_named_at_its_line(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(FIELD_HEADER + "\n" + "".join(f"{i},1.0,1.0,0,0,0,0,0\n" for i in (3, 1, 2, 1, 3)))
@@ -572,6 +613,13 @@ class TestVariants:
     def test_infinite_notch_kt_rejected(self):
         with pytest.raises(ValueError, match="kt must be finite, got inf"):
             notch_variant(synth_field(SMALL, seed=5, n_pores=1), math.inf, 0.02)
+
+    def test_variants_of_an_untagged_field_save(self, tmp_path):
+        field = dataclasses.replace(bulk_only(), geometry_tag="")
+        for variant, tag in ((tile_field(field, 2), "x2"), (notch_variant(field, 2.0, 0.1), "notch kt=2.0 f=0.1")):
+            assert variant.geometry_tag == tag
+            save_field(tmp_path / "variant.csv", variant)
+            assert load_field(tmp_path / "variant.csv").geometry_tag == tag
 
     def test_notch_variant_splits_volume(self):
         field = synth_field(SMALL, seed=5, n_pores=4)
@@ -936,10 +984,6 @@ SPOILED_SIDECARS = {
 }
 
 
-#: Tag and comment text: any character, with line breaks and spaces common.
-TAG_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(" \t\r\n")), max_size=10)
-
-
 class TestTableSidecar:
     """The binary sidecar gives the CSV path's table, and only for the CSV it was made from."""
 
@@ -953,8 +997,9 @@ class TestTableSidecar:
         # ids come shuffled and rows repeat; -0.0 steps leave signed zeros
         path = tmp_path_factory.mktemp("table") / "t.criterion.csv"
         sidecar = path.with_suffix(".npy")
-        if any(ch in text for text in (tag, *comments) for ch in "\r\n"):
-            with pytest.raises(ValueError, match="holds a line break"):  # it would add or split CSV lines
+        refused = refusal(tag) or ("holds a line break" if any(ch in text for text in comments for ch in "\r\n") else None)
+        if refused:  # a line break would add or split CSV lines; outer whitespace would not load back
+            with pytest.raises(ValueError, match=refused):
                 save_criterion_table(path, dataclasses.replace(table, geometry_tag=tag), comments=comments)
             assert not path.exists() and not sidecar.exists()
             return

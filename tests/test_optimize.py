@@ -1,4 +1,10 @@
+import atexit
+import errno
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +17,11 @@ from porelife.likelihood import (
     homogeneous_objective,
     structure_for,
 )
+from porelife import optimize
 from porelife.optimize import (
     CalibrationDegeneracyError,
     _from_internal,
+    _to_internal,
     CalibrationProblem,
     calibrate,
     ensure_failures,
@@ -166,6 +174,180 @@ class TestSimplexArray:
         for run_new, run_old in zip(new.start_results, old.start_results):
             assert_same_run(run_new, run_old)
         assert_same_trace(new.trace, old.trace)
+
+
+def workers(monkeypatch, n):
+    """Make ``calibrate`` see ``n`` usable CPUs, and count its forks in the returned list."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(optimize, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def logged(objective, path):
+    """``objective`` that appends the bytes of every parameter vector it is given to the file ``path``.
+
+    Each record is one ``O_APPEND`` write, so the calls of forked children land in the file too.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+    def f(params):
+        os.write(fd, params.as_vector().tobytes())
+        return objective(params)
+    return f, fd
+
+
+def logged_calls(path):
+    """The multiset of logged parameter vectors, as sorted bytes."""
+    data = path.read_bytes()
+    return sorted(data[i:i + 48] for i in range(0, len(data), 48))  # six float64 per call
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def start_point(problem, n_starts, seed, k):
+    """The parameter vector at which start ``k`` of ``calibrate`` makes its first evaluation."""
+    free_idx = [i for i, b in enumerate(problem.free_mask) if b]
+    pinned = problem.x0.as_vector()
+    y0 = _to_internal(pinned, free_idx)
+    jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
+    return _from_internal(y0 + 0.25 * jitter[k - 1], free_idx, pinned)
+
+
+class TestForkedStarts:
+    """The starts run in forked children, one share per usable CPU, exactly as the serial list copy."""
+
+    @pytest.mark.parametrize("n_starts", range(1, 7))
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_equals_list_copy(self, monkeypatch, tmp_path, n_workers, n_starts):
+        forks = workers(monkeypatch, n_workers)
+        objective_new, fd_new = logged(SMALL_OBJECTIVE, tmp_path / "new")
+        objective_old, fd_old = logged(SMALL_OBJECTIVE, tmp_path / "old")
+        try:
+            new = calibrate(CalibrationProblem(objective=objective_new, x0=TRUE, budget=60), n_starts=n_starts, seed=7)
+            old = list_calibrate(CalibrationProblem(objective=objective_old, x0=TRUE, budget=60), n_starts=n_starts, seed=7)
+        finally:
+            os.close(fd_new)
+            os.close(fd_old)
+        assert len(forks) == min(n_workers, n_starts) - 1
+        assert len(new.start_results) == len(old.start_results) == n_starts
+        for run_new, run_old in zip(new.start_results, old.start_results):
+            assert_same_run(run_new, run_old)
+        assert_same_trace(new.trace, old.trace)
+        assert new.params.as_vector().tobytes() == old.params.as_vector().tobytes()
+        assert as_bytes(new.log_likelihood) == as_bytes(old.log_likelihood)
+        assert logged_calls(tmp_path / "new") == logged_calls(tmp_path / "old")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_unpicklable_error_in_a_child_share_raised_as_serially(self, monkeypatch, n_workers):
+        class Unpicklable(RuntimeError):  # local, and its constructor takes two arguments
+            def __init__(self, start, value):
+                super().__init__(f"start {start} failed at m = {value!r}")
+
+        problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=40)
+        failing_m = start_point(problem, 4, 3, 1)[0]  # start 1 runs in child 1
+
+        def objective(params):
+            if params.m == failing_m:
+                raise Unpicklable(1, params.m)
+            return SMALL_OBJECTIVE(params)
+
+        problem.objective = objective
+        workers(monkeypatch, 1)
+        with pytest.raises(Unpicklable) as serial:
+            calibrate(problem, n_starts=4, seed=3)
+        forks = workers(monkeypatch, n_workers)
+        with pytest.raises(Unpicklable) as forked:
+            calibrate(problem, n_starts=4, seed=3)
+        assert len(forks) == n_workers - 1
+        assert str(forked.value) == str(serial.value)
+        assert_no_child_left()
+
+    def test_killed_child_share_run_again_here(self, monkeypatch):
+        parent, calls = os.getpid(), []
+
+        def objective(params):
+            calls.append(None)
+            if os.getpid() != parent and len(calls) == 25:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return SMALL_OBJECTIVE(params)
+
+        forks = workers(monkeypatch, 3)
+        problem = CalibrationProblem(objective=objective, x0=TRUE, budget=60)
+        new = calibrate(problem, n_starts=5, seed=2)
+        old = list_calibrate(CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=60), n_starts=5, seed=2)
+        assert len(forks) == 2
+        for run_new, run_old in zip(new.start_results, old.start_results):
+            assert_same_run(run_new, run_old)
+        assert_same_trace(new.trace, old.trace)
+        assert_no_child_left()
+
+    def test_children_killed_when_this_process_share_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def objective(params):
+            if os.getpid() == parent:
+                raise ArithmeticError("start 0 failed")
+            time.sleep(60)  # a child that is not killed holds the call up
+
+        workers(monkeypatch, 3)
+        started = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="start 0 failed"):
+            calibrate(CalibrationProblem(objective=objective, x0=TRUE, budget=10), n_starts=3)
+        assert time.perf_counter() - started < 30.0
+        assert_no_child_left()
+
+    def test_exit_hooks_do_not_run_in_children(self, monkeypatch, tmp_path):
+        marker = tmp_path / "hook-ran"
+
+        def hook():
+            marker.write_text(str(os.getpid()))
+
+        atexit.register(hook)
+        try:
+            workers(monkeypatch, 2)
+            calibrate(CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=20), n_starts=2)
+        finally:
+            atexit.unregister(hook)
+        assert not marker.exists()
+        assert_no_child_left()
+
+    def test_share_without_a_process_runs_here(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "no process to be had")
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(optimize, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork_once)
+        problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=60)
+        new, old = calibrate(problem, n_starts=5, seed=4), list_calibrate(problem, n_starts=5, seed=4)
+        assert len(forks) == 1
+        for run_new, run_old in zip(new.start_results, old.start_results):
+            assert_same_run(run_new, run_old)
+        assert_same_trace(new.trace, old.trace)
+        assert_no_child_left()
+
+    def test_one_worker_without_fork_or_beside_other_threads(self, monkeypatch):
+        assert optimize._usable_cpus() == len(os.sched_getaffinity(0))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            assert optimize._usable_cpus() == 1
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert optimize._usable_cpus() == 1
 
 
 class TestInternalTransform:
