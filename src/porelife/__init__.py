@@ -5,108 +5,55 @@ computation with a fast proportional Neuber-type corrector, weakest-link
 aggregation into structure lifetime distributions, and censored
 maximum-likelihood calibration (including marginalization over synthetic
 pore fields when the tested pore distributions are unknown).
+
+Each public name below loads its module on first use (PEP 562), so a
+command imports only the modules it runs: ``porelife.neuber_correct``
+imports :mod:`porelife.material_point`, ``porelife.ALSI7MG`` only
+:mod:`porelife.material`.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .strain_life import (
-    StrainLifeParams,
-    WeibullLifetime,
-    strain_amplitude,
-    cycles_to_failure,
-    element_lifetime,
-    weibull_cdf,
-    weibull_pdf,
-)
-from .weakest_link import (
-    StructureLifetime,
-    structure_scale,
-    structure_lifetime,
-    structure_cdf,
-    sample_lifetimes,
-    wohler_quantiles,
-)
-from .material_point import (
-    ALSI7MG,
-    ChabocheParams,
-    MaterialPointState,
-    TensorHistory,
-    chaboche_step,
-    chaboche_cycle,
-    stress_driven_cycle,
-    uniaxial_strain_cycle,
-    neuber_correct,
-    critical_direction,
-    criterion_delta_eps,
-)
-from .field import (
-    CriterionTable,
-    ElasticElementField,
-    PoreFieldStats,
-    criterion_table,
-    load_field,
-    save_field,
-    synth_field,
-    thin_variant,
-    tile_field,
-)
-from .likelihood import (
-    FatigueObservation,
-    Heterogeneous,
-    Homogeneous,
-    ObservationArrays,
-    UnknownPores,
-    loglik_heterogeneous,
-    loglik_homogeneous,
-    loglik_unknown_pores,
-    structure_for,
-)
-from .optimize import CalibrationProblem, calibrate, nelder_mead
+#: Module -> the public names it exports through the package.
+_EXPORTS = {
+    "strain_life": (
+        "StrainLifeParams", "WeibullLifetime", "strain_amplitude", "cycles_to_failure", "element_lifetime",
+        "weibull_cdf", "weibull_pdf",
+    ),
+    "weakest_link": (
+        "StructureLifetime", "structure_scale", "structure_lifetime", "structure_cdf", "sample_lifetimes",
+        "wohler_quantiles",
+    ),
+    "material": ("ALSI7MG", "ChabocheParams"),
+    "material_point": (
+        "MaterialPointState", "TensorHistory", "chaboche_step", "chaboche_cycle", "stress_driven_cycle",
+        "uniaxial_strain_cycle", "neuber_correct", "critical_direction", "criterion_delta_eps",
+    ),
+    "field": (
+        "CriterionTable", "ElasticElementField", "PoreFieldStats", "criterion_table", "load_field", "save_field",
+        "synth_field", "thin_variant", "tile_field",
+    ),
+    "likelihood": (
+        "FatigueObservation", "Heterogeneous", "Homogeneous", "ObservationArrays", "UnknownPores",
+        "loglik_heterogeneous", "loglik_homogeneous", "loglik_unknown_pores", "structure_for",
+    ),
+    "optimize": ("CalibrationProblem", "calibrate", "nelder_mead"),
+}
 
-__all__ = [
-    "StrainLifeParams",
-    "WeibullLifetime",
-    "strain_amplitude",
-    "cycles_to_failure",
-    "element_lifetime",
-    "weibull_cdf",
-    "weibull_pdf",
-    "StructureLifetime",
-    "structure_scale",
-    "structure_lifetime",
-    "structure_cdf",
-    "sample_lifetimes",
-    "wohler_quantiles",
-    "ALSI7MG",
-    "ChabocheParams",
-    "MaterialPointState",
-    "TensorHistory",
-    "chaboche_step",
-    "chaboche_cycle",
-    "stress_driven_cycle",
-    "uniaxial_strain_cycle",
-    "neuber_correct",
-    "critical_direction",
-    "criterion_delta_eps",
-    "CriterionTable",
-    "ElasticElementField",
-    "PoreFieldStats",
-    "criterion_table",
-    "load_field",
-    "save_field",
-    "synth_field",
-    "thin_variant",
-    "tile_field",
-    "FatigueObservation",
-    "Heterogeneous",
-    "Homogeneous",
-    "ObservationArrays",
-    "UnknownPores",
-    "loglik_heterogeneous",
-    "loglik_homogeneous",
-    "loglik_unknown_pores",
-    "structure_for",
-    "CalibrationProblem",
-    "calibrate",
-    "nelder_mead",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.pop("config"))
         if seed is not None:
-            config.seed = seed
+            config = dataclasses.replace(config, seed=seed)
         return command(config, **args)
     except CalibrationDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import DEFAULT_SHELLS, PoreFieldStats
-from .material_point import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
+from .field import DEFAULT_SHELLS, PoreFieldStats, utf8_error
+from .material import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
 from .strain_life import StrainLifeParams
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
 from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER, one_line_mask
@@ -72,6 +72,8 @@ class RunConfig:
                           ("samples_per_struct", 1), ("cycle_samples", 2), ("shells", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.runout_cycles) and self.runout_cycles > 0):
             raise ConfigError(f"N_max must be positive and finite, got {self.runout_cycles}")
         if not self.quantiles or not all(0.0 < q < 1.0 for q in self.quantiles):
@@ -144,6 +146,9 @@ def load_config(path=None) -> RunConfig:
         sections = {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line, message = utf8_error(path)
+        raise ConfigError(f"{path}:{line}: {message}") from exc
     if parser.defaults():
         raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
 

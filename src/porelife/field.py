@@ -22,17 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import voigt
-from .material_point import (
-    DEFAULT_CYCLE_SAMPLES,
-    DEFAULT_STABILIZATION_CYCLES,
-    ChabocheParams,
-    check_count,
-    cosine_cycle,
-    criterion_delta_eps,
-    critical_directions,
-    elastic_delta_eps,
-    neuber_correct,
-)
+from .material import DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams, check_count
 
 FIELD_HEADER = "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz"
 TABLE_HEADER = "element_id,load_MPa,delta_eps,volume_mm3"
@@ -360,6 +350,16 @@ def read_header(fh, header: str) -> tuple[dict, int]:
     raise FieldFormatError(fh.name, 0, "missing header line")
 
 
+def utf8_error(path) -> tuple[int, str]:
+    """Line number and description of the first bytes of ``path`` that are not UTF-8 (line 0 if there are none)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    return 0, "not UTF-8 text"
+
+
 def _read_rows(path, dtype: np.dtype, messages=None):
     """Tags, header line number and rows of a CSV file headed by ``dtype``'s names.
 
@@ -368,34 +368,38 @@ def _read_rows(path, dtype: np.dtype, messages=None):
     spellings ``int`` and ``float`` accept and integers spelled as floats; the
     rows are then parsed line by line, each cell by ``int`` or ``float`` as its
     kind, raising at the first bad line with ``messages[column]`` if given.
+    Bytes that are not UTF-8 raise at the line that holds them.
     """
     names = dtype.names
-    with open(path, "r", encoding="utf-8") as fh:
-        tags, header_line = read_header(fh, ",".join(names))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
-                warnings.simplefilter("error", DeprecationWarning)  # an int cell numpy would truncate
-                return tags, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            fh.seek(0)
-        rows = []
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line_no <= header_line or not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise FieldFormatError(path, line_no, f"expected {len(names)} columns, got {len(parts)}")
-            row = []
-            for name, cell in zip(names, parts):
-                try:
-                    row.append(np.int64(int(cell)) if dtype[name].kind == "i" else float(cell))
-                except (ValueError, OverflowError) as exc:
-                    message = f"{messages[name]}, got {cell.strip()!r}" if name in (messages or {}) else str(exc)
-                    raise FieldFormatError(path, line_no, message) from exc
-            rows.append(tuple(row))
-    return tags, header_line, np.array(rows, dtype=dtype)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tags, header_line = read_header(fh, ",".join(names))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: the callers say so
+                    warnings.simplefilter("error", DeprecationWarning)  # an int cell numpy would truncate
+                    return tags, header_line, np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                fh.seek(0)
+            rows = []
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line_no <= header_line or not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(names):
+                    raise FieldFormatError(path, line_no, f"expected {len(names)} columns, got {len(parts)}")
+                row = []
+                for name, cell in zip(names, parts):
+                    try:
+                        row.append(np.int64(int(cell)) if dtype[name].kind == "i" else float(cell))
+                    except (ValueError, OverflowError) as exc:
+                        message = f"{messages[name]}, got {cell.strip()!r}" if name in (messages or {}) else str(exc)
+                        raise FieldFormatError(path, line_no, message) from exc
+                rows.append(tuple(row))
+        return tags, header_line, np.array(rows, dtype=dtype)
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(path, *utf8_error(path)) from exc
 
 
 def _check_rows(path, header_line: int, checks) -> None:
@@ -581,6 +585,9 @@ def criterion_table(
         raise ValueError("load levels must be strictly ascending")
 
     cycles, samples = check_count("cycles", cycles), check_count("samples", samples)
+    # here, not at the top: the commands that only read tables never load the solvers
+    from .material_point import (cosine_cycle, criterion_delta_eps, critical_directions, elastic_delta_eps,
+                                 neuber_correct)
 
     first, inverse, _ = _distinct_rows(field.sigma_unit)
     distinct = field.sigma_unit[first]

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import CriterionTable, FieldFormatError, _check_rows, _read_rows, _row_dtype
-from .material_point import ALSI7MG
+from .material import ALSI7MG
 from .strain_life import StrainLifeParams, _density, _log_rates, _survival
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, _log_sum_exp
 

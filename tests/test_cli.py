@@ -106,6 +106,15 @@ def assert_refused_without_out(capsys, argv, out, path):
     assert not out.exists()
 
 
+#: Per input kind: a file whose line 3 holds the byte 0xba, which is not UTF-8.
+UNDECODABLE = {
+    "field": FIELD_HEADER + "\n0,1.0,1.0,0,0,0,0,0\n",
+    "table": TABLE_HEADER + "\n0,40.0,0.001,27.1\n",
+    "observations": "sigma_a_MPa,n_cycles,censored\n80,1e5,0\n",
+    "config": "[protocol]\nseed = 3\n",
+}
+
+
 def write_synthetic_obs(path, levels=(60.0, 80.0, 100.0), runouts=False):
     true = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
     rng = np.random.default_rng(2)
@@ -186,14 +195,26 @@ class TestConfig:
         ("[fatigue]\nfree = , ,\n", "[fatigue] free must name at least one parameter"),
         ("[pores]\nradius_median_um = 20\nradius_log_sd = 0.05\naccept_radius_um = 100\n",
          "accept_radius_um 100.0 leaves no radius to draw"),
+        ("[protocol]\nseed = -1\n", "seed must be in [0, 2**64), got -1"),
+        ("[protocol]\nseed = 18446744073709551616\n", "seed must be in [0, 2**64), got 18446744073709551616"),
     ], ids=["budget", "n_starts", "samples_per_struct", "cycle_samples", "shells", "q-one", "q-zero", "q-nan", "q-empty",
-            "free-empty", "free-commas", "empty-radius-law"])
+            "free-empty", "free-commas", "empty-radius-law", "seed-negative", "seed-2**64"])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.conf"
         path.write_text(text)
         out = tmp_path / "f"
         assert main(["genfield", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "123456789012345678901234567890"])
+    @pytest.mark.parametrize("command", ["genfield", "criterion", "calibrate", "wohler", "homogenize"])
+    def test_seed_flag_outside_u64_refused_before_any_out(self, conf, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        inputs = {"genfield": [], "calibrate": ["--mode", "homogeneous", "--observations", str(tmp_path / "obs.csv")]}
+        argv = [command, "--config", str(conf), "--seed", seed, "--out", str(out)]
+        assert main(argv + inputs.get(command, [str(tmp_path / "in.csv")])) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert not out.exists()
 
     def test_bad_interpolation_is_a_validation_error(self, tmp_path, capsys):
@@ -243,6 +264,22 @@ class TestConfig:
         path.write_text("[fatigue]\nfree = m, bogus\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+@pytest.mark.parametrize("kind", UNDECODABLE)
+def test_undecodable_input_named_with_its_line(conf, tmp_path, capsys, kind):
+    path = tmp_path / ("in.criterion.csv" if kind == "table" else "in.csv")  # a table without a sidecar
+    path.write_bytes(UNDECODABLE[kind].encode() + b"# \xba\n")
+    out = tmp_path / "out"
+    argv = {
+        "field": ["criterion", "--config", str(conf), str(path)],
+        "table": ["wohler", "--config", str(conf), str(path)],
+        "observations": ["calibrate", "--config", str(conf), "--mode", "homogeneous", "--observations", str(path)],
+        "config": ["genfield", "--config", str(path)],
+    }[kind]
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:3: byte 0xba is not UTF-8 (invalid start byte)\n"
+    assert not out.exists()
 
 
 class TestGenfield:

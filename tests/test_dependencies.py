@@ -1,8 +1,15 @@
 """numpy is the only third-party package porelife needs at run time (``pyproject.toml``)."""
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+import porelife
+from porelife.field import CriterionTable, ElasticElementField, save_criterion_table, save_field
+from porelife.likelihood import FatigueObservation, save_observations
 
 #: Top-level packages in ``sys.modules`` after importing the CLI, printed as JSON.
 LOADED = "import json, sys, porelife.cli; print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules})))"
@@ -16,3 +23,81 @@ def test_cli_import_loads_no_third_party_package_but_numpy():
     assert run.returncode == 0, run.stderr
     loaded = set(json.loads(run.stdout)) - set(sys.stdlib_module_names) - {"__main__"}
     assert loaded == {"numpy", "porelife"}
+
+
+#: porelife modules in ``sys.modules`` after importing the CLI and loading the default config, then
+#: running ``main`` on the arguments if there are any; the exit code and the modules are printed as JSON.
+PORELIFE_LOADED = """
+import json, sys
+import porelife.cli
+from porelife.config import load_config
+load_config(None)
+code = porelife.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("porelife"))]))
+"""
+
+LEVELS = (40.0, 60.0, 80.0, 100.0)
+
+
+def fresh(code, *args):
+    """The JSON that ``code`` prints last when run with ``args`` in a fresh ``-S`` interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in sys.path if path)}
+    run = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A config for short fits, a one-element field, a one-element table and two observation files.
+
+    The table's strain ranges are those of a Kt 4 element, so homogenize's synthetic specimens fail before run-out.
+    """
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {name: root / name for name in ("run.conf", "field.csv", "t.criterion.csv", "obs.csv", "hom.csv")}
+    paths["run.conf"].write_text(f"[protocol]\nload_levels = {', '.join(map(str, LEVELS))}\n"
+                                 "n_starts = 1\nbudget = 30\nn_k = 1\nsamples_per_struct = 50\n")
+    save_field(paths["field.csv"], ElasticElementField(ids=[0], volumes=[27.1], sigma_unit=[[1.0, 0, 0, 0, 0, 0]]))
+    save_criterion_table(paths["t.criterion.csv"], CriterionTable(
+        element_ids=[0], volumes=[27.1], load_levels=LEVELS, delta_eps=[[8 * level / 75500.0 for level in LEVELS]]))
+    lives = {60.0: (8e5, 2e6), 80.0: (2e5, 4e5), 100.0: (5e4, 9e4)}
+    save_observations(paths["obs.csv"], [FatigueObservation(level, min(n, 2e6), n >= 2e6)
+                                         for level, ns in lives.items() for n in ns])
+    save_observations(paths["hom.csv"], [FatigueObservation(100.0, 6e4), FatigueObservation(140.0, 1e4)])
+    return paths
+
+
+@pytest.mark.parametrize("argv, solves", [
+    ([], False),
+    (["genfield"], False),
+    (["wohler", "t.criterion.csv"], False),
+    (["calibrate", "--mode", "homogeneous", "--observations", "obs.csv"], False),
+    (["calibrate", "--mode", "heterogeneous", "--observations", "obs.csv", "--tables", "t.criterion.csv"], False),
+    (["calibrate", "--mode", "unknown-pores", "--observations", "obs.csv", "--tables", "t.criterion.csv"], False),
+    (["calibrate", "--mode", "joint", "--observations", "obs.csv", "--tables", "t.criterion.csv",
+      "--homogeneous-observations", "hom.csv"], False),
+    (["criterion", "field.csv"], True),
+    (["homogenize", "t.criterion.csv"], True),
+], ids=["load_config", "genfield", "wohler", "calibrate-homogeneous", "calibrate-heterogeneous",
+        "calibrate-unknown-pores", "calibrate-joint", "criterion", "homogenize"])
+def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, argv, solves):
+    # an argument naming an input file stands for its path
+    argv = [str(inputs.get(arg, arg)) for arg in argv]
+    if argv:
+        argv += ["--config", str(inputs["run.conf"]), "--out", str(tmp_path / "out")]
+    code, loaded = fresh(PORELIFE_LOADED, *argv)
+    assert code == 0
+    assert ("porelife.material_point" in loaded) == solves, loaded
+
+
+def test_package_names_are_their_modules_objects():
+    # dir() lists every name before any is loaded: a fresh interpreter has loaded none
+    assert set(porelife.__all__) <= set(fresh("import json, porelife; print(json.dumps(dir(porelife)))"))
+    namespace = {}
+    exec("from porelife import *", namespace)
+    for name in porelife.__all__:
+        value = getattr(porelife, name)
+        assert value is getattr(importlib.import_module(value.__module__), name) is namespace[name], name
+    with pytest.raises(AttributeError, match="module 'porelife' has no attribute 'no_such_name'"):
+        porelife.no_such_name

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
 import porelife.field
+import porelife.material_point
 from porelife import voigt
 from porelife.field import (
     FIELD_HEADER,
@@ -908,7 +909,7 @@ class TestCriterionTable:
         (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
     ])
     def test_counts_validated_up_front(self, material, name, value, message):
-        with mock.patch.object(porelife.field, "critical_directions") as directions:
+        with mock.patch.object(porelife.material_point, "critical_directions") as directions:
             with pytest.raises(ValueError, match=f"{name} {message}"):
                 criterion_table(bulk_only(), material, [100.0], **{name: value})
         directions.assert_not_called()
@@ -1108,13 +1109,13 @@ class TestBatchedCriterion:
         field = ElasticElementField(ids=np.arange(8), volumes=np.ones(8), sigma_unit=np.array(tensors))
         levels = [40.0, 85.0, 100.0]
         calls = []
-        original = porelife.field.neuber_correct
+        original = porelife.material_point.neuber_correct
 
         def counting(params, history, *args, **kwargs):
             calls.append(history.values[0].tolist())  # the t = 0 sample: level * tensor
             return original(params, history, *args, **kwargs)
 
-        monkeypatch.setattr(porelife.field, "neuber_correct", counting)
+        monkeypatch.setattr(porelife.material_point, "neuber_correct", counting)
         table = criterion_table(field, material, levels)
         # yielding: Kt 2.0 at 100 MPa, Kt 2.5 at 85 and 100 MPa (Kt 2.0 at 85 MPa
         # peaks exactly at the yield stress and stays elastic); the zero and the
@@ -1124,7 +1125,7 @@ class TestBatchedCriterion:
             [0.0] * 6, [0.0] * 6, [0.0] * 6,
             [40.0, 40.0, 40.0, 0, 0, 0], [85.0, 85.0, 85.0, 0, 0, 0], [100.0, 100.0, 100.0, 0, 0, 0],
         ]
-        monkeypatch.setattr(porelife.field, "neuber_correct", original)
+        monkeypatch.setattr(porelife.material_point, "neuber_correct", original)
         assert table.delta_eps.tobytes() == cell_criterion_table(field, material, levels).delta_eps.tobytes()
 
     @settings(max_examples=25)
@@ -1140,7 +1141,8 @@ class TestBatchedCriterion:
         tensors += [ELEMENT_KINDS[kind](0, 1.7) for kind in ("zero", "hydrostatic", "degenerate", "at_yield")]
         sigma = np.array(tensors)
         levels = [40.0, 85.0, 100.0, 150.0]
-        with mock.patch.object(porelife.field, "neuber_correct", wraps=porelife.field.neuber_correct) as corrector:
+        solvers = porelife.material_point
+        with mock.patch.object(solvers, "neuber_correct", wraps=solvers.neuber_correct) as corrector:
             base = criterion_table(ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=sigma), ALSI7MG, levels)
         assert corrector.call_count > 2 * len(levels)  # more than the zero and hydrostatic cells
         turned = criterion_table(
