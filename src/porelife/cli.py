@@ -37,11 +37,14 @@ from .field import (
     synth_field_report,
     thin_variant,
     tile_field,
+    utf8_error,
 )
 from .likelihood import (
+    CalibrationDegeneracyError,
     Heterogeneous,
     Homogeneous,
     ObservationArrays,
+    ensure_failures,
     heterogeneous_objective,
     homogeneous_objective,
     load_observations,
@@ -49,10 +52,8 @@ from .likelihood import (
     unknown_pores_objective,
 )
 from .optimize import (
-    CalibrationDegeneracyError,
     CalibrationProblem,
     calibrate,
-    ensure_failures,
     one_line_mask,
     write_trace_csv,
 )
@@ -83,6 +84,9 @@ def _load_params_arg(config: RunConfig, params_path) -> StrainLifeParams:
         with open(params_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return fatigue_from_dict(payload.get("params", payload) if isinstance(payload, dict) else payload)
+    except UnicodeDecodeError as exc:
+        line, message = utf8_error(params_path)
+        raise ConfigError(f"{params_path}:{line}: {message}") from exc
     except ValueError as exc:
         raise ConfigError(f"{params_path}: {exc}") from exc
 

@@ -565,8 +565,8 @@ def criterion_table(
     range is measured along the element's critical direction.  Elements with
     identical unit tensors are solved once and share the row.
 
-    The distinct tensors go in chunks of :data:`CRITERION_CHUNK` through one
-    stacked eigensolve (:func:`critical_directions`) and one broadcast pass
+    The distinct tensors share one eigensolve (:func:`critical_directions`) and
+    go in chunks of :data:`CRITERION_CHUNK` through one broadcast pass
     (:func:`elastic_delta_eps`) that settles every cell below yield; only
     the other cells go through :func:`neuber_correct`, one by one, levels
     ascending.  Each cell equals the per-cell chain bit for bit.  ``cycles``
@@ -591,20 +591,19 @@ def criterion_table(
 
     first, inverse, _ = _distinct_rows(field.sigma_unit)
     distinct = field.sigma_unit[first]
+    n_stars, errors = critical_directions(distinct)  # errors: distinct tensor -> its first exception
     rows = np.empty((len(distinct), levels.size))
-    errors: dict = {}  # distinct tensor -> its first exception
     for start in range(0, len(distinct), CRITERION_CHUNK):
-        tensors = distinct[start:start + CRITERION_CHUNK]
-        n_stars, refused = critical_directions(tensors)
-        errors.update((start + k, exc) for k, exc in refused.items())
-        rows[start:start + len(tensors)], elastic = elastic_delta_eps(mat, tensors, n_stars, levels, samples)
+        chunk = slice(start, start + CRITERION_CHUNK)
+        tensors = distinct[chunk]
+        rows[chunk], elastic = elastic_delta_eps(mat, tensors, n_stars[chunk], levels, samples)
         for k, j in zip(*np.nonzero(~elastic)):  # per tensor, levels ascending
             if start + k in errors:
                 continue
             try:
                 history = cosine_cycle(tensors[k], amplitude=levels[j], samples=samples)
                 _, strain = neuber_correct(mat, history, n_cycles=cycles)
-                rows[start + k, j] = criterion_delta_eps(strain, n_stars[k])
+                rows[start + k, j] = criterion_delta_eps(strain, n_stars[start + k])
             except Exception as exc:  # noqa: BLE001
                 errors[start + k] = exc
 

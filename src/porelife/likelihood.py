@@ -88,6 +88,18 @@ class ObservationArrays:
         return int(self.sigma_a.size)
 
 
+class CalibrationDegeneracyError(RuntimeError):
+    """Dataset contains no failures; the likelihood is unbounded toward infinite life."""
+
+
+def ensure_failures(observations) -> None:
+    """Raise unless some observation (a sequence or :class:`ObservationArrays`) failed."""
+    if ObservationArrays.of(observations).censored.all():
+        raise CalibrationDegeneracyError(
+            "all observations are run-outs; the likelihood is maximized by infinite life"
+        )
+
+
 def load_observations(path) -> list[FatigueObservation]:
     """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``) with line-numbered errors."""
     _, header_line, rows = _read_rows(path, _row_dtype(OBSERVATIONS_HEADER, "censored"), {"censored": "censored must be 0 or 1"})

@@ -525,14 +525,12 @@ def critical_direction(sigma) -> np.ndarray:
     lexicographically largest absolute components (x, then y, then z),
     sign-normalized to a positive first nonzero component.  Raises
     ValueError when the tensor's norm is not finite (its square overflows).
+    This is row 0 of :func:`critical_directions` of the one tensor.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    mat = voigt.to_matrix(sigma)
-    with np.errstate(over="ignore"):  # reported below
-        norm = float(np.linalg.norm(mat))
-    if not math.isfinite(norm):
-        raise ValueError(f"tensor norm is not finite ({norm}): the stresses overflow")
-    return _tie_rule(*np.linalg.eigh(mat), norm)
+    n_stars, errors = critical_directions([sigma])
+    if errors:
+        raise errors[0]
+    return n_stars[0]
 
 
 def _tie_rule(evals, evecs, norm: float) -> np.ndarray:
@@ -540,15 +538,12 @@ def _tie_rule(evals, evecs, norm: float) -> np.ndarray:
     tol = 1e-9 * max(norm, 1e-300)
     top = evals >= evals[-1] - tol
     basis = evecs[:, top]
-    vec = None
-    for axis in range(3):
+    for axis in range(3):  # always breaks: for k basis columns the squared lengths sum to k >= 1 over the axes
         proj = basis @ basis[axis, :]
         length = np.linalg.norm(proj)
         if length > 1e-12:
-            vec = proj / length
             break
-    if vec is None:  # degenerate numerics; fall back to the raw eigenvector
-        vec = evecs[:, -1]
+    vec = proj / length
     for comp in vec:
         if abs(comp) > 1e-12:
             if comp < 0.0:
@@ -563,41 +558,35 @@ def _dot_rows(a):
 
 
 def critical_directions(tensors) -> tuple[np.ndarray, dict]:
-    """:func:`critical_direction` of each row of a (k, 6) stack, bit for bit.
+    """:func:`critical_direction` of each row of a (k, 6) stack.
 
     Returns ``(n_stars, errors)``: the (k, 3) directions and ``{row:
-    ValueError}`` for the rows whose norm is not finite, which go to
-    :func:`critical_direction` itself (their directions stay zero).  The
-    others share one ``np.linalg.eigh``.  Where the top eigenvalue is single
-    the tie rule runs on the whole stack through the kernels it uses on one
-    tensor: ``basis @ basis[axis]`` as a stacked ``matmul``, and
-    ``np.linalg.norm`` as one BLAS dot per row.  Degenerate tops take
-    :func:`_tie_rule` on their stacked eigenpairs.
+    ValueError}`` for the rows whose norm is not finite (their directions
+    stay zero).  The others share one ``np.linalg.eigh``.  Where the top
+    eigenvalue is single the tie rule runs on the whole stack through the
+    kernels it uses on one tensor: ``basis @ basis[axis]`` as a stacked
+    ``matmul``, and ``np.linalg.norm`` as one BLAS dot per row.  Degenerate
+    tops take :func:`_tie_rule` on their stacked eigenpairs, one by one: a
+    stacked ``matmul`` over their bases rounds differently.
     """
     tensors = np.asarray(tensors, dtype=float)
     mats = voigt.to_matrix(tensors)
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: critical_direction reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: reported per row
         norms = np.sqrt(_dot_rows(mats.reshape(-1, 9)))
     n_stars = np.zeros((len(tensors), 3))
-    errors = {}
-    for k in np.flatnonzero(~np.isfinite(norms)).tolist():
-        try:
-            n_stars[k] = critical_direction(tensors[k])
-        except ValueError as exc:
-            errors[k] = exc
+    errors = {k: ValueError(f"tensor norm is not finite ({float(norms[k])}): the stresses overflow")
+              for k in np.flatnonzero(~np.isfinite(norms)).tolist()}
     rows = np.flatnonzero(np.isfinite(norms))
     evals, evecs = np.linalg.eigh(mats[rows])
     top = evals >= evals[:, -1:] - (1e-9 * np.maximum(norms[rows], 1e-300))[:, None]
     basis = evecs[:, :, 2:]  # the rule's basis where the top eigenvalue is single
     proj = np.matmul(basis[:, None], basis[:, :, None])[..., 0]  # (rows, axis, 3): basis @ basis[axis]
     lengths = np.sqrt(_dot_rows(proj))
-    found = lengths > 1e-12
-    picked, axis = np.arange(rows.size), np.argmax(found, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):  # only where no axis is found
-        vec = proj[picked, axis] / lengths[picked, axis][:, None]
+    picked, axis = np.arange(rows.size), np.argmax(lengths > 1e-12, axis=1)
+    vec = proj[picked, axis] / lengths[picked, axis][:, None]
     lead = np.abs(vec) > 1e-12
     flip = np.any(lead, axis=1) & (vec[picked, np.argmax(lead, axis=1)] < 0.0)
-    stacked = (np.sum(top, axis=1) == 1) & np.any(found, axis=1)
+    stacked = np.sum(top, axis=1) == 1
     n_stars[rows[stacked]] = np.where(flip[:, None], -vec, vec)[stacked]
     for i in np.flatnonzero(~stacked).tolist():
         n_stars[rows[i]] = _tie_rule(evals[i], evecs[i], float(norms[rows[i]]))

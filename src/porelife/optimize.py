@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .likelihood import ObservationArrays
 from .strain_life import StrainLifeParams
 
 #: Canonical parameter order of the optimization vector.
@@ -32,18 +31,6 @@ _MAX_LOG = 700.0
 
 DEFAULT_BUDGET = 400
 DEFAULT_STARTS = 5
-
-
-class CalibrationDegeneracyError(RuntimeError):
-    """Dataset contains no failures; the likelihood is unbounded toward infinite life."""
-
-
-def ensure_failures(observations) -> None:
-    """Raise unless some observation (a sequence or :class:`ObservationArrays`) failed."""
-    if ObservationArrays.of(observations).censored.all():
-        raise CalibrationDegeneracyError(
-            "all observations are run-outs; the likelihood is maximized by infinite life"
-        )
 
 
 @dataclass(eq=False)

@@ -3,16 +3,17 @@
 Everything here re-derives expected values through a different route than
 the library: explicit rate integration instead of return mapping, scalar
 incremental cycling instead of the analytic hysteresis branch, one
-critical_direction and one Neuber correction per criterion cell instead of
-the stacked eigensolve and the certified elastic cells (the corrector is a
+eigensolve per tensor and one Neuber correction per criterion cell instead
+of the stacked eigensolve and the certified elastic cells (the direction
+takes its own `eigh`, norm and tie rule for each tensor, the corrector is a
 copy of the library's that looks the material's constants up in every
 residual call), one loop iteration per pore shell instead of the array
 synthesis, survival products instead of the closed-form structure scale,
 line-by-line parsers and per-cell writers instead of the column-wise file
-I/O, one Python loop per Monte Carlo pool (spawn, draw, append) instead
-of the shared pooled draw, and a Nelder-Mead that keeps its simplex as
-Python lists and draws each start's jitter on its own instead of the
-simplex array and the one jitter matrix.
+I/O, one Python loop per Monte Carlo pool (spawn, draw, append) instead of
+the shared pooled draw, and a Nelder-Mead that keeps its simplex as Python
+lists and draws each start's jitter on its own instead of the simplex array
+and the one jitter matrix.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from porelife.material_point import (
     _proportional_decomposition,
     cosine_cycle,
     criterion_delta_eps,
-    critical_direction,
 )
 from porelife.likelihood import OBSERVATIONS_HEADER, FatigueObservation
 from porelife.optimize import (
@@ -167,6 +167,50 @@ def scalar_uniaxial_forward_euler(
 
 
 # ---------------------------------------------------------------------------
+# The critical direction of one tensor at a time
+# ---------------------------------------------------------------------------
+
+def scalar_critical_direction(sigma) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue, with deterministic ties.
+
+    When the top eigenvalues are degenerate (within 1e-9 of the tensor norm)
+    the returned vector is the one in the degenerate subspace with the
+    lexicographically largest absolute components (x, then y, then z),
+    sign-normalized to a positive first nonzero component.  Raises
+    ValueError when the tensor's norm is not finite (its square overflows).
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    mat = voigt.to_matrix(sigma)
+    with np.errstate(over="ignore"):  # reported below
+        norm = float(np.linalg.norm(mat))
+    if not math.isfinite(norm):
+        raise ValueError(f"tensor norm is not finite ({norm}): the stresses overflow")
+    return _tie_rule(*np.linalg.eigh(mat), norm)
+
+
+def _tie_rule(evals, evecs, norm: float) -> np.ndarray:
+    """:func:`scalar_critical_direction` of one tensor from its ascending eigenpairs and finite norm."""
+    tol = 1e-9 * max(norm, 1e-300)
+    top = evals >= evals[-1] - tol
+    basis = evecs[:, top]
+    vec = None
+    for axis in range(3):
+        proj = basis @ basis[axis, :]
+        length = np.linalg.norm(proj)
+        if length > 1e-12:
+            vec = proj / length
+            break
+    if vec is None:  # degenerate numerics; fall back to the raw eigenvector
+        vec = evecs[:, -1]
+    for comp in vec:
+        if abs(comp) > 1e-12:
+            if comp < 0.0:
+                vec = -vec
+            break
+    return vec
+
+
+# ---------------------------------------------------------------------------
 # Scalar incremental cycling for the corrector reference
 # ---------------------------------------------------------------------------
 
@@ -230,7 +274,7 @@ def neuber_reference(params: ChabocheParams, elastic_history: TensorHistory, n_c
     direction, amp = _proportional_decomposition(elastic_history.values)
     if direction is None:
         return 0.0
-    n_star = critical_direction(direction)
+    n_star = scalar_critical_direction(direction)
     peak = float(np.max(np.abs(amp)))
     if peak <= params.sigma_y:
         strain = voigt.elastic_strain(elastic_history.values, params.E, params.nu)
@@ -456,7 +500,7 @@ def cell_criterion_table(
         try:
             row = cache.get(key)
             if row is None:
-                n_star = critical_direction(tensor)
+                n_star = scalar_critical_direction(tensor)
                 row = np.empty(levels.size)
                 for j, level in enumerate(levels):
                     history = cosine_cycle(tensor, amplitude=level, samples=samples)

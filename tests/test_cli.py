@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from porelife.cli import (
+    DEFAULT_NOTCH_VOLUME_FRACTION,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -25,8 +26,10 @@ from porelife.field import (
     CriterionTable,
     load_criterion_table,
     load_field,
+    notch_variant,
     save_criterion_table,
     save_field,
+    synth_field_report,
 )
 from porelife.likelihood import (
     FatigueObservation,
@@ -34,10 +37,12 @@ from porelife.likelihood import (
     Homogeneous,
     ObservationArrays,
     homogeneous_objective,
+    load_observations,
     save_observations,
     structure_for,
+    unknown_pores_objective,
 )
-from porelife.optimize import one_line_mask
+from porelife.optimize import CalibrationProblem, calibrate, one_line_mask
 from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, StructureLifetime, sample_lifetimes, wohler_quantiles
 from porelife.strain_life import DEFAULT_REFERENCE_VOLUME, StrainLifeParams
 from oracles import loop_pooled_draws, loop_synthesize_observations
@@ -282,6 +287,18 @@ def test_undecodable_input_named_with_its_line(conf, tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["wohler", "homogenize"])
+def test_undecodable_params_named_with_its_line(conf, tmp_path, capsys, command):
+    params = tmp_path / "fitted.json"
+    params.write_bytes(b'{\n"m": 2.0,\n# \xba\n')
+    out = tmp_path / "out"
+    table = write_bulk_table(tmp_path / "t.criterion.csv")
+    argv = [command, "--config", str(conf), "--params", str(params), "--out", str(out), str(table)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {params}:3: byte 0xba is not UTF-8 (invalid start byte)\n"
+    assert not out.exists()
+
+
 class TestGenfield:
     def test_pore_free(self, conf, tmp_path):
         rc = main(["genfield", "--config", str(conf), "--out", str(tmp_path / "f"), "--pores", "0"])
@@ -329,6 +346,17 @@ class TestGenfield:
         assert main(["genfield", "--config", str(conf), "--out", str(out), *flags]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
+
+    def test_notch_kt_fields_are_notch_variants(self, conf, tmp_path):
+        out = tmp_path / "f"
+        assert main(["genfield", "--config", str(conf), "--out", str(out), "--count", "2", "--pores", "3",
+                     "--notch-kt", "2.5"]) == EXIT_OK
+        config = load_config(conf)
+        for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(2)):
+            field, _ = synth_field_report(config.pores, config.shells, child, nu=config.material.nu, n_pores=3)
+            save_field(tmp_path / "want.csv", notch_variant(field, 2.5, DEFAULT_NOTCH_VOLUME_FRACTION))
+            assert (out / f"field_{i:03d}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["notch_kt"] == 2.5
 
     def test_seed_flag_overrides_config(self, conf, tmp_path):
         reseeded = tmp_path / "reseeded.conf"
@@ -535,6 +563,47 @@ class TestCalibrate:
         ])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("mode", ["unknown-pores", "joint"])
+    def test_more_tables_than_n_k_freeze_a_subset_per_observation(self, tmp_path, mode):
+        conf = tmp_path / "nk.conf"
+        conf.write_text(SMALL_CONF.replace("[protocol]\n", "[protocol]\nn_k = 2\n"))
+        levels = (40.0, 60.0, 80.0, 100.0)
+        tables = []
+        for kt in (2.0, 3.0, 4.0):
+            tables.append(tmp_path / f"kt{kt:g}.criterion.csv")
+            save_criterion_table(tables[-1], CriterionTable(
+                element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[kt * lv / 75500.0 for lv in levels]]))
+        obs_path, hom_path = tmp_path / "obs.csv", tmp_path / "hom.csv"
+        write_synthetic_obs(obs_path)
+        write_synthetic_obs(hom_path, levels=(100.0, 140.0))
+        argv = ["calibrate", "--config", str(conf), "--mode", mode, "--observations", str(obs_path),
+                "--tables", *map(str, tables), "--homogeneous-observations", str(hom_path)]
+        assert main(argv + ["--out", str(tmp_path / "c1")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "c2")]) == EXIT_OK
+
+        config = load_config(conf)
+        observations = load_observations(obs_path)
+        rng = np.random.default_rng(config.seed)
+        subsets = [rng.choice(len(tables), size=config.n_k, replace=False) for _ in observations]
+        loaded = [load_criterion_table(path) for path in tables]
+        term_u = unknown_pores_objective(observations, loaded, config.runout_cycles, subsets)
+        every_table = unknown_pores_objective(observations, loaded, config.runout_cycles)
+        assert term_u(config.fatigue) != every_table(config.fatigue)  # the subsets matter
+        objective = term_u
+        if mode == "joint":
+            term_h = homogeneous_objective(load_observations(hom_path), config.pores.gauge_volume, config.material.E,
+                                           config.runout_cycles)
+
+            def objective(params):
+                return term_h(params) + term_u(params)
+
+        want = calibrate(CalibrationProblem(objective=objective, x0=config.fatigue, free_mask=config.free_mask,
+                                            budget=config.budget), n_starts=config.n_starts, seed=config.seed)
+        fitted = json.loads((tmp_path / "c1" / "fitted.json").read_text())
+        assert (fitted["params"], fitted["log_likelihood"]) == (dataclasses.asdict(want.params), want.log_likelihood)
+        for name in ("fitted.json", "trace.csv"):
+            assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
+
     def test_mode_without_tables_is_validation_error(self, conf, tmp_path):
         obs_path = tmp_path / "obs.csv"
         write_synthetic_obs(obs_path)
@@ -728,6 +797,24 @@ class TestHomogenize:
         assert 0 < np.count_nonzero(arrays.censored) < len(arrays)
         assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(objects, 593.0)(params)
 
+
+    def test_supplied_challenge_tables_give_the_challenge_medians(self, conf, tmp_path):
+        levels = (40.0, 60.0, 80.0, 100.0)
+        paths = {}
+        for name, kt in (("cylinder", 8.0), ("porous", 10.0), ("bare", 6.0)):
+            paths[name] = tmp_path / f"{name}.criterion.csv"
+            save_criterion_table(paths[name], CriterionTable(
+                element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[kt * lv / 75500.0 for lv in levels]]))
+        out = tmp_path / "h"
+        assert main(["homogenize", "--config", str(conf), "--out", str(out), "--challenge-porous", str(paths["porous"]),
+                     "--challenge-bare", str(paths["bare"]), str(paths["cylinder"])]) == EXIT_OK
+        report = json.loads((out / "homogenize.json").read_text())
+        config = load_config(conf)
+        for model, params, name in (("median_A", config.fatigue, "porous"),
+                                    ("median_B", StrainLifeParams(**report["model_b"]), "bare")):
+            table = load_criterion_table(paths[name])
+            assert report["challenge"][model] == [
+                structure_for(params, Heterogeneous(table), level).median() for level in config.load_levels]
 
     def test_notch_kt_named_before_any_work(self, conf, tmp_path, capsys):
         out = tmp_path / "h"

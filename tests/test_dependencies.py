@@ -79,8 +79,10 @@ def inputs(tmp_path_factory):
       "--homogeneous-observations", "hom.csv"], False),
     (["criterion", "field.csv"], True),
     (["homogenize", "t.criterion.csv"], True),
+    (["homogenize", "t.criterion.csv", "--challenge-porous", "t.criterion.csv", "--challenge-bare", "t.criterion.csv"],
+     False),
 ], ids=["load_config", "genfield", "wohler", "calibrate-homogeneous", "calibrate-heterogeneous",
-        "calibrate-unknown-pores", "calibrate-joint", "criterion", "homogenize"])
+        "calibrate-unknown-pores", "calibrate-joint", "criterion", "homogenize", "homogenize-challenges"])
 def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, argv, solves):
     # an argument naming an input file stands for its path
     argv = [str(inputs.get(arg, arg)) for arg in argv]
@@ -89,6 +91,16 @@ def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, argv, s
     code, loaded = fresh(PORELIFE_LOADED, *argv)
     assert code == 0
     assert ("porelife.material_point" in loaded) == solves, loaded
+
+
+@pytest.mark.parametrize("statement", [
+    "import porelife.optimize",
+    "from porelife.config import load_config; load_config(None)",
+], ids=["optimize", "load_config"])
+def test_the_optimizer_and_the_config_load_no_likelihood(statement):
+    # the all-run-outs rule is about the observations, so it lives in likelihood, which the optimizer does not import
+    loaded = fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
+    assert "porelife.optimize" in loaded and "porelife.likelihood" not in loaded
 
 
 def test_package_names_are_their_modules_objects():

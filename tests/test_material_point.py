@@ -32,6 +32,7 @@ from porelife.material_point import (
 from oracles import (
     decompose_elastic_delta_eps,
     neuber_reference,
+    scalar_critical_direction,
     scalar_neuber_correct,
     scalar_uniaxial_forward_euler,
     tensor_forward_euler,
@@ -529,9 +530,9 @@ class TestCertifiedElasticMask:
         assert not np.any(elastic & plastic)
 
 
-def direction_outcomes(tensors):
-    """Per row: the scalar direction's bytes, or its exception's type and text."""
-    return [outcome(lambda t: (critical_direction(t),), tensor) for tensor in tensors]
+def direction_outcomes(tensors, direction=scalar_critical_direction):
+    """Per row: the bytes of ``direction`` of the row, or its exception's type and text."""
+    return [outcome(lambda t: (direction(t),), tensor) for tensor in tensors]
 
 
 def stacked_outcomes(tensors):
@@ -561,7 +562,7 @@ OVERFLOWING = [
 
 
 class TestStackedDirections:
-    """``critical_directions`` equals ``critical_direction`` per row, bit for bit and error for error."""
+    """``critical_directions`` and ``critical_direction`` equal the scalar oracle per row, bit and error alike."""
 
     def test_stacked_eigh_equals_one_matrix_at_a_time(self, rng):
         # the stacked path rests on this; it depends on the LAPACK build, so it is checked here
@@ -579,12 +580,15 @@ class TestStackedDirections:
     )
     def test_equals_scalar_rule(self, specs, extras):
         tensors = np.array([spectral_tensor(seed, (g0, g1), scale) for seed, g0, g1, scale in specs] + extras, dtype=float)
-        assert stacked_outcomes(tensors) == direction_outcomes(tensors)
+        expected = direction_outcomes(tensors)
+        assert stacked_outcomes(tensors) == expected
+        assert direction_outcomes(tensors, critical_direction) == expected
 
     def test_every_kind_at_once(self, rng):
         tensors = np.vstack([rng.standard_normal((40, 6)), np.array(EXACT_TIES + OVERFLOWING, dtype=float)])
         expected = direction_outcomes(tensors)
         assert stacked_outcomes(tensors) == expected
+        assert direction_outcomes(tensors, critical_direction) == expected
         assert sum(len(row) == 2 for row in expected) == 6  # every overflowing row but the two that fit
         assert stacked_outcomes(tensors[:0]) == []
 

@@ -12,19 +12,19 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from porelife.likelihood import (
+    CalibrationDegeneracyError,
     FatigueObservation,
     Homogeneous,
+    ensure_failures,
     homogeneous_objective,
     structure_for,
 )
 from porelife import optimize
 from porelife.optimize import (
-    CalibrationDegeneracyError,
     _from_internal,
     _to_internal,
     CalibrationProblem,
     calibrate,
-    ensure_failures,
     nelder_mead,
     one_line_mask,
     write_trace_csv,
