@@ -432,13 +432,13 @@ def _format_rows(rows: np.ndarray, fmt):
 
     A row that occurs more than once is formatted once and its text shared.
     Rows are told apart by their bytes, so ``-0.0`` and ``0.0`` keep their
-    own text.  Rows that occur once are formatted as they stream out and not
-    kept: a mesh of distinct rows holds no text beyond the row being written.
+    own text.  Rows that occur once are converted and formatted as they
+    stream out and not kept: a mesh of distinct rows holds no Python floats
+    or text beyond the row being written.
     """
-    values = rows.tolist()
     first, inverse, counts = _distinct_rows(rows)
-    shared = {slot: fmt(values[i]) for slot, i in enumerate(first.tolist()) if counts[slot] > 1}
-    return (shared[slot] if slot in shared else fmt(row) for slot, row in zip(inverse.tolist(), values))
+    shared = {slot: fmt(rows[i].tolist()) for slot, i in enumerate(first.tolist()) if counts[slot] > 1}
+    return (shared[slot] if slot in shared else fmt(rows[n].tolist()) for n, slot in enumerate(inverse.tolist()))
 
 
 def check_one_line(what: str, *texts: str, tag: bool = False) -> None:
@@ -533,13 +533,14 @@ class CriterionTable:
 
         Exact grid hits return the stored column; otherwise monotone
         piecewise-linear interpolation between the bracketing levels.
-        Amplitudes outside the grid raise :class:`ExtrapolationError`.
+        Amplitudes outside the grid, NaN included, raise
+        :class:`ExtrapolationError`.
         """
         levels = self.load_levels
         hit = np.nonzero(levels == sigma_a)[0]
         if hit.size:
             return self.delta_eps[:, hit[0]].copy()
-        if sigma_a < levels[0] or sigma_a > levels[-1]:
+        if not levels[0] <= sigma_a <= levels[-1]:
             raise ExtrapolationError(
                 f"amplitude {sigma_a} MPa outside the table grid [{levels[0]}, {levels[-1]}]"
             )
@@ -566,11 +567,13 @@ def criterion_table(
     identical unit tensors are solved once and share the row.
 
     The distinct tensors share one eigensolve (:func:`critical_directions`) and
-    go in chunks of :data:`CRITERION_CHUNK` through one broadcast pass
-    (:func:`elastic_delta_eps`) that settles every cell below yield; only
-    the other cells go through :func:`neuber_correct`, one by one, levels
-    ascending.  Each cell equals the per-cell chain bit for bit.  ``cycles``
-    and ``samples`` must be integers of at least 1.
+    go in chunks of :data:`CRITERION_CHUNK` through one stacked kernel
+    (:func:`settled_delta_eps`): elastic cells are projected at the wave's
+    extreme samples, plastic cells from one loop solve and their two
+    reversal anchors.  Only the cells its certificates leave open go through
+    :func:`neuber_correct`, one by one, levels ascending.  Each cell equals
+    the per-cell chain bit for bit.  ``cycles`` and ``samples`` must be
+    integers of at least 1.
 
     Correction failures raise :class:`CriterionError` annotated with the
     element id, unless a ``failures`` list is supplied, in which case failed
@@ -586,8 +589,8 @@ def criterion_table(
 
     cycles, samples = check_count("cycles", cycles), check_count("samples", samples)
     # here, not at the top: the commands that only read tables never load the solvers
-    from .material_point import (cosine_cycle, criterion_delta_eps, critical_directions, elastic_delta_eps,
-                                 neuber_correct)
+    from .material_point import (cosine_cycle, criterion_delta_eps, critical_directions, neuber_correct,
+                                 settled_delta_eps)
 
     first, inverse, _ = _distinct_rows(field.sigma_unit)
     distinct = field.sigma_unit[first]
@@ -596,8 +599,8 @@ def criterion_table(
     for start in range(0, len(distinct), CRITERION_CHUNK):
         chunk = slice(start, start + CRITERION_CHUNK)
         tensors = distinct[chunk]
-        rows[chunk], elastic = elastic_delta_eps(mat, tensors, n_stars[chunk], levels, samples)
-        for k, j in zip(*np.nonzero(~elastic)):  # per tensor, levels ascending
+        rows[chunk], settled = settled_delta_eps(mat, tensors, n_stars[chunk], levels, samples, cycles)
+        for k, j in zip(*np.nonzero(~settled)):  # per tensor, levels ascending
             if start + k in errors:
                 continue
             try:

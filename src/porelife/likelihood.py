@@ -209,6 +209,8 @@ def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float
     Returns one :class:`StructureLifetime` for ``Homogeneous``/``Heterogeneous``
     and a list (one per synthetic realization) for ``UnknownPores``.
     """
+    if not math.isfinite(sigma_a):
+        raise ValueError(f"sigma_a must be finite, got {sigma_a}")
     if sigma_a <= 0.0:
         raise ValueError("sigma_a must be positive")
     if isinstance(model, Homogeneous):

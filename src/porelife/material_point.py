@@ -407,10 +407,45 @@ def _branch_solver(params: ChabocheParams, r_stab: float):
             rng = branch_range(dep, floor)
             return rng * (rng / young + dep) - product
 
-        dep = _bisect(residual, max(dep_hi, 1e-12), 1e-14, "scalar Neuber solve")
+        dep = _bisect(residual, max(dep_hi, 1e-12), _BRANCH_TOL, "scalar Neuber solve")
         return branch_range(dep, floor), dep
 
     return solve
+
+
+def _stabilized_loop(params: ChabocheParams, a_max: float, a_min: float, n_cycles: int):
+    """``(solve, rng, dep, start, sig_top, dep_top)`` of the stabilized loop between signed equivalents a_max and a_min.
+
+    The isotropic stress is coupled to the plastic range through the
+    cumulative plastic strain accumulated over n_cycles (p grows by twice the
+    plastic range per cycle); the coupled residual is monotone in the plastic
+    range, so one bisection settles it.  ``solve`` is the branch solver at
+    the loop's isotropic stress and gave the loop's stress and plastic strain
+    ranges ``rng`` and ``dep`` from bracket start ``start``.  The peak
+    reversal anchor ``(sig_top, dep_top)`` has its mean scaled by the
+    corrected/elastic range ratio.
+    """
+    young, sigma_y = params.E, params.sigma_y
+    span = a_max - a_min
+    if span == 0.0:  # the reversal anchors below scale by 1 / span
+        raise ValueError("elastic history has no load reversal: its peak and trough equivalents are equal")
+    product_loop = span * span / young
+    branch_range, two_n = _branch_range(params), 2.0 * n_cycles
+
+    def loop_residual(dep):
+        rng = branch_range(dep, 2.0 * (sigma_y + params.isotropic_stress(two_n * dep)))
+        return rng * (rng / young + dep) - product_loop
+
+    if loop_residual(0.0) >= 0.0:
+        dep_loop = 0.0
+    else:
+        dep_loop = _bisect(loop_residual, span / young, 1e-16, "stabilized-loop solve")
+    solve = _branch_solver(params, params.isotropic_stress(two_n * dep_loop))
+    start = max(dep_loop, span / young)
+    rng_loop, dep_loop = solve(product_loop, start)
+    mean_a = 0.5 * (a_max + a_min)
+    return (solve, rng_loop, dep_loop, start,
+            mean_a * rng_loop / span + 0.5 * rng_loop, mean_a * dep_loop / span + 0.5 * dep_loop)
 
 
 def neuber_correct(
@@ -431,7 +466,8 @@ def neuber_correct(
     "Stabilized" means cycle ``n_cycles`` by convention: the isotropic stress
     is taken at the cumulative plastic strain of ``n_cycles`` loops, which
     need not be saturated (about 68 % of Q for ALSI7MG at strain amplitude
-    0.004 after the default 20 cycles).
+    0.004 after the default 20 cycles).  The loop is :func:`_stabilized_loop`'s;
+    each sample then takes one branch solve from its last reversal.
 
     Returns ``(stress_history, strain_history)``.
     """
@@ -451,34 +487,8 @@ def neuber_correct(
 
     a_max = float(np.max(amp))
     a_min = float(np.min(amp))
-    young, sigma_y = params.E, params.sigma_y
-    span = a_max - a_min
-    if span == 0.0:  # the reversal anchors below scale by 1 / span
-        raise ValueError("elastic history has no load reversal: its peak and trough equivalents are equal")
-    product_loop = span * span / young
-
-    # stabilized-loop solve: the isotropic stress is coupled to the plastic
-    # range through the cumulative plastic strain accumulated over n_cycles
-    # (p grows by twice the plastic range per cycle); the coupled residual is
-    # monotone in the plastic range, so one bisection settles it
-    branch_range, two_n = _branch_range(params), 2.0 * n_cycles
-
-    def loop_residual(dep):
-        rng = branch_range(dep, 2.0 * (sigma_y + params.isotropic_stress(two_n * dep)))
-        return rng * (rng / young + dep) - product_loop
-
-    if loop_residual(0.0) >= 0.0:
-        dep_loop = 0.0
-    else:
-        dep_loop = _bisect(loop_residual, span / young, 1e-16, "stabilized-loop solve")
-    solve = _branch_solver(params, params.isotropic_stress(two_n * dep_loop))
-    rng_loop, dep_loop = solve(product_loop, max(dep_loop, span / young))
-
-    # reversal anchors; means scale with the corrected/elastic range ratio
-    mean_a = 0.5 * (a_max + a_min)
-    sig_top = mean_a * rng_loop / span + 0.5 * rng_loop
-    dep_top = mean_a * dep_loop / span + 0.5 * dep_loop
-
+    young = params.E
+    solve, rng_loop, dep_loop, _, sig_top, dep_top = _stabilized_loop(params, a_max, a_min, n_cycles)
     idx_top = int(np.argmax(amp))
     idx_bot = int(np.argmin(amp))
 
@@ -598,38 +608,60 @@ def criterion_delta_eps(strain_history: TensorHistory, n_star) -> float:
     if len(strain_history) == 0:
         raise ValueError("empty strain history")
     n_star = np.asarray(n_star, dtype=float)
-    if abs(np.linalg.norm(n_star) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(n_star) - 1.0) <= 1e-9:  # NaN included
         raise ValueError("n_star must be a unit vector")
     projected = voigt.normal_projection(strain_history.values, n_star)
     return float(np.max(projected) - np.min(projected))
 
 
-#: Relative slack of :func:`_settled_cells`.  The peak equivalent ``max
+#: Relative slack of the certificates of :func:`settled_delta_eps`.
+#:
+#: *Elastic cells* (:func:`_settled_cells`).  The peak equivalent ``max
 #: |amp|`` that :func:`_decompose` computes for a cell and the per-tensor
 #: ``level * vm(t)`` round the same exact value through short chains of
 #: products, quotients and sums of normal doubles (the one cancellation, in
 #: the deviator, costs a few ulp of ``|t|``), so they differ by a few dozen
 #: ulp of ``level * |t|`` at most: 1.1e-15 (10 ulp) over the 27,000 cells of
 #: the benchmark mesh.  A slack of 1e-9 covers that about 1e5 times over.
+#:
+#: *Elastic ranges.*  Sample n projects to ``w_n Q`` within ``_ROUNDING
+#: level S`` (and 2^-1000 of underflow), ``Q`` the projection of the
+#: tensor's elastic strain and ``S = 3 (1 + 4 nu) / E max|t|`` a bound on its
+#: terms.  A sample whose cosine is a slack inside the wave's extremes then
+#: projects strictly between theirs when ``(slack |Q| - 4 _ROUNDING S) level
+#: > 2^-1000``.
+#:
+#: *Plastic ranges.*  Sample i projects to ``sig_i Pe + dep_i Pp`` (``Pe``
+#: and ``Pp`` the projections of the elastic and plastic directions) within
+#: ``_ROUNDING`` of its terms; its branch solve lies within the bisection's
+#: width and a rounding window of the exact branch point at its product
+#: ``p_i``, as the loop's does at ``p``.  Where ``Pe`` and ``Pp`` share one
+#: sign, the projection moves along the branch by at least ``c = min(|Pe| /
+#: (2 rng / E + dep), |Pp| / rng)`` per unit of product, so ``c p_i`` and
+#: ``c (p - p_i)`` above those errors put it strictly between the anchors'.
 CERTIFICATE_SLACK = 1e-9
 
 #: Bounds of every nonzero sample component for :func:`_settled_cells`: the
 #: squares of the components and of their roundings stay normal doubles.
 _SAFE_LOW, _SAFE_HIGH = 2.0**-500, 2.0**500
 
+#: Relative rounding of a sample's projection and of a Neuber residual (about ten roundings each), 50 times over.
+_ROUNDING = 2.0**-44
+
+#: Final bracket width of the Neuber branch bisection, relative to ``max(hi, 1)``.
+_BRANCH_TOL = 1e-14
+
 
 def _settled_cells(params: ChabocheParams, tensors, wave):
-    """(elastic, plastic) masks of the (k, j) cells that per-tensor arithmetic settles.
+    """Mask of the (k, j) cells that per-tensor arithmetic certifies elastic.
 
     Cell (k, j) is the history ``wave[j, n] * t`` with ``t = tensors[k]``
     and level ``max |wave[j]|``.  A cell qualifies when ``t`` is finite with
     ``vm(t) > slack |t|`` and every nonzero component of ``t`` and of its
     samples lies within the safe bounds.  :func:`_decompose` then finds the
     history proportional with a direction, and its ``max |amp|`` lies in
-    ``level (vm(t) -/+ slack |t|)``; the cell is ``elastic`` when that band
-    ends a slack below the yield stress and ``plastic`` when it starts a
-    slack above.  Every other cell (near yield, near hydrostatic, zero,
-    extreme or not finite) is in neither mask.
+    ``level (vm(t) -/+ slack |t|)``; the cell is elastic when that band ends
+    a slack below the yield stress.
     """
     slack = CERTIFICATE_SLACK
     magnitude = np.abs(tensors)
@@ -641,34 +673,102 @@ def _settled_cells(params: ChabocheParams, tensors, wave):
     w_abs = np.abs(wave)
     level = np.max(w_abs, axis=-1)
     clear = clear & (np.outer(smallest, np.min(w_abs, axis=-1)) >= _SAFE_LOW) & (np.outer(biggest, level) <= _SAFE_HIGH)
-    elastic = clear & (np.outer(vm + slack * norm, level) <= params.sigma_y * (1.0 - slack))
-    plastic = clear & (np.outer(vm - slack * norm, level) >= params.sigma_y * (1.0 + slack))
-    return elastic, plastic
+    return clear & (np.outer(vm + slack * norm, level) <= params.sigma_y * (1.0 - slack))
 
 
-def elastic_delta_eps(params: ChabocheParams, tensors, n_stars, levels, samples: int = DEFAULT_CYCLE_SAMPLES):
-    """Criterion strain ranges of every (tensor, level) cell that stays elastic.
+def _reversal_ranges(params: ChabocheParams, split: _Decomposition, n_stars, n_cycles: int):
+    """(delta_eps, settled) of plastic cells, from the :func:`_decompose` ``split`` of their histories.
 
-    One broadcast pass over the (k, 6) unit ``tensors``, their (k, 3)
-    critical directions ``n_stars`` and the (j,) amplitudes ``levels`` runs
-    :func:`cosine_cycle`, the elastic branch of :func:`neuber_correct` and
-    :func:`criterion_delta_eps` in their own operation order, so every
-    elastic cell equals that chain bit for bit.  Returns ``(delta_eps,
-    elastic)``, both (k, j).  Where ``elastic`` is False the range is
-    meaningless: the cell yields, or its history is zero, hydrostatic, not
-    proportional or not finite, and :func:`neuber_correct` must handle it.
-    ``elastic`` is the mask of the stacked :func:`_decompose`, which runs
-    only on the cells :func:`_settled_cells` leaves open.
+    Each cell takes one loop solve and projects its two reversal anchors on
+    its row of ``n_stars``; it is settled where the solve succeeds and the
+    certificate of :data:`CERTIFICATE_SLACK` holds.
     """
-    tensors = np.asarray(tensors, dtype=float)
+    young, amp = params.E, split.amp
+    a_max, a_min = np.max(amp, axis=-1), np.min(amp, axis=-1)
+    loops = np.full((len(amp), 5), np.nan)  # rng, dep, start, sig_top, dep_top; NaN where the solve fails
+    for m, peaks in enumerate(zip(a_max.tolist(), a_min.tolist())):
+        try:
+            loops[m] = _stabilized_loop(params, *peaks, n_cycles)[1:]
+        except (ValueError, CorrectionError):
+            pass  # the chain of neuber_correct raises the same
+    rng, dep, start, sig_top, dep_top = loops.T
+    # the anchors' branch solves are solve(0) = (0, 0), applied as neuber_correct applies them
+    sig = np.stack([sig_top - 0.0, (sig_top - rng) + 0.0], axis=-1)
+    dep_anchor = np.stack([dep_top - 0.0, (dep_top - dep) + 0.0], axis=-1)
+    elastic_dir = voigt.elastic_strain(split.direction, young, params.nu)
+    plastic_dir = 1.5 * voigt.deviator(split.direction)
+    strain = sig[..., None] * elastic_dir[:, None, :] + dep_anchor[..., None] * plastic_dir[:, None, :]
+    projected = voigt.normal_projection(strain, n_stars[:, None, :])
+
+    # the certificate: products of the samples other than the anchors
+    i = np.arange(amp.shape[-1])
+    top, bot = np.argmax(amp, axis=-1)[:, None], np.argmin(amp, axis=-1)[:, None]
+    descending = np.where(top < bot, (top <= i) & (i < bot), (i < bot) | (top <= i))
+    span_i = np.abs(amp - np.where(descending, a_max[:, None], a_min[:, None]))
+    product_i, inner = span_i * span_i / young, (i != top) & (i != bot)
+    span = a_max - a_min
+    product = span * span / young
+    pe, pp, se, sp = voigt.normal_projection(  # the coefficients and the magnitudes of their terms
+        np.stack([elastic_dir, plastic_dir, np.abs(elastic_dir), np.abs(plastic_dir)]),
+        np.stack([n_stars, n_stars, np.abs(n_stars), np.abs(n_stars)]))
+    err_dep = _BRANCH_TOL + _ROUNDING * product / (2.0 * params.sigma_y)  # brackets within [0, 1]: see the last line
+    err_rng = 2.0 * params.C_kin * err_dep + _ROUNDING * rng
+    rng_hi, dep_hi = rng + err_rng, dep + err_dep
+    c = np.minimum((np.abs(pe) - _ROUNDING * se) / (2.0 * rng_hi / young + dep_hi),
+                   (np.sign(pe) * pp - _ROUNDING * sp) / rng_hi)
+    terms = (np.abs(sig_top) + rng_hi) * se + (np.abs(dep_top) + dep_hi) * sp
+    err = 2.0 * (se * err_rng + sp * err_dep) + 4.0 * _ROUNDING * terms
+    settled = ((c * np.min(np.where(inner, product_i, np.inf), axis=-1) > err)
+               & (c * (product * (1.0 - _ROUNDING) - np.max(np.where(inner, product_i, 0.0), axis=-1)) > err)
+               & (start <= 0.5) & (dep <= 0.25))
+    return np.max(projected, axis=-1) - np.min(projected, axis=-1), settled
+
+
+def settled_delta_eps(
+    params: ChabocheParams,
+    tensors,
+    n_stars,
+    levels,
+    samples: int = DEFAULT_CYCLE_SAMPLES,
+    n_cycles: int = DEFAULT_STABILIZATION_CYCLES,
+):
+    """Criterion strain ranges of the (tensor, level) cells settled from their reversal samples.
+
+    Cell (k, j) is the chain :func:`cosine_cycle` (unit ``tensors[k]``,
+    ``levels[j]``), :func:`neuber_correct` (``n_cycles``) and
+    :func:`criterion_delta_eps` (``n_stars[k]``).  Returns ``(delta_eps,
+    settled)``, both (k, j): a settled range equals the chain bit for bit;
+    elsewhere it is meaningless and the cell must take the chain.  Elastic
+    cells (:func:`_settled_cells`, then the stacked :func:`_decompose` of the
+    cells it leaves open) are projected at the wave's extreme samples only;
+    plastic cells go through :func:`_reversal_ranges`.  The certificates of
+    :data:`CERTIFICATE_SLACK` leave open the cells that are zero, hydrostatic
+    or not proportional, that have an elastic coefficient near zero or
+    elastic and plastic coefficients of opposite signs, whose extremes nearly
+    tie, or whose loop solve fails.
+    """
+    tensors, n_stars = np.asarray(tensors, dtype=float), np.asarray(n_stars, dtype=float)
     _, wave = _cosine_wave(np.asarray(levels, dtype=float), samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # only in cells that are not elastic
-        values = wave[None, :, :, None] * tensors[:, None, None, :]
-        elastic, plastic = _settled_cells(params, tensors, wave)
-        open_cells = ~(elastic | plastic)
-        if np.any(open_cells):
-            split = _decompose(values[open_cells])
-            elastic[open_cells] = split.has_direction & _below_yield(params, split.amp)
-        strain = voigt.elastic_strain(values, params.E, params.nu)
-        projected = voigt.normal_projection(strain, np.asarray(n_stars, dtype=float)[:, None, None, :])
-        return np.max(projected, axis=-1) - np.min(projected, axis=-1), elastic
+    _, unit = _cosine_wave(1.0, samples)
+    slack, young, nu = CERTIFICATE_SLACK, params.E, params.nu
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # only in cells left open
+        elastic = _settled_cells(params, tensors, wave)
+        k, j = np.nonzero(~elastic)
+        split = _decompose(wave[j, :, None] * tensors[k, None, :])
+        below = _below_yield(params, split.amp)
+        elastic[k, j] = split.has_direction & below
+
+        ends = (unit >= np.max(unit) - slack) | (unit <= np.min(unit) + slack)
+        values = wave[:, ends][None, :, :, None] * tensors[:, None, None, :]
+        projected = voigt.normal_projection(voigt.elastic_strain(values, young, nu), n_stars[:, None, None, :])
+        delta_eps = np.max(projected, axis=-1) - np.min(projected, axis=-1)
+        coefficient = voigt.normal_projection(voigt.elastic_strain(tensors, young, nu), n_stars)
+        bound = 3.0 * (1.0 + 4.0 * nu) / young * np.max(np.abs(tensors), axis=-1)
+        margin = np.outer(slack * np.abs(coefficient) - 4.0 * _ROUNDING * bound, np.max(np.abs(wave), axis=-1))
+        settled = elastic & (margin > _SAFE_LOW**2)
+
+        plastic = np.flatnonzero(split.has_direction & ~below)
+        rows, cols = k[plastic], j[plastic]
+        delta_eps[rows, cols], settled[rows, cols] = _reversal_ranges(
+            params, _Decomposition(*(part[plastic] for part in split)), n_stars[rows], n_cycles)
+    return delta_eps, settled

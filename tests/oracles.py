@@ -459,7 +459,7 @@ def scalar_neuber_correct(
 
 
 def decompose_elastic_delta_eps(params: ChabocheParams, tensors, n_stars, levels, samples: int = DEFAULT_CYCLE_SAMPLES):
-    """``elastic_delta_eps`` with its mask from the stacked ``_decompose`` of every cell.
+    """The elastic cells of ``settled_delta_eps``, all samples projected, with the mask from the stacked ``_decompose`` of every cell.
 
     Returns ``(delta_eps, elastic)``, both (k, j): the elastic-chain strain
     ranges of the (k, 6) ``tensors`` along their (k, 3) ``n_stars`` at the

@@ -16,6 +16,7 @@ from porelife.field import (
     CriterionError,
     CriterionTable,
     ElasticElementField,
+    ExtrapolationError,
     FieldFormatError,
     PoreFieldStats,
     load_field,
@@ -23,12 +24,15 @@ from porelife.field import (
     synth_field_report,
     tile_field,
 )
-from porelife.likelihood import FatigueObservation, Homogeneous, UnknownPores, structure_for, unknown_pores_objective
+from porelife.likelihood import (FatigueObservation, Heterogeneous, Homogeneous, UnknownPores, structure_for,
+                                  unknown_pores_objective)
 from porelife.material import ALSI7MG
 from porelife.material_point import (
     IntegrationError,
     TensorHistory,
     chaboche_cycle,
+    cosine_cycle,
+    criterion_delta_eps,
     neuber_correct,
     stress_driven_cycle,
 )
@@ -132,6 +136,10 @@ REFUSALS = {
     "stress_driven_cycle-empty": (lambda _: stress_driven_cycle(ALSI7MG, EMPTY_HISTORY), ValueError,
                                   "empty stress path"),
     "neuber_correct-empty": (lambda _: neuber_correct(ALSI7MG, EMPTY_HISTORY), ValueError, "empty elastic history"),
+    "criterion_delta_eps-nan": (lambda _: criterion_delta_eps(cosine_cycle([1.0, 0, 0, 0, 0, 0]), [math.nan, 0.0, 0.0]),
+                                ValueError, "n_star must be a unit vector"),
+    "interpolate-nan": (lambda _: bulk_table().interpolate(math.nan), ExtrapolationError,
+                        "amplitude nan MPa outside the table grid [80.0, 80.0]"),
     "config-missing-file": (lambda tmp: load_config(tmp / "none.conf"), ConfigError,
                             "config file not found: {tmp}/none.conf"),
     "config-unparsable": (unparsable_config, ConfigError, "[protocol] seed: cannot parse 'abc'"),
@@ -141,6 +149,12 @@ REFUSALS = {
     "unknown-pores-no-tables": (lambda _: UnknownPores(()), ValueError, "need at least one synthetic table"),
     "structure_for-sigma": (lambda _: structure_for(PARAMS, Homogeneous(27.1), 0.0), ValueError,
                             "sigma_a must be positive"),
+    "structure_for-nan-table": (lambda _: structure_for(PARAMS, Heterogeneous(bulk_table()), math.nan), ValueError,
+                                "sigma_a must be finite, got nan"),
+    "structure_for-nan": (lambda _: structure_for(PARAMS, Homogeneous(593.0), math.nan), ValueError,
+                          "sigma_a must be finite, got nan"),
+    "structure_for-inf": (lambda _: structure_for(PARAMS, Homogeneous(593.0), math.inf), ValueError,
+                          "sigma_a must be finite, got inf"),
     "structure_for-model": (lambda _: structure_for(PARAMS, "cylinder", 80.0), TypeError,
                             "unknown specimen model str"),
     "objective-no-tables": (lambda _: unknown_pores_objective(OBSERVATIONS, []), ValueError, "no synthetic tables"),

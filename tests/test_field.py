@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -49,6 +52,8 @@ from oracles import (
 )
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: A one-element, one-level table.
 ONE_CELL = CriterionTable(element_ids=[0], volumes=[1.0], load_levels=[40.0], delta_eps=[[1e-3]])
@@ -208,13 +213,15 @@ def criterion_field(draw):
     )
 
 
-def table_outcome(build, field, levels, collect: bool):
+def table_outcome(build, field, levels, collect: bool, **protocol):
     """A criterion build's table bytes (or raised message) and failure list."""
     failures = [] if collect else None
     try:
-        table = build(field, ALSI7MG, levels, failures=failures)
+        table = build(field, ALSI7MG, levels, failures=failures, **protocol)
     except CriterionError as exc:
         result = ("raised", exc.element_id, str(exc), type(exc.cause))
+    except ValueError as exc:  # the table refuses strain ranges that fall as the load rises
+        result = ("refused", str(exc))
     else:
         result = tuple(getattr(table, name).tobytes() for name in ("element_ids", "volumes", "load_levels", "delta_eps"))
     return result, [(eid, str(err), type(err.cause)) for eid, err in failures or []]
@@ -224,6 +231,62 @@ def assert_matches_cell_oracle(field, levels):
     for collect in (True, False):
         assert table_outcome(criterion_table, field, levels, collect) == table_outcome(
             cell_criterion_table, field, levels, collect)
+
+
+#: What ``neuber_correct`` raises for a plastic history whose peak and trough are equal.
+NO_REVERSAL = "elastic history has no load reversal: its peak and trough equivalents are equal"
+
+
+def oracle_outcome(field, levels, collect: bool, **protocol):
+    """``table_outcome`` of the cell oracle, its corrector's refusals spelled as ``neuber_correct`` spells them.
+
+    The oracle's corrector divides by the zero span of a plastic history
+    without a load reversal, which ``neuber_correct`` refuses.
+    """
+    def spelled(text, cause):
+        if cause is ZeroDivisionError:
+            return text.replace("float division by zero", NO_REVERSAL), ValueError
+        return text, cause
+
+    result, failures = table_outcome(cell_criterion_table, field, levels, collect, **protocol)
+    if result[0] == "raised":
+        result = (*result[:2], *spelled(*result[2:]))
+    return result, [(eid, *spelled(text, cause)) for eid, text, cause in failures]
+
+
+#: Unit tensors of the oracle gate, from (rng, kt): every path of the stacked
+#: kernel and every case its certificates must leave to the corrector.
+GATE_KINDS = {
+    "uniaxial": lambda rng, kt: kt * voigt.UNIAXIAL_X,
+    "multiaxial": lambda rng, kt: multiaxial_unit(rng.integers(2**32), kt),
+    "compressive": lambda rng, kt: -multiaxial_unit(rng.integers(2**32), kt),
+    # the elastic coefficient along n* is zero up to rounding for nu = 0.3
+    "zero_coefficient": lambda rng, kt: kt * np.array([-0.9, -1.5, -1.5, 0.0, 0.0, 0.0]),
+    # elastic and plastic coefficients of opposite signs
+    "opposite_coefficients": lambda rng, kt: kt * np.array([-1.0, -1.5, -1.5, 0.0, 0.0, 0.0]),
+    # a peak equivalent within a few slacks of the yield stress at one of the levels
+    "near_yield": lambda rng, kt: multiaxial_unit(rng.integers(2**32), 1.0) * ALSI7MG.sigma_y / float(
+        rng.choice(GATE_LEVELS)) * (1.0 + float(rng.choice([0.0, 1e-16, -1e-16, 1e-9, -1e-9, 3e-9, -3e-9]))),
+    **{kind: lambda rng, kt, make=ELEMENT_KINDS[kind]: make(0, kt) for kind in ("zero", "hydrostatic", "degenerate")},
+}
+
+#: Load levels of the oracle gate, on both sides of the yield stress for Kt 0.3 to 2.5.
+GATE_LEVELS = (20.0, 40.0, 85.0, 100.0, 150.0, 250.0)
+
+
+@st.composite
+def gate_field(draw):
+    """A field mixing the gate's kinds, with repeated tensors."""
+    n = draw(st.integers(1, 9))
+    tensors = []
+    for _ in range(n):
+        kind = draw(st.sampled_from([*GATE_KINDS, "repeat"]))
+        if kind == "repeat" and tensors:
+            tensors.append(tensors[draw(st.integers(0, len(tensors) - 1))].copy())
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            tensors.append(GATE_KINDS.get(kind, GATE_KINDS["multiaxial"])(rng, draw(st.floats(0.3, 2.5))))
+    return ElasticElementField(ids=np.arange(n)[::-1], volumes=np.ones(n), sigma_unit=np.array(tensors))
 
 
 def bulk_only(volume=10.0):
@@ -1117,16 +1180,39 @@ class TestBatchedCriterion:
 
         monkeypatch.setattr(porelife.material_point, "neuber_correct", counting)
         table = criterion_table(field, material, levels)
-        # yielding: Kt 2.0 at 100 MPa, Kt 2.5 at 85 and 100 MPa (Kt 2.0 at 85 MPa
-        # peaks exactly at the yield stress and stays elastic); the zero and the
-        # hydrostatic element have no direction and go to the corrector as well
+        # the yielding cells (Kt 2.0 at 100 MPa, Kt 2.5 at 85 and 100 MPa) settle
+        # from one loop solve each, and Kt 2.0 at 85 MPa peaks exactly at the
+        # yield stress and stays elastic; only the zero and the hydrostatic
+        # element, which have no direction, go to the corrector
         assert calls == [
-            [200.0, 0, 0, 0, 0, 0], [212.5, 0, 0, 0, 0, 0], [250.0, 0, 0, 0, 0, 0],
             [0.0] * 6, [0.0] * 6, [0.0] * 6,
             [40.0, 40.0, 40.0, 0, 0, 0], [85.0, 85.0, 85.0, 0, 0, 0], [100.0, 100.0, 100.0, 0, 0, 0],
         ]
         monkeypatch.setattr(porelife.material_point, "neuber_correct", original)
         assert table.delta_eps.tobytes() == cell_criterion_table(field, material, levels).delta_eps.tobytes()
+
+    @settings(max_examples=80)
+    @given(field=gate_field(), levels=st.sets(st.sampled_from(GATE_LEVELS), min_size=1, max_size=4),
+           samples=st.sampled_from([1, 2, 3, 40, 41]), cycles=st.sampled_from([1, 20]))
+    @example(  # yielding with opposite coefficients: its anchors do not bound the projection
+        field=ElasticElementField(ids=[0, 1], volumes=[1.0, 1.0], sigma_unit=[
+            GATE_KINDS["opposite_coefficients"](None, 1.5), GATE_KINDS["uniaxial"](None, 2.0)]),
+        levels={85.0, 250.0}, samples=40, cycles=20)
+    def test_equals_cell_oracle_on_every_path(self, field, levels, samples, cycles):
+        levels = sorted(levels)
+        for collect in (True, False):
+            assert table_outcome(criterion_table, field, levels, collect, samples=samples, cycles=cycles) == (
+                oracle_outcome(field, levels, collect, samples=samples, cycles=cycles))
+
+    def test_equals_cell_oracle_on_a_benchmark_mesh(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        workloads.write_mesh_field(tmp_path / "mesh.csv", 7)
+        field = load_field(tmp_path / "mesh.csv")
+        assert table_outcome(criterion_table, field, workloads.LEVELS, True) == oracle_outcome(
+            field, workloads.LEVELS, True)
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1136,15 +1222,21 @@ class TestBatchedCriterion:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         # Kt up to 2.4 yields at the top levels (2.4 * 150 = 360 MPa > 170 MPa),
-        # so both the batched elastic cells and the corrector are exercised
+        # so both the elastic cells and the loop path are exercised
         tensors = [multiaxial_unit(rng.integers(2**32), kt) for kt in (0.6, 1.0, 1.4, 1.8, 2.4)]
         tensors += [ELEMENT_KINDS[kind](0, 1.7) for kind in ("zero", "hydrostatic", "degenerate", "at_yield")]
         sigma = np.array(tensors)
         levels = [40.0, 85.0, 100.0, 150.0]
-        solvers = porelife.material_point
-        with mock.patch.object(solvers, "neuber_correct", wraps=solvers.neuber_correct) as corrector:
+        kernel, plastic_settled = porelife.material_point.settled_delta_eps, []
+
+        def recording(params, tensors, n_stars, levels, *args):
+            delta_eps, settled = kernel(params, tensors, n_stars, levels, *args)
+            plastic_settled.append(np.any(settled & (np.outer(voigt.von_mises(tensors), levels) > params.sigma_y)))
+            return delta_eps, settled
+
+        with mock.patch.object(porelife.material_point, "settled_delta_eps", recording):
             base = criterion_table(ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=sigma), ALSI7MG, levels)
-        assert corrector.call_count > 2 * len(levels)  # more than the zero and hydrostatic cells
+        assert any(plastic_settled)  # the loop path settles yielding cells
         turned = criterion_table(
             ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=voigt.rotate(sigma, q)), ALSI7MG, levels
         )

@@ -24,8 +24,8 @@ from porelife.material_point import (
     criterion_delta_eps,
     critical_direction,
     critical_directions,
-    elastic_delta_eps,
     neuber_correct,
+    settled_delta_eps,
     stress_driven_cycle,
     uniaxial_strain_cycle,
 )
@@ -471,8 +471,14 @@ def cells_of(kind, seed, kt):
 CELL_KINDS = ["near_yield", "near_hydrostatic", "zero", "tiny", "huge", "subnormal", "plain"]
 
 
+def chain_delta_eps(tensor, n_star, level, samples, n_cycles=20):
+    """The criterion of one cell through the per-cell chain: cycle, corrector, range."""
+    _, strain = neuber_correct(ALSI7MG, cosine_cycle(tensor, amplitude=level, samples=samples), n_cycles=n_cycles)
+    return criterion_delta_eps(strain, n_star)
+
+
 class TestCertifiedElasticMask:
-    """``elastic_delta_eps`` equals the stacked ``_decompose`` of every cell, mask and ranges."""
+    """``settled_delta_eps`` equals the stacked ``_decompose`` of every elastic cell and the chain of every other."""
 
     @settings(max_examples=80)
     @given(
@@ -486,10 +492,11 @@ class TestCertifiedElasticMask:
         tensors = np.array(tensors)
         levels = sorted(set(levels) | set(extra_levels))
         n_stars = np.tile([1.0, 0.0, 0.0], (len(tensors), 1))
-        fast, mask = elastic_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
-        slow, slow_mask = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
-        assert mask.tolist() == slow_mask.tolist()
-        assert fast.tobytes() == slow.tobytes()
+        fast, settled = settled_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
+        slow, elastic = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, levels, samples)
+        assert fast[settled & elastic].tobytes() == slow[settled & elastic].tobytes()
+        for k, j in zip(*np.nonzero(settled & ~elastic)):
+            assert fast[k, j].tobytes() == np.float64(chain_delta_eps(tensors[k], n_stars[k], levels[j], samples)).tobytes()
 
     @pytest.mark.parametrize("tensor, level, samples", [
         ([0.0, 1.24330533e-157, -7.54646586e-158, 2.50372388e-158, 0.0, -7.05702469e-158], 1.1484276843099452e-05, 2),
@@ -499,35 +506,35 @@ class TestCertifiedElasticMask:
     def test_cells_whose_squares_underflow_stay_open(self, tensor, level, samples):
         # the stacked _decompose finds no direction here: the samples' squared norms underflow
         tensors, n_stars = np.array([tensor]), np.array([[1.0, 0.0, 0.0]])
-        fast, mask = elastic_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
-        slow, slow_mask = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
-        assert mask.tolist() == slow_mask.tolist() == [[False]]
-        assert fast.tobytes() == slow.tobytes()
+        _, settled = settled_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
+        _, elastic = decompose_elastic_delta_eps(ALSI7MG, tensors, n_stars, [level], samples)
+        assert settled.tolist() == elastic.tolist() == [[False]]
 
     def test_at_yield_and_hydrostatic_cells_stay_open(self):
         # Kt 2.0 at 85 MPa peaks exactly at the yield stress; [1, 1, 1, 0, 0, 0] has no direction
         tensors = np.array([[2.0, 0, 0, 0, 0, 0], [1.0, 1.0, 1.0, 0, 0, 0], np.zeros(6)])
         _, wave = material_point._cosine_wave(np.array([40.0, 85.0, 100.0]), 40)
-        elastic, plastic = _settled_cells(ALSI7MG, tensors, wave)
-        assert elastic.tolist() == [[True, False, False], [False] * 3, [False] * 3]
-        assert plastic.tolist() == [[False, False, True], [False] * 3, [False] * 3]
-        assert elastic_delta_eps(ALSI7MG, tensors, np.zeros((3, 3)), [40.0, 85.0, 100.0])[1].tolist() == [
-            [True, True, False], [False] * 3, [False] * 3]
+        assert _settled_cells(ALSI7MG, tensors, wave).tolist() == [[True, False, False], [False] * 3, [False] * 3]
+        n_stars = np.tile([1.0, 0.0, 0.0], (3, 1))
+        assert settled_delta_eps(ALSI7MG, tensors, n_stars, [40.0, 85.0, 100.0])[1].tolist() == [
+            [True, True, True], [False] * 3, [False] * 3]
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_settles_a_mesh_of_distinct_tensors(self, seed):
-        # the certificate is not vacuous: away from the yield stress it settles every cell
+        # the certificates are not vacuous: away from the yield stress they settle every cell
         rng = np.random.default_rng(seed)
         shape = voigt.UNIAXIAL_X + 0.2 * rng.standard_normal((200, 6))
         tensors = shape * ((1.0 + 0.3 * rng.lognormal(0.0, 0.6, 200)) / voigt.von_mises(shape))[:, None]
         levels = np.arange(20.0, 101.0, 10.0)
         _, wave = material_point._cosine_wave(levels, 40)
-        elastic, plastic = _settled_cells(ALSI7MG, tensors, wave)
+        elastic = _settled_cells(ALSI7MG, tensors, wave)
         peak = np.outer(voigt.von_mises(tensors), levels)
         near = np.abs(peak / ALSI7MG.sigma_y - 1.0) < 4.0 * CERTIFICATE_SLACK
-        assert np.all((elastic | plastic) | near)
-        assert not np.any(elastic & plastic)
+        assert np.all(elastic | (peak > ALSI7MG.sigma_y) | near)
+        assert not np.any(elastic & (peak > ALSI7MG.sigma_y))
+        _, settled = settled_delta_eps(ALSI7MG, tensors, critical_directions(tensors)[0], levels)
+        assert np.all(settled | near)
 
 
 def direction_outcomes(tensors, direction=scalar_critical_direction):
