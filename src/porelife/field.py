@@ -33,8 +33,9 @@ SIDECAR_HASH_BLOCK = 1 << 16
 #: Shell elements per pore; the innermost sits at the cavity surface.
 DEFAULT_SHELLS = 8
 
-#: Distinct unit tensors per broadcast pass of :func:`criterion_table`;
-#: bounds its (chunk, levels, samples, 6) temporaries.
+#: Distinct unit tensors per :func:`settled_delta_eps` call of
+#: :func:`criterion_table`; bounds the stacked ``_decompose`` of the open
+#: cells (at most chunk x levels x samples x 6) and the end-sample projection.
 CRITERION_CHUNK = 32
 
 #: Shells extend to this multiple of the pore radius; beyond it the stress
@@ -499,6 +500,11 @@ def load_field(path) -> ElasticElementField:
 # Criterion tables
 # ---------------------------------------------------------------------------
 
+def _falling_rows(delta_eps) -> np.ndarray:
+    """Rows of an (n, levels) strain-range array that fall by more than 1e-15 as the load rises."""
+    return np.any(np.diff(delta_eps, axis=1) < -1e-15, axis=1)
+
+
 @dataclass(eq=False)
 class CriterionTable:
     """Stabilized-cycle strain ranges per element across load levels."""
@@ -525,7 +531,7 @@ class CriterionTable:
             raise ValueError("strain ranges must be nonnegative")
         if np.any(np.diff(self.load_levels) <= 0.0):
             raise ValueError("load levels must be strictly ascending")
-        if np.any(np.diff(self.delta_eps, axis=1) < -1e-15):
+        if np.any(_falling_rows(self.delta_eps)):
             raise ValueError("strain ranges must be nondecreasing along load levels")
 
     def interpolate(self, sigma_a: float) -> np.ndarray:
@@ -575,9 +581,11 @@ def criterion_table(
     the per-cell chain bit for bit.  ``cycles`` and ``samples`` must be
     integers of at least 1.
 
-    Correction failures raise :class:`CriterionError` annotated with the
-    element id, unless a ``failures`` list is supplied, in which case failed
-    elements are skipped and recorded there as ``(element_id, exception)``.
+    Correction failures, and rows whose strain range falls as the load
+    rises (the rule :class:`CriterionTable` enforces), raise
+    :class:`CriterionError` annotated with the element id, unless a
+    ``failures`` list is supplied, in which case failed elements are skipped
+    and recorded there as ``(element_id, exception)``.
     """
     levels = np.asarray(load_levels, dtype=float)
     if levels.size == 0:
@@ -612,6 +620,9 @@ def criterion_table(
 
     failed = np.zeros(len(distinct), dtype=bool)
     failed[list(errors)] = True
+    for k in np.flatnonzero(~failed)[_falling_rows(rows[~failed])].tolist():
+        errors[k] = ValueError("strain range falls as the load rises")
+        failed[k] = True
     for i in np.flatnonzero(failed[inverse]):
         cause = errors[inverse[i]]
         err = CriterionError(int(field.ids[i]), cause)

@@ -3,8 +3,8 @@
 Three pieces live here:
 
 * a backward-Euler return-mapping integrator for a von Mises model with
-  nonlinear kinematic hardening and saturating isotropic hardening (the
-  reference path),
+  nonlinear kinematic and saturating isotropic hardening, whose three cycle
+  drivers share one mixed-control step solve (the reference path),
 * a proportional cyclic Neuber-type corrector that recovers the stabilized
   elasto-plastic cycle from a purely elastic stress history (the fast path),
 * extraction of the critical-plane strain range over the stabilized cycle.
@@ -207,41 +207,49 @@ def _repeat_cycle(times: np.ndarray, n_cycles: int, step) -> CycleResult:
     )
 
 
-def chaboche_cycle(params: ChabocheParams, eps_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
-    """Repeat one strain cycle from a virgin state and return the final cycle."""
-    if len(eps_path) == 0:
-        raise ValueError("empty strain path")
+def _controlled_cycle(params: ChabocheParams, times, targets, free: list, n_cycles: int, what: str) -> CycleResult:
+    """The one step solve of the drivers: components ``free`` of the (n, 6) ``targets`` are stresses, the rest strains.
+
+    Each try corrects the free strains by the inverse of the free block of
+    the elastic stiffness, warm-started from the previous sample, until each
+    free stress is within 1e-9 max(sigma_y, peak |target stress|); 400 tries.
+    """
+    fixed = [k for k in range(6) if k not in free]
+    compliance = np.linalg.inv(voigt.elastic_stress(np.eye(6), params.E, params.nu)[np.ix_(free, free)])
+    tol = 1e-9 * max(params.sigma_y, float(np.max(np.abs(targets[:, free]), initial=0.0)))
+    eps = np.zeros(6)
 
     def step(i, eps_p, x_back, p):
-        return (*_step_kernel(params, eps_p, x_back, p, eps_path.values[i]), eps_path.values[i])
+        eps[fixed] = targets[i, fixed]
+        for _ in range(400):
+            *state, sig = _step_kernel(params, eps_p, x_back, p, eps)
+            gap = targets[i, free] - sig[free]
+            if np.max(np.abs(gap), initial=0.0) < tol:
+                return (*state, sig, eps)
+            eps[free] += compliance @ gap
+        raise IntegrationError(f"{what} did not converge", float(np.max(np.abs(gap))))
 
-    return _repeat_cycle(eps_path.times, n_cycles, step)
+    return _repeat_cycle(times, n_cycles, step)
+
+
+def chaboche_cycle(params: ChabocheParams, eps_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
+    """Repeat one strain cycle from a virgin state and return the final cycle; every component is prescribed."""
+    if len(eps_path) == 0:
+        raise ValueError("empty strain path")
+    return _controlled_cycle(params, eps_path.times, eps_path.values, [], n_cycles, "strain-driven step")
 
 
 def stress_driven_cycle(params: ChabocheParams, stress_path: TensorHistory, n_cycles: int = DEFAULT_STABILIZATION_CYCLES) -> CycleResult:
     """Repeat one imposed *stress* cycle from a virgin state.
 
-    Each step solves for the total strain producing the target stress by
-    fixed-point iteration with the elastic compliance, warm-started from the
-    previous step's strain; converges for any hardening material.  Returns
-    the final cycle's histories.
+    Every component is a prescribed stress, so each step corrects the total
+    strain by the elastic compliance, warm-started from the previous step's
+    strain; this converges while the path stays below the saturation stress
+    of the hardening.  Returns the final cycle's histories.
     """
     if len(stress_path) == 0:
         raise ValueError("empty stress path")
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(stress_path.values))))
-    eps = np.zeros(6)
-
-    def step(i, eps_p, x_back, p):
-        nonlocal eps
-        for _ in range(400):
-            *state, sig = _step_kernel(params, eps_p, x_back, p, eps)
-            gap = stress_path.values[i] - sig
-            if np.max(np.abs(gap)) < tol:
-                return (*state, sig, eps)
-            eps = eps + voigt.elastic_strain(gap, params.E, params.nu)
-        raise IntegrationError("stress-driven step did not converge", float(np.max(np.abs(gap))))
-
-    return _repeat_cycle(stress_path.times, n_cycles, step)
+    return _controlled_cycle(params, stress_path.times, stress_path.values, list(range(6)), n_cycles, "stress-driven step")
 
 
 def uniaxial_strain_cycle(
@@ -252,29 +260,14 @@ def uniaxial_strain_cycle(
 ) -> CycleResult:
     """Fully reversed uniaxial-stress cycling at a given axial strain amplitude.
 
-    The axial strain follows a cosine wave while the lateral strains are left
-    free: each step solves for the transverse strain that keeps the lateral
-    stresses at zero (warm-started from the previous step), so the stress
+    The axial strain follows a cosine wave and the shear strains stay zero,
+    while the lateral stresses are prescribed zero: each step solves for the
+    lateral strains (warm-started from the previous step), so the stress
     state stays uniaxial along x.
     """
     t, axial = _cosine_wave(amplitude, samples)
-    lam = params.E * params.nu / ((1.0 + params.nu) * (1.0 - 2.0 * params.nu))
-    stiff = 2.0 * (lam + params.shear_modulus)  # d(sigma_yy)/d(lateral strain)
-    eps = np.zeros(6)
-    lateral = 0.0
-
-    def step(i, eps_p, x_back, p):
-        nonlocal lateral
-        eps[0] = axial[i]
-        for _ in range(200):
-            eps[1] = eps[2] = lateral
-            *state, sig = _step_kernel(params, eps_p, x_back, p, eps)
-            if abs(sig[1]) < 1e-9 * params.sigma_y:
-                return (*state, sig, eps)
-            lateral -= sig[1] / stiff
-        raise IntegrationError("uniaxial lateral solve did not converge", abs(sig[1]))
-
-    return _repeat_cycle(t, n_cycles, step)
+    targets = np.column_stack([axial, np.zeros((len(t), 5))])
+    return _controlled_cycle(params, t, targets, [1, 2], n_cycles, "uniaxial lateral solve")
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +480,12 @@ def neuber_correct(
 
     a_max = float(np.max(amp))
     a_min = float(np.min(amp))
-    young = params.E
     solve, rng_loop, dep_loop, _, sig_top, dep_top = _stabilized_loop(params, a_max, a_min, n_cycles)
-    idx_top = int(np.argmax(amp))
-    idx_bot = int(np.argmin(amp))
 
-    sig_scalar = np.empty(len(amp))
-    dep_scalar = np.empty(len(amp))
-    for i, a in enumerate(amp.tolist()):
-        descending = _on_descending_branch(i, idx_top, idx_bot, len(amp))
-        origin = a_max if descending else a_min
-        span_t = abs(a - origin)
-        rng_t, dep_t = solve(span_t * span_t / young, dep_loop)
-        if descending:
-            sig_scalar[i] = sig_top - rng_t
-            dep_scalar[i] = dep_top - dep_t
-        else:
-            sig_scalar[i] = (sig_top - rng_loop) + rng_t
-            dep_scalar[i] = (dep_top - dep_loop) + dep_t
+    descending, _, products = _reversal_products(amp, params.E)
+    rng_t, dep_t = np.array([solve(product, dep_loop) for product in products.tolist()]).T
+    sig_scalar = np.where(descending, sig_top - rng_t, (sig_top - rng_loop) + rng_t)
+    dep_scalar = np.where(descending, dep_top - dep_t, (dep_top - dep_loop) + dep_t)
 
     elastic_dir = voigt.elastic_strain(direction, params.E, params.nu)
     plastic_dir = 1.5 * voigt.deviator(direction)
@@ -516,11 +497,19 @@ def neuber_correct(
     )
 
 
-def _on_descending_branch(i: int, idx_top: int, idx_bot: int, n: int) -> bool:
-    """Whether sample i sits on the branch leaving the maximum reversal."""
-    if idx_top < idx_bot:
-        return idx_top <= i < idx_bot
-    return not (idx_bot <= i < idx_top)
+def _reversal_products(amp, young: float):
+    """``(descending, inner, product)`` of a (..., n) stack of signed equivalents.
+
+    ``descending`` marks the samples on the branch leaving the maximum
+    reversal (up to the minimum, cyclically), ``inner`` the samples that are
+    neither reversal, and ``product`` is each sample's Neuber product
+    ``span^2 / E`` of its span from its last reversal.
+    """
+    i = np.arange(amp.shape[-1])
+    top, bot = np.argmax(amp, axis=-1)[..., None], np.argmin(amp, axis=-1)[..., None]
+    descending = np.where(top < bot, (top <= i) & (i < bot), (i < bot) | (top <= i))
+    span = np.abs(amp - np.where(descending, np.take_along_axis(amp, top, -1), np.take_along_axis(amp, bot, -1)))
+    return descending, (i != top) & (i != bot), span * span / young
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +690,7 @@ def _reversal_ranges(params: ChabocheParams, split: _Decomposition, n_stars, n_c
     projected = voigt.normal_projection(strain, n_stars[:, None, :])
 
     # the certificate: products of the samples other than the anchors
-    i = np.arange(amp.shape[-1])
-    top, bot = np.argmax(amp, axis=-1)[:, None], np.argmin(amp, axis=-1)[:, None]
-    descending = np.where(top < bot, (top <= i) & (i < bot), (i < bot) | (top <= i))
-    span_i = np.abs(amp - np.where(descending, a_max[:, None], a_min[:, None]))
-    product_i, inner = span_i * span_i / young, (i != top) & (i != bot)
+    _, inner, product_i = _reversal_products(amp, young)
     span = a_max - a_min
     product = span * span / young
     pe, pp, se, sp = voigt.normal_projection(  # the coefficients and the magnitudes of their terms

@@ -129,9 +129,9 @@ class CalibrationProblem:
             raise ValueError("at least one parameter must be free")
 
 
-def one_line_mask(with_limit: bool = True) -> tuple[bool, ...]:
-    """Free mask of the one-line model (optionally dropping the fatigue limit)."""
-    return (True, True, False, True, False, with_limit)
+def one_line_mask() -> tuple[bool, ...]:
+    """Free mask of the one-line model."""
+    return (True, True, False, True, False, True)
 
 
 def _to_internal(vec: np.ndarray, free_idx) -> np.ndarray:

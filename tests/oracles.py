@@ -46,7 +46,6 @@ from porelife.material_point import (
     _below_yield,
     _cosine_wave,
     _decompose,
-    _on_descending_branch,
     _proportional_decomposition,
     cosine_cycle,
     criterion_delta_eps,
@@ -371,6 +370,13 @@ def _solve_branch_neuber(params: ChabocheParams, product: float, r_stab: float, 
     return _branch_stress_range(params, dep, r_stab), dep
 
 
+def _on_descending_branch(i: int, idx_top: int, idx_bot: int, n: int) -> bool:
+    """Whether sample i sits on the branch leaving the maximum reversal."""
+    if idx_top < idx_bot:
+        return idx_top <= i < idx_bot
+    return not (idx_bot <= i < idx_top)
+
+
 def scalar_neuber_correct(
     params: ChabocheParams,
     elastic_stress_history: TensorHistory,
@@ -488,7 +494,8 @@ def cell_criterion_table(
 
     Every cell of a distinct unit tensor goes through cosine_cycle,
     scalar_neuber_correct and criterion_delta_eps, elastic or not; a failing
-    element stops at its first exception (direction, then levels ascending).
+    element stops at its first exception (direction, then levels ascending),
+    and an element whose strain range falls as the load rises fails too.
     """
     levels = np.asarray(load_levels, dtype=float)
     cache: dict = {}
@@ -506,6 +513,8 @@ def cell_criterion_table(
                     history = cosine_cycle(tensor, amplitude=level, samples=samples)
                     _, strain = scalar_neuber_correct(mat, history, n_cycles=cycles)
                     row[j] = criterion_delta_eps(strain, n_star)
+                if any(later - earlier < -1e-15 for earlier, later in zip(row[:-1], row[1:])):
+                    raise ValueError("strain range falls as the load rises")
                 cache[key] = row
         except Exception as exc:  # noqa: BLE001 - annotated and optionally collected
             err = CriterionError(int(field.ids[i]), exc)

@@ -301,7 +301,7 @@ def test_criterion_08_nested_model_dominance():
     x0_noc = StrainLifeParams(m=1.0, A=0.05, alpha=0.4, C=0.0, V0=true.V0)
     no_limit = calibrate(
         CalibrationProblem(
-            objective=objective, x0=x0_noc, free_mask=one_line_mask(with_limit=False), budget=400
+            objective=objective, x0=x0_noc, free_mask=one_line_mask()[:-1] + (False,), budget=400  # C pinned at 0
         ),
         n_starts=5,
         seed=0,

@@ -415,6 +415,20 @@ class TestCriterion:
         table = load_criterion_table(tmp_path / "t" / "huge_field.criterion.csv")
         assert table.element_ids.tolist() == [0]
 
+    def test_falling_strain_range_is_a_partial_failure(self, tmp_path, capsys):
+        # element 0's elastic and plastic coefficients have opposite signs, so
+        # with 2 samples and 1 cycle its range falls from 40 to 250 MPa
+        conf = tmp_path / "falling.conf"
+        conf.write_text("[protocol]\nload_levels = 40, 250\nn_cycles = 1\ncycle_samples = 2\n")
+        field = tmp_path / "falling_field.csv"
+        field.write_text(f"{FIELD_HEADER}\n0,1.0,-2,-3,-3,0,0,0\n1,1.0,1,0,0,0,0,0\n")
+        out = tmp_path / "t"
+        assert main(["criterion", "--config", str(conf), "--out", str(out), str(field)]) == EXIT_PARTIAL
+        assert "element 0 failed: element 0: strain range falls as the load rises" in capsys.readouterr().err
+        table = load_criterion_table(out / "falling_field.criterion.csv")
+        assert table.element_ids.tolist() == [1]
+        assert table.load_levels.tolist() == [40.0, 250.0]
+
     @pytest.mark.parametrize("name", ["two\nlines.csv", "carriage\rreturn.csv"])
     def test_field_name_with_a_line_break_is_refused(self, conf, tmp_path, capsys, name):
         # the name goes into the table's `source:` comment, which must stay one line

@@ -220,8 +220,6 @@ def table_outcome(build, field, levels, collect: bool, **protocol):
         table = build(field, ALSI7MG, levels, failures=failures, **protocol)
     except CriterionError as exc:
         result = ("raised", exc.element_id, str(exc), type(exc.cause))
-    except ValueError as exc:  # the table refuses strain ranges that fall as the load rises
-        result = ("refused", str(exc))
     else:
         result = tuple(getattr(table, name).tobytes() for name in ("element_ids", "volumes", "load_levels", "delta_eps"))
     return result, [(eid, str(err), type(err.cause)) for eid, err in failures or []]
@@ -1165,6 +1163,21 @@ class TestBatchedCriterion:
         assert "history norm is not finite" in str(failures[2][1])
         assert table.element_ids.tolist() == [3]
 
+    def test_falling_row_is_a_failed_element(self, material):
+        # diag(-2, -3, -3): elastic and plastic coefficients of opposite signs
+        tensors = [np.array([-2.0, -3.0, -3.0, 0.0, 0.0, 0.0]), voigt.UNIAXIAL_X, np.array([-2.0, -3.0, -3.0, 0.0, 0.0, 0.0])]
+        field = ElasticElementField(ids=[4, 9, 2], volumes=np.ones(3), sigma_unit=np.array(tensors))
+        failures = []
+        table = criterion_table(field, material, [40.0, 250.0], cycles=1, samples=2, failures=failures)
+        assert [(eid, str(err)) for eid, err in failures] == [
+            (4, "element 4: strain range falls as the load rises"), (2, "element 2: strain range falls as the load rises")]
+        assert table.element_ids.tolist() == [9]
+        with pytest.raises(CriterionError, match="element 4: strain range falls"):
+            criterion_table(field, material, [40.0, 250.0], cycles=1, samples=2)
+        # the rows fall only over both levels: each level alone is a healthy table
+        for level in (40.0, 250.0):
+            assert criterion_table(field, material, [level], cycles=1, samples=2).element_ids.tolist() == [4, 9, 2]
+
     def test_only_cells_that_are_not_elastic_reach_the_corrector(self, material, monkeypatch):
         # uniaxial Kt 0.5 ... 2.5 (2.0 twice), a zero and a hydrostatic element
         tensors = [kt * voigt.UNIAXIAL_X for kt in (0.5, 1.0, 1.5, 2.0, 2.5, 2.0)]
@@ -1198,6 +1211,10 @@ class TestBatchedCriterion:
         field=ElasticElementField(ids=[0, 1], volumes=[1.0, 1.0], sigma_unit=[
             GATE_KINDS["opposite_coefficients"](None, 1.5), GATE_KINDS["uniaxial"](None, 2.0)]),
         levels={85.0, 250.0}, samples=40, cycles=20)
+    @example(  # its range falls from 40 to 250 MPa: a failed element, the other kept
+        field=ElasticElementField(ids=[0, 1], volumes=[1.0, 1.0], sigma_unit=[
+            GATE_KINDS["opposite_coefficients"](None, 2.0), GATE_KINDS["uniaxial"](None, 1.0)]),
+        levels={40.0, 250.0}, samples=2, cycles=1)
     def test_equals_cell_oracle_on_every_path(self, field, levels, samples, cycles):
         levels = sorted(levels)
         for collect in (True, False):

@@ -199,6 +199,24 @@ class TestStressDriven:
         assert_allclose(res.strain.values[:, 0], path.values[:, 0] / material.E + ep_hist, rtol=1e-5, atol=1e-9)
         assert_allclose(res.state.p, p_scalar, rtol=1e-5)
 
+    def test_reproduces_the_uniaxial_strain_driver(self, material):
+        # one cycle only: over several cycles strain and stress control harden differently
+        strain_driven = uniaxial_strain_cycle(material, 0.004, n_cycles=1)
+        lateral = strain_driven.stress.values[:, 1:]
+        assert np.max(np.abs(lateral)) < 1e-9 * material.sigma_y  # the driver's own solve tolerance
+        res = stress_driven_cycle(material, strain_driven.stress, n_cycles=1)
+        peak = np.max(np.abs(strain_driven.stress.values))
+        assert peak > material.sigma_y
+        assert np.max(np.abs(res.stress.values - strain_driven.stress.values)) < 1e-9 * peak
+        assert_allclose(res.strain.values, strain_driven.strain.values, rtol=0.0, atol=1e-10)
+        assert_allclose(res.state.p, strain_driven.state.p, rtol=0.0, atol=1e-10)
+
+    def test_above_saturation_does_not_converge(self, material):
+        # no hardened surface reaches 320 MPa: sigma_y + Q + C_kin / D is about 285.6 MPa
+        assert material.sigma_y + material.Q + material.C_kin / material.D < 320.0
+        with pytest.raises(material_point.IntegrationError, match="stress-driven step did not converge"):
+            stress_driven_cycle(material, cosine_cycle(voigt.UNIAXIAL_X, amplitude=320.0), n_cycles=1)
+
 
 class TestNeuberCorrect:
     def test_sub_yield_identity_exact(self, material):
