@@ -27,9 +27,9 @@ _EXPORTS = {
         "wohler_quantiles",
     ),
     "material": ("ALSI7MG", "ChabocheParams"),
-    "material_point": (
-        "MaterialPointState", "TensorHistory", "chaboche_step", "chaboche_cycle", "stress_driven_cycle",
-        "uniaxial_strain_cycle", "neuber_correct", "critical_direction", "criterion_delta_eps",
+    "material_point": ("TensorHistory", "neuber_correct", "critical_direction", "criterion_delta_eps"),
+    "return_mapping": (
+        "MaterialPointState", "chaboche_step", "chaboche_cycle", "stress_driven_cycle", "uniaxial_strain_cycle",
     ),
     "field": (
         "CriterionTable", "ElasticElementField", "PoreFieldStats", "criterion_table", "load_field", "save_field",

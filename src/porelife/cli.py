@@ -189,6 +189,12 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs."""
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
+    writers: dict = {}  # table name -> the first field file that writes it
+    for field_path in fields:
+        name = field_path.stem + ".criterion.csv"
+        first = writers.setdefault(name, field_path)
+        if first.resolve() != field_path.resolve():
+            raise ConfigError(f"{first} and {field_path} would both write {out / name}")
     any_failures = False
     for field_path in fields:
         table_path = out / (field_path.stem + ".criterion.csv")
@@ -204,10 +210,14 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
             continue
         field = load_field(field_path)
         failures: list = []
-        table = _criterion(config, field, failures)
-        for eid, err in failures:
-            any_failures = True
-            print(f"{field_path.name}: element {eid} failed: {err}", file=sys.stderr)
+        try:
+            table = _criterion(config, field, failures)
+        except CriterionError as exc:  # with a failures list, only when every element failed
+            raise ConfigError(f"{field_path}: {exc.cause}") from exc
+        finally:  # the causes, also of a field where every element failed
+            for eid, err in failures:
+                any_failures = True
+                print(f"{field_path.name}: element {eid} failed: {err}", file=sys.stderr)
         out.mkdir(parents=True, exist_ok=True)
         save_criterion_table(
             table_path,

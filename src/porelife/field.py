@@ -33,11 +33,6 @@ SIDECAR_HASH_BLOCK = 1 << 16
 #: Shell elements per pore; the innermost sits at the cavity surface.
 DEFAULT_SHELLS = 8
 
-#: Distinct unit tensors per :func:`settled_delta_eps` call of
-#: :func:`criterion_table`; bounds the stacked ``_decompose`` of the open
-#: cells (at most chunk x levels x samples x 6) and the end-sample projection.
-CRITERION_CHUNK = 32
-
 #: Shells extend to this multiple of the pore radius; beyond it the stress
 #: concentration has decayed below ~2 % and the material counts as bulk.
 SHELL_EXTENT = 4.0
@@ -570,16 +565,10 @@ def criterion_table(
     tensor scaled by the amplitude over a fully reversed cosine cycle; the
     fast plastic correction recovers the stabilized cycle, and the strain
     range is measured along the element's critical direction.  Elements with
-    identical unit tensors are solved once and share the row.
-
-    The distinct tensors share one eigensolve (:func:`critical_directions`) and
-    go in chunks of :data:`CRITERION_CHUNK` through one stacked kernel
-    (:func:`settled_delta_eps`): elastic cells are projected at the wave's
-    extreme samples, plastic cells from one loop solve and their two
-    reversal anchors.  Only the cells its certificates leave open go through
-    :func:`neuber_correct`, one by one, levels ascending.  Each cell equals
-    the per-cell chain bit for bit.  ``cycles`` and ``samples`` must be
-    integers of at least 1.
+    identical unit tensors are solved once and share the row, which
+    :func:`porelife.material_point.criterion_rows` computes bit for bit as
+    the per-cell chain would.  ``cycles`` and ``samples`` must be integers
+    of at least 1.
 
     Correction failures, and rows whose strain range falls as the load
     rises (the rule :class:`CriterionTable` enforces), raise
@@ -597,28 +586,11 @@ def criterion_table(
 
     cycles, samples = check_count("cycles", cycles), check_count("samples", samples)
     # here, not at the top: the commands that only read tables never load the solvers
-    from .material_point import (cosine_cycle, criterion_delta_eps, critical_directions, neuber_correct,
-                                 settled_delta_eps)
+    from .material_point import criterion_rows
 
     first, inverse, _ = _distinct_rows(field.sigma_unit)
-    distinct = field.sigma_unit[first]
-    n_stars, errors = critical_directions(distinct)  # errors: distinct tensor -> its first exception
-    rows = np.empty((len(distinct), levels.size))
-    for start in range(0, len(distinct), CRITERION_CHUNK):
-        chunk = slice(start, start + CRITERION_CHUNK)
-        tensors = distinct[chunk]
-        rows[chunk], settled = settled_delta_eps(mat, tensors, n_stars[chunk], levels, samples, cycles)
-        for k, j in zip(*np.nonzero(~settled)):  # per tensor, levels ascending
-            if start + k in errors:
-                continue
-            try:
-                history = cosine_cycle(tensors[k], amplitude=levels[j], samples=samples)
-                _, strain = neuber_correct(mat, history, n_cycles=cycles)
-                rows[start + k, j] = criterion_delta_eps(strain, n_stars[start + k])
-            except Exception as exc:  # noqa: BLE001
-                errors[start + k] = exc
-
-    failed = np.zeros(len(distinct), dtype=bool)
+    rows, errors = criterion_rows(mat, field.sigma_unit[first], levels, samples, cycles)  # errors: row -> cause
+    failed = np.zeros(len(rows), dtype=bool)
     failed[list(errors)] = True
     for k in np.flatnonzero(~failed)[_falling_rows(rows[~failed])].tolist():
         errors[k] = ValueError("strain range falls as the load rises")

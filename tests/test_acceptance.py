@@ -38,9 +38,9 @@ from porelife.material_point import (
     criterion_delta_eps,
     critical_direction,
     neuber_correct,
-    uniaxial_strain_cycle,
 )
 from porelife.optimize import CalibrationProblem, calibrate, one_line_mask
+from porelife.return_mapping import uniaxial_strain_cycle
 from porelife.strain_life import (
     StrainLifeParams,
     cycles_to_failure,

@@ -429,6 +429,32 @@ class TestCriterion:
         assert table.element_ids.tolist() == [1]
         assert table.load_levels.tolist() == [40.0, 250.0]
 
+    def test_field_files_sharing_a_name_are_refused(self, conf, tmp_path, capsys):
+        # both would write t/field.criterion.csv, so the second table would replace the first
+        first, second = tmp_path / "a" / "field.csv", tmp_path / "b" / "field.csv"
+        for path, kt in ((first, 1.0), (second, 2.0)):
+            path.parent.mkdir()
+            path.write_text(f"{FIELD_HEADER}\n0,1.0,{kt},0,0,0,0,0\n")
+        out = tmp_path / "t"
+        assert main(["criterion", "--config", str(conf), "--out", str(out), str(first), str(second)]) == EXIT_VALIDATION
+        assert f"error: {first} and {second} would both write {out / 'field.criterion.csv'}" in capsys.readouterr().err
+        assert not out.exists()
+        # the same file given twice writes its one table, then finds it up to date
+        assert main(["criterion", "--config", str(conf), "--out", str(out), str(first), str(first)]) == EXIT_OK
+        assert capsys.readouterr().out == ("field.criterion.csv: 1 elements x 4 levels\n"
+                                           "field.criterion.csv: up to date, skipped\n")
+
+    def test_field_where_every_element_fails_names_the_file_and_each_cause(self, conf, tmp_path, capsys):
+        field = tmp_path / "huge_field.csv"
+        field.write_text(f"{FIELD_HEADER}\n0,1.0,1e300,0,0,0,0,0\n1,1.0,1e100,0,0,0,0,0\n")
+        out = tmp_path / "t"
+        assert main(["criterion", "--config", str(conf), "--out", str(out), str(field)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "huge_field.csv: element 0 failed: element 0: tensor norm is not finite" in err
+        assert "huge_field.csv: element 1 failed: element 1: could not bracket" in err
+        assert err.endswith(f"error: {field}: criterion failed for every element\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["two\nlines.csv", "carriage\rreturn.csv"])
     def test_field_name_with_a_line_break_is_refused(self, conf, tmp_path, capsys, name):
         # the name goes into the table's `source:` comment, which must stay one line

@@ -91,6 +91,14 @@ def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, argv, s
     code, loaded = fresh(PORELIFE_LOADED, *argv)
     assert code == 0
     assert ("porelife.material_point" in loaded) == solves, loaded
+    assert "porelife.return_mapping" not in loaded  # the reference integrator: no command runs it
+
+
+def test_the_integrator_names_are_return_mappings_objects():
+    import porelife.return_mapping
+
+    for name in ("MaterialPointState", "chaboche_step", "chaboche_cycle", "stress_driven_cycle", "uniaxial_strain_cycle"):
+        assert getattr(porelife, name) is getattr(porelife.return_mapping, name), name
 
 
 @pytest.mark.parametrize("statement", [

@@ -27,16 +27,9 @@ from porelife.field import (
 from porelife.likelihood import (FatigueObservation, Heterogeneous, Homogeneous, UnknownPores, structure_for,
                                   unknown_pores_objective)
 from porelife.material import ALSI7MG
-from porelife.material_point import (
-    IntegrationError,
-    TensorHistory,
-    chaboche_cycle,
-    cosine_cycle,
-    criterion_delta_eps,
-    neuber_correct,
-    stress_driven_cycle,
-)
+from porelife.material_point import TensorHistory, cosine_cycle, criterion_delta_eps, neuber_correct
 from porelife.optimize import CalibrationProblem, _to_internal, calibrate, nelder_mead
+from porelife.return_mapping import IntegrationError, chaboche_cycle, stress_driven_cycle
 from porelife.strain_life import StrainLifeParams, WeibullLifetime, weibull_cdf
 from porelife.weakest_link import StructureLifetime, sample_lifetimes
 

@@ -1139,13 +1139,13 @@ class TestBatchedCriterion:
     @given(field=criterion_field(), data=st.data())
     def test_equals_cell_oracle(self, field, data):
         levels = sorted(data.draw(st.sets(st.sampled_from(CRITERION_LEVELS), min_size=1, max_size=4)))
-        chunk = data.draw(st.sampled_from([1, 2, 3, porelife.field.CRITERION_CHUNK]))
-        with mock.patch.object(porelife.field, "CRITERION_CHUNK", chunk):
+        chunk = data.draw(st.sampled_from([1, 2, 3, porelife.material_point.CRITERION_CHUNK]))
+        with mock.patch.object(porelife.material_point, "CRITERION_CHUNK", chunk):
             assert_matches_cell_oracle(field, levels)
 
-    @pytest.mark.parametrize("extra", [-porelife.field.CRITERION_CHUNK + 1, 0, 1], ids=["one", "chunk", "chunk+1"])
+    @pytest.mark.parametrize("extra", [-porelife.material_point.CRITERION_CHUNK + 1, 0, 1], ids=["one", "chunk", "chunk+1"])
     def test_chunk_boundaries(self, extra):
-        n = porelife.field.CRITERION_CHUNK + extra
+        n = porelife.material_point.CRITERION_CHUNK + extra
         kinds = list(ELEMENT_KINDS)
         tensors = [ELEMENT_KINDS[kinds[i % len(kinds)]](i, 0.5 + 0.05 * i) for i in range(n)]
         tensors[-1] = tensors[0].copy()  # at n = chunk + 1 a repeat across the boundary

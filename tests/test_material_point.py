@@ -7,25 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from porelife import material_point, voigt
+from porelife import material_point, return_mapping, voigt
 from porelife.material_point import (
     ALSI7MG,
     CERTIFICATE_SLACK,
     ChabocheParams,
-    MaterialPointState,
     ProportionalityError,
     TensorHistory,
     _decompose,
     _proportional_decomposition,
     _settled_cells,
-    chaboche_cycle,
-    chaboche_step,
     cosine_cycle,
     criterion_delta_eps,
     critical_direction,
     critical_directions,
     neuber_correct,
     settled_delta_eps,
+)
+from porelife.return_mapping import (
+    MaterialPointState,
+    chaboche_cycle,
+    chaboche_step,
     stress_driven_cycle,
     uniaxial_strain_cycle,
 )
@@ -93,7 +95,7 @@ class TestChabocheStep:
     def test_uniaxial_ramp_vs_scalar_substepping(self, material):
         # free-lateral ramp to 0.004: mixed-control return mapping against
         # the explicit scalar uniaxial-stress integration
-        from porelife.material_point import _step_kernel
+        from porelife.return_mapping import _step_kernel
 
         target, n_steps = 0.004, 100
         lam = material.E * material.nu / ((1 + material.nu) * (1 - 2 * material.nu))
@@ -214,7 +216,7 @@ class TestStressDriven:
     def test_above_saturation_does_not_converge(self, material):
         # no hardened surface reaches 320 MPa: sigma_y + Q + C_kin / D is about 285.6 MPa
         assert material.sigma_y + material.Q + material.C_kin / material.D < 320.0
-        with pytest.raises(material_point.IntegrationError, match="stress-driven step did not converge"):
+        with pytest.raises(return_mapping.IntegrationError, match="stress-driven step did not converge"):
             stress_driven_cycle(material, cosine_cycle(voigt.UNIAXIAL_X, amplitude=320.0), n_cycles=1)
 
 
