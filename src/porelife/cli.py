@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -58,7 +59,7 @@ from .optimize import (
     write_trace_csv,
 )
 from .strain_life import StrainLifeParams
-from .weakest_link import StructureLifetime, pooled_lifetimes, wohler_quantiles, write_quantile_csv
+from .weakest_link import StructureLifetime, pooled_lifetimes, sample_lifetimes, wohler_quantiles, write_quantile_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -347,16 +348,29 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
 # ---------------------------------------------------------------------------
 
 def _pooled_median(structs, samples_per_struct, seed, runout_cycles) -> float:
+    """``np.median`` of the pooled draws, which are never NaN, from a partition (``np.median`` loads ``numpy.ma``)."""
     lifetimes, _ = pooled_lifetimes(structs, samples_per_struct, np.random.SeedSequence(seed), runout_cycles)
-    return float(np.median(lifetimes))
+    half = lifetimes.size // 2
+    part = np.partition(lifetimes, (half - 1, half))
+    return float(part[half] if lifetimes.size % 2 else (part[half - 1] + part[half]) / 2.0)
 
 
 def synthesize_observations(params, tables, levels, samples_per_struct, seed, runout_cycles):
-    """Multi-scale-model lifetimes on known fields, censored at the cap."""
-    structs = [structure_for(params, Heterogeneous(table), level) for table in tables for level in levels]
-    lifetimes, censored = pooled_lifetimes(structs, samples_per_struct, np.random.SeedSequence(seed), runout_cycles)
-    sigma_a = np.tile(np.repeat(levels, samples_per_struct), len(tables))
-    return ObservationArrays(sigma_a, np.minimum(lifetimes, runout_cycles), censored)
+    """Multi-scale-model lifetimes on known fields, censored at the cap.
+
+    Each structure (table by table, level by level) draws from its own child
+    of ``seed``; its failures are one row each, its run-outs one row that counts them.
+    """
+    children = iter(np.random.SeedSequence(seed).spawn(len(tables) * len(levels)))
+    rows = []  # (sigma_a, n_cycles, censored, count) of each structure; its run-out row last, dropped if it counts none
+    for table, level in itertools.product(tables, levels):
+        struct = structure_for(params, Heterogeneous(table), level)
+        lifetimes, censored = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
+        cycles = np.append(lifetimes[~censored], runout_cycles)
+        rows.append((np.full(cycles.size, level), cycles, np.arange(cycles.size) == cycles.size - 1,
+                     np.append(np.ones(cycles.size - 1, dtype=np.int64), np.count_nonzero(censored))))
+    sigma_a, n_cycles, censored, count = map(np.concatenate, zip(*rows))
+    return ObservationArrays(*(column[count > 0] for column in (sigma_a, n_cycles, censored, count)))
 
 
 def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
@@ -365,12 +379,15 @@ def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     return _fit(config, _homogeneous_term(config, observations), one_line_mask()).params
 
 
-def _challenge_table(config: RunConfig, table, seed, n_pores, notch_kt, notch_volume_fraction):
-    """``table`` if given, else one computed on a notched synthetic field."""
+def _challenge_table(config: RunConfig, table, flag, seed, n_pores, notch_kt, notch_volume_fraction):
+    """``table`` if given, else one computed on a notched synthetic field (``flag`` supplies it)."""
     if table is not None:
         return table
     field, _ = synth_field_report(config.pores, config.shells, seed, nu=config.material.nu, n_pores=n_pores)
-    return _criterion(config, notch_variant(field, notch_kt, notch_volume_fraction))
+    try:
+        return _criterion(config, notch_variant(field, notch_kt, notch_volume_fraction))
+    except CriterionError as exc:
+        raise ConfigError(f"challenge table for {flag} at --notch-kt {notch_kt}: {exc}") from exc
 
 
 def cmd_homogenize(
@@ -391,22 +408,16 @@ def cmd_homogenize(
     if not cylinder_tables:
         raise ConfigError("homogenize needs at least one cylinder criterion table")
     porous, bare = (None if p is None else load_criterion_table(p) for p in (challenge_porous, challenge_bare))
-    out.mkdir(parents=True, exist_ok=True)
     levels = config.load_levels
+    # challenge tables first: a failing one stops the run before the fit, and their solve peaks without the fit's arrays
+    porous_seed = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
+    porous = _challenge_table(config, porous, "--challenge-porous", porous_seed, None, notch_kt, notch_volume_fraction)
+    bare = _challenge_table(config, bare, "--challenge-bare", config.seed, 0, notch_kt, notch_volume_fraction)
 
     observations = synthesize_observations(
-        params_a,
-        cylinder_tables,
-        levels,
-        config.samples_per_struct,
-        config.seed,
-        config.runout_cycles,
+        params_a, cylinder_tables, levels, config.samples_per_struct, config.seed, config.runout_cycles
     )
     params_b = fit_homogenized_model(config, observations)
-
-    porous_seed = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
-    porous = _challenge_table(config, porous, porous_seed, None, notch_kt, notch_volume_fraction)
-    bare = _challenge_table(config, bare, config.seed, 0, notch_kt, notch_volume_fraction)
 
     report = {
         "model_a": dataclasses.asdict(params_a),
@@ -424,6 +435,7 @@ def cmd_homogenize(
         report["cylinder"]["median_B"].append(_gauge_structure(params_b, config, level).median())
         report["challenge"]["median_A"].append(structure_for(params_a, Heterogeneous(porous), level).median())
         report["challenge"]["median_B"].append(structure_for(params_b, Heterogeneous(bare), level).median())
+    out.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no --out behind
     _write_json(out / "homogenize.json", report)
     print("homogenize.json written")
     return EXIT_OK

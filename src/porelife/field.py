@@ -92,7 +92,7 @@ class ElasticElementField:
             raise ValueError("element volumes must be positive and finite")
         if not np.all(np.isfinite(self.sigma_unit)):
             raise ValueError("unit stress tensors must be finite")
-        if np.unique(self.ids).size != n:
+        if np.unique(self.ids, return_counts=True)[0].size != n:  # a plain np.unique loads numpy.ma
             raise ValueError("element ids must be unique")
 
     @property
@@ -677,7 +677,7 @@ def _save_sidecar(path, table: CriterionTable) -> None:
     none: no rows or levels, or repeated ids.
     """
     sidecar, ids, levels = _sidecar_path(path), table.element_ids, table.load_levels
-    if sidecar is None or ids.size == 0 or np.unique(ids).size != ids.size:
+    if sidecar is None or ids.size == 0 or np.unique(ids, return_counts=True)[0].size != ids.size:
         return
     with open(path, "r", encoding="utf-8") as fh:
         tag = read_header(fh, TABLE_HEADER)[0].get("geometry", "").encode("utf-8")

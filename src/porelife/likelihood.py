@@ -49,21 +49,25 @@ class FatigueObservation:
 
 @dataclass(frozen=True, eq=False)
 class ObservationArrays:
-    """Observations as three columns: amplitudes, cycles and run-out flags.
+    """Observations as columns: amplitudes, cycles, run-out flags and counts.
 
     Every objective takes them; ``of`` converts a sequence of
     :class:`FatigueObservation`.  Amplitudes and cycles are checked like a
-    single observation's.
+    single observation's.  A row stands for ``count`` equal observations (default 1).
     """
 
     sigma_a: np.ndarray
     n_cycles: np.ndarray
     censored: np.ndarray
+    count: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (("sigma_a", float), ("n_cycles", float), ("censored", bool)):
+        if self.count is None:
+            object.__setattr__(self, "count", np.ones(np.shape(self.sigma_a), dtype=np.int64))
+        for name, dtype in (("sigma_a", float), ("n_cycles", float), ("censored", bool), ("count", None)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not (self.sigma_a.ndim == 1 and self.sigma_a.shape == self.n_cycles.shape == self.censored.shape):
+        columns = (self.sigma_a, self.n_cycles, self.censored, self.count)
+        if self.sigma_a.ndim != 1 or len({column.shape for column in columns}) > 1:
             raise ValueError("observation columns must be 1-D and of one length")
         if self.sigma_a.size == 0:
             raise ValueError("no observations")
@@ -72,6 +76,11 @@ class ObservationArrays:
             bad = ~(np.isfinite(values) & (values > 0.0))
             if bad.any():
                 raise ValueError(f"{name} must be positive and finite, got {values[bad][0]}")
+        counts = self.count.astype(float)
+        bad = ~((counts >= 1.0) & (counts < 2.0**53) & (counts == np.floor(counts)))
+        if bad.any():
+            raise ValueError(f"count must be an integer in [1, 2**53), got {self.count[bad][0]}")
+        object.__setattr__(self, "count", counts.astype(np.int64))
 
     @classmethod
     def of(cls, observations: Sequence[FatigueObservation] | ObservationArrays) -> ObservationArrays:
@@ -185,6 +194,8 @@ class _Segments:
         self.amplitudes, self.bin_amplitude = np.unique(
             np.concatenate([amps for amps, _ in histograms]), return_inverse=True
         )
+        if not np.all(self.amplitudes >= 0.0):  # checked here once, not by the inverse at every evaluation
+            raise ValueError("strain amplitude must be nonnegative")
         self.bin_log_volume = np.log(np.concatenate([vols for _, vols in histograms]))
         self.start = np.cumsum([0] + sizes[:-1])
         self.bin_segment = np.repeat(np.arange(len(sizes)), sizes)
@@ -244,19 +255,25 @@ class _Rows:
     """Distinct (segment group, cycles) rows with multiplicities, as (row, segment) pairs.
 
     A row's term is log(mean over its group + LOG_FLOOR) times its count.
+    Every evaluation works in the rows' own buffers.
     """
 
     def __init__(self, row_group, count, cycles, groups):
         self.size = np.array([len(groups[g]) for g in row_group])
         self.segment = np.array([k for g in row_group for k in groups[g]], dtype=np.intp)
         self.log_n = np.repeat(np.log(cycles), self.size)
-        self.count = count.astype(float)
+        self.count = count
         self.first = np.cumsum(self.size) - self.size if np.any(self.size > 1) else None
+        self.scratch = (np.empty(self.segment.size), np.empty(self.segment.size))
+        self.means = None if self.first is None else np.empty(self.first.size)
 
-    def total(self, values) -> float:
+    def total(self, term, log_rate, shape) -> float:
+        """Sum of the row terms of ``term`` (``_density`` or ``_survival``) at the segment log rates."""
+        values = term(np.take(log_rate, self.segment, out=self.scratch[0], mode="clip"), shape, self.log_n, self.scratch)
         if self.first is not None:
-            values = np.add.reduceat(values, self.first) / self.size
-        return float(np.sum(self.count * np.log(values + LOG_FLOOR)))
+            values = np.divide(np.add.reduceat(values, self.first, out=self.means), self.size, out=self.means)
+        values = np.log(np.add(values, LOG_FLOOR, out=values), out=values)
+        return float(np.sum(np.multiply(self.count, values, out=values)))
 
 
 class _Kernel:
@@ -286,13 +303,14 @@ class _Kernel:
         ]
         self.segments = _Segments([_histogram(structures[k], amps[i]) for k, i in segment_ids])
         self.failures = self.runouts = None
-        if not np.all(censored):
-            rows, count = np.unique(
-                np.column_stack([obs_group[~censored], cycles[~censored]]), axis=0, return_counts=True
+        if not np.all(censored):  # weighted counts: exact sums of integers, as floats
+            rows, row = np.unique(
+                np.column_stack([obs_group[~censored], cycles[~censored]]), axis=0, return_inverse=True
             )
+            count = np.bincount(row, weights=obs.count[~censored])
             self.failures = _Rows(rows[:, 0].astype(np.intp), count, rows[:, 1], groups)
         if np.any(censored):
-            count = np.bincount(obs_group[censored], minlength=len(groups))
+            count = np.bincount(obs_group[censored], weights=obs.count[censored], minlength=len(groups))
             group = np.nonzero(count)[0]
             self.runouts = _Rows(group, count[group], np.full(group.size, runout_cycles), groups)
 
@@ -302,7 +320,7 @@ class _Kernel:
             log_rate = self.segments.log_rates(params)
             for rows, term in ((self.failures, _density), (self.runouts, _survival)):
                 if rows is not None:
-                    total += rows.total(term(log_rate[rows.segment], params.m, rows.log_n))
+                    total += rows.total(term, log_rate, params.m)
         return total
 
 

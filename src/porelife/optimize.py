@@ -39,6 +39,7 @@ class NelderMeadResult:
     fun: float
     trace: list
     iterations: int
+    evaluations: int  # objective calls
 
 
 def nelder_mead(
@@ -56,9 +57,11 @@ def nelder_mead(
     stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
     holds one ``(iteration, best_x, best_f)`` entry per iteration.
     """
-    objective = f
+    objective, evaluations = f, 0
 
     def f(x):
+        nonlocal evaluations
+        evaluations += 1
         value = objective(x)
         return -math.inf if math.isnan(value) else value
 
@@ -100,7 +103,7 @@ def nelder_mead(
             vals[i] = f(verts[i])
 
     best = np.argsort(vals)[-1]
-    return NelderMeadResult(x=verts[best].copy(), fun=float(vals[best]), trace=trace, iterations=len(trace))
+    return NelderMeadResult(verts[best].copy(), float(vals[best]), trace, len(trace), evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +249,10 @@ def calibrate(
         vec = _from_internal(y, free_idx, pinned)
         return problem.objective(StrainLifeParams.from_vector(vec, v0))
 
-    jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
-    starts = np.vstack([y0, y0 + 0.25 * jitter])
+    starts = y0[None, :]
+    if n_starts > 1:  # importing numpy.random costs a process about 2 MB, which a single start need not pay
+        jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
+        starts = np.vstack([y0, y0 + 0.25 * jitter])
     results = _map_starts(
         lambda y_start: nelder_mead(wrapped, y_start, budget=problem.budget), starts, min(n_starts, _usable_cpus())
     )

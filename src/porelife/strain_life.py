@@ -93,22 +93,27 @@ class WeibullLifetime:
         return self.scale * (-np.log1p(-q)) ** (1.0 / self.shape)
 
 
-def _hazard(log_rate, shape, log_n):
-    """log (n/scale)^shape and (n/scale)^shape capped at e^700, from log rate -shape ln(scale)."""
-    log_t = shape * log_n + log_rate
-    return log_t, np.exp(np.minimum(log_t, 700.0))
+def _hazard(log_rate, shape, log_n, out=(None, None)):
+    """log (n/scale)^shape and (n/scale)^shape capped at e^700, from log rate -shape ln(scale).
+
+    Buffers ``out`` receive the two, and ``_density``'s and ``_survival``'s results; ``log_rate`` may be ``out[0]``.
+    """
+    log_t = np.add(log_rate, np.multiply(shape, log_n, out=out[1]), out=out[0])
+    return log_t, np.exp(np.minimum(log_t, 700.0, out=out[1]), out=out[1])
 
 
-def _density(log_rate, shape, log_n):
+def _density(log_rate, shape, log_n, out=(None, None)):
     """Weibull density at n = e^log_n: exactly 0 once the hazard reaches 700, log density clamped at -700."""
-    log_t, t = _hazard(log_rate, shape, log_n)
-    log_pdf = log_t - t - log_n + math.log(shape)
-    return np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
+    log_t, t = _hazard(log_rate, shape, log_n, out)
+    log_pdf = np.add(np.subtract(np.subtract(log_t, t, out=out[0]), log_n, out=out[0]), math.log(shape), out=out[0])
+    pdf = np.asarray(np.exp(np.maximum(log_pdf, -700.0, out=out[0]), out=out[0]))  # an array for scalars too
+    np.copyto(pdf, 0.0, where=t >= 700.0)
+    return pdf
 
 
-def _survival(log_rate, shape, log_n):
+def _survival(log_rate, shape, log_n, out=(None, None)):
     """Weibull survival at n = e^log_n; exactly 1 at infinite scale."""
-    return np.exp(-_hazard(log_rate, shape, log_n)[1])
+    return np.exp(np.negative(_hazard(log_rate, shape, log_n, out)[1], out=out[1]), out=out[1])
 
 
 def _at_cycles(dist: WeibullLifetime, cycles, term):
@@ -168,6 +173,12 @@ def cycles_to_failure(params: StrainLifeParams, eps_amp):
     eps = np.atleast_1d(np.asarray(eps_amp, dtype=float))
     if not np.all(eps >= 0.0):
         raise ValueError("strain amplitude must be nonnegative")
+    out = _cycles_to_failure(params, eps)
+    return float(out[0]) if np.isscalar(eps_amp) else out.reshape(np.shape(eps_amp))
+
+
+def _cycles_to_failure(params: StrainLifeParams, eps: np.ndarray) -> np.ndarray:
+    """:func:`cycles_to_failure` of a float array whose amplitudes are known to be nonnegative."""
     out = np.full(eps.shape, np.inf)
     finite = eps > params.C
     if params.B == 0.0:
@@ -186,9 +197,7 @@ def cycles_to_failure(params: StrainLifeParams, eps_amp):
         mid = 0.5 * (lo + hi)
         val, slope = _curve_and_slope(params, mid)  # slope < 0 everywhere
         out[finite] = np.exp(mid - (val - target) / slope)
-    if np.isscalar(eps_amp):
-        return float(out[0])
-    return out.reshape(np.shape(eps_amp))
+    return out
 
 
 def _log_rates(params: StrainLifeParams, amplitudes, index, log_volumes, combine=None):
@@ -196,8 +205,9 @@ def _log_rates(params: StrainLifeParams, amplitudes, index, log_volumes, combine
 
     ``combine`` sums the terms per structure in the log domain before the
     factor.  The scale rate^(-1/m) is infinite at or below the fatigue limit.
+    Every caller has checked that the amplitudes are nonnegative.
     """
-    terms = log_volumes - params.m * np.log(cycles_to_failure(params, amplitudes))[index]
+    terms = log_volumes - params.m * np.log(_cycles_to_failure(params, amplitudes))[index]
     return (terms if combine is None else combine(terms)) + math.log(math.log(2.0) / params.V0)
 
 

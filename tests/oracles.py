@@ -13,7 +13,9 @@ line-by-line parsers and per-cell writers instead of the column-wise file
 I/O, one Python loop per Monte Carlo pool (spawn, draw, append) instead of
 the shared pooled draw, and a Nelder-Mead that keeps its simplex as Python
 lists and draws each start's jitter on its own instead of the simplex array
-and the one jitter matrix.
+and the one jitter matrix.  The likelihood kernel's evaluation is also kept
+as the chain it replaced, with a checked inverse and a new array per step
+instead of the rows' own buffers.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from porelife.material_point import (
     cosine_cycle,
     criterion_delta_eps,
 )
-from porelife.likelihood import OBSERVATIONS_HEADER, FatigueObservation
+from porelife.likelihood import LOG_FLOOR, OBSERVATIONS_HEADER, FatigueObservation
 from porelife.optimize import (
     DEFAULT_BUDGET,
     DEFAULT_STARTS,
@@ -699,6 +701,44 @@ def survival_product_loglik(params, observations, structures, runout_cycles: flo
     return total
 
 
+def _chain_hazard(log_rate, shape, log_n):
+    log_t = shape * log_n + log_rate
+    return log_t, np.exp(np.minimum(log_t, 700.0))
+
+
+def _chain_density(log_rate, shape, log_n):
+    log_t, t = _chain_hazard(log_rate, shape, log_n)
+    log_pdf = log_t - t - log_n + math.log(shape)
+    return np.where(t >= 700.0, 0.0, np.exp(np.maximum(log_pdf, -700.0)))
+
+
+def _chain_survival(log_rate, shape, log_n):
+    return np.exp(-_chain_hazard(log_rate, shape, log_n)[1])
+
+
+def chain_objective(kernel, params) -> float:
+    """The value of a likelihood kernel at ``params``, by the evaluation chain it replaced.
+
+    Reads the kernel's segments and rows as built, then evaluates them with
+    the checked public inverse and a new array at every step.
+    """
+    from porelife.strain_life import cycles_to_failure
+    from porelife.weakest_link import _log_sum_exp
+
+    segments, total = kernel.segments, 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = segments.bin_log_volume - params.m * np.log(cycles_to_failure(params, segments.amplitudes))[
+            segments.bin_amplitude]
+        log_rate = _log_sum_exp(terms, segments.start, segments.bin_segment) + math.log(math.log(2.0) / params.V0)
+        for rows, term in ((kernel.failures, _chain_density), (kernel.runouts, _chain_survival)):
+            if rows is not None:
+                values = term(log_rate[rows.segment], params.m, rows.log_n)
+                if rows.first is not None:
+                    values = np.add.reduceat(values, rows.first) / rows.size
+                total += float(np.sum(rows.count * np.log(values + LOG_FLOOR)))
+    return total
+
+
 def table_amplitudes(table, sigma_a: float):
     """Per-element strain amplitudes of a criterion table, by np.interp per row."""
     return np.array([0.5 * np.interp(sigma_a, table.load_levels, row) for row in table.delta_eps]), table.volumes
@@ -932,6 +972,24 @@ def loop_synthesize_observations(structs_by_table, levels, samples_per_struct: i
     return np.concatenate(sigma_a), np.concatenate(n_cycles), np.concatenate(censored)
 
 
+def aggregate_runouts(sigma_a, n_cycles, censored, samples_per_struct: int):
+    """(sigma_a, n_cycles, censored, count) columns with each structure's run-outs folded into one row.
+
+    The draws come in blocks of ``samples_per_struct``, one block per
+    structure.  A block's failures keep their order and count 1 each; its
+    run-outs, if any, follow as one row that counts them.
+    """
+    rows = []
+    for start in range(0, len(sigma_a), samples_per_struct):
+        block = range(start, start + samples_per_struct)
+        rows += [(sigma_a[i], n_cycles[i], False, 1) for i in block if not censored[i]]
+        runouts = [i for i in block if censored[i]]
+        if runouts:
+            rows.append((sigma_a[runouts[0]], n_cycles[runouts[0]], True, len(runouts)))
+    columns = list(zip(*rows))
+    return tuple(np.array(column, dtype=dtype) for column, dtype in zip(columns, (float, float, bool, np.int64)))
+
+
 # ---------------------------------------------------------------------------
 # Nelder-Mead with the simplex kept as Python lists
 # ---------------------------------------------------------------------------
@@ -951,9 +1009,10 @@ def list_nelder_mead(
     stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
     holds one ``(iteration, best_x, best_f)`` entry per iteration.
     """
-    objective = f
+    objective, calls = f, []
 
     def f(x):
+        calls.append(None)
         value = objective(x)
         return -math.inf if math.isnan(value) else value
 
@@ -1008,7 +1067,8 @@ def list_nelder_mead(
 
     order = np.argsort(vals)[::-1]
     best = order[0]
-    return NelderMeadResult(x=verts[best].copy(), fun=vals[best], trace=trace, iterations=iterations)
+    return NelderMeadResult(x=verts[best].copy(), fun=vals[best], trace=trace, iterations=iterations,
+                            evaluations=len(calls))
 
 
 def list_calibrate(

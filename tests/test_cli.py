@@ -45,7 +45,7 @@ from porelife.likelihood import (
 from porelife.optimize import CalibrationProblem, calibrate, one_line_mask
 from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, StructureLifetime, sample_lifetimes, wohler_quantiles
 from porelife.strain_life import DEFAULT_REFERENCE_VOLUME, StrainLifeParams
-from oracles import loop_pooled_draws, loop_synthesize_observations
+from oracles import aggregate_runouts, loop_pooled_draws, loop_synthesize_observations
 
 SMALL_CONF = """
 [protocol]
@@ -831,9 +831,10 @@ class TestHomogenize:
                 struct = structure_for(params, Heterogeneous(table), level)
                 values, censored = sample_lifetimes(struct, 200, next(children), 2e6)
                 objects += [FatigueObservation(level, min(float(v), 2e6), bool(c)) for v, c in zip(values, censored)]
-        expected = ObservationArrays.of(objects)
-        for name in ("sigma_a", "n_cycles", "censored"):
-            assert getattr(arrays, name).tobytes() == getattr(expected, name).tobytes()
+        drawn = ObservationArrays.of(objects)
+        expected = aggregate_runouts(drawn.sigma_a, drawn.n_cycles, drawn.censored, 200)
+        for name, column in zip(("sigma_a", "n_cycles", "censored", "count"), expected):
+            assert getattr(arrays, name).tobytes() == column.tobytes()
         assert 0 < np.count_nonzero(arrays.censored) < len(arrays)
         assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(objects, 593.0)(params)
 
@@ -903,9 +904,44 @@ class TestHomogenize:
         structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
         assert any(s.is_infinite for row in structs_by_table for s in row) == (n_tables == 2)
         arrays = synthesize_observations(params, tables, levels, 200, 7, 2e6)
-        want = loop_synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
-        for got, expected in zip((arrays.sigma_a, arrays.n_cycles, arrays.censored), want):
+        want = aggregate_runouts(*loop_synthesize_observations(structs_by_table, levels, 200, 7, 2e6), 200)
+        for got, expected in zip((arrays.sigma_a, arrays.n_cycles, arrays.censored, arrays.count), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_synthesized_rows_scale_with_the_failures(self):
+        params = StrainLifeParams(m=2.0, A=0.0047, alpha=0.129, C=3e-4, V0=593.0)
+        levels = (55.0, 75.0, 95.0)
+        tables = [CriterionTable(element_ids=[0, 1], volumes=[590.0, 3.0], load_levels=levels,
+                                 delta_eps=np.outer([1.0, k], levels) * 2.0 / 75500.0) for k in (1.5, 2.2)]
+        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        failures = np.count_nonzero(~loop_synthesize_observations(structs_by_table, levels, 300, 3, 2e6)[2])
+        arrays = synthesize_observations(params, tables, levels, 300, 3, 2e6)
+        structures = len(tables) * len(levels)
+        assert 0 < failures < structures * 300
+        assert len(arrays) <= failures + structures
+        assert arrays.count.sum() == structures * 300
+
+    def test_all_run_outs_exit_4_without_out(self, conf, tmp_path, capsys):
+        params = tmp_path / "fitted.json"
+        params.write_text(json.dumps({"m": 2.0, "A": 0.025, "alpha": 0.2, "C": 0.5}))  # C above every amplitude
+        out = tmp_path / "h"
+        argv = ["homogenize", "--config", str(conf), "--out", str(out), "--params", str(params)]
+        assert main(argv + [str(write_bulk_table(tmp_path / "t.criterion.csv"))]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            "error: all observations are run-outs; the likelihood is maximized by infinite life\n")
+        assert not out.exists()
+
+    def test_overflowing_challenge_table_named_without_out(self, conf, tmp_path, capsys):
+        table = tmp_path / "t.criterion.csv"
+        save_criterion_table(table, CriterionTable(element_ids=[0], volumes=[27.1], load_levels=(40.0, 60.0, 80.0, 100.0),
+                                                   delta_eps=[[8 * lv / 75500.0 for lv in (40.0, 60.0, 80.0, 100.0)]]))
+        out = tmp_path / "h"
+        argv = ["homogenize", "--config", str(conf), "--out", str(out), "--notch-kt", "1e200", str(table)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: challenge table for --challenge-porous at --notch-kt 1e+200: element ")
+        assert err.endswith(": tensor norm is not finite (inf): the stresses overflow\n")
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -68,30 +68,62 @@ def inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("argv, solves", [
-    ([], False),
-    (["genfield"], False),
-    (["wohler", "t.criterion.csv"], False),
-    (["calibrate", "--mode", "homogeneous", "--observations", "obs.csv"], False),
-    (["calibrate", "--mode", "heterogeneous", "--observations", "obs.csv", "--tables", "t.criterion.csv"], False),
-    (["calibrate", "--mode", "unknown-pores", "--observations", "obs.csv", "--tables", "t.criterion.csv"], False),
-    (["calibrate", "--mode", "joint", "--observations", "obs.csv", "--tables", "t.criterion.csv",
-      "--homogeneous-observations", "hom.csv"], False),
-    (["criterion", "field.csv"], True),
-    (["homogenize", "t.criterion.csv"], True),
-    (["homogenize", "t.criterion.csv", "--challenge-porous", "t.criterion.csv", "--challenge-bare", "t.criterion.csv"],
-     False),
-], ids=["load_config", "genfield", "wohler", "calibrate-homogeneous", "calibrate-heterogeneous",
-        "calibrate-unknown-pores", "calibrate-joint", "criterion", "homogenize", "homogenize-challenges"])
-def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, argv, solves):
-    # an argument naming an input file stands for its path
-    argv = [str(inputs.get(arg, arg)) for arg in argv]
+#: id -> (arguments of ``main``, whether the command solves the criterion); an input file's name stands for its path.
+COMMANDS = {
+    "load_config": ([], False),
+    "genfield": (["genfield"], False),
+    "wohler": (["wohler", "t.criterion.csv"], False),
+    "calibrate-homogeneous": (["calibrate", "--mode", "homogeneous", "--observations", "obs.csv"], False),
+    "calibrate-heterogeneous": (["calibrate", "--mode", "heterogeneous", "--observations", "obs.csv",
+                                 "--tables", "t.criterion.csv"], False),
+    "calibrate-unknown-pores": (["calibrate", "--mode", "unknown-pores", "--observations", "obs.csv",
+                                 "--tables", "t.criterion.csv"], False),
+    "calibrate-joint": (["calibrate", "--mode", "joint", "--observations", "obs.csv", "--tables", "t.criterion.csv",
+                         "--homogeneous-observations", "hom.csv"], False),
+    "criterion": (["criterion", "field.csv"], True),
+    "homogenize": (["homogenize", "t.criterion.csv"], True),
+    "homogenize-challenges": (["homogenize", "t.criterion.csv", "--challenge-porous", "t.criterion.csv",
+                               "--challenge-bare", "t.criterion.csv"], False),
+}
+
+
+def run_command(inputs, tmp_path, case, code=PORELIFE_LOADED):
+    argv = [str(inputs.get(arg, arg)) for arg in COMMANDS[case][0]]
     if argv:
         argv += ["--config", str(inputs["run.conf"]), "--out", str(tmp_path / "out")]
-    code, loaded = fresh(PORELIFE_LOADED, *argv)
+    return fresh(code, *argv)
+
+
+@pytest.mark.parametrize("case", COMMANDS)
+def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, case):
+    code, loaded = run_command(inputs, tmp_path, case)
     assert code == 0
-    assert ("porelife.material_point" in loaded) == solves, loaded
+    assert ("porelife.material_point" in loaded) == COMMANDS[case][1], loaded
     assert "porelife.return_mapping" not in loaded  # the reference integrator: no command runs it
+
+
+#: Like ``PORELIFE_LOADED``, but prints the exit code and which of ``numpy.ma`` and ``numpy.random`` were loaded.
+NUMPY_LOADED = """
+import json, sys
+import porelife.cli
+from porelife.config import load_config
+load_config(None)
+code = porelife.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, [name for name in ("numpy.ma", "numpy.random") if name in sys.modules]]))
+"""
+
+
+# wohler_quantiles' np.quantile loads numpy.ma; np.median and a plain np.unique would too
+@pytest.mark.parametrize("case", [case for case in COMMANDS if case != "wohler"])
+def test_the_commands_load_no_masked_arrays(inputs, tmp_path, case):
+    code, loaded = run_command(inputs, tmp_path, case, NUMPY_LOADED)
+    assert code == 0 and "numpy.ma" not in loaded
+
+
+# run.conf asks for one start, so no fit draws a jitter
+@pytest.mark.parametrize("case", [case for case in COMMANDS if case.startswith("calibrate")])
+def test_single_start_calibrations_load_no_numpy_random(inputs, tmp_path, case):
+    assert run_command(inputs, tmp_path, case, NUMPY_LOADED) == [0, []]
 
 
 def test_the_integrator_names_are_return_mappings_objects():

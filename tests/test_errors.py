@@ -24,8 +24,8 @@ from porelife.field import (
     synth_field_report,
     tile_field,
 )
-from porelife.likelihood import (FatigueObservation, Heterogeneous, Homogeneous, UnknownPores, structure_for,
-                                  unknown_pores_objective)
+from porelife.likelihood import (FatigueObservation, Heterogeneous, Homogeneous, ObservationArrays, UnknownPores,
+                                  structure_for, unknown_pores_objective)
 from porelife.material import ALSI7MG
 from porelife.material_point import TensorHistory, cosine_cycle, criterion_delta_eps, neuber_correct
 from porelife.optimize import CalibrationProblem, _to_internal, calibrate, nelder_mead
@@ -154,6 +154,12 @@ REFUSALS = {
     "objective-empty-assignment": (lambda _: unknown_pores_objective(OBSERVATIONS, [bulk_table(), bulk_table()],
                                                                      assignments=[()]),
                                    ValueError, "every observation needs at least one table"),
+    **{f"observations-count-{name}": (lambda _, count=count: ObservationArrays([80.0], [1e5], [False], count),
+                                      ValueError, f"count must be an integer in [1, 2**53), got {shown}")
+       for name, count, shown in (("0", [0], "0"), ("negative", [-1], "-1"), ("fraction", [1.5], "1.5"),
+                                  ("nan", [math.nan], "nan"), ("inf", [math.inf], "inf"))},
+    "observations-count-length": (lambda _: ObservationArrays([80.0, 60.0], [1e5, 2e6], [False, True], [1]),
+                                  ValueError, "observation columns must be 1-D and of one length"),
     "nelder_mead-no-coordinate": (lambda _: nelder_mead(lambda x: 0.0, []), ValueError,
                                   "need at least one free parameter"),
     "calibrate-no-start": (lambda _: calibrate(CalibrationProblem(objective=lambda p: 0.0, x0=PARAMS),

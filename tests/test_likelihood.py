@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
@@ -31,7 +31,7 @@ from porelife.likelihood import (
 )
 from porelife.strain_life import StrainLifeParams, element_lifetime, element_scale_array
 from porelife.weakest_link import structure_scale
-from oracles import line_load_observations, survival_product_loglik, table_amplitudes
+from oracles import chain_objective, line_load_observations, survival_product_loglik, table_amplitudes
 
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
 
@@ -595,3 +595,111 @@ class TestKernelAgainstSurvivalProduct:
             params, porous, [[table_amplitudes(t, o.sigma_a) for t in self.TABLES] for o in porous], 2e6
         )
         assert_allclose(fitted["log_likelihood"], expected, rtol=1e-12)
+
+
+GRID_TABLES = (grid_table(1), grid_table(2), grid_table(3))
+#: Objective regimes; a row's pick chooses its table or tables where the regime assigns them.
+REGIMES = ("homogeneous", "heterogeneous", "heterogeneous-per-row", "unknown-pores", "unknown-pores-assigned")
+
+
+def regime_objective(regime, obs, picks):
+    if regime == "homogeneous":
+        return homogeneous_objective(obs, 27.1)
+    if regime == "heterogeneous":
+        return heterogeneous_objective(obs, GRID_TABLES[0])
+    if regime == "heterogeneous-per-row":
+        return heterogeneous_objective(obs, [GRID_TABLES[p % 3] for p in picks])
+    if regime == "unknown-pores":
+        return unknown_pores_objective(obs, GRID_TABLES)
+    return unknown_pores_objective(obs, GRID_TABLES, assignments=[[p % 3, (p + 1) % 3][:1 + p // 3] for p in picks])
+
+
+#: Cycle counts from subnormal to huge: with extreme parameters they drive terms to 0, inf or NaN.
+CYCLES = st.one_of(st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 9e3, 1.2e5, 2e6, 1e300]), st.floats(1e-300, 1e300))
+
+
+@st.composite
+def weighted_rows(draw):
+    """Columns (sigma_a, n_cycles, censored, count) on and between the grid levels, and a pick per row."""
+    rows = draw(st.lists(st.tuples(st.sampled_from([40.0, 55.0, 60.0, 80.0, 97.5, 100.0]), CYCLES, st.booleans(),
+                                   st.integers(1, 4), st.integers(0, 5)), min_size=1, max_size=12))
+    sigma_a, n_cycles, censored, count, picks = (np.array(column) for column in zip(*rows))
+    return ObservationArrays(sigma_a, n_cycles, censored, count), picks
+
+
+EXTREME = st.sampled_from([1e-300, 1e-12, 1e12, 1e300])
+
+
+@st.composite
+def extreme_params(draw):
+    """Ordinary to extreme parameters: tiny and huge m, B > 0 with beta > 0, C = 0."""
+    B, beta = draw(st.one_of(st.just((0.0, 0.0)),
+                             st.tuples(st.one_of(st.floats(1e-3, 1.0), EXTREME), st.one_of(st.floats(0.05, 1.5), EXTREME))))
+    return StrainLifeParams(
+        m=draw(st.one_of(st.floats(0.3, 8.0), EXTREME)),
+        A=draw(st.one_of(st.floats(1e-3, 0.05), EXTREME)),
+        alpha=draw(st.one_of(st.floats(0.05, 1.0), EXTREME)),
+        B=B, beta=beta,
+        C=draw(st.one_of(st.just(0.0), st.floats(1e-5, 2e-3))),
+        V0=draw(st.one_of(st.just(593.0), EXTREME)),
+    )
+
+
+def repeated(obs):
+    """``obs`` with every row written out ``count`` times."""
+    return ObservationArrays(*(np.repeat(column, obs.count) for column in (obs.sigma_a, obs.n_cycles, obs.censored)))
+
+
+def same(a, b):
+    """``==``, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestWeightedObservations:
+    @settings(max_examples=150, deadline=None)
+    @given(case=weighted_rows(), regime=st.sampled_from(REGIMES + ("joint",)), params=extreme_params())
+    def test_weighted_rows_equal_repeated_rows(self, case, regime, params):
+        obs, picks = case
+        if regime == "joint":  # the homogeneous and the unknown-pores terms summed, as calibrate's joint mode does
+            def build(o, p):
+                terms = regime_objective("homogeneous", o, p), regime_objective("unknown-pores", o, p)
+                return lambda params: terms[0](params) + terms[1](params)
+        else:
+            def build(o, p):
+                return regime_objective(regime, o, p)
+        weighted, written_out = build(obs, picks)(params), build(repeated(obs), np.repeat(picks, obs.count))(params)
+        assert np.float64(weighted).tobytes() == np.float64(written_out).tobytes()
+
+    def test_fit_rows_count_their_observations(self):
+        obs = ObservationArrays([80.0, 80.0, 60.0], [1e5, 2e6, 2e6], [False, True, True], [3, 5, 2])
+        assert obs.count.dtype == np.int64 and obs.count.tolist() == [3, 5, 2]
+        assert ObservationArrays([80.0], [1e5], [False]).count.tolist() == [1]
+        kernel = homogeneous_objective(obs, 593.0)
+        assert kernel.failures.count.tolist() == [3.0] and kernel.runouts.count.tolist() == [2.0, 5.0]
+
+
+#: One failure at the smallest positive cycle count, and its pick.
+SUBNORMAL_FAILURE = (ObservationArrays([40.0], [5e-324], [False]), np.array([0]))
+
+
+class TestInPlaceKernel:
+    """The kernel evaluates in its rows' buffers exactly as the allocating chain in ``oracles``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=weighted_rows(), regime=st.sampled_from(REGIMES), params=extreme_params(), other=extreme_params())
+    @example(case=SUBNORMAL_FAILURE, regime="homogeneous", other=PARAMS,  # an infinite density: the objective is inf
+             params=StrainLifeParams(m=0.375, A=1e-300, alpha=1.0))
+    @example(case=SUBNORMAL_FAILURE, regime="heterogeneous", other=PARAMS,  # a NaN density: the objective is NaN
+             params=StrainLifeParams(m=1.0, A=1e-3, alpha=1e300, B=1e-300, beta=1.0))
+    def test_equals_allocating_chain(self, case, regime, params, other):
+        kernel = regime_objective(regime, *case)
+        assert same(kernel(params), chain_objective(kernel, params))
+        kernel(other)  # the buffers carry nothing from one evaluation to the next
+        assert same(kernel(params), chain_objective(kernel, params))
+
+    @pytest.mark.parametrize("amplitude", [-1e-3, math.nan])
+    def test_segments_check_their_amplitudes_once_when_built(self, amplitude):
+        from porelife.likelihood import _Segments
+
+        with pytest.raises(ValueError, match="strain amplitude must be nonnegative"):
+            _Segments([(np.array([1e-3, amplitude]), np.array([1.0, 1.0]))])

@@ -131,6 +131,7 @@ def assert_same_run(new, old):
     assert new.x.tobytes() == old.x.tobytes()
     assert as_bytes(new.fun) == as_bytes(old.fun)
     assert new.iterations == old.iterations
+    assert new.evaluations == old.evaluations
     assert_same_trace(new.trace, old.trace)
 
 
@@ -240,6 +241,21 @@ class TestForkedStarts:
         assert new.params.as_vector().tobytes() == old.params.as_vector().tobytes()
         assert as_bytes(new.log_likelihood) == as_bytes(old.log_likelihood)
         assert logged_calls(tmp_path / "new") == logged_calls(tmp_path / "old")
+        assert_no_child_left()
+
+    def test_evaluations_are_the_objective_calls_of_each_start(self, monkeypatch, tmp_path):
+        counts = []
+        for n_workers in (1, 2):
+            forks = workers(monkeypatch, n_workers)
+            objective, fd = logged(SMALL_OBJECTIVE, tmp_path / f"calls{n_workers}")
+            try:
+                result = calibrate(CalibrationProblem(objective=objective, x0=TRUE, budget=60), n_starts=3, seed=7)
+            finally:
+                os.close(fd)
+            assert len(forks) == n_workers - 1
+            counts.append([r.evaluations for r in result.start_results])
+            assert sum(counts[-1]) == len(logged_calls(tmp_path / f"calls{n_workers}"))
+        assert counts[0] == counts[1]
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_workers", [2, 3])
