@@ -8,8 +8,8 @@ pore fields when the tested pore distributions are unknown).
 
 Each public name below loads its module on first use (PEP 562), so a
 command imports only the modules it runs: ``porelife.neuber_correct``
-imports :mod:`porelife.material_point`, ``porelife.ALSI7MG`` only
-:mod:`porelife.material`.
+imports :mod:`porelife.material_point`, ``porelife.ALSI7MG`` and
+``porelife.StrainLifeParams`` only :mod:`porelife.material`.
 """
 
 import importlib
@@ -19,20 +19,20 @@ __version__ = "0.1.0"
 #: Module -> the public names it exports through the package.
 _EXPORTS = {
     "strain_life": (
-        "StrainLifeParams", "WeibullLifetime", "strain_amplitude", "cycles_to_failure", "element_lifetime",
+        "WeibullLifetime", "strain_amplitude", "cycles_to_failure", "element_lifetime",
         "weibull_cdf", "weibull_pdf",
     ),
     "weakest_link": (
         "StructureLifetime", "structure_scale", "structure_lifetime", "structure_cdf", "sample_lifetimes",
         "wohler_quantiles",
     ),
-    "material": ("ALSI7MG", "ChabocheParams"),
+    "material": ("ALSI7MG", "ChabocheParams", "StrainLifeParams", "PoreFieldStats"),
     "material_point": ("TensorHistory", "neuber_correct", "critical_direction", "criterion_delta_eps"),
     "return_mapping": (
         "MaterialPointState", "chaboche_step", "chaboche_cycle", "stress_driven_cycle", "uniaxial_strain_cycle",
     ),
     "field": (
-        "CriterionTable", "ElasticElementField", "PoreFieldStats", "criterion_table", "load_field", "save_field",
+        "CriterionTable", "ElasticElementField", "criterion_table", "load_field", "save_field",
         "synth_field", "thin_variant", "tile_field",
     ),
     "likelihood": (

@@ -6,12 +6,15 @@ directory (``criterion`` also a binary sidecar per table, which later
 commands load in place of the CSV it was made from), and is
 byte-reproducible from its seed.  Exit codes: 0 success,
 2 validation error, 3 partial element failures, 4 calibration degeneracy.
+
+This module and :func:`load_config` need only :mod:`porelife.config` and
+:mod:`porelife.material`; each command and helper imports the library
+modules it runs, so a command loads no module it does not run.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -22,44 +25,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, fatigue_from_dict, load_config
-from .field import (
-    TABLE_HEADER,
+from .material import (
+    CalibrationDegeneracyError,
     CriterionError,
     FieldFormatError,
-    check_one_line,
-    criterion_table,
-    load_criterion_table,
-    load_field,
-    notch_variant,
-    read_header,
-    read_sidecar,
-    save_criterion_table,
-    save_field,
-    synth_field_report,
-    thin_variant,
-    tile_field,
+    StrainLifeParams,
+    one_line_mask,
     utf8_error,
 )
-from .likelihood import (
-    CalibrationDegeneracyError,
-    Heterogeneous,
-    Homogeneous,
-    ObservationArrays,
-    ensure_failures,
-    heterogeneous_objective,
-    homogeneous_objective,
-    load_observations,
-    structure_for,
-    unknown_pores_objective,
-)
-from .optimize import (
-    CalibrationProblem,
-    calibrate,
-    one_line_mask,
-    write_trace_csv,
-)
-from .strain_life import StrainLifeParams
-from .weakest_link import StructureLifetime, pooled_lifetimes, sample_lifetimes, wohler_quantiles, write_quantile_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,6 +66,8 @@ def _load_params_arg(config: RunConfig, params_path) -> StrainLifeParams:
 
 
 def _criterion(config: RunConfig, field, failures=None):
+    from .field import criterion_table
+
     return criterion_table(
         field,
         config.material,
@@ -119,6 +94,8 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
 
 def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
     """Generate synthetic field files plus a JSON manifest."""
+    from .field import notch_variant, save_field, synth_field_report, thin_variant, tile_field
+
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
     if pores is not None and pores < 0:
@@ -174,6 +151,8 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
 # ---------------------------------------------------------------------------
 
 def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(field_path.read_bytes())
     recipe = (
@@ -188,6 +167,8 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
 
 def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs."""
+    from .field import TABLE_HEADER, check_one_line, load_field, read_header, read_sidecar, save_criterion_table
+
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
     writers: dict = {}  # table name -> the first field file that writes it
@@ -214,7 +195,7 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
         try:
             table = _criterion(config, field, failures)
         except CriterionError as exc:  # with a failures list, only when every element failed
-            raise ConfigError(f"{field_path}: {exc.cause}") from exc
+            raise ConfigError(f"{field_path}: criterion failed for every element") from exc
         finally:  # the causes, also of a field where every element failed
             for eid, err in failures:
                 any_failures = True
@@ -252,11 +233,15 @@ def _unknown_pores_assignments(n_obs: int, pool_size: int, n_k: int, seed):
 
 def _homogeneous_term(config: RunConfig, observations):
     """Homogeneous-regime objective on the plain gauge volume."""
+    from .likelihood import homogeneous_objective
+
     return homogeneous_objective(observations, config.pores.gauge_volume, config.material.E, config.runout_cycles)
 
 
 def _fit(config: RunConfig, objective, free_mask):
     """Best of the config's starts for one objective, from the config's fatigue parameters."""
+    from .optimize import CalibrationProblem, calibrate
+
     problem = CalibrationProblem(objective=objective, x0=config.fatigue, free_mask=free_mask, budget=config.budget)
     return calibrate(problem, n_starts=config.n_starts, seed=config.seed)
 
@@ -265,6 +250,10 @@ def cmd_calibrate(
     config: RunConfig, out, mode, observations, tables, homogeneous_observations, reduce_per_level
 ) -> int:
     """Fit the fatigue model in one of the four likelihood modes."""
+    from .field import load_criterion_table
+    from .likelihood import ensure_failures, heterogeneous_objective, load_observations, unknown_pores_objective
+    from .optimize import write_trace_csv
+
     if mode not in CALIBRATION_MODES:
         raise ConfigError(f"unknown calibration mode '{mode}'")
     if mode != "homogeneous" and not tables:
@@ -322,6 +311,10 @@ def cmd_calibrate(
 
 def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     """Pooled lifetime quantiles per load level across criterion tables."""
+    from .field import load_criterion_table
+    from .likelihood import Heterogeneous, structure_for
+    from .weakest_link import wohler_quantiles, write_quantile_csv
+
     params = _load_params_arg(config, params)
     tables = [load_criterion_table(p) for p in tables]
     if not tables:
@@ -349,6 +342,8 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
 
 def _pooled_median(structs, samples_per_struct, seed, runout_cycles) -> float:
     """``np.median`` of the pooled draws, which are never NaN, from a partition (``np.median`` loads ``numpy.ma``)."""
+    from .weakest_link import pooled_lifetimes
+
     lifetimes, _ = pooled_lifetimes(structs, samples_per_struct, np.random.SeedSequence(seed), runout_cycles)
     half = lifetimes.size // 2
     part = np.partition(lifetimes, (half - 1, half))
@@ -361,6 +356,9 @@ def synthesize_observations(params, tables, levels, samples_per_struct, seed, ru
     Each structure (table by table, level by level) draws from its own child
     of ``seed``; its failures are one row each, its run-outs one row that counts them.
     """
+    from .likelihood import Heterogeneous, ObservationArrays, structure_for
+    from .weakest_link import sample_lifetimes
+
     children = iter(np.random.SeedSequence(seed).spawn(len(tables) * len(levels)))
     rows = []  # (sigma_a, n_cycles, censored, count) of each structure; its run-out row last, dropped if it counts none
     for table, level in itertools.product(tables, levels):
@@ -375,12 +373,16 @@ def synthesize_observations(params, tables, levels, samples_per_struct, seed, ru
 
 def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     """0D homogeneous fit (one-line model) on synthetic lifetime data."""
+    from .likelihood import ensure_failures
+
     ensure_failures(observations)
     return _fit(config, _homogeneous_term(config, observations), one_line_mask()).params
 
 
 def _challenge_table(config: RunConfig, table, flag, seed, n_pores, notch_kt, notch_volume_fraction):
     """``table`` if given, else one computed on a notched synthetic field (``flag`` supplies it)."""
+    from .field import notch_variant, synth_field_report
+
     if table is not None:
         return table
     field, _ = synth_field_report(config.pores, config.shells, seed, nu=config.material.nu, n_pores=n_pores)
@@ -401,6 +403,9 @@ def cmd_homogenize(
     challenge geometry (porous for A, pore-free for B).  Challenge tables
     are generated from the config when not supplied.
     """
+    from .field import load_criterion_table
+    from .likelihood import Heterogeneous, structure_for
+
     if challenge_porous is None or challenge_bare is None:
         _check_notch(notch_kt, notch_volume_fraction)
     params_a = _load_params_arg(config, params)
@@ -441,8 +446,10 @@ def cmd_homogenize(
     return EXIT_OK
 
 
-def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float) -> StructureLifetime:
-    """Homogenized prediction on the plain gauge volume."""
+def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float):
+    """Homogenized prediction on the plain gauge volume: a :class:`porelife.weakest_link.StructureLifetime`."""
+    from .likelihood import Homogeneous, structure_for
+
     return structure_for(
         params, Homogeneous(config.pores.gauge_volume, config.material.E), level
     )

@@ -19,11 +19,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import DEFAULT_SHELLS, PoreFieldStats, utf8_error
-from .material import ALSI7MG, DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams
-from .strain_life import StrainLifeParams
-from .weakest_link import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
-from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER, one_line_mask
+from .material import (
+    ALSI7MG,
+    DEFAULT_BUDGET,
+    DEFAULT_CYCLE_SAMPLES,
+    DEFAULT_RUNOUT_CYCLES,
+    DEFAULT_SAMPLES_PER_STRUCT,
+    DEFAULT_SHELLS,
+    DEFAULT_STABILIZATION_CYCLES,
+    DEFAULT_STARTS,
+    PARAM_ORDER,
+    WOHLER_QUANTILES,
+    ChabocheParams,
+    PoreFieldStats,
+    StrainLifeParams,
+    one_line_mask,
+    utf8_error,
+)
 
 
 class ConfigError(ValueError):

@@ -10,19 +10,29 @@ load levels (the reusable input to the likelihood) also live here.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from . import voigt
-from .material import DEFAULT_CYCLE_SAMPLES, DEFAULT_STABILIZATION_CYCLES, ChabocheParams, check_count
+from .material import (
+    DEFAULT_CYCLE_SAMPLES,
+    DEFAULT_SHELLS,
+    DEFAULT_STABILIZATION_CYCLES,
+    ChabocheParams,
+    CriterionError,
+    FieldFormatError,
+    PoreFieldStats,
+    _radius_law,
+    check_count,
+    utf8_error,
+)
 
 FIELD_HEADER = "id,volume_mm3,sxx,syy,szz,sxy,syz,sxz"
 TABLE_HEADER = "element_id,load_MPa,delta_eps,volume_mm3"
@@ -30,23 +40,9 @@ TABLE_HEADER = "element_id,load_MPa,delta_eps,volume_mm3"
 #: Bytes per read when a criterion table CSV is hashed for its sidecar.
 SIDECAR_HASH_BLOCK = 1 << 16
 
-#: Shell elements per pore; the innermost sits at the cavity surface.
-DEFAULT_SHELLS = 8
-
 #: Shells extend to this multiple of the pore radius; beyond it the stress
 #: concentration has decayed below ~2 % and the material counts as bulk.
 SHELL_EXTENT = 4.0
-
-
-class FieldFormatError(ValueError):
-    """Malformed input CSV file; carries the offending line number."""
-
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path, self.line_no, self.message = path, line_no, message
-
-    def __reduce__(self):  # the default would call the constructor with the message alone
-        return type(self), (self.path, self.line_no, self.message), self.__dict__
 
 
 class FieldGenerationError(RuntimeError):
@@ -55,18 +51,6 @@ class FieldGenerationError(RuntimeError):
 
 class ExtrapolationError(ValueError):
     """Requested load amplitude lies outside the precomputed level grid."""
-
-
-class CriterionError(RuntimeError):
-    """Criterion computation failed for one element."""
-
-    def __init__(self, element_id: int, cause: Exception):
-        super().__init__(f"element {element_id}: {cause}")
-        self.element_id = element_id
-        self.cause = cause
-
-    def __reduce__(self):  # the default would call the constructor with the message alone
-        return type(self), (self.element_id, self.cause), self.__dict__
 
 
 @dataclass(eq=False)
@@ -106,52 +90,6 @@ class ElasticElementField:
 
 #: Largest double below 1.
 _MAX_UNIFORM = 1.0 - 2.0**-53
-
-
-def _radius_law(stats) -> tuple[float, float, float]:
-    """Log-median radius in mm, log standard deviation, and the normal CDF at the acceptance radius."""
-    mu = math.log(stats.radius_median_um / 1000.0)
-    s = stats.radius_log_sd
-    return mu, s, NormalDist().cdf((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
-
-
-@dataclass(frozen=True)
-class PoreFieldStats:
-    """Statistical description of the pore population and gauge geometry.
-
-    Radii follow a log-normal law (median in micrometres, log standard
-    deviation) truncated below the acceptance radius, mirroring the size
-    filter applied to tomography data.  The default density reproduces a
-    0.28 % pore volume fraction for the default radius law.
-    """
-
-    pore_density: float = 0.9553
-    radius_median_um: float = 70.0
-    radius_log_sd: float = 0.35
-    accept_radius_um: float = 50.0
-    gauge_radius_mm: float = 3.072
-    gauge_length_mm: float = 20.0
-    surface_kt_boost: float = 1.25
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.pore_density < 0:
-            raise ValueError("pore density must be nonnegative")
-        if min(self.radius_median_um, self.radius_log_sd, self.accept_radius_um) <= 0:
-            raise ValueError("radius law parameters must be positive")
-        if not _radius_law(self)[2] < 1.0:
-            raise ValueError(f"accept_radius_um {self.accept_radius_um} leaves no radius to draw "
-                             f"(median {self.radius_median_um} um, log sd {self.radius_log_sd})")
-        if min(self.gauge_radius_mm, self.gauge_length_mm) <= 0:
-            raise ValueError("gauge dimensions must be positive")
-        if self.surface_kt_boost < 1.0:
-            raise ValueError("surface_kt_boost must be at least 1")
-
-    @property
-    def gauge_volume(self) -> float:
-        return math.pi * self.gauge_radius_mm**2 * self.gauge_length_mm
 
 
 def cavity_peak_kt(nu: float) -> float:
@@ -344,16 +282,6 @@ def read_header(fh, header: str) -> tuple[dict, int]:
                 raise FieldFormatError(fh.name, header_line, f"expected header '{header}'")
             return tags, header_line
     raise FieldFormatError(fh.name, 0, "missing header line")
-
-
-def utf8_error(path) -> tuple[int, str]:
-    """Line number and description of the first bytes of ``path`` that are not UTF-8 (line 0 if there are none)."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-    return 0, "not UTF-8 text"
 
 
 def _read_rows(path, dtype: np.dtype, messages=None):
@@ -574,7 +502,8 @@ def criterion_table(
     rises (the rule :class:`CriterionTable` enforces), raise
     :class:`CriterionError` annotated with the element id, unless a
     ``failures`` list is supplied, in which case failed elements are skipped
-    and recorded there as ``(element_id, exception)``.
+    and recorded there as ``(element_id, exception)``; when every element
+    fails, all are recorded and then the first one's id and cause raised.
     """
     levels = np.asarray(load_levels, dtype=float)
     if levels.size == 0:
@@ -603,7 +532,7 @@ def criterion_table(
         failures.append((int(field.ids[i]), err))
     kept = np.flatnonzero(~failed[inverse])
     if kept.size == 0:
-        raise CriterionError(-1, RuntimeError("criterion failed for every element"))
+        raise CriterionError(int(field.ids[0]), errors[inverse[0]]) from errors[inverse[0]]
     return CriterionTable(
         element_ids=field.ids[kept],
         volumes=field.volumes[kept],
@@ -661,6 +590,8 @@ def _sidecar_dtype(n: int, levels: int, tag_bytes: int) -> np.dtype:
 
 def _digest(path) -> bytes:
     """Hex SHA-256 of the file's exact bytes, read in blocks of :data:`SIDECAR_HASH_BLOCK`."""
+    import hashlib  # here, not at the top: only a digest needs it
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(SIDECAR_HASH_BLOCK), b""):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import CriterionTable, FieldFormatError, _check_rows, _read_rows, _row_dtype
-from .material import ALSI7MG
+from .material import ALSI7MG, CalibrationDegeneracyError
 from .strain_life import StrainLifeParams, _density, _log_rates, _survival
 from .weakest_link import DEFAULT_RUNOUT_CYCLES, StructureLifetime, _log_sum_exp
 
@@ -97,10 +97,6 @@ class ObservationArrays:
         return int(self.sigma_a.size)
 
 
-class CalibrationDegeneracyError(RuntimeError):
-    """Dataset contains no failures; the likelihood is unbounded toward infinite life."""
-
-
 def ensure_failures(observations) -> None:
     """Raise unless some observation (a sequence or :class:`ObservationArrays`) failed."""
     if ObservationArrays.of(observations).censored.all():
@@ -125,14 +121,6 @@ def load_observations(path) -> list[FatigueObservation]:
         (rejected, lambda i: error),
     ])
     return observations
-
-
-def save_observations(path, observations: Sequence[FatigueObservation]) -> None:
-    lines = [OBSERVATIONS_HEADER]
-    for obs in observations:
-        lines.append(f"{float(obs.sigma_a)!r},{float(obs.n_cycles)!r},{int(obs.censored)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +219,6 @@ def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float
     if isinstance(model, UnknownPores):
         return [_structure(params, t, sigma_a) for t in model.tables]
     raise TypeError(f"unknown specimen model {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Log-likelihood terms
-# ---------------------------------------------------------------------------
-
-def failure_term(scale: float, shape: float, n_cycles: float) -> float:
-    """log(density + floor) of one failure observation."""
-    return math.log(_density(-shape * math.log(scale), shape, math.log(n_cycles)) + LOG_FLOOR)
-
-
-def runout_term(scale: float, shape: float, runout_cycles: float) -> float:
-    """log(survival + floor) of one run-out observation."""
-    return math.log(_survival(-shape * math.log(scale), shape, math.log(runout_cycles)) + LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------

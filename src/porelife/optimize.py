@@ -18,19 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .strain_life import StrainLifeParams
-
-#: Canonical parameter order of the optimization vector.
-PARAM_ORDER = ("m", "A", "B", "alpha", "beta", "C")
+from .material import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER, StrainLifeParams, one_line_mask  # noqa: F401  (importable from here too)
 
 #: Indices transformed as log(x + shift) because zero is a legal value.
 _SHIFTED = (2, 4, 5)  # B, beta, C
 _LOG_SHIFT = 1e-12
 #: Clamp of internal coordinates: math.exp neither overflows nor reaches 0.
 _MAX_LOG = 700.0
-
-DEFAULT_BUDGET = 400
-DEFAULT_STARTS = 5
 
 
 @dataclass(eq=False)
@@ -130,11 +124,6 @@ class CalibrationProblem:
             raise ValueError("free_mask must cover the 6 model parameters")
         if not any(self.free_mask):
             raise ValueError("at least one parameter must be free")
-
-
-def one_line_mask() -> tuple[bool, ...]:
-    """Free mask of the one-line model."""
-    return (True, True, False, True, False, True)
 
 
 def _to_internal(vec: np.ndarray, free_idx) -> np.ndarray:

@@ -12,44 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Gauge volume of the reference cylindrical specimen, mm^3.
-DEFAULT_REFERENCE_VOLUME = 593.0
-
-@dataclass(frozen=True)
-class StrainLifeParams:
-    """Six-parameter fatigue model plus the Weibull reference volume.
-
-    m      Weibull shape of the lifetime scatter
-    A, alpha   coefficient/exponent of the high-cycle line
-    B, beta    coefficient/exponent of the low-cycle line (B = 0 disables it)
-    C      fatigue-limit strain amplitude; life is infinite at or below it
-    V0     reference volume in mm^3 for the volume scaling
-    """
-
-    m: float
-    A: float
-    alpha: float
-    B: float = 0.0
-    beta: float = 0.0
-    C: float = 0.0
-    V0: float = DEFAULT_REFERENCE_VOLUME
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.m, self.A, self.alpha, self.B, self.beta, self.C, self.V0))):
-            raise ValueError(f"every parameter must be finite, got {self}")
-        if not (self.m > 0 and self.A > 0 and self.alpha > 0 and self.V0 > 0):
-            raise ValueError(f"m, A, alpha, V0 must be positive, got {self}")
-        if self.B < 0 or self.beta < 0 or self.C < 0:
-            raise ValueError(f"B, beta, C must be nonnegative, got {self}")
-
-    def as_vector(self):
-        """Parameter vector in the canonical order [m, A, B, alpha, beta, C]."""
-        return np.array([self.m, self.A, self.B, self.alpha, self.beta, self.C])
-
-    @classmethod
-    def from_vector(cls, vec, v0=DEFAULT_REFERENCE_VOLUME) -> "StrainLifeParams":
-        m, a, b, alpha, beta, c = (float(x) for x in vec)
-        return cls(m=m, A=a, alpha=alpha, B=b, beta=beta, C=c, V0=v0)
+from .material import DEFAULT_REFERENCE_VOLUME, StrainLifeParams  # noqa: F401  (importable from here too)
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,6 @@ def from_matrix(m):
     )
 
 
-def rotate(t, rotation):
-    """Return R . T . R^T of each tensor in voigt form."""
-    m = to_matrix(t)
-    r = np.asarray(rotation, dtype=float)
-    return from_matrix(r @ m @ r.T)
-
-
 def elastic_stress(strain, youngs_modulus, poisson_ratio):
     """Isotropic Hooke's law, strain 6-vector(s) -> stress 6-vector(s)."""
     strain = np.asarray(strain, dtype=float)

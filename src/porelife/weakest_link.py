@@ -14,16 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .material import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
 from .strain_life import WeibullLifetime, weibull_cdf
-
-#: Test stop for run-outs, cycles.
-DEFAULT_RUNOUT_CYCLES = 2.0e6
-
-#: Lifetime draws per structure when pooling realizations into quantiles.
-DEFAULT_SAMPLES_PER_STRUCT = 1000
-
-#: Quantile levels of the load-life table (1/15/50/85/99 %).
-WOHLER_QUANTILES = (0.01, 0.15, 0.50, 0.85, 0.99)
 
 
 @dataclass(frozen=True)
@@ -111,6 +103,29 @@ def pooled_lifetimes(
     return np.concatenate(lifetimes), np.concatenate(censored)
 
 
+def _linear_quantiles(pool: np.ndarray, quantiles: Sequence[float]) -> list[float]:
+    """``float(np.quantile(pool, q))`` of each ``q`` in [0, 1] for a 1-D ``pool`` without NaN, from one partition.
+
+    numpy's default 'linear' rule, bit for bit: the value at the virtual
+    index (n - 1) q interpolated between its neighbours with the weight g,
+    as ``a + (b - a) g`` below g = 0.5 and ``b - (b - a)(1 - g)`` from it; an
+    index at or past the end reads the last value on both sides, and g is
+    taken from the neighbour -1.  ``np.quantile`` imports ``numpy.ma``.
+    """
+    last = pool.size - 1
+    rules = []  # (virtual index, lower neighbour, upper neighbour)
+    for q in quantiles:
+        index = last * float(q)
+        lower = math.floor(index) if index < last else -1
+        rules.append((index, lower, lower + 1 if lower >= 0 else -1))
+    part = np.partition(pool, sorted({k % pool.size for _, lower, upper in rules for k in (lower, upper)}))
+    values = []
+    for index, lower, upper in rules:
+        a, b, g = float(part[lower]), float(part[upper]), index - lower
+        values.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return values
+
+
 def wohler_quantiles(
     structs_per_level: Mapping[float, Sequence[StructureLifetime]],
     quantiles: Sequence[float] = WOHLER_QUANTILES,
@@ -140,7 +155,7 @@ def wohler_quantiles(
         level_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(li,))
         pool, censored = pooled_lifetimes(structs, samples_per_struct, level_seq, runout_cycles)
         table[level] = {
-            "quantiles": {q: float(np.quantile(pool, q)) for q in quantiles},
+            "quantiles": dict(zip(quantiles, _linear_quantiles(pool, quantiles))),
             "censored_fraction": float(np.mean(censored)),
         }
     return table

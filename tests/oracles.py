@@ -15,12 +15,14 @@ the shared pooled draw, and a Nelder-Mead that keeps its simplex as Python
 lists and draws each start's jitter on its own instead of the simplex array
 and the one jitter matrix.  The likelihood kernel's evaluation is also kept
 as the chain it replaced, with a checked inverse and a new array per step
-instead of the rows' own buffers.
+instead of the rows' own buffers.  The helpers that only the tests use
+live here too: tensor rotation, the scalar log-likelihood terms and the
+observations writer.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from porelife.optimize import (
     _from_internal,
     _to_internal,
 )
-from porelife.strain_life import StrainLifeParams
+from porelife.strain_life import StrainLifeParams, _density, _survival
 from porelife.weakest_link import sample_lifetimes
 
 
@@ -170,6 +172,13 @@ def scalar_uniaxial_forward_euler(
 # ---------------------------------------------------------------------------
 # The critical direction of one tensor at a time
 # ---------------------------------------------------------------------------
+
+def rotate(t, rotation):
+    """Return R . T . R^T of each tensor in voigt form."""
+    m = voigt.to_matrix(t)
+    r = np.asarray(rotation, dtype=float)
+    return voigt.from_matrix(r @ m @ r.T)
+
 
 def scalar_critical_direction(sigma) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue, with deterministic ties.
@@ -498,11 +507,13 @@ def cell_criterion_table(
     scalar_neuber_correct and criterion_delta_eps, elastic or not; a failing
     element stops at its first exception (direction, then levels ascending),
     and an element whose strain range falls as the load rises fails too.
+    When every element fails, the first one's error is raised.
     """
     levels = np.asarray(load_levels, dtype=float)
     cache: dict = {}
     rows = []
     kept = []
+    first_failure = None
     for i in range(field.n_elements):
         tensor = field.sigma_unit[i]
         key = tensor.tobytes()
@@ -523,11 +534,12 @@ def cell_criterion_table(
             if failures is None:
                 raise err from exc
             failures.append((int(field.ids[i]), err))
+            first_failure = first_failure or err
             continue
         rows.append(row)
         kept.append(i)
     if not rows:
-        raise CriterionError(-1, RuntimeError("criterion failed for every element"))
+        raise CriterionError(first_failure.element_id, first_failure.cause) from first_failure.cause
     kept = np.array(kept)
     return CriterionTable(
         element_ids=field.ids[kept],
@@ -625,6 +637,16 @@ def loop_synth_field_report(
 # ---------------------------------------------------------------------------
 # Weakest-link and distribution oracles
 # ---------------------------------------------------------------------------
+
+def failure_term(scale: float, shape: float, n_cycles: float) -> float:
+    """log(density + floor) of one failure observation."""
+    return math.log(_density(-shape * math.log(scale), shape, math.log(n_cycles)) + LOG_FLOOR)
+
+
+def runout_term(scale: float, shape: float, runout_cycles: float) -> float:
+    """log(survival + floor) of one run-out observation."""
+    return math.log(_survival(-shape * math.log(scale), shape, math.log(runout_cycles)) + LOG_FLOOR)
+
 
 def survival_product_cdf(element_scales, shape: float, cycles: float) -> float:
     """Structure failure probability as 1 - product of element survivals."""
@@ -918,6 +940,14 @@ def line_load_observations(path) -> list[FatigueObservation]:
     if not out:
         raise ValueError(f"{path}: no observations found")
     return out
+
+
+def save_observations(path, observations: Sequence[FatigueObservation]) -> None:
+    lines = [OBSERVATIONS_HEADER]
+    for obs in observations:
+        lines.append(f"{float(obs.sigma_a)!r},{float(obs.n_cycles)!r},{int(obs.censored)}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

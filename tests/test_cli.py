@@ -38,14 +38,13 @@ from porelife.likelihood import (
     ObservationArrays,
     homogeneous_objective,
     load_observations,
-    save_observations,
     structure_for,
     unknown_pores_objective,
 )
 from porelife.optimize import CalibrationProblem, calibrate, one_line_mask
 from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, StructureLifetime, sample_lifetimes, wohler_quantiles
 from porelife.strain_life import DEFAULT_REFERENCE_VOLUME, StrainLifeParams
-from oracles import aggregate_runouts, loop_pooled_draws, loop_synthesize_observations
+from oracles import aggregate_runouts, loop_pooled_draws, loop_synthesize_observations, save_observations
 
 SMALL_CONF = """
 [protocol]

@@ -9,7 +9,8 @@ import pytest
 
 import porelife
 from porelife.field import CriterionTable, ElasticElementField, save_criterion_table, save_field
-from porelife.likelihood import FatigueObservation, save_observations
+from porelife.likelihood import FatigueObservation
+from oracles import save_observations
 
 #: Top-level packages in ``sys.modules`` after importing the CLI, printed as JSON.
 LOADED = "import json, sys, porelife.cli; print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules})))"
@@ -102,6 +103,52 @@ def test_only_the_commands_that_solve_load_the_solvers(inputs, tmp_path, case):
     assert "porelife.return_mapping" not in loaded  # the reference integrator: no command runs it
 
 
+#: The modules of the lifetime model and the fit.
+FIT_MODULES = {"porelife.likelihood", "porelife.optimize", "porelife.strain_life", "porelife.weakest_link"}
+
+
+@pytest.mark.parametrize("case", ["genfield", "criterion"])
+def test_the_commands_that_predict_no_lifetime_load_no_fit_module(inputs, tmp_path, case):
+    code, loaded = run_command(inputs, tmp_path, case)
+    assert code == 0 and not FIT_MODULES & set(loaded), loaded
+
+
+def test_the_start_up_path_loads_cli_config_and_material_alone():
+    # every command pays this before it runs: the probe of perfbench's setup_s
+    loaded = fresh("import json, sys\nimport porelife.cli\nfrom porelife.config import load_config\nload_config(None)\n"
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert [name for name in loaded if name.startswith("porelife")] == [
+        "porelife", "porelife.cli", "porelife.config", "porelife.material"]
+    assert "hashlib" not in loaded  # imported where a digest is taken
+
+
+#: Runs the cli helpers that the tests call directly, in an interpreter where ``main`` has imported nothing:
+#: argv is the config, a table, the observations, the homogeneous observations and an output directory.
+HELPERS = """
+import json, math, sys
+from pathlib import Path
+from porelife.cli import _gauge_structure, _pooled_median, cmd_calibrate, fit_homogenized_model, synthesize_observations
+from porelife.config import load_config
+from porelife.field import load_criterion_table
+config = load_config(sys.argv[1])
+table, observations, homogeneous, out = sys.argv[2], *map(Path, sys.argv[3:])
+structs = [_gauge_structure(config.fatigue, config, level) for level in config.load_levels]
+median = _pooled_median(structs, config.samples_per_struct, config.seed, config.runout_cycles)
+synthetic = synthesize_observations(config.fatigue, [load_criterion_table(table)], config.load_levels,
+                                    config.samples_per_struct, config.seed, config.runout_cycles)
+fitted = fit_homogenized_model(config, synthetic)
+codes = [cmd_calibrate(config, out / mode, mode, observations, [Path(table)], homogeneous, True)
+         for mode in ("homogeneous", "heterogeneous", "unknown-pores", "joint")]
+print(json.dumps([math.isfinite(median), len(synthetic), fitted.m > 0, codes]))
+"""
+
+
+def test_the_cli_helpers_import_what_they_run(inputs, tmp_path):
+    result = fresh(HELPERS, *(str(inputs[name]) for name in ("run.conf", "t.criterion.csv", "obs.csv", "hom.csv")),
+                   str(tmp_path))
+    assert result[0] and result[1] > 0 and result[2] and result[3] == [0, 0, 0, 0]
+
+
 #: Like ``PORELIFE_LOADED``, but prints the exit code and which of ``numpy.ma`` and ``numpy.random`` were loaded.
 NUMPY_LOADED = """
 import json, sys
@@ -113,8 +160,8 @@ print(json.dumps([code, [name for name in ("numpy.ma", "numpy.random") if name i
 """
 
 
-# wohler_quantiles' np.quantile loads numpy.ma; np.median and a plain np.unique would too
-@pytest.mark.parametrize("case", [case for case in COMMANDS if case != "wohler"])
+# np.quantile, np.median and a plain np.unique load numpy.ma
+@pytest.mark.parametrize("case", COMMANDS)
 def test_the_commands_load_no_masked_arrays(inputs, tmp_path, case):
     code, loaded = run_command(inputs, tmp_path, case, NUMPY_LOADED)
     assert code == 0 and "numpy.ma" not in loaded
@@ -133,14 +180,15 @@ def test_the_integrator_names_are_return_mappings_objects():
         assert getattr(porelife, name) is getattr(porelife.return_mapping, name), name
 
 
-@pytest.mark.parametrize("statement", [
-    "import porelife.optimize",
-    "from porelife.config import load_config; load_config(None)",
+@pytest.mark.parametrize("statement, modules", [
+    ("import porelife.optimize", ["porelife", "porelife.material", "porelife.optimize"]),
+    ("from porelife.config import load_config; load_config(None)", ["porelife", "porelife.config", "porelife.material"]),
 ], ids=["optimize", "load_config"])
-def test_the_optimizer_and_the_config_load_no_likelihood(statement):
-    # the all-run-outs rule is about the observations, so it lives in likelihood, which the optimizer does not import
+def test_the_optimizer_and_the_config_load_no_likelihood(statement, modules):
+    # the all-run-outs rule is about the observations, so it lives in likelihood, which the optimizer does not import;
+    # the config's defaults and parameter sets live in material
     loaded = fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
-    assert "porelife.optimize" in loaded and "porelife.likelihood" not in loaded
+    assert [name for name in loaded if name.startswith("porelife")] == modules
 
 
 def test_package_names_are_their_modules_objects():

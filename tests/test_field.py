@@ -49,6 +49,7 @@ from oracles import (
     line_load_criterion_table,
     line_load_field,
     loop_synth_field_report,
+    rotate,
 )
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
@@ -1163,6 +1164,16 @@ class TestBatchedCriterion:
         assert "history norm is not finite" in str(failures[2][1])
         assert table.element_ids.tolist() == [3]
 
+    def test_every_element_failed_raises_the_first_recorded_failure(self, material):
+        tensors = [ELEMENT_KINDS[kind](1, 1.5) for kind in ("overflow", "bracket", "history_overflow")]
+        field = ElasticElementField(ids=[7, 5, 1], volumes=np.ones(3), sigma_unit=np.array(tensors))
+        failures = []
+        with pytest.raises(CriterionError) as raised:
+            criterion_table(field, material, [40.0, 150.0], failures=failures)
+        assert [eid for eid, _ in failures] == [7, 5, 1]
+        assert raised.value.element_id == 7 and raised.value.cause is failures[0][1].cause
+        assert str(raised.value) == str(failures[0][1]) and "tensor norm is not finite" in str(raised.value)
+
     def test_falling_row_is_a_failed_element(self, material):
         # diag(-2, -3, -3): elastic and plastic coefficients of opposite signs
         tensors = [np.array([-2.0, -3.0, -3.0, 0.0, 0.0, 0.0]), voigt.UNIAXIAL_X, np.array([-2.0, -3.0, -3.0, 0.0, 0.0, 0.0])]
@@ -1255,6 +1266,6 @@ class TestBatchedCriterion:
             base = criterion_table(ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=sigma), ALSI7MG, levels)
         assert any(plastic_settled)  # the loop path settles yielding cells
         turned = criterion_table(
-            ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=voigt.rotate(sigma, q)), ALSI7MG, levels
+            ElasticElementField(ids=np.arange(9), volumes=np.ones(9), sigma_unit=rotate(sigma, q)), ALSI7MG, levels
         )
         assert_allclose(turned.delta_eps, base.delta_eps, rtol=1e-9, atol=0.0)

@@ -17,21 +17,26 @@ from porelife.likelihood import (
     Heterogeneous,
     Homogeneous,
     UnknownPores,
-    failure_term,
     heterogeneous_objective,
     homogeneous_objective,
     load_observations,
     loglik_heterogeneous,
     loglik_homogeneous,
     loglik_unknown_pores,
-    runout_term,
-    save_observations,
     structure_for,
     unknown_pores_objective,
 )
 from porelife.strain_life import StrainLifeParams, element_lifetime, element_scale_array
 from porelife.weakest_link import structure_scale
-from oracles import chain_objective, line_load_observations, survival_product_loglik, table_amplitudes
+from oracles import (
+    chain_objective,
+    failure_term,
+    line_load_observations,
+    runout_term,
+    save_observations,
+    survival_product_loglik,
+    table_amplitudes,
+)
 
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
 

@@ -34,6 +34,7 @@ from porelife.return_mapping import (
 from oracles import (
     decompose_elastic_delta_eps,
     neuber_reference,
+    rotate,
     scalar_critical_direction,
     scalar_neuber_correct,
     scalar_uniaxial_forward_euler,
@@ -334,7 +335,7 @@ class TestCriticalDirection:
         n0 = critical_direction(base)
         for _ in range(25):
             rot = random_rotation(rng)
-            n1 = critical_direction(voigt.rotate(base, rot))
+            n1 = critical_direction(rotate(base, rot))
             aligned = rot @ n0
             assert min(np.linalg.norm(n1 - aligned), np.linalg.norm(n1 + aligned)) < 1e-9
 
@@ -394,8 +395,8 @@ class TestCriterion:
         base = criterion_delta_eps(strain, critical_direction(path.values[0]))
         for _ in range(20):
             rot = random_rotation(rng)
-            strain_rot = TensorHistory(times=path.times, values=voigt.rotate(strain.values, rot))
-            n_rot = critical_direction(voigt.rotate(path.values[0], rot))
+            strain_rot = TensorHistory(times=path.times, values=rotate(strain.values, rot))
+            n_rot = critical_direction(rotate(path.values[0], rot))
             rotated = criterion_delta_eps(strain_rot, n_rot)
             assert abs(rotated - base) / base < 1e-9
 

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-import porelife.cli  # noqa: F401  (loads every module the tracer looks in)
+# with likelihood (field, strain_life, weakest_link): every module the tracer looks in
+import porelife.cli  # noqa: F401  (config)
 import porelife.likelihood
+import porelife.material_point  # noqa: F401
 import porelife.optimize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

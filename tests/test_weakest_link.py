@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from porelife.strain_life import WeibullLifetime, weibull_cdf
@@ -9,6 +10,7 @@ from porelife.weakest_link import (
     DEFAULT_RUNOUT_CYCLES,
     WOHLER_QUANTILES,
     StructureLifetime,
+    _linear_quantiles,
     pooled_lifetimes,
     sample_lifetimes,
     structure_cdf,
@@ -177,6 +179,25 @@ class TestWohlerQuantiles:
         table = wohler_quantiles({40.0: [struct]}, samples_per_struct=50_000, seed=9)
         # P(N >= 2e6) = exp(-1)
         assert_allclose(table[40.0]["censored_fraction"], math.exp(-1.0), atol=0.01)
+
+    @settings(max_examples=400)
+    @given(
+        # few distinct values make ties; the run-out cap is one of them
+        pool=st.lists(st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 1.0, 3e4, DEFAULT_RUNOUT_CYCLES])),
+                      min_size=1, max_size=80),
+        quantiles=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+            [0.0, 2.0**-1074, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0, *WOHLER_QUANTILES])), min_size=1, max_size=6),
+    )
+    @example(pool=[5.0], quantiles=[2.0**-1074, 0.5, 1.0 - 2.0**-53])
+    @example(pool=[DEFAULT_RUNOUT_CYCLES] * 7, quantiles=list(WOHLER_QUANTILES))
+    def test_linear_quantiles_equal_numpy(self, pool, quantiles):
+        pool = np.array(pool)
+        before = pool.copy()
+        got = _linear_quantiles(pool, quantiles)
+        want = [float(np.quantile(pool, q)) for q in quantiles]
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))  # the bytes wohler.csv writes
+        assert pool.tobytes() == before.tobytes()
 
     def test_validation(self):
         struct = StructureLifetime(scale=1e4, shape=2.0)
