@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -88,13 +89,45 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
         raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
 
 
+def _part(path: Path) -> Path:
+    """Where a forked job writes ``path``; its command renames it into place in input order, or removes it.
+
+    A job that runs again in its command's own process writes in place, as the serial loop did.
+    """
+    return path.with_name(path.name + ".part")
+
+
+def _none_on_error(run):
+    """``run``, returning ``None`` where it raises and for every later item in the same process.
+
+    The command runs an item without a result again itself, in order, for its
+    error; the items after it are then never needed.
+    """
+    failed = []
+
+    def attempt(x):
+        if not failed:
+            try:
+                return run(x)
+            except Exception:
+                failed.append(x)
+        return None
+
+    return attempt
+
+
 # ---------------------------------------------------------------------------
 # genfield
 # ---------------------------------------------------------------------------
 
 def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
-    """Generate synthetic field files plus a JSON manifest."""
+    """Generate synthetic field files plus a JSON manifest.
+
+    The fields are synthesized and saved in :func:`porelife.forks.fork_map`
+    jobs; this process renames them into place in input order (see :func:`_part`).
+    """
     from .field import notch_variant, save_field, synth_field_report, thin_variant, tile_field
+    from .forks import fork_map
 
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
@@ -111,6 +144,28 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
     if thin is not None:
         stats = thin_variant(stats, thin)
     children = np.random.SeedSequence(config.seed).spawn(count)
+    paths = [out / f"field_{i:03d}.csv" for i in range(count)]
+
+    def write(i, path):
+        """Synthesize field ``i`` and save it to ``path``; its manifest entry."""
+        field, info = synth_field_report(
+            stats, config.shells, children[i], nu=config.material.nu, n_pores=pores
+        )
+        if tile is not None:
+            field = tile_field(field, tile)
+        if notch_kt is not None:
+            field = notch_variant(field, notch_kt, notch_volume_fraction)
+        save_field(path, field)
+        return {
+            "file": paths[i].name,
+            "spawn_index": i,
+            "n_elements": field.n_elements,
+            "total_volume_mm3": field.total_volume,
+            "pore_count": info["pore_count"],
+            "surface_breaking_count": info["surface_breaking_count"],
+            "pore_volume_fraction": info["pore_volume_fraction"],
+        }
+
     manifest = {
         "seed": config.seed,
         "count": count,
@@ -120,27 +175,17 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         "notch_kt": notch_kt,
         "fields": [],
     }
-    for i in range(count):
-        field, info = synth_field_report(
-            stats, config.shells, children[i], nu=config.material.nu, n_pores=pores
-        )
-        if tile is not None:
-            field = tile_field(field, tile)
-        if notch_kt is not None:
-            field = notch_variant(field, notch_kt, notch_volume_fraction)
-        name = f"field_{i:03d}.csv"
-        save_field(out / name, field)
-        manifest["fields"].append(
-            {
-                "file": name,
-                "spawn_index": i,
-                "n_elements": field.n_elements,
-                "total_volume_mm3": field.total_volume,
-                "pore_count": info["pore_count"],
-                "surface_breaking_count": info["surface_breaking_count"],
-                "pore_volume_fraction": info["pore_volume_fraction"],
-            }
-        )
+    try:
+        entries = fork_map(_none_on_error(lambda i: write(i, _part(paths[i]))), range(count))
+        for i, entry in enumerate(entries):
+            if entry is None:  # its job raised or came after one that did: run it here, in order
+                entry = write(i, paths[i])
+            else:
+                os.replace(_part(paths[i]), paths[i])
+            manifest["fields"].append(entry)
+    finally:  # the fields after one that failed
+        for path in paths:
+            _part(path).unlink(missing_ok=True)
     manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -165,48 +210,96 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
     return digest.hexdigest()
 
 
+def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_to: Path, failure_lines: list):
+    """Bring ``table_path`` up to date from ``field_path``: its stdout line, and whether a table was written.
+
+    A new table and its sidecar are saved as ``save_to`` (see :func:`_part`).
+    Each failed element's stderr line is appended to ``failure_lines``, also
+    when every element failed.  Nothing is printed.
+    """
+    from .field import TABLE_HEADER, load_field, read_header, read_sidecar, save_criterion_table
+
+    content_hash = _criterion_content_hash(config, field_path)
+    try:
+        with open(table_path, "r", encoding="utf-8") as fh:
+            up_to_date = read_header(fh, TABLE_HEADER)[0].get("content-hash") == content_hash
+    except (OSError, ValueError):  # no table yet, or one whose header is not a table's
+        up_to_date = False
+    # the header scan does not read the rows: the sidecar's digest of the whole file vouches for them
+    if up_to_date and read_sidecar(table_path) is not None:
+        return f"{table_path.name}: up to date, skipped", False
+    field = load_field(field_path)
+    failures: list = []
+    try:
+        table = _criterion(config, field, failures)
+    except CriterionError as exc:  # with a failures list, only when every element failed
+        raise ConfigError(f"{field_path}: criterion failed for every element") from exc
+    finally:  # the causes, also of a field where every element failed
+        failure_lines.extend(f"{field_path.name}: element {eid} failed: {err}" for eid, err in failures)
+    table_path.parent.mkdir(parents=True, exist_ok=True)
+    save_criterion_table(
+        save_to,
+        table,
+        comments=[f"content-hash: {content_hash}", f"source: {field_path.name}"],
+    )
+    return f"{table_path.name}: {table.element_ids.size} elements x {len(config.load_levels)} levels", True
+
+
 def cmd_criterion(config: RunConfig, out, fields) -> int:
-    """Precompute criterion tables and their sidecars for field files; skips unchanged inputs."""
-    from .field import TABLE_HEADER, check_one_line, load_field, read_header, read_sidecar, save_criterion_table
+    """Precompute criterion tables and their sidecars for field files; skips unchanged inputs.
+
+    Each distinct table's :func:`_criterion_job` runs in a
+    :func:`porelife.forks.fork_map` job.  This process then prints the
+    jobs' lines and renames their tables into place in input order, and
+    runs a repeated field and a job that raised in its turn, so the output,
+    the exit code and the files under ``--out`` are the serial loop's.
+    """
+    from .field import check_one_line, table_files
+    from .forks import fork_map
 
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
-    writers: dict = {}  # table name -> the first field file that writes it
-    for field_path in fields:
-        name = field_path.stem + ".criterion.csv"
-        first = writers.setdefault(name, field_path)
+    tables = [out / (field_path.stem + ".criterion.csv") for field_path in fields]
+    firsts: dict = {}  # table -> index of the first field file that writes it
+    for i, (field_path, table_path) in enumerate(zip(fields, tables)):
+        first = fields[firsts.setdefault(table_path, i)]
         if first.resolve() != field_path.resolve():
-            raise ConfigError(f"{first} and {field_path} would both write {out / name}")
-    any_failures = False
-    for field_path in fields:
-        table_path = out / (field_path.stem + ".criterion.csv")
-        content_hash = _criterion_content_hash(config, field_path)
-        try:
-            with open(table_path, "r", encoding="utf-8") as fh:
-                up_to_date = read_header(fh, TABLE_HEADER)[0].get("content-hash") == content_hash
-        except (OSError, ValueError):  # no table yet, or one whose header is not a table's
-            up_to_date = False
-        # the header scan does not read the rows: the sidecar's digest of the whole file vouches for them
-        if up_to_date and read_sidecar(table_path) is not None:
-            print(f"{table_path.name}: up to date, skipped")
-            continue
-        field = load_field(field_path)
-        failures: list = []
-        try:
-            table = _criterion(config, field, failures)
-        except CriterionError as exc:  # with a failures list, only when every element failed
-            raise ConfigError(f"{field_path}: criterion failed for every element") from exc
-        finally:  # the causes, also of a field where every element failed
-            for eid, err in failures:
-                any_failures = True
-                print(f"{field_path.name}: element {eid} failed: {err}", file=sys.stderr)
-        out.mkdir(parents=True, exist_ok=True)
-        save_criterion_table(
-            table_path,
-            table,
-            comments=[f"content-hash: {content_hash}", f"source: {field_path.name}"],
-        )
-        print(f"{table_path.name}: {table.element_ids.size} elements x {len(config.load_levels)} levels")
+            raise ConfigError(f"{first} and {field_path} would both write {table_path}")
+
+    def job(i):
+        failure_lines: list = []
+        return *_criterion_job(config, fields[i], tables[i], _part(tables[i]), failure_lines), failure_lines
+
+    new_dirs = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    outcomes = dict(zip(firsts.values(), fork_map(_none_on_error(job), firsts.values())))
+    any_failures = wrote_any = False
+    try:
+        for i, (field_path, table_path) in enumerate(zip(fields, tables)):
+            outcome, failure_lines = outcomes.get(i), []
+            try:
+                if outcome is None:  # a repeated field, or a job that raised or came after one: run it here
+                    line, wrote = _criterion_job(config, field_path, table_path, table_path, failure_lines)
+                else:
+                    line, wrote, failure_lines = outcome
+                    if wrote:
+                        for part, path in zip(table_files(_part(table_path)), table_files(table_path)):
+                            if part.exists():  # a table gets no sidecar when the CSV reader would refuse it
+                                os.replace(part, path)
+            finally:
+                for message in failure_lines:
+                    print(message, file=sys.stderr)
+            any_failures = any_failures or bool(failure_lines)
+            wrote_any = wrote_any or wrote
+            print(line)
+    finally:  # the tables after one that failed, and an --out made for no table
+        for table_path in firsts:
+            for part in table_files(_part(table_path)):
+                part.unlink(missing_ok=True)
+        for path in [] if wrote_any else new_dirs:
+            try:
+                path.rmdir()
+            except OSError:
+                break
     return EXIT_PARTIAL if any_failures else EXIT_OK
 
 

@@ -16,7 +16,6 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -99,6 +98,8 @@ def cavity_peak_kt(nu: float) -> float:
 
 def _sample_radii_mm(stats: PoreFieldStats, count: int, rng) -> np.ndarray:
     """Truncated log-normal radii, in mm, truncated below the acceptance radius."""
+    from statistics import NormalDist  # here, not at the top: only the generator needs it
+
     mu, s, floor = _radius_law(stats)
     # rounding can carry a draw just below 1 up to 1, which has no quantile
     u = np.minimum(floor + rng.random(count) * (1.0 - floor), _MAX_UNIFORM)
@@ -574,6 +575,11 @@ def _sidecar_path(path) -> Path | None:
     path = Path(path)
     sidecar = path.parent / (path.stem + ".npy")
     return None if sidecar == path else sidecar
+
+
+def table_files(path) -> list[Path]:
+    """The files :func:`save_criterion_table` writes for ``path``: the CSV, then its sidecar."""
+    return [Path(path), _sidecar_path(path)]
 
 
 def _sidecar_dtype(n: int, levels: int, tag_bytes: int) -> np.dtype:

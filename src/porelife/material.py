@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -152,10 +151,15 @@ DEFAULT_SHELLS = 8
 
 
 def _radius_law(stats) -> tuple[float, float, float]:
-    """Log-median radius in mm, log standard deviation, and the normal CDF at the acceptance radius."""
+    """Log-median radius in mm, log standard deviation, and the normal CDF at the acceptance radius.
+
+    The CDF is ``statistics.NormalDist().cdf``'s own formula, bit for bit,
+    without importing ``statistics`` (and its ``fractions`` and ``decimal``)
+    on every command's start-up path.
+    """
     mu = math.log(stats.radius_median_um / 1000.0)
     s = stats.radius_log_sd
-    return mu, s, NormalDist().cdf((math.log(stats.accept_radius_um / 1000.0) - mu) / s)
+    return mu, s, 0.5 * (1.0 + math.erf((math.log(stats.accept_radius_um / 1000.0) - mu) / s / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

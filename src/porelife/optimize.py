@@ -10,14 +10,12 @@ in forked processes, one per usable CPU, where the platform can fork.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .forks import fork_map
 from .material import DEFAULT_BUDGET, DEFAULT_STARTS, PARAM_ORDER, StrainLifeParams, one_line_mask  # noqa: F401  (importable from here too)
 
 #: Indices transformed as log(x + shift) because zero is a legal value.
@@ -34,6 +32,7 @@ class NelderMeadResult:
     trace: list
     iterations: int
     evaluations: int  # objective calls
+    stop: str  # "spread" when the simplex converged, "budget" when the iterations ran out
 
 
 def nelder_mead(
@@ -49,7 +48,8 @@ def nelder_mead(
     when the simplex function spread falls below 1e-9 while the
     vertex spread is also small (equal values at symmetric vertices must not
     stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
-    holds one ``(iteration, best_x, best_f)`` entry per iteration.
+    holds one ``(iteration, best_x, best_f)`` entry per iteration, and
+    ``stop`` says which rule ended the run: ``"spread"`` or ``"budget"``.
     """
     objective, evaluations = f, 0
 
@@ -67,13 +67,14 @@ def nelder_mead(
     verts[1:][np.diag_indices(dim)] += np.where(x0 != 0.0, 0.05 * x0, 0.05)  # row i + 1 steps coordinate i
     vals = np.fromiter(map(f, verts), dtype=float, count=dim + 1)
 
-    trace = []
+    trace, stop = [], "budget"
     for iteration in range(budget):
         order = np.argsort(vals)[::-1]  # best first
         verts, vals = verts[order], vals[order]
         trace.append((iteration, verts[0].copy(), float(vals[0])))
         # Python floats: -inf - -inf is NaN without a numpy warning
         if float(vals[0]) - float(vals[-1]) < 1e-9 and np.max(np.abs(verts[1:] - verts[0])) < 1e-8:
+            stop = "spread"
             break
 
         centroid = np.mean(verts[:-1], axis=0)
@@ -97,7 +98,7 @@ def nelder_mead(
             vals[i] = f(verts[i])
 
     best = np.argsort(vals)[-1]
-    return NelderMeadResult(verts[best].copy(), float(vals[best]), trace, len(trace), evaluations)
+    return NelderMeadResult(verts[best].copy(), float(vals[best]), trace, len(trace), evaluations, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +155,6 @@ class CalibrationResult:
     start_results: list = field(repr=False, default_factory=list)
 
 
-def _usable_cpus() -> int:
-    """CPUs a fit may fork onto: 1 where this process cannot fork, or runs other threads a child would lack."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _map_starts(run, starts, workers: int) -> list:
-    """``[run(y) for y in starts]``, with the starts ``k::workers`` run in forked child ``k``.
-
-    Share 0 runs here, so one worker is the serial loop.  A child pickles its
-    results into a pipe and leaves through ``os._exit``, so no exception or
-    exit hook runs in it.  A share whose child could not be forked or did not
-    exit cleanly runs here, raising what the serial loop would.  If a share
-    raises here, the children left are killed and reaped.
-    """
-    children = {}  # share index -> (pid, read end of its pipe)
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: the shares left run here
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as fh:
-                        pickle.dump([run(y) for y in starts[k::workers]], fh)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[k] = (pid, open(read_fd, "rb"))
-        results = [None] * len(starts)
-        for k in range(workers):
-            payload, status = b"", 1
-            if k in children:
-                pid, fh = children[k]
-                with fh:
-                    payload = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[k]
-            results[k::workers] = pickle.loads(payload) if status == 0 else [run(y) for y in starts[k::workers]]
-        return results
-    finally:
-        if children:
-            import signal  # only this error path needs it; importing it costs every command memory
-
-            for pid, fh in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                fh.close()
-
-
 def calibrate(
     problem: CalibrationProblem,
     n_starts: int = DEFAULT_STARTS,
@@ -224,7 +167,7 @@ def calibrate(
     noise of standard deviation 0.25.  The winning start's per-iteration
     trace is returned as rows of ``(iteration, params_vector,
     log_likelihood)`` in untransformed units.  The starts run on up to
-    ``min(n_starts, usable CPUs)`` processes (see :func:`_map_starts`); the
+    ``min(n_starts, usable CPUs)`` processes (see :func:`porelife.forks.fork_map`); the
     result does not depend on how many.
     """
     if n_starts < 1:
@@ -242,9 +185,7 @@ def calibrate(
     if n_starts > 1:  # importing numpy.random costs a process about 2 MB, which a single start need not pay
         jitter = np.random.default_rng(seed).standard_normal((n_starts - 1, y0.size))
         starts = np.vstack([y0, y0 + 0.25 * jitter])
-    results = _map_starts(
-        lambda y_start: nelder_mead(wrapped, y_start, budget=problem.budget), starts, min(n_starts, _usable_cpus())
-    )
+    results = fork_map(lambda y_start: nelder_mead(wrapped, y_start, budget=problem.budget), starts)
     winner = max(results, key=lambda r: r.fun)
 
     trace = [

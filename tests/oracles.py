@@ -1037,7 +1037,8 @@ def list_nelder_mead(
     when the simplex function spread falls below 1e-9 while the
     vertex spread is also small (equal values at symmetric vertices must not
     stop a fresh simplex).  NaN values rank as -inf, never best.  The trace
-    holds one ``(iteration, best_x, best_f)`` entry per iteration.
+    holds one ``(iteration, best_x, best_f)`` entry per iteration, and
+    ``stop`` says which rule ended the run: ``"spread"`` or ``"budget"``.
     """
     objective, calls = f, []
 
@@ -1059,6 +1060,7 @@ def list_nelder_mead(
 
     trace = []
     iterations = 0
+    stop = "budget"
     for iteration in range(budget):
         order = np.argsort(vals)[::-1]  # best first
         verts = [verts[i] for i in order]
@@ -1067,6 +1069,7 @@ def list_nelder_mead(
         iterations = iteration + 1
         x_spread = max(float(np.max(np.abs(v - verts[0]))) for v in verts[1:])
         if vals[0] - vals[-1] < 1e-9 and x_spread < 1e-8:
+            stop = "spread"
             break
 
         centroid = np.mean(verts[:-1], axis=0)
@@ -1098,7 +1101,7 @@ def list_nelder_mead(
     order = np.argsort(vals)[::-1]
     best = order[0]
     return NelderMeadResult(x=verts[best].copy(), fun=vals[best], trace=trace, iterations=iterations,
-                            evaluations=len(calls))
+                            evaluations=len(calls), stop=stop)
 
 
 def list_calibrate(

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import inspect
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from porelife.cli import (
     main,
     synthesize_observations,
 )
+import porelife.cli
+import porelife.field
+import porelife.forks
 from porelife.config import ConfigError, RunConfig, load_config
 from porelife.field import (
     FIELD_HEADER,
@@ -541,6 +545,111 @@ class TestCriterion:
         out = tmp_path / "t"
         argv = ["criterion", "--config", str(conf), "--out", str(out), str(spoil(field, "field", how))]
         assert_refused_without_out(capsys, argv, out, field)
+
+
+def run_on(monkeypatch, capsys, n_cpus, argv, out):
+    """``main(argv)`` seeing ``n_cpus`` usable CPUs: its forks, and its exit code, stdout, stderr and files.
+
+    The files are ``None`` when there is no ``out``, else a dict of the bytes under it; the name of ``out``
+    in stderr reads ``OUT``.
+    """
+    forks, fork = [], os.fork
+    monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: n_cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    stdout, stderr = capsys.readouterr()
+    files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()} if out.exists() else None
+    return len(forks), (code, stdout, stderr.replace(str(out), "OUT"), files)
+
+
+#: id -> the contents of three field files; ``None`` is a generated field, ``"repeat"`` the first file again.
+#: "partial": element 1's Neuber solve cannot be bracketed; "all-failed-first": neither element's can.
+FIELD_SETS = {
+    "generated": [None, None, None],
+    "partial": [None, f"{FIELD_HEADER}\n0,1.0,1.0,0,0,0,0,0\n1,1.0,1e100,0,0,0,0,0\n", None],
+    "malformed-second": [None, MALFORMED["field"], None],
+    "all-failed-first": [f"{FIELD_HEADER}\n0,1.0,1e300,0,0,0,0,0\n1,1.0,1e100,0,0,0,0,0\n", None, None],
+    "repeated": [None, None, "repeat"],
+}
+
+
+class TestForkedFields:
+    """``genfield`` and ``criterion`` on two usable CPUs give the exit code, output and files of one."""
+
+    def test_genfield(self, conf, tmp_path, monkeypatch, capsys):
+        runs = [run_on(monkeypatch, capsys, n, ["genfield", "--config", conf, "--out", tmp_path / f"f{n}",
+                                                "--count", "3"], tmp_path / f"f{n}") for n in (1, 2)]
+        assert [forks for forks, _ in runs] == [0, 1]
+        assert runs[0][1] == runs[1][1]
+        code, stdout, stderr, files = runs[1][1]
+        assert (code, stdout, stderr) == (EXIT_OK, "", "")
+        assert sorted(files) == ["field_000.csv", "field_001.csv", "field_002.csv", "manifest.json"]
+
+    @pytest.mark.parametrize("case", FIELD_SETS)
+    def test_criterion(self, conf, tmp_path, monkeypatch, capsys, case):
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--pores", "2",
+                     "--count", "3"]) == EXIT_OK
+        fields = []
+        for i, text in enumerate(FIELD_SETS[case]):
+            if text is None:
+                fields.append(tmp_path / "gen" / f"field_{i:03d}.csv")
+            elif text == "repeat":
+                fields.append(fields[0])
+            else:
+                fields.append(tmp_path / f"given_{i}.csv")
+                fields[-1].write_text(text)
+        runs = [run_on(monkeypatch, capsys, n, ["criterion", "--config", conf, "--out", tmp_path / f"t{n}", *fields],
+                       tmp_path / f"t{n}") for n in (1, 2)]
+        assert [forks for forks, _ in runs] == [0, 1]
+        assert runs[0][1] == runs[1][1]
+        code, stdout, stderr, files = runs[1][1]
+        written = "{}.criterion.csv: {} elements x 4 levels"
+        if case == "partial":
+            assert code == EXIT_PARTIAL and stderr.startswith("given_1.csv: element 1 failed: element 1: ")
+            assert stdout.splitlines()[1] == written.format("given_1", 1)
+        elif case == "malformed-second":
+            assert code == EXIT_VALIDATION and stderr == f"error: {fields[1]}:2: non-finite value for element 0\n"
+            assert sorted(files) == ["field_000.criterion.csv", "field_000.criterion.npy"]
+        elif case == "all-failed-first":
+            assert code == EXIT_VALIDATION and stdout == "" and files is None
+            assert stderr.endswith(f"error: {fields[0]}: criterion failed for every element\n")
+        elif case == "repeated":
+            assert code == EXIT_OK and stdout.splitlines()[2] == "field_000.criterion.csv: up to date, skipped"
+        if code != EXIT_VALIDATION:  # every table and its sidecar, and no other file
+            assert sorted(files) == sorted(f"{path.stem}.criterion.{ext}" for path in set(fields) for ext in ("csv", "npy"))
+
+    @pytest.mark.parametrize("command", ["genfield", "criterion"])
+    def test_a_job_that_failed_in_a_child_runs_here_in_place(self, conf, tmp_path, monkeypatch, capsys, command):
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
+        argv = {"genfield": ["genfield", "--count", "3"],
+                "criterion": ["criterion", *sorted((tmp_path / "gen").glob("*.csv"))]}[command]
+        runs = [run_on(monkeypatch, capsys, 1, [*argv, "--config", conf, "--out", tmp_path / "one"], tmp_path / "one")]
+        parent, name = os.getpid(), {"genfield": "save_field", "criterion": "save_criterion_table"}[command]
+        save = getattr(porelife.field, name)
+
+        def save_here_only(path, *args, **kwargs):
+            if os.getpid() != parent:
+                raise OSError(f"no save in a child: {path}")
+            return save(path, *args, **kwargs)
+
+        monkeypatch.setattr(porelife.field, name, save_here_only)
+        runs.append(run_on(monkeypatch, capsys, 2, [*argv, "--config", conf, "--out", tmp_path / "two"], tmp_path / "two"))
+        assert [forks for forks, _ in runs] == [0, 1]
+        assert runs[0][1] == runs[1][1] and runs[1][1][0] == EXIT_OK
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_no_field_after_a_failed_one_is_solved_here(self, conf, tmp_path, monkeypatch, capsys, n_cpus):
+        solved, solve = [], porelife.cli._criterion
+        monkeypatch.setattr(porelife.cli, "_criterion", lambda *args: solved.append(None) or solve(*args))
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "2"]) == EXIT_OK
+        bad = tmp_path / "bad.csv"
+        bad.write_text(MALFORMED["field"])
+        forks, (code, stdout, _, files) = run_on(monkeypatch, capsys, n_cpus, [
+            "criterion", "--config", conf, "--out", tmp_path / "t", bad, *sorted((tmp_path / "gen").glob("*.csv"))],
+            tmp_path / "t")
+        assert (forks, code, stdout, files) == (n_cpus - 1, EXIT_VALIDATION, "", None)
+        assert solved == []  # this process's share stopped at the malformed first field
 
 
 class TestCalibrate:

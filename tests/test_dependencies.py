@@ -173,6 +173,24 @@ def test_single_start_calibrations_load_no_numpy_random(inputs, tmp_path, case):
     assert run_command(inputs, tmp_path, case, NUMPY_LOADED) == [0, []]
 
 
+#: Like ``PORELIFE_LOADED``, but prints the exit code and whether ``statistics`` was loaded.
+STATISTICS_LOADED = """
+import json, sys
+import porelife.cli
+from porelife.config import load_config
+load_config(None)
+code = porelife.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, "statistics" in sys.modules]))
+"""
+
+
+# statistics (with fractions and decimal) only draws genfield's pore radii
+@pytest.mark.parametrize("case", ["load_config", "criterion", "wohler"]
+                         + [case for case in COMMANDS if case.startswith("calibrate")])
+def test_only_the_pore_draws_load_statistics(inputs, tmp_path, case):
+    assert run_command(inputs, tmp_path, case, STATISTICS_LOADED) == [0, False]
+
+
 def test_the_integrator_names_are_return_mappings_objects():
     import porelife.return_mapping
 
@@ -181,7 +199,7 @@ def test_the_integrator_names_are_return_mappings_objects():
 
 
 @pytest.mark.parametrize("statement, modules", [
-    ("import porelife.optimize", ["porelife", "porelife.material", "porelife.optimize"]),
+    ("import porelife.optimize", ["porelife", "porelife.forks", "porelife.material", "porelife.optimize"]),
     ("from porelife.config import load_config; load_config(None)", ["porelife", "porelife.config", "porelife.material"]),
 ], ids=["optimize", "load_config"])
 def test_the_optimizer_and_the_config_load_no_likelihood(statement, modules):

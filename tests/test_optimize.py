@@ -19,7 +19,7 @@ from porelife.likelihood import (
     homogeneous_objective,
     structure_for,
 )
-from porelife import optimize
+import porelife.forks
 from porelife.optimize import (
     _from_internal,
     _to_internal,
@@ -132,6 +132,7 @@ def assert_same_run(new, old):
     assert as_bytes(new.fun) == as_bytes(old.fun)
     assert new.iterations == old.iterations
     assert new.evaluations == old.evaluations
+    assert new.stop == old.stop
     assert_same_trace(new.trace, old.trace)
 
 
@@ -180,7 +181,7 @@ class TestSimplexArray:
 def workers(monkeypatch, n):
     """Make ``calibrate`` see ``n`` usable CPUs, and count its forks in the returned list."""
     forks, fork = [], os.fork
-    monkeypatch.setattr(optimize, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: n)
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     return forks
 
@@ -256,6 +257,18 @@ class TestForkedStarts:
             counts.append([r.evaluations for r in result.start_results])
             assert sum(counts[-1]) == len(logged_calls(tmp_path / f"calls{n_workers}"))
         assert counts[0] == counts[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_each_start_records_why_it_stopped(self, monkeypatch, n_workers):
+        forks = workers(monkeypatch, n_workers)
+        stops = {}
+        for budget in (3, 200):  # m and A free: every start converges in fewer than 70 iterations
+            problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, free_mask=(True, True) + (False,) * 4,
+                                         budget=budget)
+            stops[budget] = [(r.stop, r.iterations < budget) for r in calibrate(problem, n_starts=3, seed=7).start_results]
+        assert len(forks) == 2 * (n_workers - 1)
+        assert stops == {3: [("budget", False)] * 3, 200: [("spread", True)] * 3}
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_workers", [2, 3])
@@ -341,7 +354,7 @@ class TestForkedStarts:
             forks.append(None)
             return fork()
 
-        monkeypatch.setattr(optimize, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: 3)
         monkeypatch.setattr(os, "fork", fork_once)
         problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=60)
         new, old = calibrate(problem, n_starts=5, seed=4), list_calibrate(problem, n_starts=5, seed=4)
@@ -352,18 +365,18 @@ class TestForkedStarts:
         assert_no_child_left()
 
     def test_one_worker_without_fork_or_beside_other_threads(self, monkeypatch):
-        assert optimize._usable_cpus() == len(os.sched_getaffinity(0))
+        assert porelife.forks.usable_cpus() == len(os.sched_getaffinity(0))
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(10.0,))
         thread.start()
         try:
-            assert optimize._usable_cpus() == 1
+            assert porelife.forks.usable_cpus() == 1
         finally:
             release.set()
             thread.join(10.0)
         assert not thread.is_alive()
         monkeypatch.delattr(os, "fork")
-        assert optimize._usable_cpus() == 1
+        assert porelife.forks.usable_cpus() == 1
 
 
 class TestInternalTransform:
