@@ -97,6 +97,21 @@ def _part(path: Path) -> Path:
     return path.with_name(path.name + ".part")
 
 
+def _into_place(part: Path, path: Path) -> None:
+    """Put the file a forked job wrote as ``part`` at ``path``, as the serial loop's write would have.
+
+    A rename where ``path`` is a regular file or nothing; else its bytes are
+    written to ``path``, which writes through a link and names ``path`` alone
+    in an error, such as for a directory standing there.
+    """
+    if path.is_symlink() or path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            fh.write(part.read_bytes())
+        part.unlink()
+    else:
+        os.replace(part, path)
+
+
 def _none_on_error(run):
     """``run``, returning ``None`` where it raises and for every later item in the same process.
 
@@ -114,6 +129,17 @@ def _none_on_error(run):
         return None
 
     return attempt
+
+
+def _structures(params: StrainLifeParams, table, levels) -> list:
+    """The table's :class:`porelife.weakest_link.StructureLifetime` at each level, each one ``held``.
+
+    See :func:`porelife.likelihood.held`: an error is raised where the structure is used.
+    """
+    from .likelihood import Heterogeneous, held, structure_for
+
+    model = Heterogeneous(table)
+    return [held(structure_for, params, model, level) for level in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +207,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
             if entry is None:  # its job raised or came after one that did: run it here, in order
                 entry = write(i, paths[i])
             else:
-                os.replace(_part(paths[i]), paths[i])
+                _into_place(_part(paths[i]), paths[i])
             manifest["fields"].append(entry)
     finally:  # the fields after one that failed
         for path in paths:
@@ -281,10 +307,11 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
                     line, wrote = _criterion_job(config, field_path, table_path, table_path, failure_lines)
                 else:
                     line, wrote, failure_lines = outcome
-                    if wrote:
-                        for part, path in zip(table_files(_part(table_path)), table_files(table_path)):
-                            if part.exists():  # a table gets no sidecar when the CSV reader would refuse it
-                                os.replace(part, path)
+                    if wrote:  # the table, then its sidecar, which the serial loop also renames into place
+                        (part, sidecar_part), sidecar = table_files(_part(table_path)), table_files(table_path)[1]
+                        _into_place(part, table_path)
+                        if sidecar_part.exists():  # a table gets no sidecar when the CSV reader would refuse it
+                            os.replace(sidecar_part, sidecar)
             finally:
                 for message in failure_lines:
                     print(message, file=sys.stderr)
@@ -342,9 +369,21 @@ def _fit(config: RunConfig, objective, free_mask):
 def cmd_calibrate(
     config: RunConfig, out, mode, observations, tables, homogeneous_observations, reduce_per_level
 ) -> int:
-    """Fit the fatigue model in one of the four likelihood modes."""
+    """Fit the fatigue model in one of the four likelihood modes.
+
+    Each table is reduced to its histograms at the amplitudes of the
+    observations assigned to it (see :class:`porelife.likelihood.ReducedTable`)
+    as it is loaded, so one table at a time is held.
+    """
     from .field import load_criterion_table
-    from .likelihood import ensure_failures, heterogeneous_objective, load_observations, unknown_pores_objective
+    from .likelihood import (
+        ReducedTable,
+        assigned_amplitudes,
+        ensure_failures,
+        heterogeneous_objective,
+        load_observations,
+        unknown_pores_objective,
+    )
     from .optimize import write_trace_csv
 
     if mode not in CALIBRATION_MODES:
@@ -355,14 +394,22 @@ def cmd_calibrate(
         raise ConfigError("joint mode needs --homogeneous-observations")
     observations = load_observations(observations)
     ensure_failures(observations)
-    tables = [load_criterion_table(p) for p in tables]
+    n_obs, n_tables = len(observations), len(tables)
+    if mode == "homogeneous" or mode == "heterogeneous" and 1 < n_tables != n_obs:
+        amplitudes = [()] * n_tables  # no objective reads these tables: only their loading can fail
+    elif mode == "heterogeneous":  # one table for every observation, or one each
+        assignments = None if n_tables == 1 else [(k,) for k in range(n_obs)]
+        amplitudes = assigned_amplitudes(observations, n_tables, assignments)
+    else:
+        assignments = _unknown_pores_assignments(n_obs, n_tables, config.n_k, config.seed)
+        amplitudes = assigned_amplitudes(observations, n_tables, assignments)
+    tables = [ReducedTable.of(load_criterion_table(p), a) for p, a in zip(tables, amplitudes)]
 
     if mode == "homogeneous":
         objective = _homogeneous_term(config, observations)
     elif mode == "heterogeneous":
         objective = heterogeneous_objective(observations, tables, config.runout_cycles)
     else:
-        assignments = _unknown_pores_assignments(len(observations), len(tables), config.n_k, config.seed)
         objective = unknown_pores_objective(observations, tables, config.runout_cycles, assignments)
 
     if mode == "joint":
@@ -403,20 +450,22 @@ def cmd_calibrate(
 # ---------------------------------------------------------------------------
 
 def cmd_wohler(config: RunConfig, out, params, tables) -> int:
-    """Pooled lifetime quantiles per load level across criterion tables."""
+    """Pooled lifetime quantiles per load level across criterion tables.
+
+    Each table is reduced to its structures (see :func:`_structures`) as it
+    is loaded, so one table at a time is held.
+    """
     from .field import load_criterion_table
-    from .likelihood import Heterogeneous, structure_for
+    from .likelihood import unheld
     from .weakest_link import wohler_quantiles, write_quantile_csv
 
     params = _load_params_arg(config, params)
-    tables = [load_criterion_table(p) for p in tables]
+    levels = config.load_levels
+    tables = [_structures(params, load_criterion_table(p), levels) for p in tables]
     if not tables:
         raise ConfigError("wohler needs at least one criterion table")
     out.mkdir(parents=True, exist_ok=True)
-    structs_per_level = {
-        level: [structure_for(params, Heterogeneous(t), level) for t in tables]
-        for level in config.load_levels
-    }
+    structs_per_level = {level: [unheld(row[i]) for row in tables] for i, level in enumerate(levels)}
     table = wohler_quantiles(
         structs_per_level,
         quantiles=config.quantiles,
@@ -425,7 +474,7 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
         runout_cycles=config.runout_cycles,
     )
     write_quantile_csv(out / "wohler.csv", table, config.quantiles)
-    print(f"wohler.csv: {len(config.load_levels)} levels x {len(tables)} fields")
+    print(f"wohler.csv: {len(levels)} levels x {len(tables)} fields")
     return EXIT_OK
 
 
@@ -443,23 +492,24 @@ def _pooled_median(structs, samples_per_struct, seed, runout_cycles) -> float:
     return float(part[half] if lifetimes.size % 2 else (part[half - 1] + part[half]) / 2.0)
 
 
-def synthesize_observations(params, tables, levels, samples_per_struct, seed, runout_cycles):
+def synthesize_observations(structs_by_table, levels, samples_per_struct, seed, runout_cycles):
     """Multi-scale-model lifetimes on known fields, censored at the cap.
 
+    ``structs_by_table[k][i]`` is field ``k``'s structure at ``levels[i]``.
     Each structure (table by table, level by level) draws from its own child
     of ``seed``; its failures are one row each, its run-outs one row that counts them.
     """
-    from .likelihood import Heterogeneous, ObservationArrays, structure_for
+    from .likelihood import ObservationArrays
     from .weakest_link import sample_lifetimes
 
-    children = iter(np.random.SeedSequence(seed).spawn(len(tables) * len(levels)))
+    children = iter(np.random.SeedSequence(seed).spawn(len(structs_by_table) * len(levels)))
     rows = []  # (sigma_a, n_cycles, censored, count) of each structure; its run-out row last, dropped if it counts none
-    for table, level in itertools.product(tables, levels):
-        struct = structure_for(params, Heterogeneous(table), level)
-        lifetimes, censored = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
-        cycles = np.append(lifetimes[~censored], runout_cycles)
-        rows.append((np.full(cycles.size, level), cycles, np.arange(cycles.size) == cycles.size - 1,
-                     np.append(np.ones(cycles.size - 1, dtype=np.int64), np.count_nonzero(censored))))
+    for structs in structs_by_table:
+        for struct, level in zip(structs, levels):
+            lifetimes, censored = sample_lifetimes(struct, samples_per_struct, next(children), runout_cycles)
+            cycles = np.append(lifetimes[~censored], runout_cycles)
+            rows.append((np.full(cycles.size, level), cycles, np.arange(cycles.size) == cycles.size - 1,
+                         np.append(np.ones(cycles.size - 1, dtype=np.int64), np.count_nonzero(censored))))
     sigma_a, n_cycles, censored, count = map(np.concatenate, zip(*rows))
     return ObservationArrays(*(column[count > 0] for column in (sigma_a, n_cycles, censored, count)))
 
@@ -472,12 +522,10 @@ def fit_homogenized_model(config: RunConfig, observations) -> StrainLifeParams:
     return _fit(config, _homogeneous_term(config, observations), one_line_mask()).params
 
 
-def _challenge_table(config: RunConfig, table, flag, seed, n_pores, notch_kt, notch_volume_fraction):
-    """``table`` if given, else one computed on a notched synthetic field (``flag`` supplies it)."""
+def _challenge_table(config: RunConfig, flag, seed, n_pores, notch_kt, notch_volume_fraction):
+    """A table computed on a notched synthetic field, standing in for the one ``flag`` would supply."""
     from .field import notch_variant, synth_field_report
 
-    if table is not None:
-        return table
     field, _ = synth_field_report(config.pores, config.shells, seed, nu=config.material.nu, n_pores=n_pores)
     try:
         return _criterion(config, notch_variant(field, notch_kt, notch_volume_fraction))
@@ -494,28 +542,37 @@ def cmd_homogenize(
     cylinder fields, fits a 0D homogenized model (B) on them, then compares
     the two models' median predictions on the cylinder and on a high-Kt
     challenge geometry (porous for A, pore-free for B).  Challenge tables
-    are generated from the config when not supplied.
+    are generated from the config when not supplied.  Each table is reduced
+    as it is loaded or made, so one table at a time is held: the cylinder and
+    porous tables to model A's structures (see :func:`_structures`), the bare
+    one to its histograms (see :class:`porelife.likelihood.ReducedTable`).
     """
     from .field import load_criterion_table
-    from .likelihood import Heterogeneous, structure_for
+    from .likelihood import Heterogeneous, ReducedTable, structure_for, unheld
 
     if challenge_porous is None or challenge_bare is None:
         _check_notch(notch_kt, notch_volume_fraction)
     params_a = _load_params_arg(config, params)
-    cylinder_tables = [load_criterion_table(p) for p in tables]
-    if not cylinder_tables:
-        raise ConfigError("homogenize needs at least one cylinder criterion table")
-    porous, bare = (None if p is None else load_criterion_table(p) for p in (challenge_porous, challenge_bare))
     levels = config.load_levels
+    cylinder = [_structures(params_a, load_criterion_table(p), levels) for p in tables]
+    if not cylinder:
+        raise ConfigError("homogenize needs at least one cylinder criterion table")
+    porous = bare = None
+    if challenge_porous is not None:
+        porous = _structures(params_a, load_criterion_table(challenge_porous), levels)
+    if challenge_bare is not None:
+        bare = ReducedTable.of(load_criterion_table(challenge_bare), levels)
     # challenge tables first: a failing one stops the run before the fit, and their solve peaks without the fit's arrays
-    porous_seed = np.random.SeedSequence(config.seed).spawn(len(cylinder_tables) + 1)[-1]
-    porous = _challenge_table(config, porous, "--challenge-porous", porous_seed, None, notch_kt, notch_volume_fraction)
-    bare = _challenge_table(config, bare, "--challenge-bare", config.seed, 0, notch_kt, notch_volume_fraction)
+    notch = (notch_kt, notch_volume_fraction)
+    if porous is None:
+        seed = np.random.SeedSequence(config.seed).spawn(len(cylinder) + 1)[-1]
+        porous = _structures(params_a, _challenge_table(config, "--challenge-porous", seed, None, *notch), levels)
+    if bare is None:
+        bare = ReducedTable.of(_challenge_table(config, "--challenge-bare", config.seed, 0, *notch), levels)
 
-    observations = synthesize_observations(
-        params_a, cylinder_tables, levels, config.samples_per_struct, config.seed, config.runout_cycles
-    )
-    params_b = fit_homogenized_model(config, observations)
+    cylinder = [[unheld(struct) for struct in structs] for structs in cylinder]
+    samples, runout = config.samples_per_struct, config.runout_cycles
+    params_b = fit_homogenized_model(config, synthesize_observations(cylinder, levels, samples, config.seed, runout))
 
     report = {
         "model_a": dataclasses.asdict(params_a),
@@ -525,13 +582,11 @@ def cmd_homogenize(
         "cylinder": {"median_A": [], "median_B": []},
         "challenge": {"median_A": [], "median_B": []},
     }
-    for level in levels:
-        structs_a = [structure_for(params_a, Heterogeneous(t), level) for t in cylinder_tables]
-        report["cylinder"]["median_A"].append(
-            _pooled_median(structs_a, config.samples_per_struct, config.seed, config.runout_cycles)
-        )
+    for i, level in enumerate(levels):
+        structs_a = [structs[i] for structs in cylinder]
+        report["cylinder"]["median_A"].append(_pooled_median(structs_a, samples, config.seed, runout))
         report["cylinder"]["median_B"].append(_gauge_structure(params_b, config, level).median())
-        report["challenge"]["median_A"].append(structure_for(params_a, Heterogeneous(porous), level).median())
+        report["challenge"]["median_A"].append(unheld(porous[i]).median())
         report["challenge"]["median_B"].append(structure_for(params_b, Heterogeneous(bare), level).median())
     out.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no --out behind
     _write_json(out / "homogenize.json", report)

@@ -5,9 +5,10 @@ stress in the gauge), heterogeneous specimens with a known per-element
 criterion table, and specimens whose pore distribution is unknown, where the
 likelihood marginalizes over a set of synthetic realizations by Monte Carlo
 averaging of the per-realization densities.  Every structure enters as a
-histogram of volume over distinct strain amplitudes.  Run-outs contribute
-their survival probability at the test cap.  A small floor inside every
-logarithm keeps the objective finite.
+histogram of volume over distinct strain amplitudes, so a table can be
+reduced to its histograms before the objective is built (:class:`ReducedTable`).
+Run-outs contribute their survival probability at the test cap.  A small
+floor inside every logarithm keeps the objective finite.
 """
 from __future__ import annotations
 
@@ -141,9 +142,9 @@ class Homogeneous:
 
 @dataclass(frozen=True, eq=False)
 class Heterogeneous:
-    """Known per-element criterion table of one specimen."""
+    """Known per-element criterion table of one specimen, or its :class:`ReducedTable`."""
 
-    table: CriterionTable
+    table: CriterionTable | ReducedTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +162,64 @@ class UnknownPores:
 SpecimenModel = Homogeneous | Heterogeneous | UnknownPores
 
 
-def _histogram(structure: Homogeneous | CriterionTable, sigma_a: float):
+def held(run, *args):
+    """``run(*args)``, or the exception it raises, kept without its traceback (whose frames hold their tables)."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
+def unheld(value):
+    """``value``, raised where it is an exception that :func:`held` kept."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedTable:
+    """A criterion table reduced to its volume histograms at the amplitudes asked of it.
+
+    It stands in for the table wherever the likelihood reads one, which is
+    only through :func:`_histogram`, so a command can drop each table as
+    soon as it is loaded.  ``histograms`` maps each amplitude to its
+    :func:`held` histogram: the error computing it raised (an amplitude off
+    the table's grid) is raised where that amplitude is asked for.
+    """
+
+    histograms: dict
+
+    @classmethod
+    def of(cls, table: CriterionTable, amplitudes) -> ReducedTable:
+        return cls({sigma_a: held(_histogram, table, sigma_a) for sigma_a in amplitudes})
+
+
+def _histogram(structure: Homogeneous | CriterionTable | ReducedTable, sigma_a: float):
     """Distinct strain amplitudes of a structure at a load, and the volume at each."""
     if isinstance(structure, Homogeneous):
         return np.array([sigma_a / structure.youngs_modulus]), np.array([structure.volume])
+    if isinstance(structure, ReducedTable):
+        return unheld(structure.histograms[sigma_a])
     distinct, inverse = np.unique(0.5 * structure.interpolate(sigma_a), return_inverse=True)
     return distinct, np.bincount(inverse, weights=structure.volumes, minlength=distinct.size)
+
+
+def assigned_amplitudes(observations, n_tables: int, assignments=None) -> list:
+    """Per table, the distinct amplitudes at which an objective histograms it.
+
+    They are the amplitudes of the observations assigned to the table
+    (``assignments`` as for :func:`unknown_pores_objective`; every
+    observation's when it is None).  A :class:`ReducedTable` at them gives
+    the objective the table's own segments.
+    """
+    amps, amp_index = np.unique(ObservationArrays.of(observations).sigma_a, return_inverse=True)
+    if assignments is None:
+        return [amps] * n_tables
+    assigned = np.zeros((n_tables, amps.size), dtype=bool)
+    for tables, i in zip(assignments, amp_index.tolist()):
+        assigned[list(tables), i] = True
+    return [amps[row] for row in assigned]
 
 
 class _Segments:
@@ -322,7 +375,7 @@ def heterogeneous_objective(
     (table, amplitude) pairs, so a shared table is histogrammed once per level.
     """
     obs = ObservationArrays.of(observations)
-    tables = [tables] if isinstance(tables, CriterionTable) else list(tables)
+    tables = [tables] if isinstance(tables, (CriterionTable, ReducedTable)) else list(tables)
     if len(tables) == 1:
         return _Kernel(obs, tables, None, runout_cycles)
     if len(tables) != len(obs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import porelife.forks
 from porelife.material_point import ALSI7MG
 
 # Property tests without their own deadline run under this profile; a failing
@@ -21,6 +22,33 @@ def material():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class UsableCpus:
+    """What ``porelife.forks.usable_cpus`` returns during a test (``n``), and the forks made since it was set."""
+
+    def __init__(self, monkeypatch):
+        self.n, self.forks, self._monkeypatch = 1, [], monkeypatch
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: self.forks.append(None) or fork())
+
+    def set(self, n: int) -> "UsableCpus":
+        """See ``n`` usable CPUs from now on, with no fork counted yet."""
+        self.n, self.forks = n, []
+        self._monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: n)
+        return self
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """A :class:`UsableCpus` for a test that sets the count itself, such as one comparing counts in its body."""
+    return UsableCpus(monkeypatch)
+
+
+@pytest.fixture(params=[1, 2])
+def cpus(request, usable_cpus):
+    """The test on 1 and on 2 usable CPUs: a :class:`UsableCpus` (indirect parametrization gives other counts)."""
+    return usable_cpus.set(request.param)
 
 
 @pytest.fixture(autouse=True)

@@ -374,7 +374,8 @@ def test_criterion_10_homogenization_transferability():
     )
     fields = [synth_field(stats, seed=s) for s in range(10)]
     tables = [criterion_table(f, config.material, levels) for f in fields]
-    observations = synthesize_observations(mu_a, tables, levels, 1000, config.seed, config.runout_cycles)
+    structs_by_table = [[structure_for(mu_a, Heterogeneous(t), level) for level in levels] for t in tables]
+    observations = synthesize_observations(structs_by_table, levels, 1000, config.seed, config.runout_cycles)
     mu_b = fit_homogenized_model(config, observations)
 
     porous_challenge = criterion_table(notch_variant(fields[0], 2.2, 0.02), config.material, levels)

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -547,20 +548,18 @@ class TestCriterion:
         assert_refused_without_out(capsys, argv, out, field)
 
 
-def run_on(monkeypatch, capsys, n_cpus, argv, out):
-    """``main(argv)`` seeing ``n_cpus`` usable CPUs: its forks, and its exit code, stdout, stderr and files.
+def run_on(cpus, capsys, argv, out):
+    """``main(argv)`` seeing ``cpus.n`` usable CPUs: its forks, and its exit code, stdout, stderr and files.
 
-    The files are ``None`` when there is no ``out``, else a dict of the bytes under it; the name of ``out``
-    in stderr reads ``OUT``.
+    The files are ``None`` when there is no ``out``, else a dict of the bytes under it (read through a
+    link); the name of ``out`` in stderr reads ``OUT``.
     """
-    forks, fork = [], os.fork
-    monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: n_cpus)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    cpus.set(cpus.n)
     capsys.readouterr()
     code = main([str(arg) for arg in argv])
     stdout, stderr = capsys.readouterr()
     files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()} if out.exists() else None
-    return len(forks), (code, stdout, stderr.replace(str(out), "OUT"), files)
+    return len(cpus.forks), (code, stdout, stderr.replace(str(out), "OUT"), files)
 
 
 #: id -> the contents of three field files; ``None`` is a generated field, ``"repeat"`` the first file again.
@@ -577,8 +576,8 @@ FIELD_SETS = {
 class TestForkedFields:
     """``genfield`` and ``criterion`` on two usable CPUs give the exit code, output and files of one."""
 
-    def test_genfield(self, conf, tmp_path, monkeypatch, capsys):
-        runs = [run_on(monkeypatch, capsys, n, ["genfield", "--config", conf, "--out", tmp_path / f"f{n}",
+    def test_genfield(self, conf, tmp_path, usable_cpus, capsys):
+        runs = [run_on(usable_cpus.set(n), capsys, ["genfield", "--config", conf, "--out", tmp_path / f"f{n}",
                                                 "--count", "3"], tmp_path / f"f{n}") for n in (1, 2)]
         assert [forks for forks, _ in runs] == [0, 1]
         assert runs[0][1] == runs[1][1]
@@ -587,7 +586,7 @@ class TestForkedFields:
         assert sorted(files) == ["field_000.csv", "field_001.csv", "field_002.csv", "manifest.json"]
 
     @pytest.mark.parametrize("case", FIELD_SETS)
-    def test_criterion(self, conf, tmp_path, monkeypatch, capsys, case):
+    def test_criterion(self, conf, tmp_path, usable_cpus, capsys, case):
         assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--pores", "2",
                      "--count", "3"]) == EXIT_OK
         fields = []
@@ -599,7 +598,7 @@ class TestForkedFields:
             else:
                 fields.append(tmp_path / f"given_{i}.csv")
                 fields[-1].write_text(text)
-        runs = [run_on(monkeypatch, capsys, n, ["criterion", "--config", conf, "--out", tmp_path / f"t{n}", *fields],
+        runs = [run_on(usable_cpus.set(n), capsys, ["criterion", "--config", conf, "--out", tmp_path / f"t{n}", *fields],
                        tmp_path / f"t{n}") for n in (1, 2)]
         assert [forks for forks, _ in runs] == [0, 1]
         assert runs[0][1] == runs[1][1]
@@ -620,11 +619,12 @@ class TestForkedFields:
             assert sorted(files) == sorted(f"{path.stem}.criterion.{ext}" for path in set(fields) for ext in ("csv", "npy"))
 
     @pytest.mark.parametrize("command", ["genfield", "criterion"])
-    def test_a_job_that_failed_in_a_child_runs_here_in_place(self, conf, tmp_path, monkeypatch, capsys, command):
+    def test_a_job_that_failed_in_a_child_runs_here_in_place(self, conf, tmp_path, monkeypatch, usable_cpus, capsys,
+                                                             command):
         assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
         argv = {"genfield": ["genfield", "--count", "3"],
                 "criterion": ["criterion", *sorted((tmp_path / "gen").glob("*.csv"))]}[command]
-        runs = [run_on(monkeypatch, capsys, 1, [*argv, "--config", conf, "--out", tmp_path / "one"], tmp_path / "one")]
+        runs = [run_on(usable_cpus.set(1), capsys, [*argv, "--config", conf, "--out", tmp_path / "one"], tmp_path / "one")]
         parent, name = os.getpid(), {"genfield": "save_field", "criterion": "save_criterion_table"}[command]
         save = getattr(porelife.field, name)
 
@@ -634,22 +634,50 @@ class TestForkedFields:
             return save(path, *args, **kwargs)
 
         monkeypatch.setattr(porelife.field, name, save_here_only)
-        runs.append(run_on(monkeypatch, capsys, 2, [*argv, "--config", conf, "--out", tmp_path / "two"], tmp_path / "two"))
+        runs.append(run_on(usable_cpus.set(2), capsys, [*argv, "--config", conf, "--out", tmp_path / "two"], tmp_path / "two"))
         assert [forks for forks, _ in runs] == [0, 1]
         assert runs[0][1] == runs[1][1] and runs[1][1][0] == EXIT_OK
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_no_field_after_a_failed_one_is_solved_here(self, conf, tmp_path, monkeypatch, capsys, n_cpus):
+    def test_no_field_after_a_failed_one_is_solved_here(self, conf, tmp_path, monkeypatch, capsys, cpus):
         solved, solve = [], porelife.cli._criterion
         monkeypatch.setattr(porelife.cli, "_criterion", lambda *args: solved.append(None) or solve(*args))
         assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "2"]) == EXIT_OK
         bad = tmp_path / "bad.csv"
         bad.write_text(MALFORMED["field"])
-        forks, (code, stdout, _, files) = run_on(monkeypatch, capsys, n_cpus, [
+        forks, (code, stdout, _, files) = run_on(cpus, capsys, [
             "criterion", "--config", conf, "--out", tmp_path / "t", bad, *sorted((tmp_path / "gen").glob("*.csv"))],
             tmp_path / "t")
-        assert (forks, code, stdout, files) == (n_cpus - 1, EXIT_VALIDATION, "", None)
+        assert (forks, code, stdout, files) == (cpus.n - 1, EXIT_VALIDATION, "", None)
         assert solved == []  # this process's share stopped at the malformed first field
+
+    @pytest.mark.parametrize("standing", ["link", "directory"])
+    @pytest.mark.parametrize("command", ["genfield", "criterion"])
+    def test_an_output_path_taken_by_a_link_or_a_directory(self, conf, tmp_path, capsys, cpus, command, standing):
+        """A link there is written through; a directory there is named alone in the error, as by the serial loop."""
+        fields = []
+        if command == "criterion":
+            assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
+            fields = sorted((tmp_path / "gen").glob("*.csv"))
+        argv = [command, "--count", "3"] if command == "genfield" else [command, *fields]
+        name = "field_001.csv" if command == "genfield" else "field_001.criterion.csv"
+        _, clean = run_on(cpus, capsys, [*argv, "--config", conf, "--out", tmp_path / "clean"], tmp_path / "clean")
+        out, target = tmp_path / "out", tmp_path / "elsewhere" / "target.csv"
+        out.mkdir()
+        target.parent.mkdir()
+        if standing == "link":
+            (out / name).symlink_to(target)
+        else:
+            (out / name).mkdir()
+        forks, (code, stdout, stderr, files) = run_on(cpus, capsys, [*argv, "--config", conf, "--out", out], out)
+        assert forks == cpus.n - 1
+        if standing == "link":
+            assert (code, stdout, stderr, files) == clean  # the table's sidecar is a file of its own, as serially
+            assert os.readlink(out / name) == str(target) and target.read_bytes() == clean[3][name]
+        else:
+            assert (code, stderr) == (EXIT_VALIDATION, f"error: [Errno 21] Is a directory: 'OUT/{name}'\n")
+            assert stdout == "".join(clean[1].splitlines(keepends=True)[:1 if command == "criterion" else 0])
+            assert files == {path: data for path, data in clean[3].items() if path.startswith("field_000.")}
+            assert (out / name).is_dir() and list((out / name).iterdir()) == []
 
 
 class TestCalibrate:
@@ -931,7 +959,8 @@ class TestHomogenize:
             )
             for k in (1.5, 2.2)
         ]
-        arrays = synthesize_observations(params, tables, levels, 200, 7, 2e6)
+        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        arrays = synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
         children = iter(np.random.SeedSequence(7).spawn(len(tables) * len(levels)))
         objects = []
         for table in tables:
@@ -1011,7 +1040,7 @@ class TestHomogenize:
         ]
         structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
         assert any(s.is_infinite for row in structs_by_table for s in row) == (n_tables == 2)
-        arrays = synthesize_observations(params, tables, levels, 200, 7, 2e6)
+        arrays = synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
         want = aggregate_runouts(*loop_synthesize_observations(structs_by_table, levels, 200, 7, 2e6), 200)
         for got, expected in zip((arrays.sigma_a, arrays.n_cycles, arrays.censored, arrays.count), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -1023,7 +1052,7 @@ class TestHomogenize:
                                  delta_eps=np.outer([1.0, k], levels) * 2.0 / 75500.0) for k in (1.5, 2.2)]
         structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
         failures = np.count_nonzero(~loop_synthesize_observations(structs_by_table, levels, 300, 3, 2e6)[2])
-        arrays = synthesize_observations(params, tables, levels, 300, 3, 2e6)
+        arrays = synthesize_observations(structs_by_table, levels, 300, 3, 2e6)
         structures = len(tables) * len(levels)
         assert 0 < failures < structures * 300
         assert len(arrays) <= failures + structures
@@ -1065,3 +1094,112 @@ class TestExitCodes:
             "--mode", "homogeneous", "--observations", str(tmp_path / "nope.csv"),
         ])
         assert rc == EXIT_VALIDATION
+
+
+#: Load levels of one-element tables: on SMALL_CONF's grid, and off it at 100 MPa ("A") or at 40 MPa ("B").
+GRIDS = {"good": (40.0, 60.0, 80.0, 100.0), "A": (40.0, 60.0, 80.0), "B": (60.0, 80.0, 100.0)}
+#: One row per table of a three-table heterogeneous run: table 1 is asked at 100 MPa, table 2 at 40 MPa.
+THREE_ROWS = "sigma_a_MPa,n_cycles,censored\n60,1e5,0\n100,2e4,0\n40,1e6,1\n"
+OFF_A = "amplitude 100.0 MPa outside the table grid [40.0, 80.0]"
+OFF_B = "amplitude 40.0 MPa outside the table grid [60.0, 100.0]"
+MALFORMED_TABLE = "{}:1: expected header 'element_id,load_MPa,delta_eps,volume_mm3'"
+
+
+def write_tables(directory, names):
+    """One table file per name (a key of GRIDS, or "malformed"), in order."""
+    directory.mkdir(exist_ok=True)
+    paths = []
+    for i, name in enumerate(names):
+        paths.append(directory / f"{i}-{name}.criterion.csv")
+        if name == "malformed":
+            paths[-1].write_text(MALFORMED["table"])
+        else:
+            levels = GRIDS[name]
+            save_criterion_table(paths[-1], CriterionTable(
+                element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[2 * lv / 75500.0 for lv in levels]]))
+    return paths
+
+
+def table_argv(conf, tmp_path, command, names, rows=THREE_ROWS, porous=None, bare=None):
+    """argv of ``command`` (``wohler``, ``homogenize`` or a calibrate mode) on the tables ``names``, and its --out."""
+    tables = write_tables(tmp_path / "tables", names)
+    out = tmp_path / "out"
+    challenges = dict(zip(("porous", "bare"), write_tables(tmp_path / "challenge", [porous or "good", bare or "good"])))
+    if command == "wohler":
+        return ["wohler", "--config", conf, "--out", out, *tables], out, tables
+    if command == "homogenize":
+        return ["homogenize", "--config", conf, "--out", out, "--challenge-porous", challenges["porous"],
+                "--challenge-bare", challenges["bare"], *tables], out, [*tables, *challenges.values()]
+    (tmp_path / "obs.csv").write_text(rows)
+    (tmp_path / "hom.csv").write_text(MALFORMED["observations"])  # read after the tables, so never its error here
+    extra = ["--homogeneous-observations", tmp_path / "hom.csv"] if command == "joint" else []
+    return ["calibrate", "--config", conf, "--out", out, "--mode", command, "--observations", tmp_path / "obs.csv",
+            "--tables", *tables, *extra], out, tables
+
+
+#: id -> (command, table names, observation rows or None, (porous, bare)), and what the run gives:
+#: exit code, stderr (``{}`` stands for the malformed table), and whether --out is left (empty).
+PRECEDENCE = {
+    "wohler-malformed-after-off-grid": ("wohler", ["good", "A", "malformed"], None, (None, None),
+                                        (EXIT_VALIDATION, MALFORMED_TABLE, False)),
+    # level by level: B is off at the first level, A at the last
+    "wohler-off-grid": ("wohler", ["good", "A", "B"], None, (None, None), (EXIT_VALIDATION, OFF_B, True)),
+    "homogenize-malformed-after-off-grid": ("homogenize", ["good", "A", "malformed"], None, (None, None),
+                                            (EXIT_VALIDATION, MALFORMED_TABLE, False)),
+    # table by table, before the fit
+    "homogenize-off-grid": ("homogenize", ["good", "A", "B"], None, (None, None), (EXIT_VALIDATION, OFF_A, False)),
+    # a challenge table loads before any cylinder structure is used
+    "homogenize-malformed-challenge-after-off-grid": ("homogenize", ["good", "A", "good"], None, (None, "malformed"),
+                                                      (EXIT_VALIDATION, MALFORMED_TABLE, False)),
+    # after the fit, level by level, porous before bare: bare (B) is off at the first level, porous (A) at the last
+    "homogenize-off-grid-challenges": ("homogenize", ["good", "good", "good"], None, ("A", "B"),
+                                       (EXIT_VALIDATION, OFF_B, False)),
+    **{f"{mode}-malformed-after-off-grid": (mode, ["good", "A", "malformed"], THREE_ROWS, (None, None),
+                                            (EXIT_VALIDATION, MALFORMED_TABLE, False))
+       for mode in ("heterogeneous", "unknown-pores", "joint")},
+    # one table per row: table 1 (A) is asked at 100 MPa before table 2 (B) at 40 MPa
+    "heterogeneous-off-grid": ("heterogeneous", ["good", "A", "B"], THREE_ROWS, (None, None),
+                               (EXIT_VALIDATION, OFF_A, False)),
+    # every table at every amplitude, amplitude by amplitude: B at 40 MPa comes first
+    **{f"{mode}-off-grid": (mode, ["good", "A", "B"], THREE_ROWS, (None, None), (EXIT_VALIDATION, OFF_B, False))
+       for mode in ("unknown-pores", "joint")},
+    "heterogeneous-count-mismatch-then-malformed": ("heterogeneous", ["good", "good", "malformed"],
+                                                    THREE_ROWS.rsplit("\n", 2)[0] + "\n", (None, None),
+                                                    (EXIT_VALIDATION, MALFORMED_TABLE, False)),
+    # refused on the count: no table is histogrammed, so neither off-grid one raises
+    "heterogeneous-count-mismatch-off-grid": ("heterogeneous", ["good", "A", "B"],
+                                              THREE_ROWS.rsplit("\n", 2)[0] + "\n", (None, None),
+                                              (EXIT_VALIDATION, "2 observations but 3 tables", False)),
+}
+
+
+class TestOneTableAtATime:
+    """wohler, homogenize and calibrate reduce each table as they load it, with the errors and outputs of loading all first."""
+
+    @pytest.mark.parametrize("case", PRECEDENCE)
+    def test_errors_in_the_order_of_loading_every_table_first(self, conf, tmp_path, capsys, case):
+        command, names, rows, (porous, bare), (code, message, out_left) = PRECEDENCE[case]
+        argv, out, tables = table_argv(conf, tmp_path, command, names, rows or THREE_ROWS, porous, bare)
+        malformed = next((path for path in tables if "malformed" in path.name), None)
+        assert main([str(arg) for arg in argv]) == code
+        assert capsys.readouterr() == ("", f"error: {message.format(malformed)}\n")
+        assert (sorted(out.iterdir()) if out.exists() else None) == ([] if out_left else None)
+
+    @pytest.mark.parametrize("names", [["good"] * 3, ["good", "A", "good"]], ids=["on-grid", "one-off-grid"])
+    @pytest.mark.parametrize("command", ["wohler", "homogenize", "heterogeneous", "unknown-pores", "joint"])
+    def test_no_table_outlives_its_reduction(self, conf, tmp_path, monkeypatch, command, names):
+        """Also where a table's reduction raised: the error it keeps holds no frame of the table."""
+        argv, out, _ = table_argv(conf, tmp_path, command, names)
+        if command == "joint":
+            write_synthetic_obs(tmp_path / "hom.csv")
+        loaded, load = [], porelife.field.load_criterion_table
+
+        def load_alone(path):
+            assert [ref() for ref in loaded if ref() is not None] == [], f"a table is alive as {path} loads"
+            table = load(path)
+            loaded.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(porelife.field, "load_criterion_table", load_alone)
+        assert main([str(arg) for arg in argv]) == (EXIT_VALIDATION if "A" in names else EXIT_OK)
+        assert len(loaded) == (5 if command == "homogenize" else 3)

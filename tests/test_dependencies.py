@@ -130,12 +130,14 @@ from pathlib import Path
 from porelife.cli import _gauge_structure, _pooled_median, cmd_calibrate, fit_homogenized_model, synthesize_observations
 from porelife.config import load_config
 from porelife.field import load_criterion_table
+from porelife.likelihood import Heterogeneous, structure_for
 config = load_config(sys.argv[1])
 table, observations, homogeneous, out = sys.argv[2], *map(Path, sys.argv[3:])
 structs = [_gauge_structure(config.fatigue, config, level) for level in config.load_levels]
 median = _pooled_median(structs, config.samples_per_struct, config.seed, config.runout_cycles)
-synthetic = synthesize_observations(config.fatigue, [load_criterion_table(table)], config.load_levels,
-                                    config.samples_per_struct, config.seed, config.runout_cycles)
+model = Heterogeneous(load_criterion_table(table))
+synthetic = synthesize_observations([[structure_for(config.fatigue, model, level) for level in config.load_levels]],
+                                    config.load_levels, config.samples_per_struct, config.seed, config.runout_cycles)
 fitted = fit_homogenized_model(config, synthetic)
 codes = [cmd_calibrate(config, out / mode, mode, observations, [Path(table)], homogeneous, True)
          for mode in ("homogeneous", "heterogeneous", "unknown-pores", "joint")]

@@ -178,14 +178,6 @@ class TestSimplexArray:
         assert_same_trace(new.trace, old.trace)
 
 
-def workers(monkeypatch, n):
-    """Make ``calibrate`` see ``n`` usable CPUs, and count its forks in the returned list."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: n)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    return forks
-
-
 def logged(objective, path):
     """``objective`` that appends the bytes of every parameter vector it is given to the file ``path``.
 
@@ -223,9 +215,8 @@ class TestForkedStarts:
     """The starts run in forked children, one share per usable CPU, exactly as the serial list copy."""
 
     @pytest.mark.parametrize("n_starts", range(1, 7))
-    @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_equals_list_copy(self, monkeypatch, tmp_path, n_workers, n_starts):
-        forks = workers(monkeypatch, n_workers)
+    @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+    def test_equals_list_copy(self, tmp_path, cpus, n_starts):
         objective_new, fd_new = logged(SMALL_OBJECTIVE, tmp_path / "new")
         objective_old, fd_old = logged(SMALL_OBJECTIVE, tmp_path / "old")
         try:
@@ -234,7 +225,7 @@ class TestForkedStarts:
         finally:
             os.close(fd_new)
             os.close(fd_old)
-        assert len(forks) == min(n_workers, n_starts) - 1
+        assert len(cpus.forks) == min(cpus.n, n_starts) - 1
         assert len(new.start_results) == len(old.start_results) == n_starts
         for run_new, run_old in zip(new.start_results, old.start_results):
             assert_same_run(run_new, run_old)
@@ -244,10 +235,10 @@ class TestForkedStarts:
         assert logged_calls(tmp_path / "new") == logged_calls(tmp_path / "old")
         assert_no_child_left()
 
-    def test_evaluations_are_the_objective_calls_of_each_start(self, monkeypatch, tmp_path):
+    def test_evaluations_are_the_objective_calls_of_each_start(self, tmp_path, usable_cpus):
         counts = []
         for n_workers in (1, 2):
-            forks = workers(monkeypatch, n_workers)
+            forks = usable_cpus.set(n_workers).forks
             objective, fd = logged(SMALL_OBJECTIVE, tmp_path / f"calls{n_workers}")
             try:
                 result = calibrate(CalibrationProblem(objective=objective, x0=TRUE, budget=60), n_starts=3, seed=7)
@@ -259,20 +250,18 @@ class TestForkedStarts:
         assert counts[0] == counts[1]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_each_start_records_why_it_stopped(self, monkeypatch, n_workers):
-        forks = workers(monkeypatch, n_workers)
+    def test_each_start_records_why_it_stopped(self, cpus):
         stops = {}
         for budget in (3, 200):  # m and A free: every start converges in fewer than 70 iterations
             problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, free_mask=(True, True) + (False,) * 4,
                                          budget=budget)
             stops[budget] = [(r.stop, r.iterations < budget) for r in calibrate(problem, n_starts=3, seed=7).start_results]
-        assert len(forks) == 2 * (n_workers - 1)
+        assert len(cpus.forks) == 2 * (cpus.n - 1)
         assert stops == {3: [("budget", False)] * 3, 200: [("spread", True)] * 3}
         assert_no_child_left()
 
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_unpicklable_error_in_a_child_share_raised_as_serially(self, monkeypatch, n_workers):
+    @pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+    def test_unpicklable_error_in_a_child_share_raised_as_serially(self, cpus):
         class Unpicklable(RuntimeError):  # local, and its constructor takes two arguments
             def __init__(self, start, value):
                 super().__init__(f"start {start} failed at m = {value!r}")
@@ -286,17 +275,18 @@ class TestForkedStarts:
             return SMALL_OBJECTIVE(params)
 
         problem.objective = objective
-        workers(monkeypatch, 1)
+        n_workers = cpus.n
+        cpus.set(1)
         with pytest.raises(Unpicklable) as serial:
             calibrate(problem, n_starts=4, seed=3)
-        forks = workers(monkeypatch, n_workers)
+        cpus.set(n_workers)
         with pytest.raises(Unpicklable) as forked:
             calibrate(problem, n_starts=4, seed=3)
-        assert len(forks) == n_workers - 1
+        assert len(cpus.forks) == n_workers - 1
         assert str(forked.value) == str(serial.value)
         assert_no_child_left()
 
-    def test_killed_child_share_run_again_here(self, monkeypatch):
+    def test_killed_child_share_run_again_here(self, usable_cpus):
         parent, calls = os.getpid(), []
 
         def objective(params):
@@ -305,7 +295,7 @@ class TestForkedStarts:
                 os.kill(os.getpid(), signal.SIGKILL)
             return SMALL_OBJECTIVE(params)
 
-        forks = workers(monkeypatch, 3)
+        forks = usable_cpus.set(3).forks
         problem = CalibrationProblem(objective=objective, x0=TRUE, budget=60)
         new = calibrate(problem, n_starts=5, seed=2)
         old = list_calibrate(CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=60), n_starts=5, seed=2)
@@ -315,7 +305,7 @@ class TestForkedStarts:
         assert_same_trace(new.trace, old.trace)
         assert_no_child_left()
 
-    def test_children_killed_when_this_process_share_raises(self, monkeypatch):
+    def test_children_killed_when_this_process_share_raises(self, usable_cpus):
         parent = os.getpid()
 
         def objective(params):
@@ -323,14 +313,14 @@ class TestForkedStarts:
                 raise ArithmeticError("start 0 failed")
             time.sleep(60)  # a child that is not killed holds the call up
 
-        workers(monkeypatch, 3)
+        usable_cpus.set(3)
         started = time.perf_counter()
         with pytest.raises(ArithmeticError, match="start 0 failed"):
             calibrate(CalibrationProblem(objective=objective, x0=TRUE, budget=10), n_starts=3)
         assert time.perf_counter() - started < 30.0
         assert_no_child_left()
 
-    def test_exit_hooks_do_not_run_in_children(self, monkeypatch, tmp_path):
+    def test_exit_hooks_do_not_run_in_children(self, tmp_path, usable_cpus):
         marker = tmp_path / "hook-ran"
 
         def hook():
@@ -338,14 +328,14 @@ class TestForkedStarts:
 
         atexit.register(hook)
         try:
-            workers(monkeypatch, 2)
+            usable_cpus.set(2)
             calibrate(CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=20), n_starts=2)
         finally:
             atexit.unregister(hook)
         assert not marker.exists()
         assert_no_child_left()
 
-    def test_share_without_a_process_runs_here(self, monkeypatch):
+    def test_share_without_a_process_runs_here(self, monkeypatch, usable_cpus):
         forks, fork = [], os.fork
 
         def fork_once():
@@ -354,7 +344,7 @@ class TestForkedStarts:
             forks.append(None)
             return fork()
 
-        monkeypatch.setattr(porelife.forks, "usable_cpus", lambda: 3)
+        usable_cpus.set(3)
         monkeypatch.setattr(os, "fork", fork_once)
         problem = CalibrationProblem(objective=SMALL_OBJECTIVE, x0=TRUE, budget=60)
         new, old = calibrate(problem, n_starts=5, seed=4), list_calibrate(problem, n_starts=5, seed=4)
