@@ -18,7 +18,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -89,48 +88,6 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
         raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
 
 
-def _part(path: Path) -> Path:
-    """Where a forked job writes ``path``; its command renames it into place in input order, or removes it.
-
-    A job that runs again in its command's own process writes in place, as the serial loop did.
-    """
-    return path.with_name(path.name + ".part")
-
-
-def _into_place(part: Path, path: Path) -> None:
-    """Put the file a forked job wrote as ``part`` at ``path``, as the serial loop's write would have.
-
-    A rename where ``path`` is a regular file or nothing; else its bytes are
-    written to ``path``, which writes through a link and names ``path`` alone
-    in an error, such as for a directory standing there.
-    """
-    if path.is_symlink() or path.exists() and not path.is_file():
-        with open(path, "wb") as fh:
-            fh.write(part.read_bytes())
-        part.unlink()
-    else:
-        os.replace(part, path)
-
-
-def _none_on_error(run):
-    """``run``, returning ``None`` where it raises and for every later item in the same process.
-
-    The command runs an item without a result again itself, in order, for its
-    error; the items after it are then never needed.
-    """
-    failed = []
-
-    def attempt(x):
-        if not failed:
-            try:
-                return run(x)
-            except Exception:
-                failed.append(x)
-        return None
-
-    return attempt
-
-
 def _structures(params: StrainLifeParams, table, levels) -> list:
     """The table's :class:`porelife.weakest_link.StructureLifetime` at each level, each one ``held``.
 
@@ -149,11 +106,10 @@ def _structures(params: StrainLifeParams, table, levels) -> list:
 def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
     """Generate synthetic field files plus a JSON manifest.
 
-    The fields are synthesized and saved in :func:`porelife.forks.fork_map`
-    jobs; this process renames them into place in input order (see :func:`_part`).
+    The fields are synthesized and saved in :func:`porelife.forks.fork_files` jobs.
     """
     from .field import notch_variant, save_field, synth_field_report, thin_variant, tile_field
-    from .forks import fork_map
+    from .forks import fork_files
 
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
@@ -201,17 +157,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         "notch_kt": notch_kt,
         "fields": [],
     }
-    try:
-        entries = fork_map(_none_on_error(lambda i: write(i, _part(paths[i]))), range(count))
-        for i, entry in enumerate(entries):
-            if entry is None:  # its job raised or came after one that did: run it here, in order
-                entry = write(i, paths[i])
-            else:
-                _into_place(_part(paths[i]), paths[i])
-            manifest["fields"].append(entry)
-    finally:  # the fields after one that failed
-        for path in paths:
-            _part(path).unlink(missing_ok=True)
+    fork_files(write, paths, lambda i, entry: manifest["fields"].append(entry))
     manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -236,12 +182,12 @@ def _criterion_content_hash(config: RunConfig, field_path: Path) -> str:
     return digest.hexdigest()
 
 
-def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_to: Path, failure_lines: list):
-    """Bring ``table_path`` up to date from ``field_path``: its stdout line, and whether a table was written.
+def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_to: Path, failure_lines: list) -> str:
+    """Bring ``table_path`` up to date from ``field_path``: its stdout line.
 
-    A new table and its sidecar are saved as ``save_to`` (see :func:`_part`).
-    Each failed element's stderr line is appended to ``failure_lines``, also
-    when every element failed.  Nothing is printed.
+    A new table and its sidecar are saved as ``save_to``.  Each failed
+    element's stderr line is appended to ``failure_lines``, also when every
+    element failed.  Nothing is printed.
     """
     from .field import TABLE_HEADER, load_field, read_header, read_sidecar, save_criterion_table
 
@@ -253,7 +199,7 @@ def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_t
         up_to_date = False
     # the header scan does not read the rows: the sidecar's digest of the whole file vouches for them
     if up_to_date and read_sidecar(table_path) is not None:
-        return f"{table_path.name}: up to date, skipped", False
+        return f"{table_path.name}: up to date, skipped"
     field = load_field(field_path)
     failures: list = []
     try:
@@ -268,66 +214,57 @@ def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_t
         table,
         comments=[f"content-hash: {content_hash}", f"source: {field_path.name}"],
     )
-    return f"{table_path.name}: {table.element_ids.size} elements x {len(config.load_levels)} levels", True
+    return f"{table_path.name}: {table.element_ids.size} elements x {len(config.load_levels)} levels"
 
 
 def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs.
 
-    Each distinct table's :func:`_criterion_job` runs in a
-    :func:`porelife.forks.fork_map` job.  This process then prints the
-    jobs' lines and renames their tables into place in input order, and
-    runs a repeated field and a job that raised in its turn, so the output,
-    the exit code and the files under ``--out`` are the serial loop's.
+    Each table's :func:`_criterion_job` runs in a
+    :func:`porelife.forks.fork_files` job, which prints its failure lines
+    and stdout line in its turn, so the output, the exit code and the files
+    under ``--out`` are the serial loop's.
     """
     from .field import check_one_line, table_files
-    from .forks import fork_map
+    from .forks import fork_files
 
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
     tables = [out / (field_path.stem + ".criterion.csv") for field_path in fields]
-    firsts: dict = {}  # table -> index of the first field file that writes it
-    for i, (field_path, table_path) in enumerate(zip(fields, tables)):
-        first = fields[firsts.setdefault(table_path, i)]
+    firsts: dict = {}  # table -> the first field file that writes it
+    for field_path, table_path in zip(fields, tables):
+        first = firsts.setdefault(table_path, field_path)
         if first.resolve() != field_path.resolve():
             raise ConfigError(f"{first} and {field_path} would both write {table_path}")
+    failed = []  # the tables whose fields had failed elements
 
-    def job(i):
+    def job(i, save_to):
         failure_lines: list = []
-        return *_criterion_job(config, fields[i], tables[i], _part(tables[i]), failure_lines), failure_lines
+        try:
+            return _criterion_job(config, fields[i], tables[i], save_to, failure_lines), failure_lines
+        except Exception:
+            if save_to == tables[i]:  # run in place: its lines come before its error, as in the serial loop
+                sys.stderr.writelines(f"{message}\n" for message in failure_lines)
+            raise
+
+    def take(i, result):
+        line, failure_lines = result
+        sys.stderr.writelines(f"{message}\n" for message in failure_lines)
+        if failure_lines:
+            failed.append(i)
+        print(line)
 
     new_dirs = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
-    outcomes = dict(zip(firsts.values(), fork_map(_none_on_error(job), firsts.values())))
-    any_failures = wrote_any = False
     try:
-        for i, (field_path, table_path) in enumerate(zip(fields, tables)):
-            outcome, failure_lines = outcomes.get(i), []
-            try:
-                if outcome is None:  # a repeated field, or a job that raised or came after one: run it here
-                    line, wrote = _criterion_job(config, field_path, table_path, table_path, failure_lines)
-                else:
-                    line, wrote, failure_lines = outcome
-                    if wrote:  # the table, then its sidecar, which the serial loop also renames into place
-                        (part, sidecar_part), sidecar = table_files(_part(table_path)), table_files(table_path)[1]
-                        _into_place(part, table_path)
-                        if sidecar_part.exists():  # a table gets no sidecar when the CSV reader would refuse it
-                            os.replace(sidecar_part, sidecar)
-            finally:
-                for message in failure_lines:
-                    print(message, file=sys.stderr)
-            any_failures = any_failures or bool(failure_lines)
-            wrote_any = wrote_any or wrote
-            print(line)
-    finally:  # the tables after one that failed, and an --out made for no table
-        for table_path in firsts:
-            for part in table_files(_part(table_path)):
-                part.unlink(missing_ok=True)
-        for path in [] if wrote_any else new_dirs:
+        fork_files(job, tables, take, table_files)
+    except BaseException:  # an --out made for no table
+        for path in new_dirs:
             try:
                 path.rmdir()
             except OSError:
                 break
-    return EXIT_PARTIAL if any_failures else EXIT_OK
+        raise
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -625,10 +624,8 @@ def _save_sidecar(path, table: CriterionTable) -> None:
     record["load_levels"] = levels
     for name in ("element_ids", "volumes", "delta_eps"):  # straight into the record: no reordered copies
         np.take(getattr(table, name), order, axis=0, out=record[name])
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with open(sidecar, "wb") as fh:
         np.save(fh, record, allow_pickle=False)
-    os.replace(tmp, sidecar)
 
 
 def read_sidecar(path):

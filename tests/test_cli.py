@@ -552,12 +552,13 @@ def run_on(cpus, capsys, argv, out):
     """``main(argv)`` seeing ``cpus.n`` usable CPUs: its forks, and its exit code, stdout, stderr and files.
 
     The files are ``None`` when there is no ``out``, else a dict of the bytes under it (read through a
-    link); the name of ``out`` in stderr reads ``OUT``.
+    link); the name of ``out`` in stderr reads ``OUT``.  No part or temporary file may be left under ``out``.
     """
     cpus.set(cpus.n)
     capsys.readouterr()
     code = main([str(arg) for arg in argv])
     stdout, stderr = capsys.readouterr()
+    assert not [p for p in out.rglob("*") if p.suffix in (".part", ".tmp")]
     files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()} if out.exists() else None
     return len(cpus.forks), (code, stdout, stderr.replace(str(out), "OUT"), files)
 
@@ -651,15 +652,19 @@ class TestForkedFields:
         assert solved == []  # this process's share stopped at the malformed first field
 
     @pytest.mark.parametrize("standing", ["link", "directory"])
-    @pytest.mark.parametrize("command", ["genfield", "criterion"])
-    def test_an_output_path_taken_by_a_link_or_a_directory(self, conf, tmp_path, capsys, cpus, command, standing):
+    @pytest.mark.parametrize("command, name", [
+        pytest.param("genfield", "field_001.csv", id="genfield"),
+        pytest.param("criterion", "field_001.criterion.csv", id="criterion"),
+        pytest.param("criterion", "field_001.criterion.npy", id="criterion-sidecar"),
+    ])
+    def test_an_output_path_taken_by_a_link_or_a_directory(self, conf, tmp_path, capsys, cpus, command, name,
+                                                           standing):
         """A link there is written through; a directory there is named alone in the error, as by the serial loop."""
         fields = []
         if command == "criterion":
             assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
             fields = sorted((tmp_path / "gen").glob("*.csv"))
         argv = [command, "--count", "3"] if command == "genfield" else [command, *fields]
-        name = "field_001.csv" if command == "genfield" else "field_001.criterion.csv"
         _, clean = run_on(cpus, capsys, [*argv, "--config", conf, "--out", tmp_path / "clean"], tmp_path / "clean")
         out, target = tmp_path / "out", tmp_path / "elsewhere" / "target.csv"
         out.mkdir()
@@ -671,13 +676,56 @@ class TestForkedFields:
         forks, (code, stdout, stderr, files) = run_on(cpus, capsys, [*argv, "--config", conf, "--out", out], out)
         assert forks == cpus.n - 1
         if standing == "link":
-            assert (code, stdout, stderr, files) == clean  # the table's sidecar is a file of its own, as serially
+            assert (code, stdout, stderr, files) == clean  # the table and its sidecar are each written through a link
             assert os.readlink(out / name) == str(target) and target.read_bytes() == clean[3][name]
         else:
-            assert (code, stderr) == (EXIT_VALIDATION, f"error: [Errno 21] Is a directory: 'OUT/{name}'\n")
-            assert stdout == "".join(clean[1].splitlines(keepends=True)[:1 if command == "criterion" else 0])
-            assert files == {path: data for path, data in clean[3].items() if path.startswith("field_000.")}
-            assert (out / name).is_dir() and list((out / name).iterdir()) == []
+            assert_stopped_at_directory(clean, (code, stdout, stderr, files), out / name)
+
+    def test_a_sidecar_path_taken_by_a_directory_in_a_job_run_here(self, conf, tmp_path, monkeypatch, capsys, cpus):
+        """The sidecar is written to its path, as the table is: the error names that path alone, and no file is left."""
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
+        argv = ["criterion", *sorted((tmp_path / "gen").glob("*.csv")), "--config", conf]
+        _, clean = run_on(cpus, capsys, [*argv, "--out", tmp_path / "clean"], tmp_path / "clean")
+        parent, save = os.getpid(), porelife.field.save_criterion_table
+
+        def save_here_only(path, *args, **kwargs):
+            if os.getpid() != parent:
+                raise OSError(f"no save in a child: {path}")
+            return save(path, *args, **kwargs)
+
+        monkeypatch.setattr(porelife.field, "save_criterion_table", save_here_only)
+        out = tmp_path / "out"
+        (out / "field_001.criterion.npy").mkdir(parents=True)
+        forks, run = run_on(cpus, capsys, [*argv, "--out", out], out)
+        assert forks == cpus.n - 1
+        assert_stopped_at_directory(clean, run, out / "field_001.criterion.npy")
+
+    @pytest.mark.parametrize("table", ["up-to-date", "computed"])
+    def test_parts_an_earlier_run_left_are_never_put_into_place(self, conf, tmp_path, capsys, cpus, table):
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
+        argv = ["criterion", *sorted((tmp_path / "gen").glob("*.csv")), "--config", conf, "--out", tmp_path / "out"]
+        _, clean = run_on(cpus, capsys, argv, tmp_path / "out")
+        if table == "computed":
+            for path in (tmp_path / "out").iterdir():
+                path.unlink()
+        stale = [tmp_path / "out" / "field_000.criterion.csv.part", tmp_path / "out" / "field_000.criterion.csv.npy"]
+        for path in stale:
+            path.write_bytes(b"left by a killed run\n")
+        _, (code, stdout, stderr, files) = run_on(cpus, capsys, argv, tmp_path / "out")
+        assert (code, stderr, files) == (EXIT_OK, "", clean[3])
+        assert stdout == (clean[1] if table == "computed" else "".join(
+            f"field_00{i}.criterion.csv: up to date, skipped\n" for i in range(3)))
+        assert not any(path.exists() for path in stale)
+
+
+def assert_stopped_at_directory(clean, run, directory):
+    """``run`` is the ``clean`` run stopped where writing to the empty ``directory`` failed, as the serial loop stops."""
+    code, stdout, stderr, files = run
+    assert (code, stderr) == (EXIT_VALIDATION, f"error: [Errno 21] Is a directory: 'OUT/{directory.name}'\n")
+    # the first field's files and stdout line (genfield prints none), and a sidecar's own table, written before it
+    before = [path for path in clean[3] if path.startswith("field_000.") or path == directory.stem + ".csv" != directory.name]
+    assert (stdout, files) == ("".join(clean[1].splitlines(keepends=True)[:1]), {path: clean[3][path] for path in before})
+    assert directory.is_dir() and list(directory.iterdir()) == []
 
 
 class TestCalibrate:

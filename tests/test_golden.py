@@ -1,12 +1,17 @@
-"""Every byte two small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
+"""Every byte four small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
 
 * **forward-mini**: ``genfield --count 2`` at seed 11 with the default
   config, then ``criterion``, ``wohler`` and ``homogenize`` on its fields.
 * **calibrate-mini**: the four ``calibrate`` modes on those two tables, at
   the 10-iteration budget of the benchmark's ``calibrate.conf``, on
   observations drawn with the library at fixed seeds.
+* **genfield-variants**: ``genfield --count 2`` at seed 11 with
+  ``--tile 2``, with ``--thin 4`` and with ``--notch-kt 2.5``.
+* **mesh-mini**: ``criterion``, ``wohler`` and ``calibrate --mode
+  heterogeneous`` on one field of distinct elements, each with its own unit
+  tensor, whose Kt tail yields at the upper load levels.
 
-Both run on 1 and on 2 usable CPUs.  The digests hold for the Python, numpy
+Each runs on 1 and on 2 usable CPUs.  The digests hold for the Python, numpy
 and scipy versions stored beside them (``eigh`` and the libm functions may
 round differently elsewhere); with other versions the test is skipped.  A
 change that alters outputs on purpose regenerates the file with
@@ -25,7 +30,7 @@ import scipy
 
 from porelife.cli import EXIT_OK, main
 from porelife.config import load_config
-from porelife.field import load_criterion_table
+from porelife.field import ElasticElementField, load_criterion_table, save_field
 from porelife.likelihood import FatigueObservation, Heterogeneous, Homogeneous, structure_for
 from porelife.strain_life import StrainLifeParams
 from porelife.weakest_link import sample_lifetimes
@@ -40,6 +45,11 @@ TRUE = StrainLifeParams(m=2.0, A=0.01, alpha=0.2, C=3e-4, V0=593.0)
 #: Three starts, so every fit forks on two CPUs; n_k = 1 freezes one table per unknown-pores observation.
 CALIBRATE_CONF = "[protocol]\nseed = 11\nbudget = 10\nn_starts = 3\nn_k = 1\n"
 MODES = ("homogeneous", "heterogeneous", "unknown-pores", "joint")
+#: The genfield flags of each genfield-variants run, by its output directory.
+VARIANTS = {"tile": ["--tile", 2], "thin": ["--thin", 4], "notch": ["--notch-kt", 2.5]}
+#: Elements of the mesh-mini field.
+MESH_ELEMENTS = 300
+SCENARIOS = ("forward-mini", "calibrate-mini", "genfield-variants", "mesh-mini")
 
 
 def versions() -> dict:
@@ -98,14 +108,53 @@ def calibrate_mini(root: Path, tables: list) -> None:
         run(*argv)
 
 
+def genfield_variants(root: Path) -> None:
+    """``genfield --count 2`` under ``root``, once per :data:`VARIANTS` entry."""
+    for name, flags in VARIANTS.items():
+        run("genfield", "--seed", 11, "--count", 2, *flags, "--out", root / name)
+
+
+def mesh_mini(root: Path) -> None:
+    """Criterion, Wohler and a heterogeneous fit under ``root`` on one field of distinct tensors.
+
+    Kt is 1 + log-normal (median 0.3), so about 8 % of the elements exceed
+    the 1.7 that yields at 100 MPa; the observations are drawn from the
+    table the run makes.
+    """
+    root.mkdir()
+    rng = np.random.default_rng([11, 4])
+    shape = np.array([1.0, 0, 0, 0, 0, 0]) + 0.2 * rng.standard_normal((MESH_ELEMENTS, 6))
+    sxx, syy, szz, sxy, syz, sxz = shape.T
+    mises = np.sqrt(0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2) + 3.0 * (sxy**2 + syz**2 + sxz**2))
+    kt = 1.0 + 0.3 * rng.lognormal(0.0, 0.6, MESH_ELEMENTS)
+    assert np.sum(kt * 100.0 > 170.0) > 10  # the default sigma_y: these elements yield at 100 MPa
+    save_field(root / "mesh.csv", ElasticElementField(
+        ids=np.arange(MESH_ELEMENTS), volumes=593.0 * rng.dirichlet(np.ones(MESH_ELEMENTS)),
+        sigma_unit=shape * (kt / mises)[:, None], geometry_tag="mesh-mini"))
+    conf = root / "mesh.conf"
+    conf.write_text(CALIBRATE_CONF)
+    run("criterion", "--config", conf, "--out", root / "tables", root / "mesh.csv")
+    table = root / "tables" / "mesh.criterion.csv"
+    run("wohler", "--config", conf, "--out", root / "wohler", table)
+    model = Heterogeneous(load_criterion_table(table))
+    rows = [o for level in (60.0, 80.0, 100.0)
+            for o in draws(structure_for(TRUE, model, level), 3, [4, int(level)], level)]
+    assert not all(o.censored for o in rows)
+    save_observations(root / "observations.csv", rows)
+    run("calibrate", "--config", conf, "--out", root / "calibrate", "--mode", "heterogeneous",
+        "--observations", root / "observations.csv", "--tables", table)
+
+
 def scenario_digests(root: Path) -> dict:
-    """Both scenarios run under ``root``: per scenario, each file's SHA-256 by its path under the scenario."""
+    """Every scenario run under ``root``: per scenario, each file's SHA-256 by its path under the scenario."""
     tables = forward_mini(root / "forward-mini")
     calibrate_mini(root / "calibrate-mini", tables)
+    genfield_variants(root / "genfield-variants")
+    mesh_mini(root / "mesh-mini")
     return {
         name: {str(p.relative_to(root / name)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((root / name).rglob("*")) if p.is_file()}
-        for name in ("forward-mini", "calibrate-mini")
+        for name in SCENARIOS
     }
 
 
