@@ -29,6 +29,7 @@ from .material import (
     CalibrationDegeneracyError,
     CriterionError,
     FieldFormatError,
+    FieldGenerationError,
     StrainLifeParams,
     one_line_mask,
     utf8_error,
@@ -88,15 +89,20 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
         raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
 
 
-def _structures(params: StrainLifeParams, table, levels) -> list:
-    """The table's :class:`porelife.weakest_link.StructureLifetime` at each level, each one ``held``.
+def _fork_files_into(out, job, paths, take, *files) -> None:
+    """:func:`porelife.forks.fork_files` writing under ``out``: when it raises, the directories made for ``out`` and left empty go."""
+    from .forks import fork_files
 
-    See :func:`porelife.likelihood.held`: an error is raised where the structure is used.
-    """
-    from .likelihood import Heterogeneous, held, structure_for
-
-    model = Heterogeneous(table)
-    return [held(structure_for, params, model, level) for level in levels]
+    new_dirs = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    try:
+        fork_files(job, paths, take, *files)
+    except BaseException:
+        for path in new_dirs:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +112,9 @@ def _structures(params: StrainLifeParams, table, levels) -> list:
 def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
     """Generate synthetic field files plus a JSON manifest.
 
-    The fields are synthesized and saved in :func:`porelife.forks.fork_files` jobs.
+    The fields are synthesized and saved in :func:`_fork_files_into` jobs.
     """
     from .field import notch_variant, save_field, synth_field_report, thin_variant, tile_field
-    from .forks import fork_files
 
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
@@ -121,7 +126,6 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         raise ConfigError(f"--thin must be finite and at least 1, got {thin}")
     if notch_kt is not None:
         _check_notch(notch_kt, notch_volume_fraction)
-    out.mkdir(parents=True, exist_ok=True)
     stats = config.pores
     if thin is not None:
         stats = thin_variant(stats, thin)
@@ -130,6 +134,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
 
     def write(i, path):
         """Synthesize field ``i`` and save it to ``path``; its manifest entry."""
+        out.mkdir(parents=True, exist_ok=True)
         field, info = synth_field_report(
             stats, config.shells, children[i], nu=config.material.nu, n_pores=pores
         )
@@ -157,7 +162,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         "notch_kt": notch_kt,
         "fields": [],
     }
-    fork_files(write, paths, lambda i, entry: manifest["fields"].append(entry))
+    _fork_files_into(out, write, paths, lambda i, entry: manifest["fields"].append(entry))
     manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -221,12 +226,11 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs.
 
     Each table's :func:`_criterion_job` runs in a
-    :func:`porelife.forks.fork_files` job, which prints its failure lines
+    :func:`_fork_files_into` job, which prints its failure lines
     and stdout line in its turn, so the output, the exit code and the files
     under ``--out`` are the serial loop's.
     """
     from .field import check_one_line, table_files
-    from .forks import fork_files
 
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
@@ -254,16 +258,7 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
             failed.append(i)
         print(line)
 
-    new_dirs = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
-    try:
-        fork_files(job, tables, take, table_files)
-    except BaseException:  # an --out made for no table
-        for path in new_dirs:
-            try:
-                path.rmdir()
-            except OSError:
-                break
-        raise
+    _fork_files_into(out, job, tables, take, table_files)
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -389,20 +384,20 @@ def cmd_calibrate(
 def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     """Pooled lifetime quantiles per load level across criterion tables.
 
-    Each table is reduced to its structures (see :func:`_structures`) as it
-    is loaded, so one table at a time is held.
+    Each table is reduced to its histograms at the levels (see
+    :class:`porelife.likelihood.ReducedTable`) as it is loaded, so one table
+    at a time is held.
     """
     from .field import load_criterion_table
-    from .likelihood import unheld
+    from .likelihood import Heterogeneous, ReducedTable, structure_for
     from .weakest_link import wohler_quantiles, write_quantile_csv
 
     params = _load_params_arg(config, params)
     levels = config.load_levels
-    tables = [_structures(params, load_criterion_table(p), levels) for p in tables]
+    tables = [ReducedTable.of(load_criterion_table(p), levels) for p in tables]
     if not tables:
         raise ConfigError("wohler needs at least one criterion table")
-    out.mkdir(parents=True, exist_ok=True)
-    structs_per_level = {level: [unheld(row[i]) for row in tables] for i, level in enumerate(levels)}
+    structs_per_level = {level: [structure_for(params, Heterogeneous(t), level) for t in tables] for level in levels}
     table = wohler_quantiles(
         structs_per_level,
         quantiles=config.quantiles,
@@ -410,6 +405,7 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
         seed=config.seed,
         runout_cycles=config.runout_cycles,
     )
+    out.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no --out behind
     write_quantile_csv(out / "wohler.csv", table, config.quantiles)
     print(f"wohler.csv: {len(levels)} levels x {len(tables)} fields")
     return EXIT_OK
@@ -480,34 +476,33 @@ def cmd_homogenize(
     the two models' median predictions on the cylinder and on a high-Kt
     challenge geometry (porous for A, pore-free for B).  Challenge tables
     are generated from the config when not supplied.  Each table is reduced
-    as it is loaded or made, so one table at a time is held: the cylinder and
-    porous tables to model A's structures (see :func:`_structures`), the bare
-    one to its histograms (see :class:`porelife.likelihood.ReducedTable`).
+    to its histograms at the levels (see :class:`porelife.likelihood.ReducedTable`)
+    as it is loaded or made, so one table at a time is held.
     """
     from .field import load_criterion_table
-    from .likelihood import Heterogeneous, ReducedTable, structure_for, unheld
+    from .likelihood import Heterogeneous, ReducedTable, structure_for
 
     if challenge_porous is None or challenge_bare is None:
         _check_notch(notch_kt, notch_volume_fraction)
     params_a = _load_params_arg(config, params)
     levels = config.load_levels
-    cylinder = [_structures(params_a, load_criterion_table(p), levels) for p in tables]
+    cylinder = [ReducedTable.of(load_criterion_table(p), levels) for p in tables]
     if not cylinder:
         raise ConfigError("homogenize needs at least one cylinder criterion table")
     porous = bare = None
     if challenge_porous is not None:
-        porous = _structures(params_a, load_criterion_table(challenge_porous), levels)
+        porous = ReducedTable.of(load_criterion_table(challenge_porous), levels)
     if challenge_bare is not None:
         bare = ReducedTable.of(load_criterion_table(challenge_bare), levels)
     # challenge tables first: a failing one stops the run before the fit, and their solve peaks without the fit's arrays
     notch = (notch_kt, notch_volume_fraction)
     if porous is None:
         seed = np.random.SeedSequence(config.seed).spawn(len(cylinder) + 1)[-1]
-        porous = _structures(params_a, _challenge_table(config, "--challenge-porous", seed, None, *notch), levels)
+        porous = ReducedTable.of(_challenge_table(config, "--challenge-porous", seed, None, *notch), levels)
     if bare is None:
         bare = ReducedTable.of(_challenge_table(config, "--challenge-bare", config.seed, 0, *notch), levels)
 
-    cylinder = [[unheld(struct) for struct in structs] for structs in cylinder]
+    cylinder = [[structure_for(params_a, Heterogeneous(t), level) for level in levels] for t in cylinder]
     samples, runout = config.samples_per_struct, config.runout_cycles
     params_b = fit_homogenized_model(config, synthesize_observations(cylinder, levels, samples, config.seed, runout))
 
@@ -523,7 +518,7 @@ def cmd_homogenize(
         structs_a = [structs[i] for structs in cylinder]
         report["cylinder"]["median_A"].append(_pooled_median(structs_a, samples, config.seed, runout))
         report["cylinder"]["median_B"].append(_gauge_structure(params_b, config, level).median())
-        report["challenge"]["median_A"].append(unheld(porous[i]).median())
+        report["challenge"]["median_A"].append(structure_for(params_a, Heterogeneous(porous), level).median())
         report["challenge"]["median_B"].append(structure_for(params_b, Heterogeneous(bare), level).median())
     out.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no --out behind
     _write_json(out / "homogenize.json", report)
@@ -614,7 +609,7 @@ def main(argv=None) -> int:
     except CalibrationDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ConfigError, FieldFormatError, CriterionError, ValueError, OSError) as exc:
+    except (ConfigError, FieldFormatError, FieldGenerationError, CriterionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,6 +26,7 @@ from .material import (
     ChabocheParams,
     CriterionError,
     FieldFormatError,
+    FieldGenerationError,
     PoreFieldStats,
     _radius_law,
     check_count,
@@ -41,10 +42,6 @@ SIDECAR_HASH_BLOCK = 1 << 16
 #: Shells extend to this multiple of the pore radius; beyond it the stress
 #: concentration has decayed below ~2 % and the material counts as bulk.
 SHELL_EXTENT = 4.0
-
-
-class FieldGenerationError(RuntimeError):
-    """Synthetic field generation produced an inconsistent geometry."""
 
 
 class ExtrapolationError(ValueError):

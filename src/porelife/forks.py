@@ -6,6 +6,7 @@ and raises what the serial loop does, however many processes it uses.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import threading
@@ -123,6 +124,13 @@ def _into_place(part, path) -> None:
         os.replace(part, path)
 
 
+def _remove(parts) -> None:
+    """Remove each file that is there: a path below a file, as a missing one, names none."""
+    for part in parts:
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            part.unlink()
+
+
 def fork_files(job, paths: list, take, files=lambda path: [path]) -> None:
     """``for i, path in enumerate(paths): take(i, job(i, path))``, with the jobs run ahead as :func:`_turns` runs them.
 
@@ -142,8 +150,7 @@ def fork_files(job, paths: list, take, files=lambda path: [path]) -> None:
     parts = [part for path in firsts for part in files(_part(path))]
     turns = _turns(lambda path: job(firsts[path], _part(path)), list(firsts))
     try:
-        for part in parts:
-            part.unlink(missing_ok=True)
+        _remove(parts)
         for i, path in enumerate(paths):
             result = next(turns)[1] if firsts[path] == i else _HERE
             if result is _HERE:
@@ -155,5 +162,4 @@ def fork_files(job, paths: list, take, files=lambda path: [path]) -> None:
             take(i, result)
     finally:
         turns.close()
-        for part in parts:
-            part.unlink(missing_ok=True)
+        _remove(parts)

@@ -111,17 +111,13 @@ def load_observations(path) -> list[FatigueObservation]:
     _, header_line, rows = _read_rows(path, _row_dtype(OBSERVATIONS_HEADER, "censored"), {"censored": "censored must be 0 or 1"})
     if rows.size == 0:
         raise FieldFormatError(path, 0, "no observations found")
-    observations, rejected = [], np.zeros(rows.size, dtype=bool)
-    try:
-        for sigma, cycles, flag in rows.tolist():
-            observations.append(FatigueObservation(sigma, cycles, flag == 1))
-    except ValueError as exc:  # the first row FatigueObservation refuses
-        rejected[len(observations)], error = True, str(exc)
-    _check_rows(path, header_line, [
+    sigma_a, n_cycles = rows["sigma_a_MPa"], rows["n_cycles"]
+    _check_rows(path, header_line, [  # in the order FatigueObservation checks a row
         (~np.isin(rows["censored"], (0, 1)), lambda i: f"censored must be 0 or 1, got {rows['censored'][i]}"),
-        (rejected, lambda i: error),
+        (~(np.isfinite(sigma_a) & (sigma_a > 0.0)), lambda i: f"sigma_a must be positive and finite, got {float(sigma_a[i])}"),
+        (~(np.isfinite(n_cycles) & (n_cycles > 0.0)), lambda i: f"n_cycles must be positive and finite, got {float(n_cycles[i])}"),
     ])
-    return observations
+    return [FatigueObservation(sigma, cycles, flag == 1) for sigma, cycles, flag in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +158,6 @@ class UnknownPores:
 SpecimenModel = Homogeneous | Heterogeneous | UnknownPores
 
 
-def held(run, *args):
-    """``run(*args)``, or the exception it raises, kept without its traceback (whose frames hold their tables)."""
-    try:
-        return run(*args)
-    except Exception as exc:
-        return exc.with_traceback(None)
-
-
-def unheld(value):
-    """``value``, raised where it is an exception that :func:`held` kept."""
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedTable:
     """A criterion table reduced to its volume histograms at the amplitudes asked of it.
@@ -184,15 +165,22 @@ class ReducedTable:
     It stands in for the table wherever the likelihood reads one, which is
     only through :func:`_histogram`, so a command can drop each table as
     soon as it is loaded.  ``histograms`` maps each amplitude to its
-    :func:`held` histogram: the error computing it raised (an amplitude off
-    the table's grid) is raised where that amplitude is asked for.
+    histogram, or to the error computing it raised (an amplitude off the
+    table's grid), kept without its traceback, whose frames hold the table;
+    :func:`_histogram` raises it where that amplitude is asked for.
     """
 
     histograms: dict
 
     @classmethod
     def of(cls, table: CriterionTable, amplitudes) -> ReducedTable:
-        return cls({sigma_a: held(_histogram, table, sigma_a) for sigma_a in amplitudes})
+        histograms = {}
+        for sigma_a in amplitudes:
+            try:
+                histograms[sigma_a] = _histogram(table, sigma_a)
+            except Exception as exc:
+                histograms[sigma_a] = exc.with_traceback(None)
+        return cls(histograms)
 
 
 def _histogram(structure: Homogeneous | CriterionTable | ReducedTable, sigma_a: float):
@@ -200,7 +188,9 @@ def _histogram(structure: Homogeneous | CriterionTable | ReducedTable, sigma_a: 
     if isinstance(structure, Homogeneous):
         return np.array([sigma_a / structure.youngs_modulus]), np.array([structure.volume])
     if isinstance(structure, ReducedTable):
-        return unheld(structure.histograms[sigma_a])
+        if isinstance(structure.histograms[sigma_a], Exception):
+            raise structure.histograms[sigma_a]
+        return structure.histograms[sigma_a]
     distinct, inverse = np.unique(0.5 * structure.interpolate(sigma_a), return_inverse=True)
     return distinct, np.bincount(inverse, weights=structure.volumes, minlength=distinct.size)
 

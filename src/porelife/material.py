@@ -222,6 +222,10 @@ class FieldFormatError(ValueError):
         return type(self), (self.path, self.line_no, self.message), self.__dict__
 
 
+class FieldGenerationError(RuntimeError):
+    """Synthetic field generation produced an inconsistent geometry."""
+
+
 class CriterionError(RuntimeError):
     """Criterion computation failed for one element."""
 

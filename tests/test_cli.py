@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from porelife.field import (
     FIELD_HEADER,
     TABLE_HEADER,
     CriterionTable,
+    FieldGenerationError,
     load_criterion_table,
     load_field,
     notch_variant,
@@ -651,6 +653,38 @@ class TestForkedFields:
         assert (forks, code, stdout, files) == (cpus.n - 1, EXIT_VALIDATION, "", None)
         assert solved == []  # this process's share stopped at the malformed first field
 
+    def test_an_over_full_field_exits_2_and_leaves_no_out(self, conf, tmp_path, capsys, cpus):
+        out = tmp_path / "new" / "f"
+        forks, (code, stdout, stderr, files) = run_on(cpus, capsys, [
+            "genfield", "--config", conf, "--out", out, "--count", "2", "--pores", "2000"], out)
+        assert (forks, code, stdout, files) == (cpus.n - 1, EXIT_VALIDATION, "", None)
+        assert re.fullmatch(r"error: shell volume \d+\.\d{3} mm\^3 exceeds the gauge volume 27\.143 mm\^3\n", stderr)
+        assert not (tmp_path / "new").exists()
+
+    def test_a_failed_first_field_leaves_no_out_that_a_later_job_made(self, conf, tmp_path, monkeypatch, capsys, cpus):
+        synth = porelife.field.synth_field_report
+
+        def first_over_full(stats, shells, seed, **kwargs):
+            if seed.spawn_key == (0,):
+                raise FieldGenerationError("field 0 is over-full")
+            return synth(stats, shells, seed, **kwargs)
+
+        monkeypatch.setattr(porelife.field, "synth_field_report", first_over_full)
+        out = tmp_path / "f"
+        forks, run = run_on(cpus, capsys, ["genfield", "--config", conf, "--out", out, "--count", "3"], out)
+        assert (forks, run) == (cpus.n - 1, (EXIT_VALIDATION, "", "error: field 0 is over-full\n", None))
+
+    @pytest.mark.parametrize("below", [True, False], ids=["out-below-a-file", "out-a-file"])
+    def test_a_file_where_out_goes_is_named_as_by_the_serial_loop(self, conf, tmp_path, capsys, cpus, below):
+        assert main(["genfield", "--config", str(conf), "--out", str(tmp_path / "gen"), "--count", "3"]) == EXIT_OK
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "t" if below else tmp_path / "afile"
+        forks, (code, stdout, stderr, _) = run_on(cpus, capsys, [
+            "criterion", "--config", conf, "--out", out, *sorted((tmp_path / "gen").glob("*.csv"))], out)
+        assert (forks, code, stdout) == (cpus.n - 1, EXIT_VALIDATION, "")
+        assert stderr == ("error: [Errno 20] Not a directory: 'OUT'\n" if below else "error: [Errno 17] File exists: 'OUT'\n")
+        assert (tmp_path / "afile").read_text() == ""
+
     @pytest.mark.parametrize("standing", ["link", "directory"])
     @pytest.mark.parametrize("command, name", [
         pytest.param("genfield", "field_001.csv", id="genfield"),
@@ -1042,6 +1076,16 @@ class TestHomogenize:
             assert report["challenge"][model] == [
                 structure_for(params, Heterogeneous(table), level).median() for level in config.load_levels]
 
+    def test_an_over_full_challenge_field_exits_2_and_leaves_no_out(self, tmp_path, capsys):
+        conf = tmp_path / "dense.conf"
+        conf.write_text(SMALL_CONF + "density = 100\n")  # [pores] is SMALL_CONF's last section
+        out = tmp_path / "h"
+        assert main(["homogenize", "--config", str(conf), "--out", str(out),
+                     *map(str, write_tables(tmp_path / "tables", ["good"]))]) == EXIT_VALIDATION
+        assert re.fullmatch(r"error: shell volume \d+\.\d{3} mm\^3 exceeds the gauge volume 27\.143 mm\^3\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_notch_kt_named_before_any_work(self, conf, tmp_path, capsys):
         out = tmp_path / "h"
         rc = main(["homogenize", "--config", str(conf), "--out", str(out), "--notch-kt", "0.5", str(tmp_path / "none.csv")])
@@ -1145,11 +1189,14 @@ class TestExitCodes:
 
 
 #: Load levels of one-element tables: on SMALL_CONF's grid, and off it at 100 MPa ("A") or at 40 MPa ("B").
-GRIDS = {"good": (40.0, 60.0, 80.0, 100.0), "A": (40.0, 60.0, 80.0), "B": (60.0, 80.0, 100.0)}
+#: "huge" is on the grid, but its strain range of 1e70 from 60 MPa on gives a structure no positive scale.
+GRIDS = {"good": (40.0, 60.0, 80.0, 100.0), "A": (40.0, 60.0, 80.0), "B": (60.0, 80.0, 100.0),
+         "huge": (40.0, 60.0, 80.0, 100.0)}
 #: One row per table of a three-table heterogeneous run: table 1 is asked at 100 MPa, table 2 at 40 MPa.
 THREE_ROWS = "sigma_a_MPa,n_cycles,censored\n60,1e5,0\n100,2e4,0\n40,1e6,1\n"
 OFF_A = "amplitude 100.0 MPa outside the table grid [40.0, 80.0]"
 OFF_B = "amplitude 40.0 MPa outside the table grid [60.0, 100.0]"
+NO_SCALE = "scale must be positive or infinite, got 0.0"
 MALFORMED_TABLE = "{}:1: expected header 'element_id,load_MPa,delta_eps,volume_mm3'"
 
 
@@ -1163,8 +1210,9 @@ def write_tables(directory, names):
             paths[-1].write_text(MALFORMED["table"])
         else:
             levels = GRIDS[name]
+            delta_eps = [1e70 if name == "huge" and lv >= 60.0 else 2 * lv / 75500.0 for lv in levels]
             save_criterion_table(paths[-1], CriterionTable(
-                element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[[2 * lv / 75500.0 for lv in levels]]))
+                element_ids=[0], volumes=[27.1], load_levels=levels, delta_eps=[delta_eps]))
     return paths
 
 
@@ -1191,7 +1239,13 @@ PRECEDENCE = {
     "wohler-malformed-after-off-grid": ("wohler", ["good", "A", "malformed"], None, (None, None),
                                         (EXIT_VALIDATION, MALFORMED_TABLE, False)),
     # level by level: B is off at the first level, A at the last
-    "wohler-off-grid": ("wohler", ["good", "A", "B"], None, (None, None), (EXIT_VALIDATION, OFF_B, True)),
+    "wohler-off-grid": ("wohler", ["good", "A", "B"], None, (None, None), (EXIT_VALIDATION, OFF_B, False)),
+    # a structure error that is not an off-grid amplitude: raised where the structure is built, after every load
+    **{f"{command}-no-scale": (command, ["huge"], None, (None, None), (EXIT_VALIDATION, NO_SCALE, False))
+       for command in ("wohler", "homogenize")},
+    **{f"{command}-malformed-after-no-scale": (command, ["huge", "malformed"], None, (None, None),
+                                               (EXIT_VALIDATION, MALFORMED_TABLE, False))
+       for command in ("wohler", "homogenize")},
     "homogenize-malformed-after-off-grid": ("homogenize", ["good", "A", "malformed"], None, (None, None),
                                             (EXIT_VALIDATION, MALFORMED_TABLE, False)),
     # table by table, before the fit
