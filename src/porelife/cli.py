@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -89,22 +88,6 @@ def _check_notch(notch_kt, notch_volume_fraction) -> None:
         raise ConfigError(f"--notch-volume-fraction must be in (0, 1), got {notch_volume_fraction}")
 
 
-def _fork_files_into(out, job, paths, take, *files) -> None:
-    """:func:`porelife.forks.fork_files` writing under ``out``: when it raises, the directories made for ``out`` and left empty go."""
-    from .forks import fork_files
-
-    new_dirs = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
-    try:
-        fork_files(job, paths, take, *files)
-    except BaseException:
-        for path in new_dirs:
-            try:
-                path.rmdir()
-            except OSError:
-                break
-        raise
-
-
 # ---------------------------------------------------------------------------
 # genfield
 # ---------------------------------------------------------------------------
@@ -112,9 +95,10 @@ def _fork_files_into(out, job, paths, take, *files) -> None:
 def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, notch_volume_fraction) -> int:
     """Generate synthetic field files plus a JSON manifest.
 
-    The fields are synthesized and saved in :func:`_fork_files_into` jobs.
+    The fields are synthesized and saved in :func:`porelife.forks.fork_files` jobs.
     """
     from .field import notch_variant, save_field, synth_field_report, thin_variant, tile_field
+    from .forks import fork_files
 
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
@@ -134,7 +118,6 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
 
     def write(i, path):
         """Synthesize field ``i`` and save it to ``path``; its manifest entry."""
-        out.mkdir(parents=True, exist_ok=True)
         field, info = synth_field_report(
             stats, config.shells, children[i], nu=config.material.nu, n_pores=pores
         )
@@ -162,7 +145,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         "notch_kt": notch_kt,
         "fields": [],
     }
-    _fork_files_into(out, write, paths, lambda i, entry: manifest["fields"].append(entry))
+    fork_files(out, write, paths, lambda i, entry: manifest["fields"].append(entry))
     manifest["stats"] = {**dataclasses.asdict(stats), "shells": config.shells}
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -213,7 +196,6 @@ def _criterion_job(config: RunConfig, field_path: Path, table_path: Path, save_t
         raise ConfigError(f"{field_path}: criterion failed for every element") from exc
     finally:  # the causes, also of a field where every element failed
         failure_lines.extend(f"{field_path.name}: element {eid} failed: {err}" for eid, err in failures)
-    table_path.parent.mkdir(parents=True, exist_ok=True)
     save_criterion_table(
         save_to,
         table,
@@ -226,11 +208,12 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
     """Precompute criterion tables and their sidecars for field files; skips unchanged inputs.
 
     Each table's :func:`_criterion_job` runs in a
-    :func:`_fork_files_into` job, which prints its failure lines
+    :func:`porelife.forks.fork_files` job, which prints its failure lines
     and stdout line in its turn, so the output, the exit code and the files
     under ``--out`` are the serial loop's.
     """
     from .field import check_one_line, table_files
+    from .forks import fork_files
 
     # each name goes into its table's one-line `source:` comment
     check_one_line("field file name", *(field_path.name for field_path in fields))
@@ -258,7 +241,7 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
             failed.append(i)
         print(line)
 
-    _fork_files_into(out, job, tables, take, table_files)
+    fork_files(out, job, tables, take, table_files)
     return EXIT_PARTIAL if failed else EXIT_OK
 
 

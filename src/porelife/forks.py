@@ -6,7 +6,7 @@ and raises what the serial loop does, however many processes it uses.
 """
 from __future__ import annotations
 
-import contextlib
+import itertools
 import os
 import pickle
 import threading
@@ -124,33 +124,32 @@ def _into_place(part, path) -> None:
         os.replace(part, path)
 
 
-def _remove(parts) -> None:
-    """Remove each file that is there: a path below a file, as a missing one, names none."""
-    for part in parts:
-        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
-            part.unlink()
-
-
-def fork_files(job, paths: list, take, files=lambda path: [path]) -> None:
+def fork_files(out, job, paths: list, take, files=lambda path: [path]) -> None:
     """``for i, path in enumerate(paths): take(i, job(i, path))``, with the jobs run ahead as :func:`_turns` runs them.
 
-    ``job(i, to)`` writes item ``i``'s files, ``files(to)``, and returns its
-    result.  The first item of each distinct path runs ahead with ``to`` its
-    part name, ``path`` + ``.part``; in its turn, its part files that exist
-    are put into place (:func:`_into_place`) before ``take`` gets its
-    result.  An item without a result from ahead, and one whose path an
-    earlier item has, runs here in its turn with ``to = path``, as in the
-    serial loop, so the first to fail raises its own error and leaves the
-    files of the items before it.  Every part file, also one an earlier
-    killed run left, is removed before the jobs run and at the end.
+    ``job(i, to)`` writes item ``i``'s files, ``files(to)``, into the
+    directory ``out`` that holds ``paths``, and returns its result.  ``out``
+    and the parents it lacks are made before the first fork, and those the
+    jobs left empty are removed again if the loop raises.  The first item of
+    each distinct path runs ahead with ``to`` its part name, ``path`` +
+    ``.part``; in its turn, its part files that exist are put into place
+    (:func:`_into_place`) before ``take`` gets its result.  An item without
+    a result from ahead, and one whose path an earlier item has, runs here
+    in its turn with ``to = path``, as in the serial loop, so the first to
+    fail raises its own error and leaves the files of the items before it.
+    Every part file, also one an earlier killed run left, is removed before
+    the jobs run and at the end.
     """
+    made = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
     firsts: dict = {}  # path -> index of the first item that writes it
     for i, path in enumerate(paths):
         firsts.setdefault(path, i)
     parts = [part for path in firsts for part in files(_part(path))]
+    out.mkdir(parents=True, exist_ok=True)
     turns = _turns(lambda path: job(firsts[path], _part(path)), list(firsts))
     try:
-        _remove(parts)
+        for part in parts:
+            part.unlink(missing_ok=True)
         for i, path in enumerate(paths):
             result = next(turns)[1] if firsts[path] == i else _HERE
             if result is _HERE:
@@ -160,6 +159,13 @@ def fork_files(job, paths: list, take, files=lambda path: [path]) -> None:
                     if part.exists():
                         _into_place(part, to)
             take(i, result)
+        made = []  # the loop finished: every directory stays
     finally:
         turns.close()
-        _remove(parts)
+        for part in parts:
+            part.unlink(missing_ok=True)
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                break

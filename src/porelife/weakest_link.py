@@ -141,9 +141,7 @@ def wohler_quantiles(
 
     Returns ``{level: {"quantiles": {q: value}, "censored_fraction": f}}``.
     """
-    for q in quantiles:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
+    quantile_columns(quantiles)
     if not structs_per_level:
         raise ValueError("no load levels given")
     root = np.random.SeedSequence(seed)
@@ -161,10 +159,22 @@ def wohler_quantiles(
     return table
 
 
+def quantile_columns(quantiles: Sequence[float]) -> list[str]:
+    """The CSV column of each quantile level in (0, 1): ``q`` and its percent, rounded.  No two levels may share one."""
+    columns = []
+    for q in quantiles:
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"quantile level must be in (0, 1), got {q}")
+        column = f"q{round(100 * q):02d}"
+        if column in columns:
+            raise ValueError(f"quantiles {quantiles[columns.index(column)]} and {q} share the column {column}")
+        columns.append(column)
+    return columns
+
+
 def write_quantile_csv(path, table, quantiles: Sequence[float] = WOHLER_QUANTILES) -> None:
     """Emit the pooled quantile table as CSV (one row per load level)."""
-    cols = [f"q{round(100 * q):02d}" for q in quantiles]
-    lines = ["load_MPa," + ",".join(cols) + ",censored_fraction"]
+    lines = ["load_MPa," + ",".join(quantile_columns(quantiles)) + ",censored_fraction"]
     for level in sorted(table):
         entry = table[level]
         vals = ",".join(repr(float(entry["quantiles"][q])) for q in quantiles)

@@ -681,7 +681,7 @@ class TestForkedFields:
         out = tmp_path / "afile" / "t" if below else tmp_path / "afile"
         forks, (code, stdout, stderr, _) = run_on(cpus, capsys, [
             "criterion", "--config", conf, "--out", out, *sorted((tmp_path / "gen").glob("*.csv"))], out)
-        assert (forks, code, stdout) == (cpus.n - 1, EXIT_VALIDATION, "")
+        assert (forks, code, stdout) == (0, EXIT_VALIDATION, "")  # refused before any fork
         assert stderr == ("error: [Errno 20] Not a directory: 'OUT'\n" if below else "error: [Errno 17] File exists: 'OUT'\n")
         assert (tmp_path / "afile").read_text() == ""
 
@@ -991,6 +991,20 @@ class TestWohler:
         assert rc == EXIT_VALIDATION
         assert str(params) in capsys.readouterr().err
         assert not (tmp_path / "w" / "wohler.csv").exists()
+
+    @pytest.mark.parametrize("quantiles, first, second, column", [
+        ("0.001, 0.004, 0.5", 0.001, 0.004, "q00"),
+        ("0.5, 0.85, 0.5", 0.5, 0.5, "q50"),
+        ("0.135, 0.145", 0.135, 0.145, "q14"),
+    ], ids=["q00", "repeated", "rounded"])
+    def test_quantiles_sharing_a_column_are_refused(self, tmp_path, capsys, bulk_table, quantiles, first, second,
+                                                    column):
+        conf = tmp_path / "q.conf"
+        conf.write_text(f"[protocol]\nload_levels = 40, 60, 80, 100\nquantiles = {quantiles}\n")
+        out = tmp_path / "w"
+        assert main(["wohler", "--config", str(conf), "--out", str(out), str(bulk_table)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: quantiles {first} and {second} share the column {column}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("how", ["missing", "malformed"])
     @pytest.mark.parametrize("kind", ["params", "table"])

@@ -1,11 +1,14 @@
-"""``fork_map`` is the serial list comprehension on 1, 2 and 3 usable CPUs: its results, its errors, its children."""
+"""``fork_map`` is the serial list comprehension, and ``fork_files`` the serial per-file loop, on 1, 2 and 3 usable CPUs.
+
+They keep the serial code's results, errors and files, and leave no child behind.
+"""
 import errno
 import os
 import signal
 
 import pytest
 
-from porelife.forks import fork_map
+from porelife.forks import fork_files, fork_map
 
 
 def assert_no_child_left():
@@ -117,4 +120,93 @@ def test_children_killed_when_an_item_here_raises_first(usable_cpus):
     usable_cpus.set(3)
     with pytest.raises(ArithmeticError, match="item 0 failed"):
         fork_map(run, range(3))
+    assert_no_child_left()
+
+
+def write_where(i, to):
+    """Write item ``i``'s file at ``to``: where it wrote, ``i`` and the process that wrote it."""
+    to.write_text(f"{i}\n")
+    return to, i, os.getpid()
+
+
+def part(path):
+    return path.with_name(path.name + ".part")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("n_items", range(0, 7))
+def test_files_put_into_place_and_results_taken_in_input_order(tmp_path, cpus, n_items):
+    out = tmp_path / "new" / "out"
+    paths = [out / f"{i}.txt" for i in range(n_items)]
+    taken = []
+
+    def take(i, result):
+        # the files of the items up to i are in place, and no later one
+        assert sorted(p for p in out.iterdir() if p.suffix != ".part") == sorted(paths[: i + 1])
+        taken.append((i, result))
+
+    fork_files(out, write_where, paths, take)
+    used = max(1, min(n_items, cpus.n))
+    assert len(cpus.forks) == used - 1
+    # every item ran ahead, the items k::used in child k and the items 0::used here
+    assert [(i, to, k) for i, (to, k, _) in taken] == [(i, part(path), i) for i, path in enumerate(paths)]
+    assert [pid == os.getpid() for _, (_, _, pid) in taken] == [i % used == 0 for i in range(n_items)]
+    assert sorted(out.iterdir()) == sorted(paths)
+    assert [path.read_text() for path in paths] == [f"{i}\n" for i in range(n_items)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("failing", [0, 1])
+def test_out_and_the_parents_it_lacked_are_made_and_removed_if_left_empty(tmp_path, cpus, failing):
+    """``out`` is made before any job; when item ``failing`` raises, the directories made and left empty go."""
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "kept" / "new" / "out"
+    paths = [out / f"{i}.txt" for i in range(5)]
+
+    def job(i, to):
+        if i == failing:
+            raise ItemError(i, "a job" if out.is_dir() else "a job without out")
+        return write_where(i, to)
+
+    with pytest.raises(ItemError, match=f"item {failing} failed in a job$"):
+        fork_files(out, job, paths, lambda i, result: None)
+    assert len(cpus.forks) == cpus.n - 1
+    if failing == 0:  # nothing was written: out and new go, kept was there before
+        assert list(tmp_path.iterdir()) == [tmp_path / "kept"] and list((tmp_path / "kept").iterdir()) == []
+    else:  # the first item's file stays, so out stays
+        assert list(out.iterdir()) == [paths[0]]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+def test_a_stale_part_file_is_never_put_into_place(tmp_path, cpus):
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = [out / f"{i}.txt" for i in range(5)]
+    for path in paths:
+        part(path).write_text("left by a killed run\n")
+
+    def job(i, to):
+        return None if i == 2 else write_where(i, to)  # item 2 writes nothing
+
+    fork_files(out, job, paths, lambda i, result: None)
+    assert sorted(out.iterdir()) == [path for i, path in enumerate(paths) if i != 2]
+    assert [path.read_text() for path in sorted(out.iterdir())] == ["0\n", "1\n", "3\n", "4\n"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+def test_a_repeated_path_runs_here_in_its_turn(tmp_path, cpus):
+    out = tmp_path / "out"
+    paths = [out / name for name in ("a", "b", "a", "c", "b", "a")]
+    taken = []
+    fork_files(out, write_where, paths, lambda i, result: taken.append(result))
+    firsts = [0, 1, 3]
+    # a first path ran ahead under its part name; a repeated one here, in its turn, under its own name
+    assert [to for to, _, _ in taken] == [part(path) if i in firsts else path for i, path in enumerate(paths)]
+    assert [i for _, i, _ in taken] == list(range(len(paths)))
+    assert all(pid == os.getpid() for i, (_, _, pid) in enumerate(taken) if i not in firsts)
+    assert len(cpus.forks) == cpus.n - 1
+    assert {path.name: path.read_text() for path in out.iterdir()} == {"a": "5\n", "b": "4\n", "c": "3\n"}
     assert_no_child_left()

@@ -1,4 +1,4 @@
-"""Every byte four small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
+"""Every byte five small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
 
 * **forward-mini**: ``genfield --count 2`` at seed 11 with the default
   config, then ``criterion``, ``wohler`` and ``homogenize`` on its fields.
@@ -10,13 +10,22 @@
 * **mesh-mini**: ``criterion``, ``wohler`` and ``calibrate --mode
   heterogeneous`` on one field of distinct elements, each with its own unit
   tensor, whose Kt tail yields at the upper load levels.
+* **corrector-mini**: ``criterion`` and ``wohler`` on mesh-mini's field at
+  41 samples per cycle, where 27 yielding cells are left open by the
+  certificates and take the per-cell Neuber chain (none are at 40), then
+  ``calibrate --mode joint --reduce-per-level`` on calibrate-mini's tables
+  and observation files; both with the two-line curve (``B = 0.35``,
+  ``beta = 0.72``, all six parameters free), whose inverse is a bisection.
 
 Each runs on 1 and on 2 usable CPUs.  The digests hold for the Python, numpy
 and scipy versions stored beside them (``eigh`` and the libm functions may
 round differently elsewhere); with other versions the test is skipped.  A
-change that alters outputs on purpose regenerates the file with
+change that alters outputs on purpose regenerates the digests of the
+scenarios it names, and leaves the others byte for byte, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+and every scenario's, with the versions, when no name is given.
 """
 import hashlib
 import json
@@ -49,7 +58,10 @@ MODES = ("homogeneous", "heterogeneous", "unknown-pores", "joint")
 VARIANTS = {"tile": ["--tile", 2], "thin": ["--thin", 4], "notch": ["--notch-kt", 2.5]}
 #: Elements of the mesh-mini field.
 MESH_ELEMENTS = 300
-SCENARIOS = ("forward-mini", "calibrate-mini", "genfield-variants", "mesh-mini")
+#: 41 samples per cycle and the two-line curve, fitted in all six parameters.
+CORRECTOR_CONF = (CALIBRATE_CONF + "cycle_samples = 41\n"
+                  "[fatigue]\nB = 0.35\nbeta = 0.72\nfree = m, A, B, alpha, beta, C\n")
+SCENARIOS = ("forward-mini", "calibrate-mini", "genfield-variants", "mesh-mini", "corrector-mini")
 
 
 def versions() -> dict:
@@ -145,12 +157,29 @@ def mesh_mini(root: Path) -> None:
         "--observations", root / "observations.csv", "--tables", table)
 
 
+def corrector_mini(root: Path, field: Path, tables: list, observations: Path) -> None:
+    """Criterion and Wohler on ``field``, and a joint fit on ``tables``, under ``root``.
+
+    The fit reads ``observations``' ``porous.csv`` and, one row per load
+    level, its ``homogeneous.csv``.
+    """
+    root.mkdir()
+    conf = root / "corrector.conf"
+    conf.write_text(CORRECTOR_CONF)
+    run("criterion", "--config", conf, "--out", root / "tables", field)
+    run("wohler", "--config", conf, "--out", root / "wohler", root / "tables" / f"{field.stem}.criterion.csv")
+    run("calibrate", "--config", conf, "--out", root / "joint", "--mode", "joint", "--reduce-per-level",
+        "--observations", observations / "porous.csv", "--tables", *tables,
+        "--homogeneous-observations", observations / "homogeneous.csv")
+
+
 def scenario_digests(root: Path) -> dict:
     """Every scenario run under ``root``: per scenario, each file's SHA-256 by its path under the scenario."""
     tables = forward_mini(root / "forward-mini")
     calibrate_mini(root / "calibrate-mini", tables)
     genfield_variants(root / "genfield-variants")
     mesh_mini(root / "mesh-mini")
+    corrector_mini(root / "corrector-mini", root / "mesh-mini" / "mesh.csv", tables, root / "calibrate-mini")
     return {
         name: {str(p.relative_to(root / name)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((root / name).rglob("*")) if p.is_file()}
@@ -162,6 +191,7 @@ def test_every_output_byte_matches_its_golden_digest(tmp_path, cpus):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["versions"] != versions():
         pytest.skip(f"digests made with {golden['versions']}, running {versions()}")
+    assert sorted(golden["scenarios"]) == sorted(SCENARIOS)
     got = scenario_digests(tmp_path)
     differ = [
         f"{name}/{path}: {'missing' if path not in got[name] else 'not golden' if path not in want else 'differs'}"
@@ -176,7 +206,16 @@ def test_every_output_byte_matches_its_golden_digest(tmp_path, cpus):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(SCENARIOS)
+    if set(names) - set(SCENARIOS):
+        sys.exit(f"unknown scenarios {sorted(set(names) - set(SCENARIOS))}; the scenarios are {', '.join(SCENARIOS)}")
+    payload = {"versions": versions(), "scenarios": {}}
+    if sys.argv[1:]:  # the other scenarios keep their digests, which hold only for the versions they were made with
+        payload = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if payload["versions"] != versions():
+            sys.exit(f"digests made with {payload['versions']}, running {versions()}: regenerate every scenario")
     with tempfile.TemporaryDirectory() as tmp:
-        payload = {"versions": versions(), "scenarios": scenario_digests(Path(tmp))}
+        got = scenario_digests(Path(tmp))
+    payload["scenarios"].update({name: got[name] for name in names})
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{GOLDEN}: {sum(map(len, payload['scenarios'].values()))} digests")
+    print(f"{GOLDEN}: {sum(len(got[name]) for name in names)} digests of {', '.join(names)}")
