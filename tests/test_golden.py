@@ -1,4 +1,4 @@
-"""Every byte five small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
+"""Every byte six small pipelines write, pinned by the SHA-256 digests in ``golden.json``.
 
 * **forward-mini**: ``genfield --count 2`` at seed 11 with the default
   config, then ``criterion``, ``wohler`` and ``homogenize`` on its fields.
@@ -16,6 +16,9 @@
   ``calibrate --mode joint --reduce-per-level`` on calibrate-mini's tables
   and observation files; both with the two-line curve (``B = 0.35``,
   ``beta = 0.72``, all six parameters free), whose inverse is a bisection.
+* **handoff-mini**: calibrate-mini's heterogeneous ``fitted.json`` read by
+  ``wohler --params`` and by ``homogenize --params`` with forward-mini's two
+  tables as ``--challenge-porous`` and ``--challenge-bare``.
 
 Each runs on 1 and on 2 usable CPUs.  The digests hold for the Python, numpy
 and scipy versions stored beside them (``eigh`` and the libm functions may
@@ -61,7 +64,7 @@ MESH_ELEMENTS = 300
 #: 41 samples per cycle and the two-line curve, fitted in all six parameters.
 CORRECTOR_CONF = (CALIBRATE_CONF + "cycle_samples = 41\n"
                   "[fatigue]\nB = 0.35\nbeta = 0.72\nfree = m, A, B, alpha, beta, C\n")
-SCENARIOS = ("forward-mini", "calibrate-mini", "genfield-variants", "mesh-mini", "corrector-mini")
+SCENARIOS = ("forward-mini", "calibrate-mini", "genfield-variants", "mesh-mini", "corrector-mini", "handoff-mini")
 
 
 def versions() -> dict:
@@ -173,6 +176,17 @@ def corrector_mini(root: Path, field: Path, tables: list, observations: Path) ->
         "--homogeneous-observations", observations / "homogeneous.csv")
 
 
+def handoff_mini(root: Path, params: Path, tables: list) -> None:
+    """Wohler and homogenize under ``root`` on ``tables``, at the fitted ``params``.
+
+    homogenize takes the first table as its porous challenge and the second
+    as its bare one, so it makes no challenge table of its own.
+    """
+    run("wohler", "--seed", 11, "--params", params, "--out", root / "wohler", *tables)
+    run("homogenize", "--seed", 11, "--params", params, "--challenge-porous", tables[0],
+        "--challenge-bare", tables[1], "--out", root / "homogenize", *tables)
+
+
 def scenario_digests(root: Path) -> dict:
     """Every scenario run under ``root``: per scenario, each file's SHA-256 by its path under the scenario."""
     tables = forward_mini(root / "forward-mini")
@@ -180,6 +194,7 @@ def scenario_digests(root: Path) -> dict:
     genfield_variants(root / "genfield-variants")
     mesh_mini(root / "mesh-mini")
     corrector_mini(root / "corrector-mini", root / "mesh-mini" / "mesh.csv", tables, root / "calibrate-mini")
+    handoff_mini(root / "handoff-mini", root / "calibrate-mini" / "heterogeneous" / "fitted.json", tables)
     return {
         name: {str(p.relative_to(root / name)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((root / name).rglob("*")) if p.is_file()}
