@@ -18,14 +18,8 @@ __version__ = "0.1.0"
 
 #: Module -> the public names it exports through the package.
 _EXPORTS = {
-    "strain_life": (
-        "WeibullLifetime", "strain_amplitude", "cycles_to_failure", "element_lifetime",
-        "weibull_cdf", "weibull_pdf",
-    ),
-    "weakest_link": (
-        "StructureLifetime", "structure_scale", "structure_lifetime", "structure_cdf", "sample_lifetimes",
-        "wohler_quantiles",
-    ),
+    "strain_life": ("WeibullLifetime", "cycles_to_failure"),
+    "weakest_link": ("StructureLifetime", "structure_scale", "sample_lifetimes", "wohler_quantiles"),
     "material": ("ALSI7MG", "ChabocheParams", "StrainLifeParams", "PoreFieldStats"),
     "material_point": ("TensorHistory", "neuber_correct", "critical_direction", "criterion_delta_eps"),
     "return_mapping": (
@@ -33,7 +27,7 @@ _EXPORTS = {
     ),
     "field": (
         "CriterionTable", "ElasticElementField", "criterion_table", "load_field", "save_field",
-        "synth_field", "thin_variant", "tile_field",
+        "thin_variant", "tile_field",
     ),
     "likelihood": (
         "FatigueObservation", "Heterogeneous", "Homogeneous", "ObservationArrays", "UnknownPores",

@@ -186,17 +186,6 @@ def synth_field_report(
     return field, info
 
 
-def synth_field(
-    stats: PoreFieldStats,
-    resolution: int = DEFAULT_SHELLS,
-    seed=0,
-    nu: float = 0.3,
-    n_pores: int | None = None,
-) -> ElasticElementField:
-    """Synthetic porous field; see :func:`synth_field_report` for the recipe."""
-    return synth_field_report(stats, resolution, seed, nu, n_pores)[0]
-
-
 def tile_field(field: ElasticElementField, k: int) -> ElasticElementField:
     """Concatenate k copies of a field with re-indexed element ids."""
     if k < 1:

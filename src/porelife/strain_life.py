@@ -1,9 +1,11 @@
 """Probabilistic strain-life model at the material-point level.
 
 A two-line strain-life curve (HCF line + LCF line + fatigue-limit offset)
-relates strain amplitude to cycles to failure.  Its numerical inverse feeds a
-volume-scaled two-parameter Weibull lifetime distribution per finite element.
-Loading below the fatigue limit yields an explicit infinite-life state.
+relates strain amplitude to cycles to failure.  Its inverse gives each
+element's weakest-link log rate log(V ln 2 / V0 * N^-m), from which the
+likelihood kernel builds the structures' rates and evaluates the capped
+Weibull hazard, density and survival.  Loading at or below the fatigue limit
+gives an explicit infinite life (log rate -inf).
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from .material import DEFAULT_REFERENCE_VOLUME, StrainLifeParams  # noqa: F401  
 class WeibullLifetime:
     """Two-parameter Weibull lifetime; ``scale = math.inf`` marks infinite life.
 
-    Every operation branches on the infinite state explicitly, so the CDF is
-    exactly zero for any finite cycle count and no arithmetic is ever done on
-    the infinite scale.
+    Every operation branches on the infinite state explicitly (its quantiles
+    are infinite, and sampling draws only run-outs from it), so no arithmetic
+    is ever done on the infinite scale.
     """
 
     scale: float
@@ -77,42 +79,6 @@ def _density(log_rate, shape, log_n, out=(None, None)):
 def _survival(log_rate, shape, log_n, out=(None, None)):
     """Weibull survival at n = e^log_n; exactly 1 at infinite scale."""
     return np.exp(np.negative(_hazard(log_rate, shape, log_n, out)[1], out=out[1]), out=out[1])
-
-
-def _at_cycles(dist: WeibullLifetime, cycles, term):
-    """``term`` at cycle count(s) n, in units of the scale; 0 for infinite life.
-
-    In those units the log rate is 0, so (n/scale)^shape is formed from the
-    one rounded ratio n/scale instead of the difference of two large logs.
-    """
-    n = np.asarray(cycles, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("cycle count must be nonnegative")
-    if dist.is_infinite:
-        out = np.zeros(n.shape)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = term(0.0, dist.shape, np.log(n / dist.scale))
-    if np.isscalar(cycles):
-        return float(out)
-    return out
-
-
-def strain_amplitude(params: StrainLifeParams, cycles):
-    """Strain amplitude of the two-line curve at the given cycle count(s).
-
-    Strictly decreasing in cycles, with the fatigue limit C as asymptote.
-    Accepts scalars or arrays; raises on nonpositive cycle counts.
-    """
-    n = np.asarray(cycles, dtype=float)
-    if np.any(n <= 0.0):
-        raise ValueError("cycle count must be positive")
-    out = params.A * n ** (-params.alpha) + params.C
-    if params.B != 0.0:
-        out = out + params.B * n ** (-params.beta)
-    if np.isscalar(cycles):
-        return float(out)
-    return out
 
 
 def _curve_and_slope(params, log_n):
@@ -174,21 +140,10 @@ def _log_rates(params: StrainLifeParams, amplitudes, index, log_volumes, combine
     return (terms if combine is None else combine(terms)) + math.log(math.log(2.0) / params.V0)
 
 
-def element_lifetime(params: StrainLifeParams, delta_eps: float, volume: float) -> WeibullLifetime:
-    """Weibull lifetime of one element from its strain range and volume.
-
-    The scale is the inverted curve at delta_eps/2, shrunk by the volume
-    factor (V0 / (V ln 2))^(1/m); larger volume or larger strain range both
-    shorten the characteristic life.
-    """
-    return WeibullLifetime(scale=float(element_scale_array(params, delta_eps, volume)), shape=params.m)
-
-
 def element_scale_array(params: StrainLifeParams, delta_eps, volumes):
-    """Vectorized Weibull scales for many elements; inf where below the limit.
+    """Weibull scales N(delta_eps / 2) (V0 / (V ln 2))^(1/m) of elements; inf at or below the limit.
 
-    Bulk path behind :func:`element_lifetime`; strain ranges must be
-    nonnegative and volumes positive, both finite.
+    Strain ranges must be nonnegative and volumes positive, both finite.
     """
     delta_eps = np.asarray(delta_eps, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
@@ -201,21 +156,3 @@ def element_scale_array(params: StrainLifeParams, delta_eps, volumes):
     amplitudes, index = np.unique(0.5 * delta_eps, return_inverse=True)
     log_rate = _log_rates(params, amplitudes, index.reshape(delta_eps.shape), np.log(volumes))
     return np.exp(-log_rate / params.m)
-
-
-def weibull_cdf(dist: WeibullLifetime, cycles):
-    """Failure probability by the given cycle count(s); 0 for infinite life."""
-    return _at_cycles(dist, cycles, lambda *args: -np.expm1(-_hazard(*args)[1]))
-
-
-def weibull_pdf(dist: WeibullLifetime, cycles):
-    """Failure density at the given cycle count(s); 0 for infinite life.
-
-    At n = 0 it is the limit: 0 for shape > 1, 1/scale for shape 1, inf below.
-    """
-    at_zero = 0.0 if dist.shape > 1.0 else 1.0 if dist.shape == 1.0 else math.inf
-
-    def density(log_rate, shape, log_x):  # of x = n / scale, hence the division
-        return np.where(log_x == -np.inf, at_zero, _density(log_rate, shape, log_x)) / dist.scale
-
-    return _at_cycles(dist, cycles, density)

@@ -67,21 +67,6 @@ def to_matrix(t):
     return m
 
 
-def from_matrix(m):
-    m = np.asarray(m, dtype=float)
-    return np.stack(
-        [
-            m[..., 0, 0],
-            m[..., 1, 1],
-            m[..., 2, 2],
-            0.5 * (m[..., 0, 1] + m[..., 1, 0]),
-            0.5 * (m[..., 1, 2] + m[..., 2, 1]),
-            0.5 * (m[..., 0, 2] + m[..., 2, 0]),
-        ],
-        axis=-1,
-    )
-
-
 def elastic_stress(strain, youngs_modulus, poisson_ratio):
     """Isotropic Hooke's law, strain 6-vector(s) -> stress 6-vector(s)."""
     strain = np.asarray(strain, dtype=float)

@@ -1,10 +1,11 @@
-"""Weakest-link aggregation of element lifetimes into a structure lifetime.
+"""Weakest-link structure lifetimes: the log-domain rate sum, sampling and pooled quantiles.
 
-Independent Weibull elements sharing one shape parameter combine into a
-structure lifetime that is again Weibull; the structure scale is accumulated
-in the log domain so elements whose scales span many orders of magnitude
-neither overflow nor underflow.  Sampling and pooled-quantile machinery for
-building probabilistic load-life tables lives here too.
+Independent Weibull elements sharing one shape parameter fail as one
+Weibull structure whose rate is the sum of theirs.  ``_log_sum_exp`` sums
+those rates in the log domain, per structure for the likelihood kernel, so
+elements whose scales span many orders of magnitude neither overflow nor
+underflow.  Lifetime sampling and the pooled quantiles of the load-life
+tables live here too.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .material import DEFAULT_RUNOUT_CYCLES, DEFAULT_SAMPLES_PER_STRUCT, WOHLER_QUANTILES
-from .strain_life import WeibullLifetime, weibull_cdf
+from .strain_life import WeibullLifetime
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ def structure_scale(element_scales: Iterable[float], shape: float) -> float:
         return float(finite[0])
     log_sum = _log_sum_exp(-shape * np.log(finite), [0], np.zeros(finite.size, dtype=np.intp))[0]
     return float(math.exp(-log_sum / shape))
-
-
-def structure_lifetime(element_scales: Iterable[float], shape: float) -> StructureLifetime:
-    return StructureLifetime(scale=structure_scale(element_scales, shape), shape=shape)
-
-
-def structure_cdf(struct: StructureLifetime, cycles):
-    """Failure probability of the structure by the given cycle count(s)."""
-    return weibull_cdf(struct, cycles)
 
 
 def sample_lifetimes(

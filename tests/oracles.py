@@ -16,8 +16,9 @@ lists and draws each start's jitter on its own instead of the simplex array
 and the one jitter matrix.  The likelihood kernel's evaluation is also kept
 as the chain it replaced, with a checked inverse and a new array per step
 instead of the rows' own buffers.  The helpers that only the tests use
-live here too: tensor rotation, the scalar log-likelihood terms and the
-observations writer.
+live here too: tensor rotation and the matrix-to-voigt map, the strain-life
+curve and the Weibull CDF in closed form, the field of a synthesis without
+its report, the scalar log-likelihood terms and the observations writer.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from porelife.field import (
     PoreFieldStats,
     _sample_radii_mm,
     cavity_peak_kt,
+    synth_field_report,
 )
 from porelife.material_point import (
     DEFAULT_CYCLE_SAMPLES,
@@ -173,11 +175,18 @@ def scalar_uniaxial_forward_euler(
 # The critical direction of one tensor at a time
 # ---------------------------------------------------------------------------
 
+def from_matrix(m):
+    """The voigt 6-vector(s) of symmetric 3x3 matrices, each shear the mean of its two entries."""
+    m = np.asarray(m, dtype=float)
+    return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], 0.5 * (m[..., 0, 1] + m[..., 1, 0]),
+                     0.5 * (m[..., 1, 2] + m[..., 2, 1]), 0.5 * (m[..., 0, 2] + m[..., 2, 0])], axis=-1)
+
+
 def rotate(t, rotation):
     """Return R . T . R^T of each tensor in voigt form."""
     m = voigt.to_matrix(t)
     r = np.asarray(rotation, dtype=float)
-    return voigt.from_matrix(r @ m @ r.T)
+    return from_matrix(r @ m @ r.T)
 
 
 def scalar_critical_direction(sigma) -> np.ndarray:
@@ -554,6 +563,11 @@ def cell_criterion_table(
 # Pore-field synthesis one shell at a time
 # ---------------------------------------------------------------------------
 
+def synth_field(stats: PoreFieldStats, seed=0, n_pores: int | None = None) -> ElasticElementField:
+    """The field of :func:`porelife.field.synth_field_report`, without its report."""
+    return synth_field_report(stats, seed=seed, n_pores=n_pores)[0]
+
+
 def loop_synth_field_report(
     stats: PoreFieldStats,
     resolution: int = DEFAULT_SHELLS,
@@ -658,19 +672,22 @@ def survival_product_cdf(element_scales, shape: float, cycles: float) -> float:
     return 1.0 - survival
 
 
-def trapezoid_pdf_mass(dist, upper: float, n_points: int = 200_001) -> float:
-    """Quadrature of the lifetime density from 0 to ``upper``."""
-    from porelife.strain_life import weibull_pdf
+def weibull_cdf(dist, cycles):
+    """Failure probability -expm1(-(n/scale)^shape) of a lifetime by cycle count(s) n; 0 at infinite scale."""
+    out = -np.expm1(-((np.asarray(cycles, dtype=float) / dist.scale) ** dist.shape))
+    return float(out) if np.isscalar(cycles) else out
 
-    grid = np.linspace(0.0, upper, n_points)
-    return float(np.trapezoid(weibull_pdf(dist, grid), grid))
+
+def strain_amplitude(params, cycles):
+    """The strain-life curve A n^-alpha + B n^-beta + C at cycle count(s) n."""
+    n = np.asarray(cycles, dtype=float)
+    out = params.A * n ** -params.alpha + params.B * n ** -params.beta + params.C
+    return float(out) if np.isscalar(cycles) else out
 
 
 def _oracle_cycles(params, eps_amp: float) -> float:
     """Strain-life inverse by Brent's method in ln N; infinite at or below C."""
     from scipy.optimize import brentq
-
-    from porelife.strain_life import strain_amplitude
 
     if eps_amp <= params.C:
         return math.inf

@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
+Criteria 1 and 2 have a second test each, which checks the same claim
+through the likelihood kernel that every command runs.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and measured values.
 """
@@ -12,10 +15,10 @@ from scipy import stats as scipy_stats
 from porelife import voigt
 from porelife.config import RunConfig
 from porelife.field import (
+    CriterionTable,
     PoreFieldStats,
     criterion_table,
     notch_variant,
-    synth_field,
     thin_variant,
     tile_field,
 )
@@ -43,12 +46,10 @@ from porelife.strain_life import (
     StrainLifeParams,
     cycles_to_failure,
     element_scale_array,
-    strain_amplitude,
 )
 from porelife.weakest_link import (
     StructureLifetime,
     sample_lifetimes,
-    structure_cdf,
     structure_scale,
     wohler_quantiles,
 )
@@ -58,7 +59,10 @@ from oracles import (
     rotate,
     runout_term,
     scalar_uniaxial_forward_euler,
+    strain_amplitude,
     survival_product_cdf,
+    synth_field,
+    weibull_cdf,
 )
 
 
@@ -78,11 +82,42 @@ def test_criterion_01_weakest_link_closed_form_vs_brute_force(rng):
         m = float(rng.uniform(0.5, 5.0))
         struct = StructureLifetime(scale=structure_scale(scales, m), shape=m)
         for cycles in np.linspace(5.0, 2e6, 20):
-            gap = abs(structure_cdf(struct, cycles) - survival_product_cdf(scales, m, cycles))
+            gap = abs(weibull_cdf(struct, cycles) - survival_product_cdf(scales, m, cycles))
             worst = max(worst, gap)
     elapsed = time.time() - start
     ok = worst < 1e-12 and elapsed < 1.0
     report(1, ok, f"closed form vs survival product, max |gap| = {worst:.2e}, {elapsed:.2f}s")
+
+
+def test_criterion_01_on_the_kernel_path(rng):
+    # criterion 1's element scales, as the strain ranges and volumes of a
+    # one-level table that give them, through the likelihood kernel every
+    # command runs; odd trials take the two-line curve, even ones the one-line curve
+    start = time.time()
+    level = 80.0
+    worst = 0.0
+    volume_rng = np.random.default_rng(1)  # criterion 1's scales and shapes come from rng, in its order
+    for trial in range(100):
+        n = int(rng.integers(1, 21))
+        scales = rng.uniform(10.0, 1e6, size=n)
+        if rng.random() < 0.3:
+            scales[rng.integers(n)] = math.inf
+        m = float(rng.uniform(0.5, 5.0))
+        two_line = dict(B=0.35, beta=0.72) if trial % 2 else {}
+        params = StrainLifeParams(m=m, A=0.0047, alpha=0.129, C=3e-4, V0=593.0, **two_line)
+        volumes = volume_rng.uniform(1.0, 100.0, size=n)
+        # scale = N(delta_eps / 2) (V0 / (V ln 2))^(1/m); the fatigue limit C gives infinite life
+        lives = scales * (volumes * math.log(2.0) / params.V0) ** (1.0 / m)
+        delta = np.where(np.isfinite(scales), 2.0 * strain_amplitude(params, lives), 2.0 * params.C)
+        table = CriterionTable(element_ids=np.arange(n), volumes=volumes, load_levels=[level],
+                               delta_eps=delta[:, None])
+        struct = structure_for(params, Heterogeneous(table), level)
+        for cycles in np.linspace(5.0, 2e6, 20):
+            gap = abs(weibull_cdf(struct, cycles) - survival_product_cdf(scales, m, cycles))
+            worst = max(worst, gap)
+    elapsed = time.time() - start
+    ok = worst < 1e-12 and elapsed < 1.0
+    report(1, ok, f"kernel path vs survival product, max |gap| = {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_tiling_size_effect():
@@ -107,6 +142,36 @@ def test_criterion_02_tiling_size_effect():
     elapsed = time.time() - start
     ok = worst_exact < 1e-12 and worst_q50 < 0.03 and elapsed < 10.0
     report(2, ok, f"scale law exact to {worst_exact:.2e}, sampled q50 ratio off by {worst_q50:.2%}, {elapsed:.1f}s")
+
+
+def test_criterion_02_on_the_kernel_path():
+    # criterion 2's tiled fields, as tables of their elastic strain ranges,
+    # through the likelihood kernel every command runs
+    start = time.time()
+    params = StrainLifeParams(m=2.0, A=0.0047, alpha=0.129, C=3e-4, V0=593.0)
+    stats = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)
+    field = synth_field(stats, seed=21)
+    level = 70.0
+
+    def structure(f):
+        delta = 2.0 * level / ALSI7MG.E * f.sigma_unit[:, 0]
+        table = CriterionTable(element_ids=f.ids, volumes=f.volumes, load_levels=[level], delta_eps=delta[:, None])
+        return structure_for(params, Heterogeneous(table), level)
+
+    base = structure(field)
+    worst_exact = 0.0
+    worst_q50 = 0.0
+    for k in (2, 4, 8):
+        tiled = structure(tile_field(field, k))
+        expected = base.scale * k ** (-1.0 / params.m)
+        worst_exact = max(worst_exact, abs(tiled.scale - expected) / expected)
+        base_q50 = np.median(sample_lifetimes(base, 10_000, seed=k)[0])
+        tiled_q50 = np.median(sample_lifetimes(tiled, 10_000, seed=100 + k)[0])
+        worst_q50 = max(worst_q50, abs(tiled_q50 / base_q50 - k ** (-1.0 / params.m)) / k ** (-1.0 / params.m))
+    elapsed = time.time() - start
+    ok = worst_exact < 1e-12 and worst_q50 < 0.03 and elapsed < 10.0
+    report(2, ok, f"kernel path: scale law exact to {worst_exact:.2e}, sampled q50 ratio off by {worst_q50:.2%}, "
+                  f"{elapsed:.1f}s")
 
 
 def test_criterion_03_curve_round_trip(rng):

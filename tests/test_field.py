@@ -34,7 +34,6 @@ from porelife.field import (
     read_sidecar,
     save_criterion_table,
     save_field,
-    synth_field,
     synth_field_report,
     thin_variant,
     tile_field,
@@ -50,6 +49,7 @@ from oracles import (
     line_load_field,
     loop_synth_field_report,
     rotate,
+    synth_field,
 )
 
 SMALL = PoreFieldStats(gauge_radius_mm=1.5, gauge_length_mm=8.0)

@@ -26,7 +26,7 @@ from porelife.likelihood import (
     structure_for,
     unknown_pores_objective,
 )
-from porelife.strain_life import StrainLifeParams, element_lifetime, element_scale_array
+from porelife.strain_life import StrainLifeParams, element_scale_array
 from porelife.weakest_link import structure_scale
 from oracles import (
     chain_objective,
@@ -327,7 +327,7 @@ class TestStructureFor:
             delta_eps=deltas[:, None],
         )
         struct = structure_for(PARAMS, Heterogeneous(table), 90.0)
-        scales = [element_lifetime(PARAMS, float(d), float(v)).scale for d, v in zip(deltas, volumes)]
+        scales = element_scale_array(PARAMS, deltas, volumes)
         assert_allclose(struct.scale, structure_scale(scales, PARAMS.m), rtol=1e-12)
 
     def test_unknown_pores_returns_one_per_table(self):
@@ -427,8 +427,7 @@ class TestHeterogeneous:
         )
         obs = [FatigueObservation(90.0, 4e4, False), FatigueObservation(90.0, 2e6, True)]
         value = loglik_heterogeneous(PARAMS, obs, [table, table])
-        scales = [element_lifetime(PARAMS, float(d), float(v)).scale for d, v in zip(deltas, volumes)]
-        lam = structure_scale(scales, PARAMS.m)
+        lam = structure_scale(element_scale_array(PARAMS, deltas, volumes), PARAMS.m)
         expected = math.log(scipy_pdf(lam, PARAMS.m, 4e4) + LOG_FLOOR) + math.log(
             scipy_survival(lam, PARAMS.m, 2e6) + LOG_FLOOR
         )

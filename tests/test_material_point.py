@@ -33,6 +33,7 @@ from porelife.return_mapping import (
 )
 from oracles import (
     decompose_elastic_delta_eps,
+    from_matrix,
     neuber_reference,
     rotate,
     scalar_critical_direction,
@@ -573,7 +574,7 @@ def spectral_tensor(seed, gaps, scale):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     evals = np.array([-0.5 + gaps[1], 1.0 - gaps[0], 1.0])
-    return scale * voigt.from_matrix(q @ np.diag(evals) @ q.T)
+    return scale * from_matrix(q @ np.diag(evals) @ q.T)
 
 
 GAPS = st.sampled_from([0.0, 1e-16, 1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9, 1e-8, 1e-3, 0.5])

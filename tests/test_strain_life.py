@@ -9,14 +9,13 @@ from scipy import stats as scipy_stats
 from porelife.strain_life import (
     StrainLifeParams,
     WeibullLifetime,
+    _curve_and_slope,
+    _density,
+    _survival,
     cycles_to_failure,
-    element_lifetime,
     element_scale_array,
-    strain_amplitude,
-    weibull_cdf,
-    weibull_pdf,
 )
-from oracles import trapezoid_pdf_mass
+from oracles import strain_amplitude
 
 TWO_LINE = StrainLifeParams(m=2.0, A=0.1, alpha=0.3, B=0.5, beta=0.7, C=0.001)
 ONE_LINE = StrainLifeParams(m=2.0, A=1.0, alpha=0.5)
@@ -33,24 +32,23 @@ def bisect_inverse(params, eps, lo=1e-6, hi=1e18):
     return math.sqrt(lo * hi)
 
 
+def curve(params, cycles):
+    """The library's forward curve, which the two-line inverse bisects, at cycle count(s)."""
+    return _curve_and_slope(params, np.log(cycles))[0]
+
+
 class TestCurve:
     def test_single_power_law(self):
-        assert_allclose(strain_amplitude(ONE_LINE, 100.0), 0.1, rtol=1e-14)
+        assert_allclose(curve(ONE_LINE, 100.0), 0.1, rtol=1e-14)
 
     def test_two_line_value(self):
         # 0.1*10^-1.2 + 0.5*10^-2.8 + 0.001 evaluated directly
         expected = 0.1 * 10.0**-1.2 + 0.5 * 10.0**-2.8 + 0.001
         assert abs(expected - 0.0081020) < 1e-7
-        assert_allclose(strain_amplitude(TWO_LINE, 1e4), expected, atol=1e-12)
+        assert_allclose(curve(TWO_LINE, 1e4), expected, atol=1e-12)
 
     def test_asymptote(self):
-        assert strain_amplitude(TWO_LINE, 1e50) == pytest.approx(TWO_LINE.C, rel=1e-9)
-
-    def test_rejects_nonpositive_cycles(self):
-        with pytest.raises(ValueError):
-            strain_amplitude(ONE_LINE, 0.0)
-        with pytest.raises(ValueError):
-            strain_amplitude(ONE_LINE, np.array([10.0, -1.0]))
+        assert curve(TWO_LINE, 1e50) == pytest.approx(TWO_LINE.C, rel=1e-9)
 
     def test_strictly_decreasing_random_params(self, rng):
         for _ in range(200):
@@ -63,7 +61,7 @@ class TestCurve:
                 C=rng.uniform(0.0, 1e-3),
             )
             n = np.sort(rng.uniform(1.0, 1e9, size=8))
-            vals = strain_amplitude(params, n)
+            vals = curve(params, n)
             assert np.all(np.diff(vals) < 0.0)
 
 
@@ -123,36 +121,32 @@ class TestInverse:
                 assert_allclose(v, scalar, rtol=1e-12)
 
 
-class TestElementLifetime:
+class TestElementScale:
     def test_median_at_reference_volume(self):
         params = StrainLifeParams(m=2.5, A=1.0, alpha=0.5, V0=593.0)
         delta = 2.0 * strain_amplitude(params, 5000.0)
-        dist = element_lifetime(params, delta, volume=params.V0)
+        dist = WeibullLifetime(scale=float(element_scale_array(params, delta, params.V0)), shape=params.m)
         assert_allclose(dist.median(), 5000.0, rtol=1e-9)
 
     def test_below_limit_infinite(self):
         params = StrainLifeParams(m=2.0, A=1.0, alpha=0.5, C=0.01)
-        dist = element_lifetime(params, delta_eps=0.01, volume=10.0)
-        assert dist.is_infinite
-        assert weibull_cdf(dist, 1e9) == 0.0
+        assert element_scale_array(params, 0.01, 10.0) == math.inf
 
     def test_scale_formula_direct(self):
         # base inverse 1000 cycles, m = 2, V = 4 V0:
         # 1000 * (1 / (4 ln 2))^(1/2) = 600.5612...
         params = StrainLifeParams(m=2.0, A=1.0, alpha=0.5, V0=593.0)
         eps = strain_amplitude(params, 1000.0)
-        dist = element_lifetime(params, 2.0 * eps, volume=4.0 * params.V0)
-        assert_allclose(dist.scale, 1000.0 / (2.0 * math.sqrt(math.log(2.0))), atol=1e-3)
-        assert_allclose(dist.scale, 600.561, atol=1e-3)
+        scale = element_scale_array(params, 2.0 * eps, 4.0 * params.V0)
+        assert_allclose(scale, 1000.0 / (2.0 * math.sqrt(math.log(2.0))), atol=1e-3)
+        assert_allclose(scale, 600.561, atol=1e-3)
 
     def test_scale_monotone_in_volume_and_strain(self):
         params = StrainLifeParams(m=2.0, A=0.05, alpha=0.3, C=1e-4)
         volumes = np.logspace(-3, 3, 13)
-        scales = [element_lifetime(params, 0.004, v).scale for v in volumes]
-        assert np.all(np.diff(scales) < 0.0)
+        assert np.all(np.diff(element_scale_array(params, np.full(13, 0.004), volumes)) < 0.0)
         deltas = np.linspace(0.001, 0.05, 25)
-        scales = [element_lifetime(params, d, 10.0).scale for d in deltas]
-        assert np.all(np.diff(scales) < 0.0)
+        assert np.all(np.diff(element_scale_array(params, deltas, np.full(25, 10.0))) < 0.0)
 
     def test_array_path_matches_scalar(self):
         params = StrainLifeParams(m=1.7, A=0.02, alpha=0.25, C=2e-4)
@@ -160,11 +154,11 @@ class TestElementLifetime:
         volumes = np.array([1.0, 2.0, 0.5, 3.0])
         scales = element_scale_array(params, deltas, volumes)
         for d, v, s in zip(deltas, volumes, scales):
-            ref = element_lifetime(params, float(d), float(v))
-            if ref.is_infinite:
+            ref = float(element_scale_array(params, float(d), float(v)))
+            if math.isinf(ref):
                 assert math.isinf(s)
             else:
-                assert_allclose(s, ref.scale, rtol=1e-12)
+                assert_allclose(s, ref, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "delta_eps, volume",
@@ -173,7 +167,7 @@ class TestElementLifetime:
     def test_array_path_rejects_what_the_scalar_path_rejects(self, delta_eps, volume):
         params = StrainLifeParams(m=1.7, A=0.02, alpha=0.25, C=2e-4)
         with pytest.raises(ValueError):
-            element_lifetime(params, delta_eps, volume)
+            element_scale_array(params, delta_eps, volume)
         with pytest.raises(ValueError):
             element_scale_array(params, [3e-3, delta_eps], [1.0, volume])
 
@@ -183,59 +177,61 @@ SCALES = st.floats(1.0, 1e9)
 
 
 class TestWeibull:
+    """The kernel's density and survival, at log rate 0 and ln(n / scale) as for a lifetime in units of its scale."""
+
     @settings(max_examples=200, deadline=None)
     @given(shape=SHAPES, scale=st.one_of(SCALES, st.just(math.inf)), x=st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=5))
-    def test_cdf_matches_scipy(self, shape, scale, x):
-        # x is n/scale for finite scales; an infinite scale is evaluated at n = x * 1e6
+    def test_survival_matches_scipy(self, shape, scale, x):
+        # x is n/scale for finite scales; an infinite scale is evaluated at n = x * 1e6;
+        # below 1e-300 the survival nears the subnormals, where a relative error of 1e-12 is not kept
         n = np.array(x) * (scale if math.isfinite(scale) else 1e6)
-        dist = WeibullLifetime(scale=scale, shape=shape)
-        assert_allclose(weibull_cdf(dist, n), scipy_stats.weibull_min.cdf(n, shape, scale=scale), rtol=1e-12, atol=0.0)
+        with np.errstate(divide="ignore"):  # ln(n / inf) = -inf
+            survival = _survival(0.0, shape, np.log(n / scale))
+        assert_allclose(survival, scipy_stats.weibull_min.sf(n, shape, scale=scale), rtol=1e-12, atol=1e-300)
 
     @settings(max_examples=200, deadline=None)
     @given(shape=SHAPES, scale=SCALES, x=st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=5))
-    def test_pdf_matches_scipy(self, shape, scale, x):
+    def test_density_matches_scipy(self, shape, scale, x):
         # below 1e-280 the density meets the hazard's e^700 cap and the log density's -700 clamp
         n = np.array(x) * scale
-        dist = WeibullLifetime(scale=scale, shape=shape)
-        assert_allclose(weibull_pdf(dist, n), scipy_stats.weibull_min.pdf(n, shape, scale=scale), rtol=1e-12, atol=1e-280)
-
-    @pytest.mark.parametrize("shape, limit", [(0.5, math.inf), (1.0, 1e-3), (2.0, 0.0)])
-    def test_pdf_limit_at_zero(self, shape, limit):
-        dist = WeibullLifetime(scale=1e3, shape=shape)
-        assert weibull_pdf(dist, 0.0) == limit
-        assert weibull_pdf(dist, np.array([0.0, 5.0]))[0] == limit
+        density = _density(0.0, shape, np.log(n / scale)) / scale
+        assert_allclose(density, scipy_stats.weibull_min.pdf(n, shape, scale=scale), rtol=1e-12, atol=1e-280)
 
     def test_median_identity(self):
-        dist = WeibullLifetime(scale=1000.0, shape=2.0)
-        assert_allclose(weibull_cdf(dist, 1000.0 * math.log(2.0) ** 0.5), 0.5, atol=1e-9)
+        assert_allclose(_survival(-2.0 * math.log(1000.0), 2.0, math.log(1000.0 * math.log(2.0) ** 0.5)), 0.5,
+                        atol=1e-9)
 
     def test_infinite_scale(self):
-        dist = WeibullLifetime.infinite(2.0)
-        assert weibull_cdf(dist, 1e9) == 0.0
-        assert weibull_pdf(dist, 1e9) == 0.0
+        # log rate -inf: the survival is exactly 1, the density the -700 clamp, below the likelihood's floor
         for shape in (0.5, 1.0, 2.0):
-            assert np.all(weibull_pdf(WeibullLifetime.infinite(shape), np.array([0.0, 1.0, 1e300])) == 0.0)
+            log_n = np.log([1.0, 1e9, 1e300])
+            assert np.all(_survival(-math.inf, shape, log_n) == 1.0)
+            assert np.all(_density(-math.inf, shape, log_n) == math.exp(-700.0))
 
     def test_direct_value(self):
-        dist = WeibullLifetime(scale=3e6, shape=2.0)
-        assert_allclose(weibull_cdf(dist, 2e6), 1.0 - math.exp(-4.0 / 9.0), atol=1e-5)
+        assert_allclose(_survival(-2.0 * math.log(3e6), 2.0, math.log(2e6)), math.exp(-4.0 / 9.0), atol=1e-5)
 
-    def test_cdf_is_distribution(self):
-        dist = WeibullLifetime(scale=1234.0, shape=1.6)
-        grid = np.linspace(0.0, 20 * dist.scale, 500)
-        cdf = weibull_cdf(dist, grid)
-        assert cdf[0] == 0.0
-        assert np.all(np.diff(cdf) >= 0.0)
-        assert_allclose(cdf, 1.0 - np.exp(-((grid / dist.scale) ** dist.shape)), atol=1e-14)
+    def test_survival_is_a_distribution(self):
+        scale, shape = 1234.0, 1.6
+        grid = np.linspace(0.0, 20 * scale, 500)
+        with np.errstate(divide="ignore"):
+            survival = _survival(-shape * math.log(scale), shape, np.log(grid))
+        assert survival[0] == 1.0
+        assert np.all(np.diff(survival) <= 0.0)
+        assert_allclose(survival, np.exp(-((grid / scale) ** shape)), atol=1e-14)
 
-    def test_pdf_integrates_to_one(self):
-        dist = WeibullLifetime(scale=1000.0, shape=2.0)
-        assert abs(trapezoid_pdf_mass(dist, 20 * dist.scale) - 1.0) < 1e-6
+    def test_density_integrates_to_one(self):
+        scale, shape = 1000.0, 2.0
+        grid = np.linspace(0.0, 20 * scale, 200_001)
+        # the density's limit at n = 0 is 0 for shape > 1
+        density = np.append(0.0, _density(-shape * math.log(scale), shape, np.log(grid[1:])))
+        assert abs(np.trapezoid(density, grid) - 1.0) < 1e-6
 
-    def test_quantile_inverts_cdf(self):
+    def test_quantile_inverts_survival(self):
         dist = WeibullLifetime(scale=5e4, shape=1.3)
         for q in (0.01, 0.15, 0.5, 0.85, 0.99):
-            assert_allclose(weibull_cdf(dist, dist.quantile(q)), q, rtol=1e-12)
+            survival = _survival(-dist.shape * math.log(dist.scale), dist.shape, math.log(dist.quantile(q)))
+            assert_allclose(survival, 1.0 - q, rtol=1e-12)
 
 
 class TestValidation:

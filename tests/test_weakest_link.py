@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from porelife.strain_life import WeibullLifetime, weibull_cdf
 from porelife.weakest_link import (
     DEFAULT_RUNOUT_CYCLES,
     WOHLER_QUANTILES,
@@ -13,13 +12,11 @@ from porelife.weakest_link import (
     _linear_quantiles,
     pooled_lifetimes,
     sample_lifetimes,
-    structure_cdf,
-    structure_lifetime,
     structure_scale,
     wohler_quantiles,
     write_quantile_csv,
 )
-from oracles import loop_pooled_draws, loop_wohler_quantiles, survival_product_cdf
+from oracles import loop_pooled_draws, loop_wohler_quantiles, survival_product_cdf, weibull_cdf
 
 #: Structures censored now and then, always (infinite life) and never.
 MIXED_POOL = (
@@ -83,21 +80,13 @@ class TestStructureCdf:
     def test_brute_force_product(self, rng):
         m = 2.7
         scales = rng.uniform(50.0, 5e4, size=10)
-        struct = structure_lifetime(scales, m)
+        struct = StructureLifetime(scale=structure_scale(scales, m), shape=m)
         for n in np.linspace(10.0, 1e5, 20):
             assert_allclose(
-                structure_cdf(struct, n),
+                weibull_cdf(struct, n),
                 survival_product_cdf(scales, m, n),
                 atol=1e-12,
             )
-
-    def test_zero_at_origin(self):
-        struct = StructureLifetime(scale=1e4, shape=2.0)
-        assert structure_cdf(struct, 0.0) == 0.0
-
-    def test_median_identity(self):
-        struct = StructureLifetime(scale=1e4, shape=3.0)
-        assert_allclose(structure_cdf(struct, 1e4 * math.log(2.0) ** (1.0 / 3.0)), 0.5, atol=1e-12)
 
 
 class TestSampling:
@@ -123,7 +112,7 @@ class TestSampling:
         struct = StructureLifetime(scale=2e4, shape=2.5)
         values, _ = sample_lifetimes(struct, 5000, seed=3)
         # every draw must satisfy the distribution exactly through the CDF
-        u = weibull_cdf(WeibullLifetime(scale=2e4, shape=2.5), values)
+        u = weibull_cdf(struct, values)
         assert np.all((u > 0.0) & (u < 1.0))
         ks = np.max(np.abs(np.sort(u) - (np.arange(1, 5001) - 0.5) / 5000))
         assert ks < 0.03
