@@ -197,6 +197,15 @@ class TestWeibull:
         density = _density(0.0, shape, np.log(n / scale)) / scale
         assert_allclose(density, scipy_stats.weibull_min.pdf(n, shape, scale=scale), rtol=1e-12, atol=1e-280)
 
+    @pytest.mark.parametrize("shape, limit", [(0.5, math.inf), (1.0, 1e-3), (2.0, 0.0)])
+    def test_pdf_limit_at_zero(self, shape, limit):
+        # the kernel takes ln n, so n = 0 is approached down to 1e-300 at scale 1e3
+        density = _density(-shape * math.log(1e3), shape, np.log([1e-100, 1e-200, 1e-300]))
+        if math.isinf(limit):
+            assert np.all(np.diff(density) > 0.0) and density[-1] > 1e140
+        else:
+            assert_allclose(density, limit, rtol=1e-12, atol=1e-100)
+
     def test_median_identity(self):
         assert_allclose(_survival(-2.0 * math.log(1000.0), 2.0, math.log(1000.0 * math.log(2.0) ** 0.5)), 0.5,
                         atol=1e-9)

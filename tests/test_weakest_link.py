@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from porelife.strain_life import _survival
 from porelife.weakest_link import (
     DEFAULT_RUNOUT_CYCLES,
     WOHLER_QUANTILES,
@@ -87,6 +88,18 @@ class TestStructureCdf:
                 survival_product_cdf(scales, m, n),
                 atol=1e-12,
             )
+
+    def test_zero_at_origin(self):
+        struct = StructureLifetime(scale=1e4, shape=2.0)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            survival = _survival(-struct.shape * math.log(struct.scale), struct.shape, np.log(0.0))
+        assert 1.0 - survival == 0.0
+
+    def test_median_identity(self):
+        struct = StructureLifetime(scale=1e4, shape=3.0)
+        median = 1e4 * math.log(2.0) ** (1.0 / 3.0)
+        assert_allclose(struct.median(), median, rtol=1e-12)
+        assert_allclose(1.0 - _survival(-3.0 * math.log(1e4), 3.0, math.log(median)), 0.5, atol=1e-12)
 
 
 class TestSampling:
