@@ -2,9 +2,10 @@
 
 Per-element probabilistic strain-life model, elasto-plastic criterion
 computation with a fast proportional Neuber-type corrector, weakest-link
-aggregation into structure lifetime distributions, and censored
-maximum-likelihood calibration (including marginalization over synthetic
-pore fields when the tested pore distributions are unknown).
+aggregation of a structure (a ``Homogeneous`` gauge, a criterion table or its
+reduced histograms) into its one Weibull lifetime (``structure_for``), and
+censored maximum-likelihood calibration (including marginalization over
+synthetic pore fields when the tested pore distributions are unknown).
 
 Each public name below loads its module on first use (PEP 562), so a
 command imports only the modules it runs: ``porelife.neuber_correct``
@@ -18,7 +19,7 @@ __version__ = "0.1.0"
 
 #: Module -> the public names it exports through the package.
 _EXPORTS = {
-    "strain_life": ("WeibullLifetime", "cycles_to_failure"),
+    "strain_life": ("cycles_to_failure",),
     "weakest_link": ("StructureLifetime", "structure_scale", "sample_lifetimes", "wohler_quantiles"),
     "material": ("ALSI7MG", "ChabocheParams", "StrainLifeParams", "PoreFieldStats"),
     "material_point": ("TensorHistory", "neuber_correct", "critical_direction", "criterion_delta_eps"),
@@ -30,8 +31,8 @@ _EXPORTS = {
         "thin_variant", "tile_field",
     ),
     "likelihood": (
-        "FatigueObservation", "Heterogeneous", "Homogeneous", "ObservationArrays", "UnknownPores",
-        "loglik_heterogeneous", "loglik_homogeneous", "loglik_unknown_pores", "structure_for",
+        "FatigueObservation", "Homogeneous", "ObservationArrays", "loglik_heterogeneous", "loglik_homogeneous",
+        "loglik_unknown_pores", "structure_for",
     ),
     "optimize": ("CalibrationProblem", "calibrate", "nelder_mead"),
 }

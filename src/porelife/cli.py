@@ -110,9 +110,10 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         raise ConfigError(f"--thin must be finite and at least 1, got {thin}")
     if notch_kt is not None:
         _check_notch(notch_kt, notch_volume_fraction)
-    stats = config.pores
-    if thin is not None:
-        stats = thin_variant(stats, thin)
+    try:
+        stats = config.pores if thin is None else thin_variant(config.pores, thin)
+    except (OverflowError, ValueError):  # the thinned gauge's length or volume past the float range
+        raise ConfigError(f"--thin {thin} takes the thin gauge out of the float range") from None
     children = np.random.SeedSequence(config.seed).spawn(count)
     paths = [out / f"field_{i:03d}.csv" for i in range(count)]
 
@@ -372,7 +373,7 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     at a time is held.
     """
     from .field import load_criterion_table
-    from .likelihood import Heterogeneous, ReducedTable, structure_for
+    from .likelihood import ReducedTable, structure_for
     from .weakest_link import wohler_quantiles, write_quantile_csv
 
     params = _load_params_arg(config, params)
@@ -380,7 +381,7 @@ def cmd_wohler(config: RunConfig, out, params, tables) -> int:
     tables = [ReducedTable.of(load_criterion_table(p), levels) for p in tables]
     if not tables:
         raise ConfigError("wohler needs at least one criterion table")
-    structs_per_level = {level: [structure_for(params, Heterogeneous(t), level) for t in tables] for level in levels}
+    structs_per_level = {level: [structure_for(params, t, level) for t in tables] for level in levels}
     table = wohler_quantiles(
         structs_per_level,
         quantiles=config.quantiles,
@@ -463,7 +464,7 @@ def cmd_homogenize(
     as it is loaded or made, so one table at a time is held.
     """
     from .field import load_criterion_table
-    from .likelihood import Heterogeneous, ReducedTable, structure_for
+    from .likelihood import ReducedTable, structure_for
 
     if challenge_porous is None or challenge_bare is None:
         _check_notch(notch_kt, notch_volume_fraction)
@@ -485,7 +486,7 @@ def cmd_homogenize(
     if bare is None:
         bare = ReducedTable.of(_challenge_table(config, "--challenge-bare", config.seed, 0, *notch), levels)
 
-    cylinder = [[structure_for(params_a, Heterogeneous(t), level) for level in levels] for t in cylinder]
+    cylinder = [[structure_for(params_a, t, level) for level in levels] for t in cylinder]
     samples, runout = config.samples_per_struct, config.runout_cycles
     params_b = fit_homogenized_model(config, synthesize_observations(cylinder, levels, samples, config.seed, runout))
 
@@ -501,8 +502,8 @@ def cmd_homogenize(
         structs_a = [structs[i] for structs in cylinder]
         report["cylinder"]["median_A"].append(_pooled_median(structs_a, samples, config.seed, runout))
         report["cylinder"]["median_B"].append(_gauge_structure(params_b, config, level).median())
-        report["challenge"]["median_A"].append(structure_for(params_a, Heterogeneous(porous), level).median())
-        report["challenge"]["median_B"].append(structure_for(params_b, Heterogeneous(bare), level).median())
+        report["challenge"]["median_A"].append(structure_for(params_a, porous, level).median())
+        report["challenge"]["median_B"].append(structure_for(params_b, bare, level).median())
     out.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no --out behind
     _write_json(out / "homogenize.json", report)
     print("homogenize.json written")
@@ -513,9 +514,7 @@ def _gauge_structure(params: StrainLifeParams, config: RunConfig, level: float):
     """Homogenized prediction on the plain gauge volume: a :class:`porelife.weakest_link.StructureLifetime`."""
     from .likelihood import Homogeneous, structure_for
 
-    return structure_for(
-        params, Homogeneous(config.pores.gauge_volume, config.material.E), level
-    )
+    return structure_for(params, Homogeneous(config.pores.gauge_volume, config.material.E), level)
 
 
 # ---------------------------------------------------------------------------

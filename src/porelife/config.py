@@ -198,8 +198,11 @@ def fatigue_from_dict(record) -> StrainLifeParams:
             if f.default is MISSING:
                 raise ValueError(f"missing fatigue parameter '{f.name}'")
             continue
+        value = record[f.name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON numbers only; true is not one
+            raise ValueError(f"fatigue parameter '{f.name}' must be a number, got {value!r}")
         try:
-            values[f.name] = float(record[f.name])
-        except (TypeError, ValueError):
-            raise ValueError(f"fatigue parameter '{f.name}' must be a number, got {record[f.name]!r}") from None
+            values[f.name] = float(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"fatigue parameter '{f.name}' must be finite, got {str(value)[:20]}...") from None
     return StrainLifeParams(**values)

@@ -137,28 +137,6 @@ class Homogeneous:
 
 
 @dataclass(frozen=True, eq=False)
-class Heterogeneous:
-    """Known per-element criterion table of one specimen, or its :class:`ReducedTable`."""
-
-    table: CriterionTable | ReducedTable
-
-
-@dataclass(frozen=True, eq=False)
-class UnknownPores:
-    """Synthetic realizations standing in for an unknown pore distribution."""
-
-    tables: tuple[CriterionTable, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(self.tables))
-        if len(self.tables) < 1:
-            raise ValueError("need at least one synthetic table")
-
-
-SpecimenModel = Homogeneous | Heterogeneous | UnknownPores
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedTable:
     """A criterion table reduced to its volume histograms at the amplitudes asked of it.
 
@@ -239,29 +217,23 @@ class _Segments:
         )
 
 
-def _structure(params: StrainLifeParams, structure, sigma_a: float) -> StructureLifetime:
-    with np.errstate(divide="ignore"):
-        log_rate = _Segments([_histogram(structure, sigma_a)]).log_rates(params)[0]
-    return StructureLifetime(scale=math.exp(-log_rate / params.m), shape=params.m)
+def structure_for(params: StrainLifeParams, structure, sigma_a: float) -> StructureLifetime:
+    """Weibull lifetime of a structure (a :class:`Homogeneous`, a table or its :class:`ReducedTable`) at an amplitude.
 
-
-def structure_for(params: StrainLifeParams, model: SpecimenModel, sigma_a: float):
-    """Structure lifetime distribution(s) of a specimen model at an amplitude.
-
-    Returns one :class:`StructureLifetime` for ``Homogeneous``/``Heterogeneous``
-    and a list (one per synthetic realization) for ``UnknownPores``.
+    A scale too large for a float raises ``ValueError``; an infinite life does not.
     """
     if not math.isfinite(sigma_a):
         raise ValueError(f"sigma_a must be finite, got {sigma_a}")
     if sigma_a <= 0.0:
         raise ValueError("sigma_a must be positive")
-    if isinstance(model, Homogeneous):
-        return _structure(params, model, sigma_a)
-    if isinstance(model, Heterogeneous):
-        return _structure(params, model.table, sigma_a)
-    if isinstance(model, UnknownPores):
-        return [_structure(params, t, sigma_a) for t in model.tables]
-    raise TypeError(f"unknown specimen model {type(model).__name__}")
+    if not isinstance(structure, (Homogeneous, CriterionTable, ReducedTable)):
+        raise TypeError(f"unknown specimen model {type(structure).__name__}")
+    with np.errstate(divide="ignore"):
+        log_rate = _Segments([_histogram(structure, sigma_a)]).log_rates(params)[0]
+    try:
+        return StructureLifetime(scale=math.exp(-log_rate / params.m), shape=params.m)
+    except OverflowError:
+        raise ValueError(f"structure scale at sigma_a {sigma_a} MPa overflows a float") from None
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,9 @@ class PoreFieldStats:
             raise ValueError("gauge dimensions must be positive")
         if self.surface_kt_boost < 1.0:
             raise ValueError("surface_kt_boost must be at least 1")
+        if not (self.gauge_radius_mm < 1e154 and math.isfinite(self.gauge_volume)):  # from 1e154, pi r**2 overflows
+            raise ValueError(f"gauge_radius_mm {self.gauge_radius_mm} and gauge_length_mm {self.gauge_length_mm} "
+                             "give a gauge volume that is not finite")
 
     @property
     def gauge_volume(self) -> float:

@@ -10,52 +10,9 @@ gives an explicit infinite life (log rate -inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .material import DEFAULT_REFERENCE_VOLUME, StrainLifeParams  # noqa: F401  (importable from here too)
-
-
-@dataclass(frozen=True)
-class WeibullLifetime:
-    """Two-parameter Weibull lifetime; ``scale = math.inf`` marks infinite life.
-
-    Every operation branches on the infinite state explicitly (its quantiles
-    are infinite, and sampling draws only run-outs from it), so no arithmetic
-    is ever done on the infinite scale.
-    """
-
-    scale: float
-    shape: float
-
-    def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-        if not self.scale > 0:  # inf passes, nan/0/negatives fail
-            raise ValueError(f"scale must be positive or infinite, got {self.scale}")
-
-    @classmethod
-    def infinite(cls, shape: float) -> "WeibullLifetime":
-        return cls(scale=math.inf, shape=shape)
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.scale)
-
-    def median(self) -> float:
-        return self.quantile(0.5)  # the inverse CDF at 0.5 is scale * (ln 2)^(1/shape) exactly
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        if self.is_infinite:
-            return math.inf
-        return float(self._inverse_cdf(q))
-
-    def _inverse_cdf(self, q):
-        """Cycles at failure probability q (scalar or array) of a finite-scale lifetime."""
-        return self.scale * (-np.log1p(-q)) ** (1.0 / self.shape)
 
 
 def _hazard(log_rate, shape, log_n, out=(None, None)):

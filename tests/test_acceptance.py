@@ -25,7 +25,6 @@ from porelife.field import (
 from porelife.likelihood import (
     LOG_FLOOR,
     FatigueObservation,
-    Heterogeneous,
     Homogeneous,
     homogeneous_objective,
     loglik_heterogeneous,
@@ -111,7 +110,7 @@ def test_criterion_01_on_the_kernel_path(rng):
         delta = np.where(np.isfinite(scales), 2.0 * strain_amplitude(params, lives), 2.0 * params.C)
         table = CriterionTable(element_ids=np.arange(n), volumes=volumes, load_levels=[level],
                                delta_eps=delta[:, None])
-        struct = structure_for(params, Heterogeneous(table), level)
+        struct = structure_for(params, table, level)
         for cycles in np.linspace(5.0, 2e6, 20):
             gap = abs(weibull_cdf(struct, cycles) - survival_product_cdf(scales, m, cycles))
             worst = max(worst, gap)
@@ -156,7 +155,7 @@ def test_criterion_02_on_the_kernel_path():
     def structure(f):
         delta = 2.0 * level / ALSI7MG.E * f.sigma_unit[:, 0]
         table = CriterionTable(element_ids=f.ids, volumes=f.volumes, load_levels=[level], delta_eps=delta[:, None])
-        return structure_for(params, Heterogeneous(table), level)
+        return structure_for(params, table, level)
 
     base = structure(field)
     worst_exact = 0.0
@@ -400,7 +399,7 @@ def test_criterion_09_iso_volume_surface_effect():
             field = synth_field(st, seed=seed)
             table = criterion_table(field, ALSI7MG, levels)
             for lv in levels:
-                structs[name][lv].append(structure_for(params, Heterogeneous(table), lv))
+                structs[name][lv].append(structure_for(params, table, lv))
     ok = True
     ratios = []
     for lv in levels:
@@ -439,7 +438,7 @@ def test_criterion_10_homogenization_transferability():
     )
     fields = [synth_field(stats, seed=s) for s in range(10)]
     tables = [criterion_table(f, config.material, levels) for f in fields]
-    structs_by_table = [[structure_for(mu_a, Heterogeneous(t), level) for level in levels] for t in tables]
+    structs_by_table = [[structure_for(mu_a, t, level) for level in levels] for t in tables]
     observations = synthesize_observations(structs_by_table, levels, 1000, config.seed, config.runout_cycles)
     mu_b = fit_homogenized_model(config, observations)
 
@@ -451,11 +450,11 @@ def test_criterion_10_homogenization_transferability():
     direction_ok = True
     rows = []
     for level in levels:
-        structs_a = [structure_for(mu_a, Heterogeneous(t), level) for t in tables]
+        structs_a = [structure_for(mu_a, t, level) for t in tables]
         med_a = _pooled_median(structs_a, 1000, config.seed, config.runout_cycles)
         med_b = _gauge_structure(mu_b, config, level).median()
-        cha_a = structure_for(mu_a, Heterogeneous(porous_challenge), level).median()
-        cha_b = structure_for(mu_b, Heterogeneous(bare_challenge), level).median()
+        cha_a = structure_for(mu_a, porous_challenge, level).median()
+        cha_b = structure_for(mu_b, bare_challenge, level).median()
         cylinder_ok &= abs(med_b - med_a) / med_a < 0.10
         direction_ok &= cha_a < cha_b
         rows.append(f"{level:.0f}: cyl {abs(med_b - med_a) / med_a:.1%}, A<B {cha_a < cha_b}")

@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -40,7 +42,6 @@ from porelife.field import (
 )
 from porelife.likelihood import (
     FatigueObservation,
-    Heterogeneous,
     Homogeneous,
     ObservationArrays,
     homogeneous_objective,
@@ -921,7 +922,7 @@ class TestWohler:
         table = load_criterion_table(table_path)
         for line in lines[1:]:
             cells = [float(x) for x in line.split(",")]
-            struct = structure_for(config.fatigue, Heterogeneous(table), cells[0])
+            struct = structure_for(config.fatigue, table, cells[0])
             if struct.is_infinite:
                 assert cells[3] == config.runout_cycles
             else:
@@ -983,7 +984,10 @@ class TestWohler:
         [2.0, 0.02, 0.2],
         {"params": {"A": 0.02, "alpha": 0.2}},
         {"m": None, "A": 0.02, "alpha": 0.2},
-    ], ids=["list", "missing-m", "null-m"])
+        {"m": True, "A": 0.02, "alpha": 0.2},
+        {"m": 2.0, "A": "0.025", "alpha": 0.2},
+        {"m": 10**400, "A": 0.02, "alpha": 0.2},
+    ], ids=["list", "missing-m", "null-m", "true-m", "string-A", "huge-m"])
     def test_malformed_params_file_rejected(self, conf, tmp_path, capsys, bulk_table, payload):
         params = tmp_path / "bad_params.json"
         params.write_text(json.dumps(payload))
@@ -1055,13 +1059,13 @@ class TestHomogenize:
             )
             for k in (1.5, 2.2)
         ]
-        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        structs_by_table = [[structure_for(params, t, level) for level in levels] for t in tables]
         arrays = synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
         children = iter(np.random.SeedSequence(7).spawn(len(tables) * len(levels)))
         objects = []
         for table in tables:
             for level in levels:
-                struct = structure_for(params, Heterogeneous(table), level)
+                struct = structure_for(params, table, level)
                 values, censored = sample_lifetimes(struct, 200, next(children), 2e6)
                 objects += [FatigueObservation(level, min(float(v), 2e6), bool(c)) for v, c in zip(values, censored)]
         drawn = ObservationArrays.of(objects)
@@ -1088,7 +1092,7 @@ class TestHomogenize:
                                     ("median_B", StrainLifeParams(**report["model_b"]), "bare")):
             table = load_criterion_table(paths[name])
             assert report["challenge"][model] == [
-                structure_for(params, Heterogeneous(table), level).median() for level in config.load_levels]
+                structure_for(params, table, level).median() for level in config.load_levels]
 
     def test_an_over_full_challenge_field_exits_2_and_leaves_no_out(self, tmp_path, capsys):
         conf = tmp_path / "dense.conf"
@@ -1144,7 +1148,7 @@ class TestHomogenize:
             )
             for k in (1.5, 2.2)[:n_tables]
         ]
-        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        structs_by_table = [[structure_for(params, t, level) for level in levels] for t in tables]
         assert any(s.is_infinite for row in structs_by_table for s in row) == (n_tables == 2)
         arrays = synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
         want = aggregate_runouts(*loop_synthesize_observations(structs_by_table, levels, 200, 7, 2e6), 200)
@@ -1156,7 +1160,7 @@ class TestHomogenize:
         levels = (55.0, 75.0, 95.0)
         tables = [CriterionTable(element_ids=[0, 1], volumes=[590.0, 3.0], load_levels=levels,
                                  delta_eps=np.outer([1.0, k], levels) * 2.0 / 75500.0) for k in (1.5, 2.2)]
-        structs_by_table = [[structure_for(params, Heterogeneous(t), level) for level in levels] for t in tables]
+        structs_by_table = [[structure_for(params, t, level) for level in levels] for t in tables]
         failures = np.count_nonzero(~loop_synthesize_observations(structs_by_table, levels, 300, 3, 2e6)[2])
         arrays = synthesize_observations(structs_by_table, levels, 300, 3, 2e6)
         structures = len(tables) * len(levels)
@@ -1200,6 +1204,44 @@ class TestExitCodes:
             "--mode", "homogeneous", "--observations", str(tmp_path / "nope.csv"),
         ])
         assert rc == EXIT_VALIDATION
+
+
+#: Inputs that take a number past the float range: SMALL_CONF's edit, the arguments after ``--config`` and
+#: ``--out`` (``{table}``, ``{params}`` and ``{obs}`` name valid files the test writes), and what the refusal names.
+PAST_THE_FLOAT_RANGE = {
+    "gauge-radius-genfield": (("gauge_radius_mm = 1.2", "gauge_radius_mm = 1e154"), ["genfield"],
+                              "gauge_radius_mm 1e+154 and gauge_length_mm 6.0 give a gauge volume that is not finite"),
+    "gauge-radius-calibrate": (("gauge_radius_mm = 1.2", "gauge_radius_mm = 1e200"),
+                               ["calibrate", "--mode", "homogeneous", "--observations", "{obs}"],
+                               "gauge_radius_mm 1e+200"),
+    "gauge-length-homogenize": (("gauge_length_mm = 6.0", "gauge_length_mm = 1e308"), ["homogenize", "{table}"],
+                                "gauge_length_mm 1e+308"),
+    "thin": (None, ["genfield", "--thin", "1e200"], "--thin 1e+200 takes the thin gauge out of the float range"),
+    "scale-wohler": (("[pores]", "[fatigue]\nV0 = 1e300\nm = 0.01\n[pores]"), ["wohler", "{table}"],
+                     "structure scale at sigma_a 40.0 MPa overflows a float"),
+    "scale-homogenize": (("[pores]", "[fatigue]\nV0 = 1e300\nm = 0.01\n[pores]"),
+                         ["homogenize", "--challenge-porous", "{table}", "--challenge-bare", "{table}", "{table}"],
+                         "structure scale at sigma_a 40.0 MPa overflows a float"),
+    "params-true-m": (None, ["wohler", "--params", "{params}", "{table}"],
+                      "fatigue parameter 'm' must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_FLOAT_RANGE)
+def test_past_the_float_range_exits_2_without_a_traceback(tmp_path, case):
+    edit, args, named = PAST_THE_FLOAT_RANGE[case]
+    conf = tmp_path / "run.conf"
+    conf.write_text(SMALL_CONF if edit is None else SMALL_CONF.replace(*edit))
+    table, params = write_bulk_table(tmp_path / "bulk.criterion.csv"), tmp_path / "params.json"
+    params.write_text(json.dumps({"m": True, "A": 0.02, "alpha": 0.2}))
+    write_synthetic_obs(tmp_path / "obs.csv")
+    argv = [arg.format(table=table, params=params, obs=tmp_path / "obs.csv") for arg in args]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in sys.path if path)}
+    run = subprocess.run([sys.executable, "-m", "porelife.cli", argv[0], "--config", str(conf), "--out",
+                          str(tmp_path / "out"), *argv[1:]], env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (EXIT_VALIDATION, "")
+    assert "Traceback" not in run.stderr and named in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 #: Load levels of one-element tables: on SMALL_CONF's grid, and off it at 100 MPa ("A") or at 40 MPa ("B").

@@ -24,13 +24,13 @@ from porelife.field import (
     synth_field_report,
     tile_field,
 )
-from porelife.likelihood import (FatigueObservation, Heterogeneous, Homogeneous, ObservationArrays, UnknownPores,
-                                  structure_for, unknown_pores_objective)
+from porelife.likelihood import (FatigueObservation, Homogeneous, ObservationArrays, structure_for,
+                                  unknown_pores_objective)
 from porelife.material import ALSI7MG
 from porelife.material_point import TensorHistory, cosine_cycle, criterion_delta_eps, neuber_correct
 from porelife.optimize import CalibrationProblem, _to_internal, calibrate, nelder_mead
 from porelife.return_mapping import IntegrationError, chaboche_cycle, stress_driven_cycle
-from porelife.strain_life import StrainLifeParams, WeibullLifetime
+from porelife.strain_life import StrainLifeParams
 from porelife.weakest_link import StructureLifetime, sample_lifetimes
 
 #: Constructor arguments of the exceptions whose constructor is their own.
@@ -68,7 +68,7 @@ def test_every_exception_survives_pickling():
 
 EMPTY_HISTORY = TensorHistory(times=np.zeros(0), values=np.zeros((0, 6)))
 ONE_ELEMENT = ElasticElementField(ids=[0], volumes=[27.1], sigma_unit=[[1.0, 0, 0, 0, 0, 0]])
-LIFETIME = WeibullLifetime(scale=1e5, shape=2.0)
+LIFETIME = StructureLifetime(scale=1e5, shape=2.0)
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4)
 OBSERVATIONS = [FatigueObservation(80.0, 1e5)]
 
@@ -139,10 +139,9 @@ REFUSALS = {
     "config-no-levels": (lambda _: RunConfig(load_levels=()), ConfigError, "load_levels must not be empty"),
     "config-nonpositive-level": (lambda _: RunConfig(load_levels=(0.0, 40.0)), ConfigError,
                                  "load levels must be positive"),
-    "unknown-pores-no-tables": (lambda _: UnknownPores(()), ValueError, "need at least one synthetic table"),
     "structure_for-sigma": (lambda _: structure_for(PARAMS, Homogeneous(27.1), 0.0), ValueError,
                             "sigma_a must be positive"),
-    "structure_for-nan-table": (lambda _: structure_for(PARAMS, Heterogeneous(bulk_table()), math.nan), ValueError,
+    "structure_for-nan-table": (lambda _: structure_for(PARAMS, bulk_table(), math.nan), ValueError,
                                 "sigma_a must be finite, got nan"),
     "structure_for-nan": (lambda _: structure_for(PARAMS, Homogeneous(593.0), math.nan), ValueError,
                           "sigma_a must be finite, got nan"),
@@ -150,6 +149,9 @@ REFUSALS = {
                           "sigma_a must be finite, got inf"),
     "structure_for-model": (lambda _: structure_for(PARAMS, "cylinder", 80.0), TypeError,
                             "unknown specimen model str"),
+    "structure_for-overflow": (lambda _: structure_for(dataclasses.replace(PARAMS, m=0.01, V0=1e300),
+                                                       Homogeneous(593.0), 80.0),
+                               ValueError, "structure scale at sigma_a 80.0 MPa overflows a float"),
     "objective-no-tables": (lambda _: unknown_pores_objective(OBSERVATIONS, []), ValueError, "no synthetic tables"),
     "objective-empty-assignment": (lambda _: unknown_pores_objective(OBSERVATIONS, [bulk_table(), bulk_table()],
                                                                      assignments=[()]),
@@ -183,4 +185,4 @@ def test_library_refusals(tmp_path, case):
 
 
 def test_quantile_of_an_infinite_life_is_infinite():
-    assert WeibullLifetime.infinite(2.0).quantile(0.5) == math.inf
+    assert StructureLifetime.infinite(2.0).quantile(0.5) == math.inf

@@ -43,7 +43,7 @@ import scipy
 from porelife.cli import EXIT_OK, main
 from porelife.config import load_config
 from porelife.field import ElasticElementField, load_criterion_table, save_field
-from porelife.likelihood import FatigueObservation, Heterogeneous, Homogeneous, structure_for
+from porelife.likelihood import FatigueObservation, Homogeneous, structure_for
 from porelife.strain_life import StrainLifeParams
 from porelife.weakest_link import sample_lifetimes
 
@@ -104,9 +104,9 @@ def calibrate_mini(root: Path, tables: list) -> None:
                         for o in draws(structure_for(TRUE, gauge, level), 4, [1, int(level)], level)],
         # one specimen per table, at 80 and 100 MPa
         "heterogeneous": [o for k, (table, level) in enumerate(zip(loaded, (80.0, 100.0)))
-                          for o in draws(structure_for(TRUE, Heterogeneous(table), level), 1, [2, k], level)],
+                          for o in draws(structure_for(TRUE, table, level), 1, [2, k], level)],
         "porous": [o for k, table in enumerate(loaded) for level in (60.0, 80.0, 100.0)
-                   for o in draws(structure_for(TRUE, Heterogeneous(table), level), 2, [3, k, int(level)], level)],
+                   for o in draws(structure_for(TRUE, table, level), 2, [3, k, int(level)], level)],
     }
     for name, rows in obs.items():
         assert not all(o.censored for o in rows), name
@@ -151,7 +151,7 @@ def mesh_mini(root: Path) -> None:
     run("criterion", "--config", conf, "--out", root / "tables", root / "mesh.csv")
     table = root / "tables" / "mesh.criterion.csv"
     run("wohler", "--config", conf, "--out", root / "wohler", table)
-    model = Heterogeneous(load_criterion_table(table))
+    model = load_criterion_table(table)
     rows = [o for level in (60.0, 80.0, 100.0)
             for o in draws(structure_for(TRUE, model, level), 3, [4, int(level)], level)]
     assert not all(o.censored for o in rows)

@@ -8,15 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
-from porelife.field import CriterionTable, FieldFormatError, PoreFieldStats
+from porelife.field import CriterionTable, ExtrapolationError, FieldFormatError, PoreFieldStats
 from porelife.likelihood import (
     LOG_FLOOR,
     OBSERVATIONS_HEADER,
     FatigueObservation,
     ObservationArrays,
-    Heterogeneous,
     Homogeneous,
-    UnknownPores,
+    ReducedTable,
     heterogeneous_objective,
     homogeneous_objective,
     load_observations,
@@ -278,7 +277,7 @@ class TestStructureFor:
     @given(case=tables_and_load(), params=st.sampled_from([PARAMS, TWO_LINE]))
     def test_matches_per_element_aggregation(self, case, params):
         table, load = case
-        struct = structure_for(params, Heterogeneous(table), load)
+        struct = structure_for(params, table, load)
         scale = structure_scale(element_scale_array(params, table.interpolate(load), table.volumes), params.m)
         if math.isinf(scale):
             assert struct.is_infinite
@@ -291,13 +290,13 @@ class TestStructureFor:
         # weakest link: a higher load or a larger element never lengthens the life;
         # the 1e-12 slack allows for the rounding of differently grouped sums
         table, load = case
-        scale = structure_for(params, Heterogeneous(table), load).scale
+        scale = structure_for(params, table, load).scale
         higher = data.draw(st.floats(load, table.load_levels[-1]))
-        assert structure_for(params, Heterogeneous(table), higher).scale <= scale * (1.0 + 1e-12)
+        assert structure_for(params, table, higher).scale <= scale * (1.0 + 1e-12)
         volumes = table.volumes.copy()
         volumes[data.draw(st.integers(0, volumes.size - 1))] *= data.draw(st.floats(1.0, 1e3))
         larger = CriterionTable(table.element_ids, volumes, table.load_levels, table.delta_eps)
-        assert structure_for(params, Heterogeneous(larger), load).scale <= scale * (1.0 + 1e-12)
+        assert structure_for(params, larger, load).scale <= scale * (1.0 + 1e-12)
 
     def test_homogeneous_below_limit_infinite(self):
         # strain amplitude at 20 MPa is 2.65e-4 < C = 6e-4
@@ -307,7 +306,7 @@ class TestStructureFor:
     def test_heterogeneous_single_bulk_matches_homogeneous(self):
         table = bulk_table()
         for level in (40.0, 80.0, 120.0):
-            het = structure_for(PARAMS, Heterogeneous(table), level)
+            het = structure_for(PARAMS, table, level)
             hom = structure_for(PARAMS, Homogeneous(volume=593.0), level)
             if hom.is_infinite:
                 assert het.is_infinite
@@ -326,15 +325,54 @@ class TestStructureFor:
             load_levels=levels,
             delta_eps=deltas[:, None],
         )
-        struct = structure_for(PARAMS, Heterogeneous(table), 90.0)
+        struct = structure_for(PARAMS, table, 90.0)
         scales = element_scale_array(PARAMS, deltas, volumes)
         assert_allclose(struct.scale, structure_scale(scales, PARAMS.m), rtol=1e-12)
 
-    def test_unknown_pores_returns_one_per_table(self):
-        model = UnknownPores(tables=(bulk_table(), bulk_table(volume=300.0)))
-        structs = structure_for(PARAMS, model, 80.0)
-        assert len(structs) == 2
-        assert structs[0].scale != structs[1].scale
+
+class TestReducedTable:
+    """A table reduced at some amplitudes stands in for it there, bit for bit."""
+
+    AMPLITUDES = (40.0, 55.5, 80.0, 101.25, 160.0)  # the grid's ends, levels and points between them
+
+    @staticmethod
+    def table(rng, n=12):
+        levels = np.array([40.0, 80.0, 120.0, 160.0])
+        deltas = 2.0 * levels / 75500.0 * rng.uniform(1.0, 3.0, size=(n, 1))
+        return CriterionTable(np.arange(n), rng.uniform(0.1, 10.0, size=n), levels, deltas)
+
+    @pytest.mark.parametrize("params", [PARAMS, TWO_LINE], ids=["one-line", "two-line"])
+    def test_structure_for_gives_the_tables_bits(self, rng, params):
+        table = self.table(rng)
+        reduced = ReducedTable.of(table, self.AMPLITUDES)
+        for sigma_a in self.AMPLITUDES:
+            assert structure_for(params, reduced, sigma_a) == structure_for(params, table, sigma_a)
+
+    @pytest.mark.parametrize("params", [PARAMS, TWO_LINE], ids=["one-line", "two-line"])
+    def test_heterogeneous_objective_gives_the_tables_bits(self, rng, params):
+        tables = [self.table(rng), self.table(rng, n=5)]
+        reduced = [ReducedTable.of(t, self.AMPLITUDES) for t in tables]
+        obs = ObservationArrays(
+            np.repeat(self.AMPLITUDES, 2), np.tile([3e4, 2e6], len(self.AMPLITUDES)), np.tile([False, True], 5)
+        )
+        assert heterogeneous_objective(obs, reduced[0])(params) == heterogeneous_objective(obs, tables[0])(params)
+        per_obs = [0, 1] * 5  # one table per observation, shared by several
+        assert (heterogeneous_objective(obs, [reduced[k] for k in per_obs])(params)
+                == heterogeneous_objective(obs, [tables[k] for k in per_obs])(params))
+
+    def test_off_grid_amplitude_raises_only_where_asked(self, rng):
+        table = self.table(rng)
+        reduced = ReducedTable.of(table, (80.0, 200.0))  # 200 MPa is past the grid's 160; reducing does not raise
+        assert structure_for(PARAMS, reduced, 80.0) == structure_for(PARAMS, table, 80.0)
+        on_grid = [FatigueObservation(80.0, 3e4), FatigueObservation(80.0, 2e6, True)]
+        assert heterogeneous_objective(on_grid, reduced)(PARAMS) == heterogeneous_objective(on_grid, table)(PARAMS)
+        with pytest.raises(ExtrapolationError) as own:
+            structure_for(PARAMS, table, 200.0)
+        with pytest.raises(ExtrapolationError) as kept:
+            structure_for(PARAMS, reduced, 200.0)
+        assert str(kept.value) == str(own.value)
+        with pytest.raises(ExtrapolationError):
+            heterogeneous_objective([*on_grid, FatigueObservation(200.0, 1e4)], reduced)
 
 
 class TestTerms:
@@ -467,7 +505,7 @@ class TestUnknownPores:
         obs = [FatigueObservation(80.0, n, False)]
         value = loglik_unknown_pores(PARAMS, obs, tables)
         pdfs = [
-            scipy_pdf(structure_for(PARAMS, Heterogeneous(t), 80.0).scale, PARAMS.m, n)
+            scipy_pdf(structure_for(PARAMS, t, 80.0).scale, PARAMS.m, n)
             for t in tables
         ]
         assert_allclose(value, math.log(0.5 * sum(pdfs) + 1e-10), rtol=1e-12)

@@ -8,13 +8,13 @@ from scipy import stats as scipy_stats
 
 from porelife.strain_life import (
     StrainLifeParams,
-    WeibullLifetime,
     _curve_and_slope,
     _density,
     _survival,
     cycles_to_failure,
     element_scale_array,
 )
+from porelife.weakest_link import StructureLifetime
 from oracles import strain_amplitude
 
 TWO_LINE = StrainLifeParams(m=2.0, A=0.1, alpha=0.3, B=0.5, beta=0.7, C=0.001)
@@ -125,7 +125,7 @@ class TestElementScale:
     def test_median_at_reference_volume(self):
         params = StrainLifeParams(m=2.5, A=1.0, alpha=0.5, V0=593.0)
         delta = 2.0 * strain_amplitude(params, 5000.0)
-        dist = WeibullLifetime(scale=float(element_scale_array(params, delta, params.V0)), shape=params.m)
+        dist = StructureLifetime(scale=float(element_scale_array(params, delta, params.V0)), shape=params.m)
         assert_allclose(dist.median(), 5000.0, rtol=1e-9)
 
     def test_below_limit_infinite(self):
@@ -237,7 +237,7 @@ class TestWeibull:
         assert abs(np.trapezoid(density, grid) - 1.0) < 1e-6
 
     def test_quantile_inverts_survival(self):
-        dist = WeibullLifetime(scale=5e4, shape=1.3)
+        dist = StructureLifetime(scale=5e4, shape=1.3)
         for q in (0.01, 0.15, 0.5, 0.85, 0.99):
             survival = _survival(-dist.shape * math.log(dist.scale), dist.shape, math.log(dist.quantile(q)))
             assert_allclose(survival, 1.0 - q, rtol=1e-12)
@@ -260,9 +260,9 @@ class TestValidation:
 
     def test_lifetime_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            WeibullLifetime(scale=0.0, shape=1.0)
+            StructureLifetime(scale=0.0, shape=1.0)
         with pytest.raises(ValueError):
-            WeibullLifetime(scale=100.0, shape=0.0)
+            StructureLifetime(scale=100.0, shape=0.0)
 
     def test_vector_round_trip(self):
         vec = TWO_LINE.as_vector()
