@@ -31,8 +31,8 @@ _EXPORTS = {
         "thin_variant", "tile_field",
     ),
     "likelihood": (
-        "FatigueObservation", "Homogeneous", "ObservationArrays", "loglik_heterogeneous", "loglik_homogeneous",
-        "loglik_unknown_pores", "structure_for",
+        "Homogeneous", "ObservationArrays", "loglik_heterogeneous", "loglik_homogeneous", "loglik_unknown_pores",
+        "structure_for",
     ),
     "optimize": ("CalibrationProblem", "calibrate", "nelder_mead"),
 }

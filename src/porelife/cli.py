@@ -112,7 +112,7 @@ def cmd_genfield(config: RunConfig, out, count, pores, thin, tile, notch_kt, not
         _check_notch(notch_kt, notch_volume_fraction)
     try:
         stats = config.pores if thin is None else thin_variant(config.pores, thin)
-    except (OverflowError, ValueError):  # the thinned gauge's length or volume past the float range
+    except ValueError:  # the thinned gauge past the float range
         raise ConfigError(f"--thin {thin} takes the thin gauge out of the float range") from None
     children = np.random.SeedSequence(config.seed).spawn(count)
     paths = [out / f"field_{i:03d}.csv" for i in range(count)]
@@ -251,12 +251,13 @@ def cmd_criterion(config: RunConfig, out, fields) -> int:
 # ---------------------------------------------------------------------------
 
 def _reduce_per_level(observations, seed):
-    """One observation per distinct amplitude, picked deterministically."""
+    """One observation per distinct amplitude, picked deterministically, level by ascending level."""
+    from .likelihood import ObservationArrays
+
     rng = np.random.default_rng(seed)
-    by_level: dict[float, list] = {}
-    for o in observations:
-        by_level.setdefault(o.sigma_a, []).append(o)
-    return [lvl[rng.integers(len(lvl))] for _, lvl in sorted(by_level.items())]
+    levels = [np.flatnonzero(observations.sigma_a == level) for level in np.unique(observations.sigma_a)]
+    picks = [rows[rng.integers(rows.size)] for rows in levels]
+    return ObservationArrays(observations.sigma_a[picks], observations.n_cycles[picks], observations.censored[picks])
 
 
 def _unknown_pores_assignments(n_obs: int, pool_size: int, n_k: int, seed):
@@ -308,6 +309,11 @@ def cmd_calibrate(
         raise ConfigError(f"{mode} mode needs at least one criterion table")
     if mode == "joint" and homogeneous_observations is None:
         raise ConfigError("joint mode needs --homogeneous-observations")
+    if mode != "joint":
+        for flag, given in (("--homogeneous-observations", homogeneous_observations is not None),
+                            ("--reduce-per-level", reduce_per_level)):
+            if given:
+                raise ConfigError(f"{flag} is read only in joint mode, not in {mode} mode")
     observations = load_observations(observations)
     ensure_failures(observations)
     n_obs, n_tables = len(observations), len(tables)
@@ -347,7 +353,7 @@ def cmd_calibrate(
             "params": dataclasses.asdict(result.params),
             "log_likelihood": result.log_likelihood,
             "n_observations": len(observations),
-            "n_censored": sum(1 for o in observations if o.censored),
+            "n_censored": int(np.count_nonzero(observations.censored)),
             "n_starts": config.n_starts,
             "budget": config.budget,
             "seed": config.seed,

@@ -204,16 +204,22 @@ def tile_field(field: ElasticElementField, k: int) -> ElasticElementField:
 
 
 def thin_variant(stats: PoreFieldStats, radius_divisor: float) -> PoreFieldStats:
-    """Iso-volume thin-specimen statistics: radius/d, length*d^2."""
+    """Iso-volume thin-specimen statistics: radius/d, length*d^2.
+
+    A divisor whose thinned gauge leaves the float range raises ``ValueError``.
+    """
     if radius_divisor == 1.0:
         return stats
     if not 1.0 < radius_divisor < math.inf:
         raise ValueError(f"radius divisor must be finite and >= 1, got {radius_divisor}")
-    return replace(
-        stats,
-        gauge_radius_mm=stats.gauge_radius_mm / radius_divisor,
-        gauge_length_mm=stats.gauge_length_mm * radius_divisor**2,
-    )
+    try:
+        return replace(
+            stats,
+            gauge_radius_mm=stats.gauge_radius_mm / radius_divisor,
+            gauge_length_mm=stats.gauge_length_mm * radius_divisor**2,
+        )
+    except (OverflowError, ValueError):  # d**2 or the length past the float range, or the radius rounded to 0
+        raise ValueError(f"radius divisor {radius_divisor} takes the thin gauge out of the float range") from None
 
 
 def notch_variant(field: ElasticElementField, kt: float, volume_fraction: float) -> ElasticElementField:

@@ -33,28 +33,19 @@ LOG_FLOOR = 1e-10
 DEFAULT_YOUNGS_MODULUS = ALSI7MG.E
 
 
-@dataclass(frozen=True)
-class FatigueObservation:
-    """One experimental point: amplitude, cycles, run-out flag."""
-
-    sigma_a: float
-    n_cycles: float
-    censored: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_a) and self.sigma_a > 0.0):
-            raise ValueError(f"sigma_a must be positive and finite, got {self.sigma_a}")
-        if not (math.isfinite(self.n_cycles) and self.n_cycles > 0.0):
-            raise ValueError(f"n_cycles must be positive and finite, got {self.n_cycles}")
+def _positive_finite(name: str, values: np.ndarray):
+    """The rows of an observation column that are not positive and finite, and the message for row ``i``."""
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    return bad, lambda i: f"{name} must be positive and finite, got {float(values[i])}"
 
 
 @dataclass(frozen=True, eq=False)
 class ObservationArrays:
-    """Observations as columns: amplitudes, cycles, run-out flags and counts.
+    """Fatigue observations as columns: amplitudes, cycles, run-out flags and counts.
 
-    Every objective takes them; ``of`` converts a sequence of
-    :class:`FatigueObservation`.  Amplitudes and cycles are checked like a
-    single observation's.  A row stands for ``count`` equal observations (default 1).
+    It is the one observation type: :func:`load_observations` returns it and
+    every objective takes it.  Amplitudes and cycles must be positive and
+    finite.  A row stands for ``count`` equal observations (default 1).
     """
 
     sigma_a: np.ndarray
@@ -72,52 +63,39 @@ class ObservationArrays:
             raise ValueError("observation columns must be 1-D and of one length")
         if self.sigma_a.size == 0:
             raise ValueError("no observations")
-        for name in ("sigma_a", "n_cycles"):
-            values = getattr(self, name)
-            bad = ~(np.isfinite(values) & (values > 0.0))
+        for bad, message in (_positive_finite("sigma_a", self.sigma_a), _positive_finite("n_cycles", self.n_cycles)):
             if bad.any():
-                raise ValueError(f"{name} must be positive and finite, got {values[bad][0]}")
+                raise ValueError(message(int(np.argmax(bad))))
         counts = self.count.astype(float)
         bad = ~((counts >= 1.0) & (counts < 2.0**53) & (counts == np.floor(counts)))
         if bad.any():
             raise ValueError(f"count must be an integer in [1, 2**53), got {self.count[bad][0]}")
         object.__setattr__(self, "count", counts.astype(np.int64))
 
-    @classmethod
-    def of(cls, observations: Sequence[FatigueObservation] | ObservationArrays) -> ObservationArrays:
-        if isinstance(observations, cls):
-            return observations
-        obs = list(observations)
-        return cls(
-            np.array([o.sigma_a for o in obs], dtype=float),
-            np.array([o.n_cycles for o in obs], dtype=float),
-            np.array([o.censored for o in obs], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return int(self.sigma_a.size)
 
 
-def ensure_failures(observations) -> None:
-    """Raise unless some observation (a sequence or :class:`ObservationArrays`) failed."""
-    if ObservationArrays.of(observations).censored.all():
+def ensure_failures(observations: ObservationArrays) -> None:
+    """Raise unless some observation failed."""
+    if observations.censored.all():
         raise CalibrationDegeneracyError(
             "all observations are run-outs; the likelihood is maximized by infinite life"
         )
 
 
-def load_observations(path) -> list[FatigueObservation]:
+def load_observations(path) -> ObservationArrays:
     """Parse an observations CSV (``sigma_a_MPa,n_cycles,censored``) with line-numbered errors."""
     _, header_line, rows = _read_rows(path, _row_dtype(OBSERVATIONS_HEADER, "censored"), {"censored": "censored must be 0 or 1"})
     if rows.size == 0:
         raise FieldFormatError(path, 0, "no observations found")
-    sigma_a, n_cycles = rows["sigma_a_MPa"], rows["n_cycles"]
-    _check_rows(path, header_line, [  # in the order FatigueObservation checks a row
-        (~np.isin(rows["censored"], (0, 1)), lambda i: f"censored must be 0 or 1, got {rows['censored'][i]}"),
-        (~(np.isfinite(sigma_a) & (sigma_a > 0.0)), lambda i: f"sigma_a must be positive and finite, got {float(sigma_a[i])}"),
-        (~(np.isfinite(n_cycles) & (n_cycles > 0.0)), lambda i: f"n_cycles must be positive and finite, got {float(n_cycles[i])}"),
+    sigma_a, n_cycles, flag = rows["sigma_a_MPa"], rows["n_cycles"], rows["censored"]
+    _check_rows(path, header_line, [  # a row's flag first, then its columns as ObservationArrays checks them
+        (~np.isin(flag, (0, 1)), lambda i: f"censored must be 0 or 1, got {flag[i]}"),
+        _positive_finite("sigma_a", sigma_a),
+        _positive_finite("n_cycles", n_cycles),
     ])
-    return [FatigueObservation(sigma, cycles, flag == 1) for sigma, cycles, flag in rows.tolist()]
+    return ObservationArrays(sigma_a, n_cycles, flag == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +151,7 @@ def _histogram(structure: Homogeneous | CriterionTable | ReducedTable, sigma_a: 
     return distinct, np.bincount(inverse, weights=structure.volumes, minlength=distinct.size)
 
 
-def assigned_amplitudes(observations, n_tables: int, assignments=None) -> list:
+def assigned_amplitudes(observations: ObservationArrays, n_tables: int, assignments=None) -> list:
     """Per table, the distinct amplitudes at which an objective histograms it.
 
     They are the amplitudes of the observations assigned to the table
@@ -181,7 +159,7 @@ def assigned_amplitudes(observations, n_tables: int, assignments=None) -> list:
     observation's when it is None).  A :class:`ReducedTable` at them gives
     the objective the table's own segments.
     """
-    amps, amp_index = np.unique(ObservationArrays.of(observations).sigma_a, return_inverse=True)
+    amps, amp_index = np.unique(observations.sigma_a, return_inverse=True)
     if assignments is None:
         return [amps] * n_tables
     assigned = np.zeros((n_tables, amps.size), dtype=bool)
@@ -314,7 +292,7 @@ class _Kernel:
 
 
 def homogeneous_objective(
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     volume: float,
     youngs_modulus: float = DEFAULT_YOUNGS_MODULUS,
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
@@ -323,11 +301,11 @@ def homogeneous_objective(
 
     Each distinct amplitude is a one-element segment (sigma_a / E, volume).
     """
-    return _Kernel(ObservationArrays.of(observations), [Homogeneous(volume, youngs_modulus)], None, runout_cycles)
+    return _Kernel(observations, [Homogeneous(volume, youngs_modulus)], None, runout_cycles)
 
 
 def heterogeneous_objective(
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
 ) -> Callable[[StrainLifeParams], float]:
@@ -336,19 +314,18 @@ def heterogeneous_objective(
     A single table may be shared across all observations; segments are
     (table, amplitude) pairs, so a shared table is histogrammed once per level.
     """
-    obs = ObservationArrays.of(observations)
     tables = [tables] if isinstance(tables, (CriterionTable, ReducedTable)) else list(tables)
     if len(tables) == 1:
-        return _Kernel(obs, tables, None, runout_cycles)
-    if len(tables) != len(obs):
-        raise ValueError(f"{len(obs)} observations but {len(tables)} tables")
+        return _Kernel(observations, tables, None, runout_cycles)
+    if len(tables) != len(observations):
+        raise ValueError(f"{len(observations)} observations but {len(tables)} tables")
     structures = list({id(t): t for t in tables}.values())
     position = {id(t): k for k, t in enumerate(structures)}
-    return _Kernel(obs, structures, [(position[id(t)],) for t in tables], runout_cycles)
+    return _Kernel(observations, structures, [(position[id(t)],) for t in tables], runout_cycles)
 
 
 def unknown_pores_objective(
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
     assignments: Sequence[Sequence[int]] | None = None,
@@ -361,17 +338,16 @@ def unknown_pores_objective(
     observations.  The assignment is fixed, so the objective stays
     deterministic across optimizer iterations.
     """
-    obs = ObservationArrays.of(observations)
     tables = list(tables)
     if not tables:
         raise ValueError("no synthetic tables")
     if assignments is not None:
         assignments = [tuple(int(k) for k in a) for a in assignments]
-        if len(assignments) != len(obs):
+        if len(assignments) != len(observations):
             raise ValueError("one table assignment per observation required")
         if any(len(a) < 1 for a in assignments):
             raise ValueError("every observation needs at least one table")
-    return _Kernel(obs, tables, assignments, runout_cycles)
+    return _Kernel(observations, tables, assignments, runout_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,7 @@ def unknown_pores_objective(
 
 def loglik_homogeneous(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     volume: float,
     youngs_modulus: float = DEFAULT_YOUNGS_MODULUS,
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
@@ -391,7 +367,7 @@ def loglik_homogeneous(
 
 def loglik_heterogeneous(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
 ) -> float:
@@ -401,7 +377,7 @@ def loglik_heterogeneous(
 
 def loglik_unknown_pores(
     params: StrainLifeParams,
-    observations: Sequence[FatigueObservation] | ObservationArrays,
+    observations: ObservationArrays,
     tables: Sequence[CriterionTable],
     runout_cycles: float = DEFAULT_RUNOUT_CYCLES,
     assignments: Sequence[Sequence[int]] | None = None,

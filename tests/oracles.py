@@ -23,7 +23,7 @@ its report, the scalar log-likelihood terms and the observations writer.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from porelife.material_point import (
     cosine_cycle,
     criterion_delta_eps,
 )
-from porelife.likelihood import LOG_FLOOR, OBSERVATIONS_HEADER, FatigueObservation
+from porelife.likelihood import LOG_FLOOR, OBSERVATIONS_HEADER, ObservationArrays
 from porelife.optimize import (
     DEFAULT_BUDGET,
     DEFAULT_STARTS,
@@ -725,18 +725,19 @@ def survival_product_loglik(params, observations, structures, runout_cycles: flo
     """Censored log-likelihood from per-element survival products.
 
     ``structures[i]`` lists the (strain amplitudes, volumes) of every
-    realization observation ``i`` is scored against; its term is the log of
-    the mean density (failure) or survival at the cap (run-out) over them,
-    plus the floor.
+    realization row ``i`` of the :class:`ObservationArrays` is scored
+    against; its term is the log of the mean density (failure) or survival
+    at the cap (run-out) over them, plus the floor, times the row's count.
     """
     total = 0.0
-    for obs, realizations in zip(observations, structures, strict=True):
+    rows = zip(observations.n_cycles.tolist(), observations.censored.tolist(), observations.count.tolist())
+    for (n_cycles, censored, count), realizations in zip(rows, structures, strict=True):
         values = []
         for amplitudes, volumes in realizations:
-            n = runout_cycles if obs.censored else obs.n_cycles
+            n = runout_cycles if censored else n_cycles
             density, survival = survival_product_terms(params, amplitudes, volumes, n)
-            values.append(survival if obs.censored else density)
-        total += math.log(sum(values) / len(values) + floor)
+            values.append(survival if censored else density)
+        total += count * math.log(sum(values) / len(values) + floor)
     return total
 
 
@@ -927,12 +928,13 @@ def line_load_criterion_table(path) -> CriterionTable:
     )
 
 
-def line_load_observations(path) -> list[FatigueObservation]:
-    """Observations file parsed one line at a time with ``float`` and a literal ``0``/``1`` flag.
+def line_load_observations(path) -> tuple[list, list, list]:
+    """Observations file parsed one line at a time with ``float`` and a literal ``0``/``1`` flag: its columns.
 
-    A flag is checked before the amplitude and cycles are converted.
+    A row's flag is checked before its amplitude and cycles are converted,
+    and both are converted before either is checked to be positive and finite.
     """
-    out = []
+    columns = ([], [], [])
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
         for line_no, raw in enumerate(fh, start=1):
@@ -951,18 +953,31 @@ def line_load_observations(path) -> list[FatigueObservation]:
             if flag not in ("0", "1"):
                 raise FieldFormatError(path, line_no, f"censored must be 0 or 1, got {flag!r}")
             try:
-                out.append(FatigueObservation(sigma_a=float(parts[0]), n_cycles=float(parts[1]), censored=flag == "1"))
+                values = [float(cell) for cell in parts[:2]]
             except ValueError as exc:
                 raise FieldFormatError(path, line_no, str(exc)) from exc
-    if not out:
+            for name, value in zip(("sigma_a", "n_cycles"), values):
+                if not (math.isfinite(value) and value > 0.0):
+                    raise FieldFormatError(path, line_no, f"{name} must be positive and finite, got {value}")
+            for column, value in zip(columns, [*values, flag == "1"]):
+                column.append(value)
+    if not columns[0]:
         raise ValueError(f"{path}: no observations found")
-    return out
+    return columns
 
 
-def save_observations(path, observations: Sequence[FatigueObservation]) -> None:
+def from_rows(rows) -> ObservationArrays:
+    """Observations from ``(sigma_a, n_cycles, censored)`` rows, each counting one."""
+    return ObservationArrays(*zip(*rows))
+
+
+def save_observations(path, observations: ObservationArrays) -> None:
+    """Write an observations file with one line per observation: a row that counts ``k`` is written ``k`` times."""
     lines = [OBSERVATIONS_HEADER]
-    for obs in observations:
-        lines.append(f"{float(obs.sigma_a)!r},{float(obs.n_cycles)!r},{int(obs.censored)}")
+    columns = (np.repeat(column, observations.count).tolist()
+               for column in (observations.sigma_a, observations.n_cycles, observations.censored))
+    for sigma_a, n_cycles, censored in zip(*columns):
+        lines.append(f"{sigma_a!r},{n_cycles!r},{int(censored)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -24,8 +24,8 @@ from porelife.field import (
 )
 from porelife.likelihood import (
     LOG_FLOOR,
-    FatigueObservation,
     Homogeneous,
+    ObservationArrays,
     homogeneous_objective,
     loglik_heterogeneous,
     loglik_unknown_pores,
@@ -284,7 +284,7 @@ def test_criterion_06_censored_likelihood_identities():
     from test_likelihood import bulk_table
 
     params = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
-    obs = [FatigueObservation(80.0, 3e5, False), FatigueObservation(120.0, 2e6, True)]
+    obs = ObservationArrays([80.0, 120.0], [3e5, 2e6], [False, True])
     table = bulk_table()
     gap_nk = abs(
         loglik_unknown_pores(params, obs, [table]) - loglik_heterogeneous(params, obs, [table])
@@ -307,15 +307,9 @@ def test_criterion_07_parameter_recovery():
     results = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        obs = []
-        for level in levels:
-            struct = structure_for(true, Homogeneous(volume=true.V0), level)
-            draws = struct.scale * (-np.log1p(-rng.random(37))) ** (1.0 / true.m)
-            for value in draws:
-                if value >= 2e6:
-                    obs.append(FatigueObservation(level, 2e6, True))
-                else:
-                    obs.append(FatigueObservation(level, float(value), False))
+        draws = np.concatenate([structure_for(true, Homogeneous(volume=true.V0), level).scale
+                                * (-np.log1p(-rng.random(37))) ** (1.0 / true.m) for level in levels])
+        obs = ObservationArrays(np.repeat(levels, 37), np.minimum(draws, 2e6), draws >= 2e6)
         problem = CalibrationProblem(
             objective=homogeneous_objective(obs, true.V0),
             x0=StrainLifeParams(m=1.0, A=0.05, alpha=0.4, C=2e-4, V0=true.V0),
@@ -343,14 +337,9 @@ def test_criterion_08_nested_model_dominance():
     true = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
     levels = (80.0, 95.0, 110.0, 125.0, 140.0, 150.0)
     rng = np.random.default_rng(0)
-    obs = []
-    for level in levels:
-        struct = structure_for(true, Homogeneous(volume=true.V0), level)
-        for value in struct.scale * (-np.log1p(-rng.random(37))) ** 0.5:
-            if value >= 2e6:
-                obs.append(FatigueObservation(level, 2e6, True))
-            else:
-                obs.append(FatigueObservation(level, float(value), False))
+    draws = np.concatenate([structure_for(true, Homogeneous(volume=true.V0), level).scale
+                            * (-np.log1p(-rng.random(37))) ** 0.5 for level in levels])
+    obs = ObservationArrays(np.repeat(levels, 37), np.minimum(draws, 2e6), draws >= 2e6)
     objective = homogeneous_objective(obs, true.V0)
     x0 = StrainLifeParams(m=1.0, A=0.05, alpha=0.4, C=2e-4, V0=true.V0)
     one = calibrate(

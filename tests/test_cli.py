@@ -41,9 +41,7 @@ from porelife.field import (
     synth_field_report,
 )
 from porelife.likelihood import (
-    FatigueObservation,
     Homogeneous,
-    ObservationArrays,
     homogeneous_objective,
     load_observations,
     structure_for,
@@ -52,7 +50,7 @@ from porelife.likelihood import (
 from porelife.optimize import CalibrationProblem, calibrate, one_line_mask
 from porelife.weakest_link import DEFAULT_SAMPLES_PER_STRUCT, StructureLifetime, sample_lifetimes, wohler_quantiles
 from porelife.strain_life import DEFAULT_REFERENCE_VOLUME, StrainLifeParams
-from oracles import aggregate_runouts, loop_pooled_draws, loop_synthesize_observations, save_observations
+from oracles import aggregate_runouts, from_rows, loop_pooled_draws, loop_synthesize_observations, save_observations
 
 SMALL_CONF = """
 [protocol]
@@ -130,19 +128,14 @@ UNDECODABLE = {
 def write_synthetic_obs(path, levels=(60.0, 80.0, 100.0), runouts=False):
     true = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4, V0=593.0)
     rng = np.random.default_rng(2)
-    obs = []
+    rows = []
     for level in levels:
         struct = structure_for(true, Homogeneous(volume=27.1), level)
         if struct.is_infinite:
             continue
         draws = struct.scale * (-np.log1p(-rng.random(25))) ** 0.5
-        for value in draws:
-            censored = value >= 2e6
-            obs.append(FatigueObservation(level, min(float(value), 2e6), censored))
-    if runouts:
-        obs = [FatigueObservation(o.sigma_a, 2e6, True) for o in obs]
-    save_observations(path, obs)
-    return obs
+        rows += [(level, 2e6, True) if runouts else (level, min(float(value), 2e6), value >= 2e6) for value in draws]
+    save_observations(path, from_rows(rows))
 
 
 class TestConfig:
@@ -836,14 +829,16 @@ class TestCalibrate:
         write_synthetic_obs(obs_path)
         write_synthetic_obs(hom_path, levels=(100.0, 140.0))
         argv = ["calibrate", "--config", str(conf), "--mode", mode, "--observations", str(obs_path),
-                "--tables", *map(str, tables), "--homogeneous-observations", str(hom_path)]
+                "--tables", *map(str, tables)]
+        if mode == "joint":
+            argv += ["--homogeneous-observations", str(hom_path)]
         assert main(argv + ["--out", str(tmp_path / "c1")]) == EXIT_OK
         assert main(argv + ["--out", str(tmp_path / "c2")]) == EXIT_OK
 
         config = load_config(conf)
         observations = load_observations(obs_path)
         rng = np.random.default_rng(config.seed)
-        subsets = [rng.choice(len(tables), size=config.n_k, replace=False) for _ in observations]
+        subsets = [rng.choice(len(tables), size=config.n_k, replace=False) for _ in range(len(observations))]
         loaded = [load_criterion_table(path) for path in tables]
         term_u = unknown_pores_objective(observations, loaded, config.runout_cycles, subsets)
         every_table = unknown_pores_objective(observations, loaded, config.runout_cycles)
@@ -885,6 +880,18 @@ class TestCalibrate:
         args = ["calibrate", "--config", str(conf), "--out", str(out), "--mode", "joint", "--observations", str(obs_path)]
         assert main(args + [item for pair in inputs.items() for item in pair]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous", "unknown-pores"])
+    @pytest.mark.parametrize("flag", ["--homogeneous-observations", "--reduce-per-level"])
+    def test_joint_only_flag_in_another_mode_is_validation_error(self, conf, tmp_path, capsys, mode, flag):
+        obs_path = tmp_path / "obs.csv"
+        save_observations(obs_path, from_rows([(60.0, 1e5, False), (60.0, 2e5, False)]))  # two rows at one level
+        out = tmp_path / "cal"
+        args = ["calibrate", "--config", str(conf), "--out", str(out), "--mode", mode, "--observations", str(obs_path),
+                "--tables", str(write_bulk_table(tmp_path / "t.criterion.csv")), flag]
+        assert main(args + ([str(obs_path)] if flag == "--homogeneous-observations" else [])) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {flag} is read only in joint mode, not in {mode} mode\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("how", ["missing", "malformed"])
@@ -1062,18 +1069,18 @@ class TestHomogenize:
         structs_by_table = [[structure_for(params, t, level) for level in levels] for t in tables]
         arrays = synthesize_observations(structs_by_table, levels, 200, 7, 2e6)
         children = iter(np.random.SeedSequence(7).spawn(len(tables) * len(levels)))
-        objects = []
+        rows = []
         for table in tables:
             for level in levels:
                 struct = structure_for(params, table, level)
                 values, censored = sample_lifetimes(struct, 200, next(children), 2e6)
-                objects += [FatigueObservation(level, min(float(v), 2e6), bool(c)) for v, c in zip(values, censored)]
-        drawn = ObservationArrays.of(objects)
+                rows += [(level, min(float(v), 2e6), bool(c)) for v, c in zip(values, censored)]
+        drawn = from_rows(rows)
         expected = aggregate_runouts(drawn.sigma_a, drawn.n_cycles, drawn.censored, 200)
         for name, column in zip(("sigma_a", "n_cycles", "censored", "count"), expected):
             assert getattr(arrays, name).tobytes() == column.tobytes()
         assert 0 < np.count_nonzero(arrays.censored) < len(arrays)
-        assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(objects, 593.0)(params)
+        assert homogeneous_objective(arrays, 593.0)(params) == homogeneous_objective(drawn, 593.0)(params)
 
 
     def test_supplied_challenge_tables_give_the_challenge_medians(self, conf, tmp_path):

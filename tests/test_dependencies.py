@@ -9,8 +9,7 @@ import pytest
 
 import porelife
 from porelife.field import CriterionTable, ElasticElementField, save_criterion_table, save_field
-from porelife.likelihood import FatigueObservation
-from oracles import save_observations
+from oracles import from_rows, save_observations
 
 #: Top-level packages in ``sys.modules`` after importing the CLI, printed as JSON.
 LOADED = "import json, sys, porelife.cli; print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules})))"
@@ -63,9 +62,9 @@ def inputs(tmp_path_factory):
     save_criterion_table(paths["t.criterion.csv"], CriterionTable(
         element_ids=[0], volumes=[27.1], load_levels=LEVELS, delta_eps=[[8 * level / 75500.0 for level in LEVELS]]))
     lives = {60.0: (8e5, 2e6), 80.0: (2e5, 4e5), 100.0: (5e4, 9e4)}
-    save_observations(paths["obs.csv"], [FatigueObservation(level, min(n, 2e6), n >= 2e6)
-                                         for level, ns in lives.items() for n in ns])
-    save_observations(paths["hom.csv"], [FatigueObservation(100.0, 6e4), FatigueObservation(140.0, 1e4)])
+    save_observations(paths["obs.csv"], from_rows((level, min(n, 2e6), n >= 2e6)
+                                                  for level, ns in lives.items() for n in ns))
+    save_observations(paths["hom.csv"], from_rows([(100.0, 6e4, False), (140.0, 1e4, False)]))
     return paths
 
 
@@ -139,7 +138,8 @@ model = load_criterion_table(table)
 synthetic = synthesize_observations([[structure_for(config.fatigue, model, level) for level in config.load_levels]],
                                     config.load_levels, config.samples_per_struct, config.seed, config.runout_cycles)
 fitted = fit_homogenized_model(config, synthetic)
-codes = [cmd_calibrate(config, out / mode, mode, observations, [Path(table)], homogeneous, True)
+joint_only = {"joint": (homogeneous, True)}  # --homogeneous-observations and --reduce-per-level
+codes = [cmd_calibrate(config, out / mode, mode, observations, [Path(table)], *joint_only.get(mode, (None, False)))
          for mode in ("homogeneous", "heterogeneous", "unknown-pores", "joint")]
 print(json.dumps([math.isfinite(median), len(synthetic), fitted.m > 0, codes]))
 """

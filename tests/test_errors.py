@@ -24,8 +24,7 @@ from porelife.field import (
     synth_field_report,
     tile_field,
 )
-from porelife.likelihood import (FatigueObservation, Homogeneous, ObservationArrays, structure_for,
-                                  unknown_pores_objective)
+from porelife.likelihood import Homogeneous, ObservationArrays, structure_for, unknown_pores_objective
 from porelife.material import ALSI7MG
 from porelife.material_point import TensorHistory, cosine_cycle, criterion_delta_eps, neuber_correct
 from porelife.optimize import CalibrationProblem, _to_internal, calibrate, nelder_mead
@@ -70,7 +69,7 @@ EMPTY_HISTORY = TensorHistory(times=np.zeros(0), values=np.zeros((0, 6)))
 ONE_ELEMENT = ElasticElementField(ids=[0], volumes=[27.1], sigma_unit=[[1.0, 0, 0, 0, 0, 0]])
 LIFETIME = StructureLifetime(scale=1e5, shape=2.0)
 PARAMS = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, C=6e-4)
-OBSERVATIONS = [FatigueObservation(80.0, 1e5)]
+OBSERVATIONS = ObservationArrays([80.0], [1e5], [False])
 
 
 def bulk_table():

@@ -658,6 +658,17 @@ class TestVariants:
         with pytest.raises(ValueError, match=f"radius divisor must be finite and >= 1, got {divisor}"):
             thin_variant(SMALL, divisor)
 
+    # 5e153: the 20 mm length times divisor**2 rounds to inf; from about 1.35e154: divisor**2 overflows;
+    # 1e100 on a 1e-300 mm radius: the radius rounds to 0
+    @pytest.mark.parametrize("stats, divisor", [
+        (PoreFieldStats(), 5e153), (PoreFieldStats(), 1.35e154), (PoreFieldStats(), 1e155), (PoreFieldStats(), 1e200),
+        (PoreFieldStats(gauge_radius_mm=1e-300), 1e100),
+    ])
+    def test_thin_gauge_past_the_float_range_names_the_divisor(self, stats, divisor):
+        with pytest.raises(ValueError) as err:
+            thin_variant(stats, divisor)
+        assert str(err.value) == f"radius divisor {divisor} takes the thin gauge out of the float range"
+
     def test_thin_increases_surface_fraction(self):
         thin = thin_variant(SMALL, 4.0)
         base_frac, thin_frac = [], []

@@ -43,12 +43,12 @@ import scipy
 from porelife.cli import EXIT_OK, main
 from porelife.config import load_config
 from porelife.field import ElasticElementField, load_criterion_table, save_field
-from porelife.likelihood import FatigueObservation, Homogeneous, structure_for
+from porelife.likelihood import Homogeneous, structure_for
 from porelife.strain_life import StrainLifeParams
 from porelife.weakest_link import sample_lifetimes
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import save_observations  # noqa: E402
+from oracles import from_rows, save_observations  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -76,8 +76,9 @@ def run(*argv) -> None:
 
 
 def draws(struct, count, seed, level) -> list:
+    """``count`` lifetimes of ``struct`` drawn from ``seed``, as ``(sigma_a, n_cycles, censored)`` rows at ``level``."""
     lifetimes, censored = sample_lifetimes(struct, count, seed, 2e6)
-    return [FatigueObservation(level, min(float(n), 2e6), bool(c)) for n, c in zip(lifetimes, censored)]
+    return [(level, min(float(n), 2e6), bool(c)) for n, c in zip(lifetimes, censored)]
 
 
 def forward_mini(root: Path) -> list:
@@ -109,8 +110,8 @@ def calibrate_mini(root: Path, tables: list) -> None:
                    for o in draws(structure_for(TRUE, table, level), 2, [3, k, int(level)], level)],
     }
     for name, rows in obs.items():
-        assert not all(o.censored for o in rows), name
-        save_observations(root / f"{name}.csv", rows)
+        assert not all(censored for _, _, censored in rows), name
+        save_observations(root / f"{name}.csv", from_rows(rows))
     for mode in MODES:
         argv = ["calibrate", "--config", conf, "--out", root / mode, "--mode", mode]
         if mode == "homogeneous":
@@ -154,8 +155,8 @@ def mesh_mini(root: Path) -> None:
     model = load_criterion_table(table)
     rows = [o for level in (60.0, 80.0, 100.0)
             for o in draws(structure_for(TRUE, model, level), 3, [4, int(level)], level)]
-    assert not all(o.censored for o in rows)
-    save_observations(root / "observations.csv", rows)
+    assert not all(censored for _, _, censored in rows)
+    save_observations(root / "observations.csv", from_rows(rows))
     run("calibrate", "--config", conf, "--out", root / "calibrate", "--mode", "heterogeneous",
         "--observations", root / "observations.csv", "--tables", table)
 

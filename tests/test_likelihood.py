@@ -12,7 +12,6 @@ from porelife.field import CriterionTable, ExtrapolationError, FieldFormatError,
 from porelife.likelihood import (
     LOG_FLOOR,
     OBSERVATIONS_HEADER,
-    FatigueObservation,
     ObservationArrays,
     Homogeneous,
     ReducedTable,
@@ -30,6 +29,7 @@ from porelife.weakest_link import structure_scale
 from oracles import (
     chain_objective,
     failure_term,
+    from_rows,
     line_load_observations,
     runout_term,
     save_observations,
@@ -48,6 +48,12 @@ def bulk_table(volume=593.0, levels=(40.0, 80.0, 120.0, 160.0), youngs=75500.0):
         load_levels=levels,
         delta_eps=(2.0 * levels / youngs)[None, :],
     )
+
+
+def columns(obs):
+    """The amplitude, cycle and run-out columns of observations as lists; every row must count one."""
+    assert obs.count.tolist() == [1] * len(obs)
+    return obs.sigma_a.tolist(), obs.n_cycles.tolist(), obs.censored.tolist()
 
 
 def scipy_pdf(scale, shape, n):
@@ -84,14 +90,10 @@ def observation_lines(draw):
 
 class TestObservationFiles:
     def test_round_trip(self, tmp_path):
-        obs = [
-            FatigueObservation(80.0, 12345.0, False),
-            FatigueObservation(60.0, 2e6, True),
-        ]
+        obs = ObservationArrays([80.0, 60.0], [12345.0, 2e6], [False, True])
         path = tmp_path / "obs.csv"
         save_observations(path, obs)
-        back = load_observations(path)
-        assert back == obs
+        assert columns(load_observations(path)) == columns(obs)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -101,16 +103,16 @@ class TestObservationFiles:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FatigueObservation(0.0, 1000.0)
+            ObservationArrays([0.0], [1000.0], [False])
         with pytest.raises(ValueError):
-            FatigueObservation(80.0, 0.0)
+            ObservationArrays([80.0], [0.0], [False])
 
     @pytest.mark.parametrize("sigma_a, n_cycles", [
         (math.nan, 1e5), (math.inf, 1e5), (80.0, math.nan), (80.0, math.inf),
     ])
     def test_non_finite_rejected(self, sigma_a, n_cycles):
         with pytest.raises(ValueError, match="finite"):
-            FatigueObservation(sigma_a, n_cycles)
+            ObservationArrays([sigma_a], [n_cycles], [False])
 
     def test_non_finite_line_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -122,10 +124,10 @@ class TestObservationFiles:
     @given(rows=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.booleans()),
                          min_size=1, max_size=8))
     def test_round_trip_random_finite(self, tmp_path_factory, rows):
-        obs = [FatigueObservation(*row) for row in rows]
+        obs = from_rows(rows)
         path = tmp_path_factory.mktemp("obs") / "obs.csv"
         save_observations(path, obs)
-        assert load_observations(path) == obs
+        assert columns(load_observations(path)) == columns(obs)
 
     @pytest.mark.parametrize("flag", ["7", "2", "-1", "true", ""])
     def test_censored_flag_must_be_zero_or_one(self, tmp_path, flag):
@@ -139,7 +141,7 @@ class TestObservationFiles:
     def test_reader_equals_line_oracle(self, tmp_path_factory, file):
         path = tmp_path_factory.mktemp("obs") / "obs.csv"
         path.write_text("\n".join(file[0]) + "\n")
-        assert load_observations(path) == line_load_observations(path)
+        assert columns(load_observations(path)) == line_load_observations(path)
 
     @settings(max_examples=100, deadline=None)
     @given(file=observation_lines(), data=st.data())
@@ -211,7 +213,7 @@ class TestObservationFiles:
     def test_integer_spellings_of_a_flag_accepted(self, tmp_path, flag, censored):
         path = tmp_path / "obs.csv"
         path.write_text(f"{OBSERVATIONS_HEADER}\n80,1e5,{flag}\n")
-        assert load_observations(path) == [FatigueObservation(80.0, 1e5, censored)]
+        assert columns(load_observations(path)) == ([80.0], [1e5], [censored])
 
     @pytest.mark.parametrize("volume, modulus", [(math.nan, 75500.0), (math.inf, 75500.0), (593.0, math.nan)])
     def test_homogeneous_non_finite_rejected(self, volume, modulus):
@@ -220,13 +222,10 @@ class TestObservationFiles:
 
 
 class TestObservationArrays:
-    def test_of_sequence(self):
-        obs = [FatigueObservation(80.0, 1e4, False), FatigueObservation(60.0, 2e6, True)]
-        arrays = ObservationArrays.of(obs)
-        assert arrays.sigma_a.tolist() == [80.0, 60.0]
-        assert arrays.n_cycles.tolist() == [1e4, 2e6]
-        assert arrays.censored.tolist() == [False, True]
-        assert ObservationArrays.of(arrays) is arrays
+    def test_columns_from_lists(self):
+        arrays = ObservationArrays([80.0, 60.0], [1e4, 2e6], [False, True])
+        assert [arrays.sigma_a.dtype, arrays.n_cycles.dtype, arrays.censored.dtype] == [np.float64, np.float64, bool]
+        assert columns(arrays) == ([80.0, 60.0], [1e4, 2e6], [False, True])
 
     @pytest.mark.parametrize("sigma_a, n_cycles, match", [
         ([80.0, math.nan], [1e4, 1e5], "sigma_a must be positive and finite, got nan"),
@@ -240,9 +239,10 @@ class TestObservationArrays:
         with pytest.raises(ValueError, match=match):
             ObservationArrays(sigma_a, n_cycles, np.zeros(len(n_cycles), dtype=bool))
 
-    def test_objectives_equal_on_arrays_and_sequences(self):
+    def test_objectives_equal_on_loaded_and_built_arrays(self, tmp_path):
         obs = oracle_observations()
-        arrays = ObservationArrays.of(obs)
+        save_observations(tmp_path / "obs.csv", obs)
+        loaded = load_observations(tmp_path / "obs.csv")
         tables = [grid_table(s) for s in range(3)]
         for build in (
             lambda o: homogeneous_objective(o, 593.0),
@@ -250,7 +250,7 @@ class TestObservationArrays:
             lambda o: heterogeneous_objective(o, [tables[i % 3] for i in range(len(obs))]),
             lambda o: unknown_pores_objective(o, tables),
         ):
-            assert build(arrays)(PARAMS) == build(obs)(PARAMS)
+            assert build(loaded)(PARAMS) == build(obs)(PARAMS)
 
 
 TWO_LINE = StrainLifeParams(m=2.0, A=0.0172, alpha=0.254, B=0.35, beta=0.72, C=6e-4, V0=593.0)
@@ -364,7 +364,7 @@ class TestReducedTable:
         table = self.table(rng)
         reduced = ReducedTable.of(table, (80.0, 200.0))  # 200 MPa is past the grid's 160; reducing does not raise
         assert structure_for(PARAMS, reduced, 80.0) == structure_for(PARAMS, table, 80.0)
-        on_grid = [FatigueObservation(80.0, 3e4), FatigueObservation(80.0, 2e6, True)]
+        on_grid = ObservationArrays([80.0, 80.0], [3e4, 2e6], [False, True])
         assert heterogeneous_objective(on_grid, reduced)(PARAMS) == heterogeneous_objective(on_grid, table)(PARAMS)
         with pytest.raises(ExtrapolationError) as own:
             structure_for(PARAMS, table, 200.0)
@@ -372,7 +372,7 @@ class TestReducedTable:
             structure_for(PARAMS, reduced, 200.0)
         assert str(kept.value) == str(own.value)
         with pytest.raises(ExtrapolationError):
-            heterogeneous_objective([*on_grid, FatigueObservation(200.0, 1e4)], reduced)
+            heterogeneous_objective(from_rows([(80.0, 3e4, False), (80.0, 2e6, True), (200.0, 1e4, False)]), reduced)
 
 
 class TestTerms:
@@ -417,7 +417,7 @@ class TestHomogeneous:
     def test_failure_at_median_matches_closed_form(self):
         struct = structure_for(PARAMS, Homogeneous(volume=593.0), 100.0)
         n = struct.median()
-        obs = [FatigueObservation(100.0, n, False)]
+        obs = ObservationArrays([100.0], [n], [False])
         value = loglik_homogeneous(PARAMS, obs, 593.0)
         assert_allclose(value, math.log(scipy_pdf(struct.scale, PARAMS.m, n) + LOG_FLOOR), rtol=1e-12)
 
@@ -425,29 +425,22 @@ class TestHomogeneous:
         # engineered so the structure scale is exactly 3e6 at this amplitude
         level = 100.0
         struct = structure_for(PARAMS, Homogeneous(volume=593.0), level)
-        obs = [FatigueObservation(level, 2e6, True)]
+        obs = ObservationArrays([level], [2e6], [True])
         value = loglik_homogeneous(PARAMS, obs, 593.0)
         assert_allclose(value, math.log(scipy_survival(struct.scale, PARAMS.m, 2e6) + LOG_FLOOR), atol=1e-12)
 
     def test_additivity_and_permutation(self, rng):
-        obs = [
-            FatigueObservation(100.0, 5e4, False),
-            FatigueObservation(120.0, 1e4, False),
-            FatigueObservation(80.0, 2e6, True),
-        ]
-        total = loglik_homogeneous(PARAMS, obs, 593.0)
-        parts = sum(loglik_homogeneous(PARAMS, [o], 593.0) for o in obs)
+        rows = [(100.0, 5e4, False), (120.0, 1e4, False), (80.0, 2e6, True)]
+        total = loglik_homogeneous(PARAMS, from_rows(rows), 593.0)
+        parts = sum(loglik_homogeneous(PARAMS, from_rows([row]), 593.0) for row in rows)
         assert_allclose(total, parts, rtol=1e-12)
-        shuffled = [obs[2], obs[0], obs[1]]
-        assert_allclose(total, loglik_homogeneous(PARAMS, shuffled, 593.0), rtol=1e-14)
+        shuffled = [rows[2], rows[0], rows[1]]
+        assert_allclose(total, loglik_homogeneous(PARAMS, from_rows(shuffled), 593.0), rtol=1e-14)
 
 
 class TestHeterogeneous:
     def test_reduces_to_homogeneous_for_bulk_table(self):
-        obs = [
-            FatigueObservation(80.0, 3e5, False),
-            FatigueObservation(120.0, 2e6, True),
-        ]
+        obs = ObservationArrays([80.0, 120.0], [3e5, 2e6], [False, True])
         het = loglik_heterogeneous(PARAMS, obs, [bulk_table()])
         hom = loglik_homogeneous(PARAMS, obs, 593.0)
         assert_allclose(het, hom, rtol=1e-12)
@@ -463,7 +456,7 @@ class TestHeterogeneous:
             load_levels=np.array([90.0]),
             delta_eps=deltas[:, None],
         )
-        obs = [FatigueObservation(90.0, 4e4, False), FatigueObservation(90.0, 2e6, True)]
+        obs = ObservationArrays([90.0, 90.0], [4e4, 2e6], [False, True])
         value = loglik_heterogeneous(PARAMS, obs, [table, table])
         lam = structure_scale(element_scale_array(PARAMS, deltas, volumes), PARAMS.m)
         expected = math.log(scipy_pdf(lam, PARAMS.m, 4e4) + LOG_FLOOR) + math.log(
@@ -472,17 +465,14 @@ class TestHeterogeneous:
         assert_allclose(value, expected, rtol=1e-12)
 
     def test_table_count_mismatch(self):
-        obs = [FatigueObservation(80.0, 1e4, False)] * 3
+        obs = ObservationArrays([80.0] * 3, [1e4] * 3, [False] * 3)
         with pytest.raises(ValueError):
             loglik_heterogeneous(PARAMS, obs, [bulk_table(), bulk_table()])
 
 
 class TestUnknownPores:
     def test_single_table_equals_heterogeneous(self):
-        obs = [
-            FatigueObservation(80.0, 3e5, False),
-            FatigueObservation(100.0, 2e6, True),
-        ]
+        obs = ObservationArrays([80.0, 100.0], [3e5, 2e6], [False, True])
         table = bulk_table()
         marginal = loglik_unknown_pores(PARAMS, obs, [table])
         known = loglik_heterogeneous(PARAMS, obs, [table])
@@ -490,7 +480,7 @@ class TestUnknownPores:
         assert_allclose(marginal, known, atol=1e-9)
 
     def test_copies_of_one_table_equal_single(self):
-        obs = [FatigueObservation(80.0, 3e5, False)]
+        obs = ObservationArrays([80.0], [3e5], [False])
         table = bulk_table()
         assert_allclose(
             loglik_unknown_pores(PARAMS, obs, [table] * 5),
@@ -502,7 +492,7 @@ class TestUnknownPores:
         # average the two per-realization densities, then log with the floor
         tables = [bulk_table(volume=593.0), bulk_table(volume=50.0)]
         n = 2e5
-        obs = [FatigueObservation(80.0, n, False)]
+        obs = ObservationArrays([80.0], [n], [False])
         value = loglik_unknown_pores(PARAMS, obs, tables)
         pdfs = [
             scipy_pdf(structure_for(PARAMS, t, 80.0).scale, PARAMS.m, n)
@@ -513,19 +503,19 @@ class TestUnknownPores:
     def test_floor_on_all_infinite(self):
         # below the fatigue limit every realization has zero density
         table = bulk_table(levels=(10.0, 20.0, 30.0, 40.0))
-        obs = [FatigueObservation(20.0, 1e5, False)]
+        obs = ObservationArrays([20.0], [1e5], [False])
         value = loglik_unknown_pores(PARAMS, obs, [table, table])
         assert value == math.log(1e-10)
 
     def test_table_permutation_invariance(self):
-        obs = [FatigueObservation(80.0, 3e5, False), FatigueObservation(120.0, 1e4, False)]
+        obs = ObservationArrays([80.0, 120.0], [3e5, 1e4], [False, False])
         tables = [bulk_table(volume=v) for v in (100.0, 300.0, 593.0)]
         a = loglik_unknown_pores(PARAMS, obs, tables)
         b = loglik_unknown_pores(PARAMS, obs, tables[::-1])
         assert_allclose(a, b, rtol=1e-14)
 
     def test_assignments(self):
-        obs = [FatigueObservation(80.0, 3e5, False)]
+        obs = ObservationArrays([80.0], [3e5], [False])
         tables = [bulk_table(volume=593.0), bulk_table(volume=50.0)]
         only_first = loglik_unknown_pores(PARAMS, obs, tables, assignments=[[0]])
         assert_allclose(only_first, loglik_unknown_pores(PARAMS, obs, [tables[0]]), rtol=1e-14)
@@ -547,14 +537,17 @@ def grid_table(seed, n=24, levels=(40.0, 60.0, 80.0, 100.0), youngs=75500.0):
     )
 
 
+#: Failures and run-outs on and between the grid levels, with repeats.
+ORACLE_ROWS = [
+    (40.0, 2e6, True), (40.0, 8e5, False), (50.0, 3e5, False), (50.0, 2e6, True),
+    (60.0, 1.2e5, False), (60.0, 1.2e5, False), (70.0, 2e6, True), (80.0, 4e4, False),
+    (95.0, 9e3, False), (95.0, 2e6, True), (95.0, 2e6, True), (100.0, 6e3, False),
+]
+
+
 def oracle_observations():
-    """Failures and run-outs on and between the grid levels, with repeats."""
-    rows = [
-        (40.0, 2e6, True), (40.0, 8e5, False), (50.0, 3e5, False), (50.0, 2e6, True),
-        (60.0, 1.2e5, False), (60.0, 1.2e5, False), (70.0, 2e6, True), (80.0, 4e4, False),
-        (95.0, 9e3, False), (95.0, 2e6, True), (95.0, 2e6, True), (100.0, 6e3, False),
-    ]
-    return [FatigueObservation(a, n, c) for a, n, c in rows]
+    """:data:`ORACLE_ROWS` as observations."""
+    return from_rows(ORACLE_ROWS)
 
 
 class TestKernelAgainstSurvivalProduct:
@@ -569,8 +562,8 @@ class TestKernelAgainstSurvivalProduct:
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_homogeneous(self, params):
-        obs = oracle_observations() + [FatigueObservation(20.0, 3e5, False), FatigueObservation(20.0, 2e6, True)]
-        structures = [[(np.array([o.sigma_a / 75500.0]), np.array([27.1]))] for o in obs]
+        obs = from_rows(ORACLE_ROWS + [(20.0, 3e5, False), (20.0, 2e6, True)])
+        structures = [[(np.array([sigma_a / 75500.0]), np.array([27.1]))] for sigma_a in obs.sigma_a.tolist()]
         expected = survival_product_loglik(params, obs, structures, 2e6)
         assert_allclose(loglik_homogeneous(params, obs, 27.1), expected, rtol=1e-12)
 
@@ -578,7 +571,7 @@ class TestKernelAgainstSurvivalProduct:
     def test_heterogeneous_shared_table(self, params):
         obs = oracle_observations()
         table = self.TABLES[0]
-        structures = [[table_amplitudes(table, o.sigma_a)] for o in obs]
+        structures = [[table_amplitudes(table, sigma_a)] for sigma_a in obs.sigma_a.tolist()]
         expected = survival_product_loglik(params, obs, structures, 2e6)
         assert_allclose(loglik_heterogeneous(params, obs, [table]), expected, rtol=1e-12)
 
@@ -586,14 +579,14 @@ class TestKernelAgainstSurvivalProduct:
     def test_heterogeneous_table_per_observation(self, params):
         obs = oracle_observations()
         tables = [self.TABLES[i % 3] for i in range(len(obs))]
-        structures = [[table_amplitudes(t, o.sigma_a)] for o, t in zip(obs, tables)]
+        structures = [[table_amplitudes(t, sigma_a)] for t, sigma_a in zip(tables, obs.sigma_a.tolist())]
         expected = survival_product_loglik(params, obs, structures, 2e6)
         assert_allclose(loglik_heterogeneous(params, obs, tables), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_unknown_pores_all_tables(self, params):
         obs = oracle_observations()
-        structures = [[table_amplitudes(t, o.sigma_a) for t in self.TABLES] for o in obs]
+        structures = [[table_amplitudes(t, sigma_a) for t in self.TABLES] for sigma_a in obs.sigma_a.tolist()]
         expected = survival_product_loglik(params, obs, structures, 2e6)
         assert_allclose(loglik_unknown_pores(params, obs, self.TABLES), expected, rtol=1e-12)
 
@@ -602,8 +595,8 @@ class TestKernelAgainstSurvivalProduct:
         obs = oracle_observations()
         assignments = [[i % 3] if i % 4 == 0 else [i % 3, (i + 1) % 3] for i in range(len(obs))]
         structures = [
-            [table_amplitudes(self.TABLES[k], o.sigma_a) for k in assigned]
-            for o, assigned in zip(obs, assignments)
+            [table_amplitudes(self.TABLES[k], sigma_a) for k in assigned]
+            for sigma_a, assigned in zip(obs.sigma_a.tolist(), assignments)
         ]
         expected = survival_product_loglik(params, obs, structures, 2e6)
         value = loglik_unknown_pores(params, obs, self.TABLES, assignments=assignments)
@@ -619,7 +612,7 @@ class TestKernelAgainstSurvivalProduct:
         for i, table in enumerate(self.TABLES):
             table_paths.append(str(tmp_path / f"t{i}.criterion.csv"))
             save_criterion_table(table_paths[-1], table)
-        porous, bare = oracle_observations(), oracle_observations()[2:]
+        porous, bare = oracle_observations(), from_rows(ORACLE_ROWS[2:])
         save_observations(tmp_path / "porous.csv", porous)
         save_observations(tmp_path / "bare.csv", bare)
         rc = main([
@@ -632,9 +625,9 @@ class TestKernelAgainstSurvivalProduct:
         params = StrainLifeParams(**fitted["params"])
         gauge = PoreFieldStats().gauge_volume
         expected = survival_product_loglik(
-            params, bare, [[(np.array([o.sigma_a / 75500.0]), np.array([gauge]))] for o in bare], 2e6
+            params, bare, [[(np.array([s / 75500.0]), np.array([gauge]))] for s in bare.sigma_a.tolist()], 2e6
         ) + survival_product_loglik(
-            params, porous, [[table_amplitudes(t, o.sigma_a) for t in self.TABLES] for o in porous], 2e6
+            params, porous, [[table_amplitudes(t, s) for t in self.TABLES] for s in porous.sigma_a.tolist()], 2e6
         )
         assert_allclose(fitted["log_likelihood"], expected, rtol=1e-12)
 

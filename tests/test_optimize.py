@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from porelife.likelihood import (
     CalibrationDegeneracyError,
-    FatigueObservation,
     Homogeneous,
+    ObservationArrays,
     ensure_failures,
     homogeneous_objective,
     structure_for,
@@ -38,16 +38,9 @@ LEVELS = (80.0, 95.0, 110.0, 125.0, 140.0, 150.0)
 
 def synth_observations(true, seed, n_per_level=37, runout=2e6):
     rng = np.random.default_rng(seed)
-    out = []
-    for level in LEVELS:
-        struct = structure_for(true, Homogeneous(volume=true.V0), level)
-        draws = struct.scale * (-np.log1p(-rng.random(n_per_level))) ** (1.0 / true.m)
-        for value in draws:
-            if value >= runout:
-                out.append(FatigueObservation(level, runout, True))
-            else:
-                out.append(FatigueObservation(level, float(value), False))
-    return out
+    draws = np.concatenate([structure_for(true, Homogeneous(volume=true.V0), level).scale
+                            * (-np.log1p(-rng.random(n_per_level))) ** (1.0 / true.m) for level in LEVELS])
+    return ObservationArrays(np.repeat(LEVELS, n_per_level), np.minimum(draws, runout), draws >= runout)
 
 
 #: A small homogeneous likelihood, for runs that only compare two optimizers.
@@ -471,10 +464,10 @@ class TestCalibrate:
         assert two.log_likelihood >= one.log_likelihood - 1e-6
 
     def test_degeneracy_detection(self):
-        runouts = [FatigueObservation(80.0, 2e6, True)] * 5
+        runouts = ObservationArrays([80.0] * 5, [2e6] * 5, [True] * 5)
         with pytest.raises(CalibrationDegeneracyError):
             ensure_failures(runouts)
-        ensure_failures([FatigueObservation(80.0, 1e4, False)])
+        ensure_failures(ObservationArrays([80.0], [1e4], [False]))
 
     def test_trace_csv(self, tmp_path):
         obs = synth_observations(TRUE, seed=5, n_per_level=5)
