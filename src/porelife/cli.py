@@ -288,14 +288,13 @@ def cmd_calibrate(
 ) -> int:
     """Fit the fatigue model in one of the four likelihood modes.
 
-    Each table is reduced to its histograms at the amplitudes of the
-    observations assigned to it (see :class:`porelife.likelihood.ReducedTable`)
-    as it is loaded, so one table at a time is held.
+    Each table is reduced to its histograms at every distinct observation
+    amplitude (see :class:`porelife.likelihood.ReducedTable`) as it is loaded,
+    so one table at a time is held.  Homogeneous mode refuses ``--tables``.
     """
     from .field import load_criterion_table
     from .likelihood import (
         ReducedTable,
-        assigned_amplitudes,
         ensure_failures,
         heterogeneous_objective,
         load_observations,
@@ -314,24 +313,19 @@ def cmd_calibrate(
                             ("--reduce-per-level", reduce_per_level)):
             if given:
                 raise ConfigError(f"{flag} is read only in joint mode, not in {mode} mode")
+    if mode == "homogeneous" and tables:
+        raise ConfigError("--tables is not read in homogeneous mode")
     observations = load_observations(observations)
     ensure_failures(observations)
-    n_obs, n_tables = len(observations), len(tables)
-    if mode == "homogeneous" or mode == "heterogeneous" and 1 < n_tables != n_obs:
-        amplitudes = [()] * n_tables  # no objective reads these tables: only their loading can fail
-    elif mode == "heterogeneous":  # one table for every observation, or one each
-        assignments = None if n_tables == 1 else [(k,) for k in range(n_obs)]
-        amplitudes = assigned_amplitudes(observations, n_tables, assignments)
-    else:
-        assignments = _unknown_pores_assignments(n_obs, n_tables, config.n_k, config.seed)
-        amplitudes = assigned_amplitudes(observations, n_tables, assignments)
-    tables = [ReducedTable.of(load_criterion_table(p), a) for p, a in zip(tables, amplitudes)]
+    amplitudes = np.unique(observations.sigma_a, return_counts=True)[0]  # a plain np.unique loads numpy.ma
+    tables = [ReducedTable.of(load_criterion_table(p), amplitudes) for p in tables]
 
     if mode == "homogeneous":
         objective = _homogeneous_term(config, observations)
     elif mode == "heterogeneous":
         objective = heterogeneous_objective(observations, tables, config.runout_cycles)
     else:
+        assignments = _unknown_pores_assignments(len(observations), len(tables), config.n_k, config.seed)
         objective = unknown_pores_objective(observations, tables, config.runout_cycles, assignments)
 
     if mode == "joint":
@@ -472,8 +466,7 @@ def cmd_homogenize(
     from .field import load_criterion_table
     from .likelihood import ReducedTable, structure_for
 
-    if challenge_porous is None or challenge_bare is None:
-        _check_notch(notch_kt, notch_volume_fraction)
+    _check_notch(notch_kt, notch_volume_fraction)
     params_a = _load_params_arg(config, params)
     levels = config.load_levels
     cylinder = [ReducedTable.of(load_criterion_table(p), levels) for p in tables]
@@ -562,26 +555,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="maximum-likelihood calibration")
     _add_common(p, cmd_calibrate)
-    p.add_argument("--mode", required=True, choices=CALIBRATION_MODES)
-    p.add_argument("--observations", required=True, type=Path)
-    p.add_argument("--tables", nargs="*", type=Path, default=[])
-    p.add_argument("--homogeneous-observations", type=Path, default=None)
-    p.add_argument("--reduce-per-level", action="store_true")
+    p.add_argument("--mode", required=True, choices=CALIBRATION_MODES, help="likelihood mode")
+    p.add_argument("--observations", required=True, type=Path, help="observations CSV (every mode)")
+    p.add_argument("--tables", nargs="*", type=Path, default=[], help="criterion tables (every mode but homogeneous)")
+    p.add_argument("--homogeneous-observations", type=Path, default=None, help="plain-gauge observations (joint mode)")
+    p.add_argument("--reduce-per-level", action="store_true", help="one homogeneous observation per level (joint mode)")
 
     p = sub.add_parser("wohler", help="pooled lifetime quantiles per load level")
     _add_common(p, cmd_wohler)
     p.add_argument("--params", type=Path, default=None, help="fitted.json parameter file")
-    p.add_argument("tables", nargs="+", type=Path)
+    p.add_argument("tables", nargs="+", type=Path, help="criterion tables")
 
     p = sub.add_parser("homogenize", help="homogenization transferability study")
     _add_common(p, cmd_homogenize)
-    p.add_argument("--params", type=Path, default=None)
-    p.add_argument("--challenge-porous", type=Path, default=None)
-    p.add_argument("--challenge-bare", type=Path, default=None)
-    p.add_argument("--notch-kt", type=float, default=DEFAULT_NOTCH_KT)
-    p.add_argument(
-        "--notch-volume-fraction", type=float, default=DEFAULT_NOTCH_VOLUME_FRACTION
-    )
+    p.add_argument("--params", type=Path, default=None, help="fitted.json parameter file of model A")
+    p.add_argument("--challenge-porous", type=Path, default=None, help="porous challenge criterion table")
+    p.add_argument("--challenge-bare", type=Path, default=None, help="pore-free challenge criterion table")
+    p.add_argument("--notch-kt", type=float, default=DEFAULT_NOTCH_KT, help="Kt of a made challenge's notch block")
+    p.add_argument("--notch-volume-fraction", type=float, default=DEFAULT_NOTCH_VOLUME_FRACTION,
+                   help="volume fraction of a made challenge's notch block")
     p.add_argument("tables", nargs="+", type=Path, help="cylinder criterion tables")
     return parser
 

@@ -123,7 +123,8 @@ class ReducedTable:
     soon as it is loaded.  ``histograms`` maps each amplitude to its
     histogram, or to the error computing it raised (an amplitude off the
     table's grid), kept without its traceback, whose frames hold the table;
-    :func:`_histogram` raises it where that amplitude is asked for.
+    :func:`_histogram` raises it where that amplitude is asked for.  A histogram
+    does not depend on the other amplitudes, so extra ones change no objective.
     """
 
     histograms: dict
@@ -149,23 +150,6 @@ def _histogram(structure: Homogeneous | CriterionTable | ReducedTable, sigma_a: 
         return structure.histograms[sigma_a]
     distinct, inverse = np.unique(0.5 * structure.interpolate(sigma_a), return_inverse=True)
     return distinct, np.bincount(inverse, weights=structure.volumes, minlength=distinct.size)
-
-
-def assigned_amplitudes(observations: ObservationArrays, n_tables: int, assignments=None) -> list:
-    """Per table, the distinct amplitudes at which an objective histograms it.
-
-    They are the amplitudes of the observations assigned to the table
-    (``assignments`` as for :func:`unknown_pores_objective`; every
-    observation's when it is None).  A :class:`ReducedTable` at them gives
-    the objective the table's own segments.
-    """
-    amps, amp_index = np.unique(observations.sigma_a, return_inverse=True)
-    if assignments is None:
-        return [amps] * n_tables
-    assigned = np.zeros((n_tables, amps.size), dtype=bool)
-    for tables, i in zip(assignments, amp_index.tolist()):
-        assigned[list(tables), i] = True
-    return [amps[row] for row in assigned]
 
 
 class _Segments:

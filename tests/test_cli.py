@@ -894,6 +894,15 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {flag} is read only in joint mode, not in {mode} mode\n"
         assert not out.exists()
 
+    def test_tables_in_homogeneous_mode_is_validation_error(self, conf, tmp_path, capsys):
+        """Refused before any file is read: neither the observations nor the table exists."""
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(conf), "--out", str(out), "--mode", "homogeneous",
+                     "--observations", str(tmp_path / "none.csv"),
+                     "--tables", str(tmp_path / "none.criterion.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --tables is not read in homogeneous mode\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["missing", "malformed"])
     @pytest.mark.parametrize("flag", ["--observations", "--tables", "--homogeneous-observations"])
     def test_bad_input_leaves_no_out(self, conf, tmp_path, capsys, flag, how):
@@ -1125,6 +1134,22 @@ class TestHomogenize:
         assert capsys.readouterr().err == "error: --notch-kt must be finite, got inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--notch-kt", "nan", "--notch-kt must exceed 1, got nan"),
+        ("--notch-kt", "inf", "--notch-kt must be finite, got inf"),
+        ("--notch-kt", "0.5", "--notch-kt must exceed 1, got 0.5"),
+        ("--notch-volume-fraction", "nan", "--notch-volume-fraction must be in (0, 1), got nan"),
+    ])
+    def test_notch_named_with_both_challenges_given(self, conf, tmp_path, capsys, flag, value, message):
+        """No challenge is made from the notch flags, but they are still checked, before any work."""
+        porous, bare, cylinder = (write_bulk_table(tmp_path / f"{name}.criterion.csv")
+                                  for name in ("porous", "bare", "cylinder"))
+        out = tmp_path / "h"
+        assert main(["homogenize", "--config", str(conf), "--out", str(out), "--challenge-porous", str(porous),
+                     "--challenge-bare", str(bare), flag, value, str(cylinder)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["missing", "malformed"])
     @pytest.mark.parametrize("flag", ["--params", "--challenge-porous", "--challenge-bare", "cylinder"])
     def test_bad_input_leaves_no_out(self, conf, tmp_path, capsys, flag, how):
@@ -1331,7 +1356,7 @@ PRECEDENCE = {
     "heterogeneous-count-mismatch-then-malformed": ("heterogeneous", ["good", "good", "malformed"],
                                                     THREE_ROWS.rsplit("\n", 2)[0] + "\n", (None, None),
                                                     (EXIT_VALIDATION, MALFORMED_TABLE, False)),
-    # refused on the count: no table is histogrammed, so neither off-grid one raises
+    # refused on the count: no segment is asked for, so neither off-grid table raises
     "heterogeneous-count-mismatch-off-grid": ("heterogeneous", ["good", "A", "B"],
                                               THREE_ROWS.rsplit("\n", 2)[0] + "\n", (None, None),
                                               (EXIT_VALIDATION, "2 observations but 3 tables", False)),

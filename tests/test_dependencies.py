@@ -139,7 +139,8 @@ synthetic = synthesize_observations([[structure_for(config.fatigue, model, level
                                     config.load_levels, config.samples_per_struct, config.seed, config.runout_cycles)
 fitted = fit_homogenized_model(config, synthetic)
 joint_only = {"joint": (homogeneous, True)}  # --homogeneous-observations and --reduce-per-level
-codes = [cmd_calibrate(config, out / mode, mode, observations, [Path(table)], *joint_only.get(mode, (None, False)))
+codes = [cmd_calibrate(config, out / mode, mode, observations, [] if mode == "homogeneous" else [Path(table)],
+                       *joint_only.get(mode, (None, False)))
          for mode in ("homogeneous", "heterogeneous", "unknown-pores", "joint")]
 print(json.dumps([math.isfinite(median), len(synthetic), fitted.m > 0, codes]))
 """

@@ -360,6 +360,27 @@ class TestReducedTable:
         assert (heterogeneous_objective(obs, [reduced[k] for k in per_obs])(params)
                 == heterogeneous_objective(obs, [tables[k] for k in per_obs])(params))
 
+    @pytest.mark.parametrize("params", [PARAMS, TWO_LINE], ids=["one-line", "two-line"])
+    def test_unknown_pores_objective_gives_the_tables_bits(self, rng, params):
+        """Every table reduced at every observation amplitude, as calibrate reduces them."""
+        levels = [40.0, 80.0, 120.0]  # the short table is off its grid at 160 MPa
+        short = CriterionTable(np.arange(4), rng.uniform(0.1, 10.0, size=4), levels,
+                               np.outer(rng.uniform(1.0, 3.0, size=4), levels) * 2.0 / 75500.0)
+        tables = [self.table(rng), self.table(rng, n=5), self.table(rng, n=7), short]
+        obs = ObservationArrays(
+            np.repeat(self.AMPLITUDES, 2), np.tile([3e4, 2e6], len(self.AMPLITUDES)), np.tile([False, True], 5)
+        )
+        reduced = [ReducedTable.of(t, np.unique(obs.sigma_a)) for t in tables]
+        # the last two observations, at 160 MPa, are not assigned the short table
+        assignments = [(0, 3), (1, 2, 3), (3,), (0, 1), (2, 3), (3, 1), (0, 2, 3), (1,), (0, 1), (2,)]
+        assert (unknown_pores_objective(obs, reduced, assignments=assignments)(params)
+                == unknown_pores_objective(obs, tables, assignments=assignments)(params))
+        with pytest.raises(ExtrapolationError) as own:
+            unknown_pores_objective(obs, tables)
+        with pytest.raises(ExtrapolationError) as kept:
+            unknown_pores_objective(obs, reduced)
+        assert str(kept.value) == str(own.value)
+
     def test_off_grid_amplitude_raises_only_where_asked(self, rng):
         table = self.table(rng)
         reduced = ReducedTable.of(table, (80.0, 200.0))  # 200 MPa is past the grid's 160; reducing does not raise
