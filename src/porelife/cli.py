@@ -288,9 +288,12 @@ def cmd_calibrate(
 ) -> int:
     """Fit the fatigue model in one of the four likelihood modes.
 
-    Each table is reduced to its histograms at every distinct observation
-    amplitude (see :class:`porelife.likelihood.ReducedTable`) as it is loaded,
-    so one table at a time is held.  Homogeneous mode refuses ``--tables``.
+    Each table is reduced to its histograms (see
+    :class:`porelife.likelihood.ReducedTable`) as it is loaded, so one full
+    table at a time is held.  When heterogeneous mode pairs one table with
+    each observation, a table is reduced at its own observation's amplitude;
+    otherwise at every distinct observation amplitude.  Homogeneous mode
+    refuses ``--tables``.
     """
     from .field import load_criterion_table
     from .likelihood import (
@@ -318,7 +321,9 @@ def cmd_calibrate(
     observations = load_observations(observations)
     ensure_failures(observations)
     amplitudes = np.unique(observations.sigma_a, return_counts=True)[0]  # a plain np.unique loads numpy.ma
-    tables = [ReducedTable.of(load_criterion_table(p), amplitudes) for p in tables]
+    paired = mode == "heterogeneous" and 1 < len(tables) == len(observations)  # table k is observation k's field
+    tables = [ReducedTable.of(load_criterion_table(p), observations.sigma_a[k:k + 1] if paired else amplitudes)
+              for k, p in enumerate(tables)]
 
     if mode == "homogeneous":
         objective = _homogeneous_term(config, observations)
@@ -564,16 +569,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wohler", help="pooled lifetime quantiles per load level")
     _add_common(p, cmd_wohler)
     p.add_argument("--params", type=Path, default=None, help="fitted.json parameter file")
-    p.add_argument("tables", nargs="+", type=Path, help="criterion tables")
+    p.add_argument("tables", nargs="+", type=Path)
 
     p = sub.add_parser("homogenize", help="homogenization transferability study")
     _add_common(p, cmd_homogenize)
-    p.add_argument("--params", type=Path, default=None, help="fitted.json parameter file of model A")
-    p.add_argument("--challenge-porous", type=Path, default=None, help="porous challenge criterion table")
-    p.add_argument("--challenge-bare", type=Path, default=None, help="pore-free challenge criterion table")
-    p.add_argument("--notch-kt", type=float, default=DEFAULT_NOTCH_KT, help="Kt of a made challenge's notch block")
-    p.add_argument("--notch-volume-fraction", type=float, default=DEFAULT_NOTCH_VOLUME_FRACTION,
-                   help="volume fraction of a made challenge's notch block")
+    p.add_argument("--params", type=Path, default=None)
+    p.add_argument("--challenge-porous", type=Path, default=None)
+    p.add_argument("--challenge-bare", type=Path, default=None)
+    p.add_argument("--notch-kt", type=float, default=DEFAULT_NOTCH_KT)
+    p.add_argument(
+        "--notch-volume-fraction", type=float, default=DEFAULT_NOTCH_VOLUME_FRACTION
+    )
     p.add_argument("tables", nargs="+", type=Path, help="cylinder criterion tables")
     return parser
 

@@ -272,7 +272,7 @@ class _Kernel:
             for rows, term in ((self.failures, _density), (self.runouts, _survival)):
                 if rows is not None:
                     total += rows.total(term, log_rate, params.m)
-        return total
+        return math.nan if math.isnan(total) else total  # a NaN's sign follows numpy's loop paths: return one NaN
 
 
 def homogeneous_objective(

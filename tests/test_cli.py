@@ -42,6 +42,7 @@ from porelife.field import (
 )
 from porelife.likelihood import (
     Homogeneous,
+    ReducedTable,
     homogeneous_objective,
     load_observations,
     structure_for,
@@ -1393,3 +1394,15 @@ class TestOneTableAtATime:
         monkeypatch.setattr(porelife.field, "load_criterion_table", load_alone)
         assert main([str(arg) for arg in argv]) == (EXIT_VALIDATION if "A" in names else EXIT_OK)
         assert len(loaded) == (5 if command == "homogenize" else 3)
+
+    @pytest.mark.parametrize("command, amplitudes", [
+        ("heterogeneous", [[60.0], [100.0], [40.0]]),
+        ("unknown-pores", [[40.0, 60.0, 100.0]] * 3),
+    ])
+    def test_calibrate_reduces_a_paired_table_at_its_own_amplitude(self, conf, tmp_path, monkeypatch, command, amplitudes):
+        """One table per observation holds one histogram each, not one per distinct observation amplitude."""
+        argv, _, _ = table_argv(conf, tmp_path, command, ["good"] * 3)
+        reduced, of = [], ReducedTable.of.__func__
+        monkeypatch.setattr(ReducedTable, "of", classmethod(lambda cls, *args: reduced.append(of(cls, *args)) or reduced[-1]))
+        assert main([str(arg) for arg in argv]) == EXIT_OK
+        assert [sorted(table.histograms) for table in reduced] == amplitudes

@@ -726,6 +726,16 @@ class TestWeightedObservations:
         weighted, written_out = build(obs, picks)(params), build(repeated(obs), np.repeat(picks, obs.count))(params)
         assert np.float64(weighted).tobytes() == np.float64(written_out).tobytes()
 
+    def test_nan_objective_is_one_nan(self):
+        # Failures and run-outs both NaN, with opposite signs from numpy's loops: every call returns one NaN.
+        obs = ObservationArrays([60.0, 80.0, 97.5, 60.0], [1e300, 4.48304395e16, 4.48304395e16, 1e300],
+                                [True, False, True, True], [3, 1, 2, 3])
+        params = StrainLifeParams(m=1.0436925527708105, A=1e300, alpha=1e12, B=1e300, beta=1.0371705454126685,
+                                  C=0.001257195381934404, V0=593.0)
+        for o in (obs, repeated(obs)):
+            objective = unknown_pores_objective(o, GRID_TABLES)
+            assert [np.float64(objective(params)).tobytes() for _ in range(3)] == [np.float64(math.nan).tobytes()] * 3
+
     def test_fit_rows_count_their_observations(self):
         obs = ObservationArrays([80.0, 80.0, 60.0], [1e5, 2e6, 2e6], [False, True, True], [3, 5, 2])
         assert obs.count.dtype == np.int64 and obs.count.tolist() == [3, 5, 2]
